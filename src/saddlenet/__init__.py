@@ -44,6 +44,8 @@ from .operators import (
     Prox,
     SmoothCoupling,
     affine_forward,
+    batched_forward,
+    batched_resolvent,
     bilinear_coupling,
     box_prox,
     combine_couplings,

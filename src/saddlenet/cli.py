@@ -248,6 +248,7 @@ def _summary_text(cfg, result, stop, extra_lines=()):
         f"sigma = {result.info.get('sigma')!r}",
         f"iterations = {trace.iterations}",
         f"converged = {'yes' if trace.converged else 'no'} (tol = {stop.tol!r})",
+        f"stopped on = {trace.status}",
         f"final fp residual = {trace.final_residual!r}",
     ]
     if last is not None and last.consensus_gap_x is not None:
@@ -563,7 +564,7 @@ def cmd_compare(args):
     table = [f"shared steps: tau = {tau!r}, sigma = {sigma!r}",
              f"budget: tol = {stop.tol!r}, max_iters = {stop.max_iters}"]
     for r in results:
-        status = "converged" if r.trace.converged else "NOT CONVERGED"
+        status = "converged" if r.trace.converged else f"NOT CONVERGED ({r.trace.status})"
         table.append(
             f"{r.name:<{width}}  iterations {r.trace.iterations:>8}  "
             f"final residual {r.trace.final_residual:.3e}  {status}"

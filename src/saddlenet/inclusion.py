@@ -23,10 +23,12 @@ check that the communication-friendly recursion above is the same method.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .operators import batched_forward, batched_resolvent
 from .primal_dual import StepSizeError
 from .trace import ConvergenceTrace, StoppingRule, TraceRow
 
@@ -83,7 +85,10 @@ class StackedIterate:
 
     ``v`` and ``prev_v`` are the reflected forward rows for the current and
     previous round; ``bx`` caches ``B(x)`` at the current ``x`` so each step
-    costs a single fresh forward evaluation per agent.
+    costs a single fresh forward evaluation per agent.  ``wx_prev`` caches
+    ``W prev_x`` (the previous round's exchange) so each step mixes once;
+    when it is None the step computes it.  ``kernels`` holds the agents'
+    row-batched operators, built once per run.
     """
 
     u: np.ndarray
@@ -92,14 +97,33 @@ class StackedIterate:
     v: np.ndarray
     prev_v: np.ndarray
     bx: np.ndarray
+    wx_prev: np.ndarray | None = None
+    kernels: object = field(default=None, repr=False)
 
 
-def _forward_rows(agents, x):
-    return np.stack([agents[i].forward(x[i]) for i in range(len(agents))])
+@dataclass(frozen=True, eq=False)
+class _AgentKernels:
+    """Row-batched resolvent and forward of the agent list ``source``."""
+
+    source: list
+    resolvent: object
+    forward: object
+
+    @classmethod
+    def build(cls, agents, h):
+        return cls(agents, batched_resolvent([a.resolvent for a in agents], h),
+                   batched_forward([a.forward for a in agents], h))
 
 
-def _resolve_rows(agents, tau, u):
-    return np.stack([agents[i].resolvent(tau, u[i]) for i in range(len(agents))])
+def _kernels(agents, state):
+    """The state's kernels when they were built for ``agents``, else fresh ones."""
+    if state.kernels is not None and state.kernels.source is agents:
+        return state.kernels
+    return _AgentKernels.build(agents, state.x.shape[1])
+
+
+def _mixed_prev(mixing, state):
+    return state.wx_prev if state.wx_prev is not None else mixing.apply(state.prev_x)
 
 
 def _check_setup(agents, mixing, x0, tau):
@@ -127,24 +151,28 @@ def inclusion_init(agents, mixing, x0, tau, premix=False):
     both variants converge to the same solution set.
     """
     x0 = _check_setup(agents, mixing, x0, tau)
-    v0 = _forward_rows(agents, x0)
-    base = mixing.apply(x0) if premix else x0
-    u1 = base - tau * v0
-    x1 = _resolve_rows(agents, tau, u1)
-    bx1 = _forward_rows(agents, x1)
+    kernels = _AgentKernels.build(agents, x0.shape[1])
+    v0 = kernels.forward(x0)
+    wx0 = mixing.apply(x0) if premix else None
+    u1 = (wx0 if premix else x0) - tau * v0
+    x1 = kernels.resolvent(tau, u1)
+    bx1 = kernels.forward(x1)
     v1 = 2.0 * bx1 - v0
-    return StackedIterate(u=u1, x=x1, prev_x=x0, v=v1, prev_v=v0, bx=bx1)
+    return StackedIterate(u=u1, x=x1, prev_x=x0, v=v1, prev_v=v0, bx=bx1,
+                          wx_prev=wx0, kernels=kernels)
 
 
 def inclusion_step(agents, mixing, state, tau):
-    """Advance the stacked iterate by one communication round."""
+    """Advance the stacked iterate by one communication round (one exchange)."""
+    kernels = _kernels(agents, state)
     wx = mixing.apply(state.x)
-    wpx = mixing.apply(state.prev_x)
-    u_new = wx + state.u - 0.5 * (state.prev_x + wpx) - tau * (state.v - state.prev_v)
-    x_new = _resolve_rows(agents, tau, u_new)
-    bx_new = _forward_rows(agents, x_new)
+    u_new = (wx + state.u - 0.5 * (state.prev_x + _mixed_prev(mixing, state))
+             - tau * (state.v - state.prev_v))
+    x_new = kernels.resolvent(tau, u_new)
+    bx_new = kernels.forward(x_new)
     v_new = 2.0 * bx_new - state.bx
-    return StackedIterate(u=u_new, x=x_new, prev_x=state.x, v=v_new, prev_v=state.v, bx=bx_new)
+    return StackedIterate(u=u_new, x=x_new, prev_x=state.x, v=v_new, prev_v=state.v, bx=bx_new,
+                          wx_prev=wx, kernels=kernels)
 
 
 def consensus_gap(x):
@@ -169,6 +197,47 @@ def _frob_diff(a, b):
     return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
 
 
+def _run_rounds(state, step, residual, observe, stop):
+    """Step a bootstrapped ``state`` (round 1) until ``stop`` ends the run.
+
+    ``residual(state)`` is a round's fixed-point residual and
+    ``observe(state)`` the other trace columns of that round.  The trace's
+    ``status`` records why the run stopped; a non-finite residual stops it
+    as diverged and the last state with a finite residual is returned.
+    """
+    trace = ConvergenceTrace()
+    last = state
+    it = 1
+    while True:
+        res = residual(state)
+        if not math.isfinite(res):
+            trace.status = "diverged"
+            return last, trace
+        trace.append(TraceRow(iteration=it, fp_residual=res, **observe(state)))
+        if res <= stop.tol:
+            trace.status = "converged"
+            return state, trace
+        if it >= stop.max_iters:
+            trace.status = "budget"
+            return state, trace
+        last = state
+        state = step(state)
+        it += 1
+
+
+def _run_stacked(step, state, stop, reference):
+    """:func:`_run_rounds` with the stacked iterates' residual and columns."""
+
+    def observe(s):
+        dist = None
+        if reference is not None:
+            dist = float(np.linalg.norm(s.x.mean(axis=0) - reference))
+        return {"consensus_gap_x": consensus_gap(s.x), "distance_to_reference": dist}
+
+    return _run_rounds(state, step, lambda s: _frob_diff(s.x, s.prev_x), observe,
+                       stop or StoppingRule())
+
+
 def inclusion_run(agents, mixing, x0, tau, stop=None, premix=False, reference=None):
     """Run the decentralized iteration until the Frobenius residual meets ``stop``.
 
@@ -176,32 +245,8 @@ def inclusion_run(agents, mixing, x0, tau, stop=None, premix=False, reference=No
     carries the distance from the row average to it.  Returns the final
     :class:`StackedIterate` and the trace (first row is the bootstrap step).
     """
-    stop = stop or StoppingRule()
-    trace = ConvergenceTrace()
     state = inclusion_init(agents, mixing, x0, tau, premix=premix)
-
-    def dist(x):
-        if reference is None:
-            return None
-        return float(np.linalg.norm(x.mean(axis=0) - reference))
-
-    res = _frob_diff(state.x, state.prev_x)
-    trace.append(TraceRow(iteration=1, fp_residual=res,
-                          consensus_gap_x=consensus_gap(state.x),
-                          distance_to_reference=dist(state.x)))
-    it = 1
-    converged = res <= stop.tol
-    while not converged and it < stop.max_iters:
-        new = inclusion_step(agents, mixing, state, tau)
-        res = _frob_diff(new.x, state.x)
-        it += 1
-        trace.append(TraceRow(iteration=it, fp_residual=res,
-                              consensus_gap_x=consensus_gap(new.x),
-                              distance_to_reference=dist(new.x)))
-        state = new
-        converged = res <= stop.tol
-    trace.converged = converged
-    return state, trace
+    return _run_stacked(lambda s: inclusion_step(agents, mixing, s, tau), state, stop, reference)
 
 
 def final_report(state, reference=None):
@@ -255,14 +300,15 @@ def product_space_reference(agents, mixing, x0, tau, iterations, premix=False):
     :func:`inclusion_init`.
     """
     x = _check_setup(agents, mixing, x0, tau)
+    kernels = _AgentKernels.build(agents, x.shape[1])
     kop = _sqrt_half_complement(mixing)
     y = (2.0 / tau) * kop(x) if premix else np.zeros_like(x)
-    bx_prev = _forward_rows(agents, x)
+    bx_prev = kernels.forward(x)
     out = []
     for _ in range(iterations):
-        bx = _forward_rows(agents, x)
+        bx = kernels.forward(x)
         v = 2.0 * bx - bx_prev
-        x_new = _resolve_rows(agents, tau, x - tau * kop(y) - tau * v)
+        x_new = kernels.resolvent(tau, x - tau * kop(y) - tau * v)
         y = y + kop(2.0 * x_new - x) / tau
         bx_prev = bx
         x = x_new
@@ -276,13 +322,18 @@ def product_space_reference(agents, mixing, x0, tau, iterations, premix=False):
 
 @dataclass(frozen=True, eq=False)
 class PgExtraState:
-    """Stacked PG-EXTRA state; ``grad`` caches the smooth gradients at ``x``."""
+    """Stacked PG-EXTRA state; ``grad`` caches the smooth gradients at ``x``.
+
+    ``wx_prev`` and ``kernels`` are cached as in :class:`StackedIterate`.
+    """
 
     u: np.ndarray
     x: np.ndarray
     prev_x: np.ndarray
     grad: np.ndarray
     prev_grad: np.ndarray
+    wx_prev: np.ndarray | None = None
+    kernels: object = field(default=None, repr=False)
 
 
 def _pg_extra_bound(mixing, lipschitz):
@@ -297,48 +348,28 @@ def pg_extra_init(agents, mixing, x0, tau, premix=False):
     bound = _pg_extra_bound(mixing, uniform_lipschitz(agents))
     if not 0.0 < tau < bound:
         raise StepSizeError(f"tau={tau!r} not in (0, {bound!r})")
-    g0 = _forward_rows(agents, x0)
-    base = mixing.apply(x0) if premix else x0
-    u1 = base - tau * g0
-    x1 = _resolve_rows(agents, tau, u1)
-    return PgExtraState(u=u1, x=x1, prev_x=x0, grad=_forward_rows(agents, x1), prev_grad=g0)
+    kernels = _AgentKernels.build(agents, x0.shape[1])
+    g0 = kernels.forward(x0)
+    wx0 = mixing.apply(x0) if premix else None
+    u1 = (wx0 if premix else x0) - tau * g0
+    x1 = kernels.resolvent(tau, u1)
+    return PgExtraState(u=u1, x=x1, prev_x=x0, grad=kernels.forward(x1), prev_grad=g0,
+                        wx_prev=wx0, kernels=kernels)
 
 
 def pg_extra_step(agents, mixing, state, tau):
-    """One PG-EXTRA round (plain gradient difference, no reflection)."""
+    """One PG-EXTRA round (plain gradient difference, no reflection, one exchange)."""
+    kernels = _kernels(agents, state)
     wx = mixing.apply(state.x)
-    wpx = mixing.apply(state.prev_x)
-    u_new = wx + state.u - 0.5 * (state.prev_x + wpx) - tau * (state.grad - state.prev_grad)
-    x_new = _resolve_rows(agents, tau, u_new)
+    u_new = (wx + state.u - 0.5 * (state.prev_x + _mixed_prev(mixing, state))
+             - tau * (state.grad - state.prev_grad))
+    x_new = kernels.resolvent(tau, u_new)
     return PgExtraState(u=u_new, x=x_new, prev_x=state.x,
-                        grad=_forward_rows(agents, x_new), prev_grad=state.grad)
+                        grad=kernels.forward(x_new), prev_grad=state.grad,
+                        wx_prev=wx, kernels=kernels)
 
 
 def pg_extra_run(agents, mixing, x0, tau, stop=None, premix=False, reference=None):
     """Run PG-EXTRA; same trace conventions as :func:`inclusion_run`."""
-    stop = stop or StoppingRule()
-    trace = ConvergenceTrace()
     state = pg_extra_init(agents, mixing, x0, tau, premix=premix)
-
-    def dist(x):
-        if reference is None:
-            return None
-        return float(np.linalg.norm(x.mean(axis=0) - reference))
-
-    res = _frob_diff(state.x, state.prev_x)
-    trace.append(TraceRow(iteration=1, fp_residual=res,
-                          consensus_gap_x=consensus_gap(state.x),
-                          distance_to_reference=dist(state.x)))
-    it = 1
-    converged = res <= stop.tol
-    while not converged and it < stop.max_iters:
-        new = pg_extra_step(agents, mixing, state, tau)
-        res = _frob_diff(new.x, state.x)
-        it += 1
-        trace.append(TraceRow(iteration=it, fp_residual=res,
-                              consensus_gap_x=consensus_gap(new.x),
-                              distance_to_reference=dist(new.x)))
-        state = new
-        converged = res <= stop.tol
-    trace.converged = converged
-    return state, trace
+    return _run_stacked(lambda s: pg_extra_step(agents, mixing, s, tau), state, stop, reference)

@@ -28,14 +28,21 @@ the test-suite holds the two paths to agreement at machine precision.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .inclusion import AgentInclusion, consensus_gap
-from .operators import combine_couplings, combine_proxes, product_resolvent, saddle_forward
+from .inclusion import AgentInclusion, _run_rounds, consensus_gap
+from .operators import (
+    batched_forward,
+    batched_resolvent,
+    combine_couplings,
+    combine_proxes,
+    product_resolvent,
+    saddle_forward,
+)
 from .primal_dual import ForbState, StepSizeError, forb_step
-from .trace import ConvergenceTrace, StoppingRule, TraceRow
+from .trace import StoppingRule
 
 __all__ = [
     "AgentSaddleProblem",
@@ -124,7 +131,13 @@ def stepsize_bound_pair(mixing_pair, lipschitz):
 @dataclass(frozen=True, eq=False)
 class MinMaxState:
     """Stacked per-agent state; ``grad_x``/``grad_y`` cache the coupling
-    gradients at the current ``(x, y)`` so a step needs one fresh gradient."""
+    gradients at the current ``(x, y)`` so a step needs one fresh gradient.
+
+    ``wx_prev``/``wy_prev`` cache ``W1 prev_x`` and ``W2 prev_y`` (the
+    previous round's exchanges) so each step mixes each block once; when
+    they are None the step computes them.  ``kernels`` holds the agents'
+    row-batched operators, built once per run.
+    """
 
     ux: np.ndarray
     uy: np.ndarray
@@ -138,18 +151,38 @@ class MinMaxState:
     prev_vy: np.ndarray
     grad_x: np.ndarray
     grad_y: np.ndarray
+    wx_prev: np.ndarray | None = None
+    wy_prev: np.ndarray | None = None
+    kernels: object = field(default=None, repr=False)
 
 
-def _grad_rows(problems, x, y):
-    gx = np.stack([p.coupling.grad_x(x[i], y[i]) for i, p in enumerate(problems)])
-    gy = np.stack([p.coupling.grad_y(x[i], y[i]) for i, p in enumerate(problems)])
-    return gx, gy
+@dataclass(frozen=True, eq=False)
+class _SaddleKernels:
+    """Row-batched proxes and coupling map of the agent list ``source``.
 
+    The gradients come from the stacked map ``saddle_forward`` on
+    ``z = (x | y)``, the same kernel the stacked inclusion evaluates, so the
+    two iterations run identical arithmetic.
+    """
 
-def _prox_rows(problems, which, tau, u):
-    if which == "min":
-        return np.stack([p.prox_min(tau, u[i]) for i, p in enumerate(problems)])
-    return np.stack([p.prox_max(tau, u[i]) for i, p in enumerate(problems)])
+    source: list
+    prox_min: object
+    prox_max: object
+    forward: object
+
+    @classmethod
+    def build(cls, problems):
+        p, d = problems[0].p, problems[0].d
+        return cls(problems,
+                   batched_resolvent([prob.prox_min for prob in problems], p),
+                   batched_resolvent([prob.prox_max for prob in problems], d),
+                   batched_forward([saddle_forward(prob.coupling) for prob in problems], p + d))
+
+    def gradients(self, x, y):
+        """``(grad_x phi_i, grad_y phi_i)`` at every agent's ``(x_i, y_i)``."""
+        out = self.forward(np.concatenate([x, y], axis=1))
+        p = x.shape[1]
+        return out[:, :p], -out[:, p:]
 
 
 def _check_minmax(problems, mixing, x0, y0, tau):
@@ -181,38 +214,44 @@ def _declared(problems):
 def minmax_init(problems, mixing, x0, y0, tau):
     """Bootstrap from per-agent rows ``x0``, ``y0`` (no communication needed)."""
     x0, y0 = _check_minmax(problems, mixing, x0, y0, tau)
-    gx0, gy0 = _grad_rows(problems, x0, y0)
+    kernels = _SaddleKernels.build(problems)
+    gx0, gy0 = kernels.gradients(x0, y0)
     vx0 = gx0
     vy0 = -gy0
     ux1 = x0 - tau * vx0
     uy1 = y0 - tau * vy0
-    x1 = _prox_rows(problems, "min", tau, ux1)
-    y1 = _prox_rows(problems, "max", tau, uy1)
-    gx1, gy1 = _grad_rows(problems, x1, y1)
+    x1 = kernels.prox_min(tau, ux1)
+    y1 = kernels.prox_max(tau, uy1)
+    gx1, gy1 = kernels.gradients(x1, y1)
     return MinMaxState(
         ux=ux1, uy=uy1, x=x1, y=y1, prev_x=x0, prev_y=y0,
         vx=2.0 * gx1 - gx0, vy=-2.0 * gy1 + gy0, prev_vx=vx0, prev_vy=vy0,
-        grad_x=gx1, grad_y=gy1,
+        grad_x=gx1, grad_y=gy1, kernels=kernels,
     )
 
 
 def minmax_step(problems, mixing, state, tau):
-    """Advance both blocks by one communication round."""
+    """Advance both blocks by one communication round (one exchange per block)."""
+    kernels = state.kernels
+    if kernels is None or kernels.source is not problems:
+        kernels = _SaddleKernels.build(problems)
     w1, w2 = mixing.w1, mixing.w2
-    ux_new = (w1.apply(state.x) + state.ux
-              - 0.5 * (state.prev_x + w1.apply(state.prev_x))
+    wx = w1.apply(state.x)
+    wy = w2.apply(state.y)
+    wx_prev = state.wx_prev if state.wx_prev is not None else w1.apply(state.prev_x)
+    wy_prev = state.wy_prev if state.wy_prev is not None else w2.apply(state.prev_y)
+    ux_new = (wx + state.ux - 0.5 * (state.prev_x + wx_prev)
               - tau * (state.vx - state.prev_vx))
-    uy_new = (w2.apply(state.y) + state.uy
-              - 0.5 * (state.prev_y + w2.apply(state.prev_y))
+    uy_new = (wy + state.uy - 0.5 * (state.prev_y + wy_prev)
               - tau * (state.vy - state.prev_vy))
-    x_new = _prox_rows(problems, "min", tau, ux_new)
-    y_new = _prox_rows(problems, "max", tau, uy_new)
-    gx_new, gy_new = _grad_rows(problems, x_new, y_new)
+    x_new = kernels.prox_min(tau, ux_new)
+    y_new = kernels.prox_max(tau, uy_new)
+    gx_new, gy_new = kernels.gradients(x_new, y_new)
     return MinMaxState(
         ux=ux_new, uy=uy_new, x=x_new, y=y_new, prev_x=state.x, prev_y=state.y,
         vx=2.0 * gx_new - state.grad_x, vy=-2.0 * gy_new + state.grad_y,
         prev_vx=state.vx, prev_vy=state.vy,
-        grad_x=gx_new, grad_y=gy_new,
+        grad_x=gx_new, grad_y=gy_new, wx_prev=wx, wy_prev=wy, kernels=kernels,
     )
 
 
@@ -224,39 +263,23 @@ def minmax_run(problems, mixing, x0, y0, tau, stop=None, reference=None):
     for the distance column.  The trace also carries per-block consensus
     gaps; the Frobenius residual covers both blocks.
     """
-    stop = stop or StoppingRule()
-    trace = ConvergenceTrace()
     state = minmax_init(problems, mixing, x0, y0, tau)
 
-    def dist(x, y):
-        if reference is None:
-            return None
-        dx = x.mean(axis=0) - reference[0]
-        dy = y.mean(axis=0) - reference[1]
-        return float(np.sqrt(np.linalg.norm(dx) ** 2 + np.linalg.norm(dy) ** 2))
+    def residual(s):
+        return float(np.sqrt(np.linalg.norm(s.x - s.prev_x) ** 2
+                             + np.linalg.norm(s.y - s.prev_y) ** 2))
 
-    def res_of(new, old_x, old_y):
-        return float(np.sqrt(np.linalg.norm(new.x - old_x) ** 2
-                             + np.linalg.norm(new.y - old_y) ** 2))
+    def observe(s):
+        dist = None
+        if reference is not None:
+            dx = s.x.mean(axis=0) - reference[0]
+            dy = s.y.mean(axis=0) - reference[1]
+            dist = float(np.sqrt(np.linalg.norm(dx) ** 2 + np.linalg.norm(dy) ** 2))
+        return {"consensus_gap_x": consensus_gap(s.x), "consensus_gap_y": consensus_gap(s.y),
+                "distance_to_reference": dist}
 
-    res = res_of(state, state.prev_x, state.prev_y)
-    trace.append(TraceRow(iteration=1, fp_residual=res,
-                          consensus_gap_x=consensus_gap(state.x),
-                          consensus_gap_y=consensus_gap(state.y),
-                          distance_to_reference=dist(state.x, state.y)))
-    it = 1
-    converged = res <= stop.tol
-    while not converged and it < stop.max_iters:
-        new = minmax_step(problems, mixing, state, tau)
-        res = res_of(new, state.x, state.y)
-        it += 1
-        trace.append(TraceRow(iteration=it, fp_residual=res,
-                              consensus_gap_x=consensus_gap(new.x),
-                              consensus_gap_y=consensus_gap(new.y),
-                              distance_to_reference=dist(new.x, new.y)))
-        state = new
-        converged = res <= stop.tol
-    trace.converged = converged
+    state, trace = _run_rounds(state, lambda s: minmax_step(problems, mixing, s, tau),
+                               residual, observe, stop or StoppingRule())
     return state.x.mean(axis=0), state.y.mean(axis=0), trace
 
 
@@ -332,14 +355,14 @@ def product_space_problem(problems, mixing, lipschitz=None):
     mask_y = np.diag(np.concatenate([np.zeros(p), np.ones(d)]))
     k = np.kron(k1, mask_x) + np.kron(k2, mask_y)
     k_norm = float(np.sqrt((1.0 - mixing.lambda_min) / 2.0))
+    resolve_rows = batched_resolvent([a.resolvent for a in agents], h)
+    forward_rows = batched_forward([a.forward for a in agents], h)
 
     def res_fn(t, z):
-        rows = z.reshape(n, h)
-        return np.stack([agents[i].resolvent(t, rows[i]) for i in range(n)]).reshape(-1)
+        return resolve_rows(t, z.reshape(n, h)).reshape(-1)
 
     def fwd_fn(z):
-        rows = z.reshape(n, h)
-        return np.stack([agents[i].forward(rows[i]) for i in range(n)]).reshape(-1)
+        return forward_rows(z.reshape(n, h)).reshape(-1)
 
     from .operators import ForwardOperator
     jac = None

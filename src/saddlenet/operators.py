@@ -5,6 +5,10 @@ Everything here works on 1-D float arrays.  A :class:`Prox` is a callable
 monotone operator (for the library entries, the subdifferential of a proper
 convex function).  A :class:`ForwardOperator` is a plain Lipschitz map with
 a declared constant, evaluated explicitly by the solvers.
+
+The decentralized solvers keep one row per agent in an ``n x h`` array;
+:func:`batched_resolvent` and :func:`batched_forward` evaluate a whole list
+of per-agent operators on such an array at once.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ __all__ = [
     "Prox",
     "SmoothCoupling",
     "affine_forward",
+    "batched_forward",
+    "batched_resolvent",
     "bilinear_coupling",
     "box_prox",
     "combine_couplings",
@@ -223,8 +229,10 @@ class ForwardOperator:
 
     ``lipschitz`` is a declared upper bound (any valid bound is fine, it
     only enters step-size rules).  ``jacobian`` is the constant Jacobian
-    matrix when the map is affine, which lets diagnostics batch-evaluate
-    differences; leave it None for genuinely nonlinear maps.
+    matrix when the map is affine: setting it promises
+    ``F(z) = jacobian @ z + F(0)``, and the solvers evaluate the map through
+    it (see :func:`batched_forward`) instead of calling ``fn``.  Leave it
+    None for genuinely nonlinear maps.
     """
 
     fn: callable
@@ -421,3 +429,134 @@ def combine_couplings(couplings):
             b=sum(c.params["b"] for c in couplings),
         )
     raise ValueError(f"coupling kind {kind!r} has no summation rule")
+
+
+# ---------------------------------------------------------------------------
+# row-batched evaluation (one row per agent)
+# ---------------------------------------------------------------------------
+
+def _grouped(items, keys, build):
+    """Row function over ``items`` built per group of equal ``keys``.
+
+    ``build(key, members)`` returns ``part(rows, *args)`` for the rows of one
+    group; the groups' outputs are scattered back by row index.
+    """
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    parts = [(np.array(idx), build(key, [items[i] for i in idx])) for key, idx in groups.items()]
+    if len(parts) == 1:
+        return parts[0][1]
+
+    def rows(u, *args):
+        out = np.empty_like(u)
+        for idx, part in parts:
+            out[idx] = part(u[idx], *args)
+        return out
+
+    return rows
+
+
+def _per_row(members):
+    """The members' own callables, called once per row."""
+    return lambda u, *args: np.stack([m(*args, u[j]) for j, m in enumerate(members)])
+
+
+class _QuadraticRows:
+    """``(I + t Q_i)^{-1} (u_i - t q_i)`` for every row, one ``matmul`` per call.
+
+    ``I + t Q_i`` has eigenvalues >= 1, so its explicit inverse is well
+    conditioned; the inverse stack is kept for the last ``t`` seen.
+    """
+
+    def __init__(self, proxes):
+        self.q_matrix = np.stack([p.params["q_matrix"] for p in proxes])
+        self.q_vec = np.stack([p.params["q_vec"] for p in proxes])
+        self.tau = None
+
+    def __call__(self, u, t):
+        if t != self.tau:
+            self.inverse = np.linalg.inv(np.eye(self.q_matrix.shape[1]) + t * self.q_matrix)
+            self.tau = t
+        return np.matmul(self.inverse, (u - t * self.q_vec)[:, :, None])[:, :, 0]
+
+
+def _prox_rows(proxes, h):
+    """``part(u, t)`` evaluating ``proxes[i](t, u[i])`` on every row."""
+    keys = []
+    for prox in proxes:
+        if prox.dim is not None and prox.dim != h:
+            raise ValueError(f"{prox.kind} prox expects shape ({prox.dim},), got ({h},)")
+        if prox.kind == "product":
+            if prox.params["split"] > h:
+                raise ValueError("point is shorter than the first block")
+            keys.append(("product", prox.params["split"]))
+        else:
+            keys.append(prox.kind)
+    return _grouped(proxes, keys, lambda key, members: _library_rows(key, members, h))
+
+
+def _library_rows(key, proxes, h):
+    """Batched form of one library kind from its ``params``; other kinds run per row."""
+    if key == "zero":
+        return lambda u, t: u.copy()
+    if key == "zero_set_indicator":
+        return lambda u, t: np.zeros_like(u)
+    if key == "l1":
+        weight = np.array([p.params["weight"] for p in proxes])[:, None]
+        return lambda u, t: np.sign(u) * np.maximum(np.abs(u) - t * weight, 0.0)
+    if key == "box_indicator":
+        lo = np.stack([np.broadcast_to(p.params["lo"], (h,)) for p in proxes])
+        hi = np.stack([np.broadcast_to(p.params["hi"], (h,)) for p in proxes])
+        return lambda u, t: np.clip(u, lo, hi)
+    if key == "quadratic":
+        return _QuadraticRows(proxes)
+    if isinstance(key, tuple):
+        _, split = key
+        first = _prox_rows([p.params["first"] for p in proxes], split)
+        second = _prox_rows([p.params["second"] for p in proxes], h - split)
+        return lambda u, t: np.concatenate([first(u[:, :split], t), second(u[:, split:], t)], axis=1)
+    return _per_row(proxes)
+
+
+def batched_resolvent(proxes, h):
+    """All agents' resolvents at once: ``fn(tau, u)`` has rows ``proxes[i](tau, u[i])``.
+
+    Library kinds (zero, zero-set indicator, l1, box, quadratic and products
+    of these) are evaluated from their ``kind``/``params`` on all their rows
+    together -- the same trust :func:`combine_proxes` places in those fields.
+    Agents of different kinds are grouped by row; any other kind keeps its
+    own callable, called once per row.  Each prox's ``dim`` is checked
+    against the row length ``h`` here, ``tau`` on every call.
+    """
+    rows = _prox_rows(proxes, h)
+
+    def fn(tau, u):
+        if tau <= 0:
+            raise ValueError("tau must be positive")
+        return rows(u, float(tau))
+
+    return fn
+
+
+def batched_forward(forwards, h):
+    """All agents' forward maps at once: ``fn(z)`` has rows ``forwards[i](z[i])``.
+
+    A map with a ``jacobian`` is affine by that field's contract and is
+    evaluated as ``J_i z_i + F_i(0)`` with one ``matmul`` over the stacked
+    Jacobians; ``F_i(0)`` is taken once, here.  Maps without one are called
+    once per row.
+    """
+    zero = np.zeros(h)
+
+    def build(affine, members):
+        if not affine:
+            return _per_row(members)
+        jac = [np.asarray(f.jacobian, dtype=float) for f in members]
+        if any(j.shape != (h, h) for j in jac):
+            raise ValueError(f"forward jacobians must be ({h}, {h})")
+        jac = np.stack(jac)
+        offset = np.stack([f(zero) for f in members])
+        return lambda z: np.matmul(jac, z[:, :, None])[:, :, 0] + offset
+
+    return _grouped(forwards, [f.jacobian is not None for f in forwards], build)

@@ -248,18 +248,25 @@ def _sup_diff(a, b):
 
 
 def _iterate(step, state, stop, residual, observe=None):
+    """Step until ``stop`` ends the run; a non-finite residual ends it as diverged.
+
+    A diverged run returns the last state with a finite residual.
+    """
     trace = ConvergenceTrace()
-    converged = math.isinf(stop.tol)
+    trace.status = "converged" if math.isinf(stop.tol) else "budget"
     it = 0
-    while not converged and it < stop.max_iters:
+    while trace.status == "budget" and it < stop.max_iters:
         new = step(state)
         res = residual(state, new)
+        if not math.isfinite(res):
+            trace.status = "diverged"
+            break
         it += 1
         extras = observe(new) if observe is not None else {}
         trace.append(TraceRow(iteration=it, fp_residual=res, **extras))
         state = new
-        converged = res <= stop.tol
-    trace.converged = converged
+        if res <= stop.tol:
+            trace.status = "converged"
     return state, trace
 
 

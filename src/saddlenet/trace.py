@@ -51,12 +51,19 @@ class ConvergenceTrace:
 
     Iteration numbers must increase strictly and residuals are nonnegative;
     optional columns are per-row and simply left blank in the CSV when
-    absent.
+    absent.  ``status`` says why the run stopped: ``"converged"`` (the
+    residual met the tolerance), ``"budget"`` (the iteration budget ran out)
+    or ``"diverged"`` (a residual was not finite; that round is not
+    recorded).  It is None until a run loop sets it.
     """
 
     def __init__(self):
         self.rows = []
-        self.converged = False
+        self.status = None
+
+    @property
+    def converged(self):
+        return self.status == "converged"
 
     def append(self, row):
         if row.fp_residual < 0 or math.isnan(row.fp_residual):

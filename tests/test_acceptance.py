@@ -444,3 +444,20 @@ def test_10_compare_flags_condat_vu_on_pure_skew_coupling(tmp_path):
     cv_line = next(line for line in lines if line.startswith("condat_vu "))
     assert "NOT CONVERGED" not in pdtr_line and "converged" in pdtr_line
     assert "NOT CONVERGED" in cv_line
+
+
+def test_10_long_budget_reports_condat_vu_divergence_as_a_verdict(tmp_path):
+    # with room to run, Condat-Vu overflows on the skew coupling; the run
+    # stops on the non-finite residual and compare still exits 0
+    cfg = tmp_path / "skew.ini"
+    cfg.write_text(PURE_SKEW.replace("max_iters = 3000", "max_iters = 200000"), encoding="utf-8")
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+
+    lines = (out / "summary.txt").read_text().splitlines()
+    pdtr_line = next(line for line in lines if line.startswith("pdtr "))
+    cv_line = next(line for line in lines if line.startswith("condat_vu "))
+    assert "NOT CONVERGED" not in pdtr_line and "converged" in pdtr_line
+    assert "NOT CONVERGED (diverged)" in cv_line
+    assert int(cv_line.split()[2]) < 200000

@@ -273,3 +273,31 @@ def test_pg_extra_step_size_gate():
     with pytest.raises(StepSizeError):
         pg_extra_init(agents, mixing, np.ones((3, 1)), bound)
     pg_extra_init(agents, mixing, np.ones((3, 1)), 0.99 * bound)
+
+
+@pytest.mark.parametrize("run", [inclusion_run, pg_extra_run])
+def test_run_stops_on_a_non_finite_residual(run):
+    # B(x) = 1000 x declared with L = 0.1: the step passes the gate, the
+    # iterates blow up, and the run ends with a verdict instead of a crash
+    n = 3
+    mixing = metropolis_mixing(ring_graph(n))
+    agents = [AgentInclusion(zero_prox(), linear_forward(1000.0 * np.eye(1), lipschitz=0.1))
+              for _ in range(n)]
+    tau = 0.9 * stepsize_bound(mixing, 0.1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        state, trace = run(agents, mixing, np.ones((n, 1)), tau,
+                           StoppingRule(tol=1e-10, max_iters=100_000))
+    assert trace.status == "diverged" and not trace.converged
+    assert 1 < trace.iterations < 1000
+    assert np.all(np.isfinite(state.x))
+    assert all(np.isfinite(r.fp_residual) for r in trace.rows)
+
+
+def test_run_status_names_budget_and_convergence():
+    agents = identity_agents(3)
+    mixing = metropolis_mixing(ring_graph(3))
+    x0 = np.arange(3.0).reshape(3, 1)
+    _, trace = inclusion_run(agents, mixing, x0, 0.1, StoppingRule(tol=1e-12, max_iters=5))
+    assert trace.status == "budget" and trace.iterations == 5
+    _, trace = inclusion_run(agents, mixing, x0, 0.1, StoppingRule(tol=1e-12, max_iters=50_000))
+    assert trace.status == "converged"

@@ -1,0 +1,311 @@
+"""Row-batched operator kernels and the one-exchange-per-block round.
+
+Every batched kind is held to the per-agent callables it replaces: bitwise
+where the arithmetic is unchanged (zero, l1, box), and within 1e-14 where
+the kernel reorders it (a cached inverse instead of a solve, a stacked
+``matmul`` instead of each map's own expression).
+"""
+
+import numpy as np
+import pytest
+from numpy.testing import assert_array_equal
+
+from saddlenet.graphs import metropolis_mixing, random_connected_graph, ring_graph
+from saddlenet.inclusion import AgentInclusion, inclusion_init, inclusion_run, inclusion_step, pg_extra_run
+from saddlenet.instances import random_monotone_matrix, random_saddle_problems
+from saddlenet.minmax import (
+    AgentSaddleProblem,
+    BlockMixing,
+    minmax_init,
+    minmax_run,
+    minmax_step,
+    stepsize_bound_pair,
+)
+from saddlenet.operators import (
+    ForwardOperator,
+    Prox,
+    SmoothCoupling,
+    affine_forward,
+    batched_forward,
+    batched_resolvent,
+    box_prox,
+    l1_prox,
+    linear_forward,
+    product_resolvent,
+    quadratic_prox,
+    saddle_forward,
+    zero_point_prox,
+    zero_prox,
+)
+from saddlenet.trace import StoppingRule
+
+N, H = 6, 4
+TAU = 0.37
+
+
+def rows(seed=0, n=N, h=H):
+    return np.random.default_rng(seed).standard_normal((n, h)) * 2.0
+
+
+def per_agent(proxes, tau, u):
+    return np.stack([prox(tau, u[i]) for i, prox in enumerate(proxes)])
+
+
+def random_quadratic(rng, h=H):
+    g = rng.standard_normal((h, h))
+    return quadratic_prox(g @ g.T / h, rng.standard_normal(h))
+
+
+def random_box(rng, h=H):
+    lo = rng.uniform(-2.0, 0.0, size=h)
+    return box_prox(lo, lo + rng.uniform(0.5, 3.0, size=h))
+
+
+# ---------------------------------------------------------------------------
+# resolvents
+# ---------------------------------------------------------------------------
+
+BITWISE_KINDS = {
+    "zero": lambda rng: zero_prox(),
+    "zero_set_indicator": lambda rng: zero_point_prox(),
+    "l1": lambda rng: l1_prox(float(rng.uniform(0.0, 1.0))),
+    "scalar box": lambda rng: box_prox(-float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.1, 1.0))),
+    "per-coordinate box": random_box,
+    "product of l1 and box": lambda rng: product_resolvent(
+        l1_prox(float(rng.uniform(0.0, 1.0))), random_box(rng, 2), split=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BITWISE_KINDS))
+def test_batched_resolvent_is_bitwise_per_agent(name):
+    rng = np.random.default_rng(1)
+    proxes = [BITWISE_KINDS[name](rng) for _ in range(N)]
+    u = rows(2)
+    assert_array_equal(batched_resolvent(proxes, H)(TAU, u), per_agent(proxes, TAU, u))
+
+
+def test_batched_quadratic_matches_per_agent_solves():
+    rng = np.random.default_rng(3)
+    proxes = [random_quadratic(rng) for _ in range(N)]
+    fn = batched_resolvent(proxes, H)
+    for tau in (TAU, 2.5, TAU):  # the cached inverse follows a change of tau
+        u = rows(4)
+        assert np.abs(fn(tau, u) - per_agent(proxes, tau, u)).max() <= 1e-14
+
+
+def test_batched_product_with_quadratic_factor():
+    rng = np.random.default_rng(5)
+    proxes = [product_resolvent(random_quadratic(rng, 3), l1_prox(0.2), split=3) for _ in range(N)]
+    u = rows(6)
+    assert np.abs(batched_resolvent(proxes, H)(TAU, u) - per_agent(proxes, TAU, u)).max() <= 1e-14
+
+
+def test_agents_of_mixed_kinds_are_grouped_by_row():
+    rng = np.random.default_rng(7)
+    makers = [lambda: zero_prox(), lambda: l1_prox(0.3), lambda: random_box(rng),
+              lambda: random_quadratic(rng), lambda: zero_point_prox()]
+    proxes = [makers[int(k)]() for k in rng.integers(0, len(makers), size=12)]
+    u = rows(8, n=12)
+    out = batched_resolvent(proxes, H)(TAU, u)
+    ref = per_agent(proxes, TAU, u)
+    exact = [i for i, p in enumerate(proxes) if p.kind != "quadratic"]
+    assert len(exact) < len(proxes)
+    assert_array_equal(out[exact], ref[exact])
+    assert np.abs(out - ref).max() <= 1e-14
+
+
+class CountingProx(Prox):
+    """A custom-kind prox that counts its calls."""
+
+    def __init__(self):
+        super().__init__(lambda t, v: v / (1.0 + t))
+        self.calls = 0
+
+    def __call__(self, tau, point):
+        self.calls += 1
+        return super().__call__(tau, point)
+
+
+def test_batched_resolvent_checks_tau_on_every_call():
+    fn = batched_resolvent([l1_prox(0.1), zero_prox()], H)
+    fn(TAU, rows(n=2))
+    for tau in (0.0, -1.0):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            fn(tau, rows(n=2))
+
+
+@pytest.mark.parametrize("prox", [
+    quadratic_prox(np.eye(3)),
+    box_prox(np.zeros(3), np.ones(3)),
+    product_resolvent(l1_prox(0.1), zero_prox(), split=H + 1),
+])
+def test_batched_resolvent_checks_dim_at_build(prox):
+    with pytest.raises(ValueError):
+        batched_resolvent([zero_prox(), prox], H)
+
+
+def test_inclusion_init_rejects_a_prox_of_the_wrong_dim():
+    w = metropolis_mixing(ring_graph(3))
+    agents = [AgentInclusion(quadratic_prox(np.eye(3)), linear_forward(np.eye(H), lipschitz=1.0))
+              for _ in range(3)]
+    with pytest.raises(ValueError):
+        inclusion_init(agents, w, np.zeros((3, H)), 0.1)
+
+
+# ---------------------------------------------------------------------------
+# forward maps
+# ---------------------------------------------------------------------------
+
+def test_batched_linear_and_affine_forwards():
+    rng = np.random.default_rng(9)
+    forwards = [linear_forward(random_monotone_matrix(H, rng), lipschitz=1.0) for _ in range(3)]
+    forwards += [affine_forward(random_monotone_matrix(H, rng), rng.standard_normal(H), lipschitz=1.0)
+                 for _ in range(3)]
+    z = rows(10)
+    ref = np.stack([f(z[i]) for i, f in enumerate(forwards)])
+    assert np.abs(batched_forward(forwards, H)(z) - ref).max() <= 1e-14
+
+
+@pytest.mark.parametrize("kind", ["bilinear", "quadratic"])
+def test_batched_saddle_forward(kind):
+    p, d = 3, 2
+    problems = random_saddle_problems(N, p, d, seed=11, coupling_kind=kind)
+    forwards = [saddle_forward(prob.coupling) for prob in problems]
+    z = rows(12, h=p + d)
+    ref = np.stack([f(z[i]) for i, f in enumerate(forwards)])
+    assert np.abs(batched_forward(forwards, p + d)(z) - ref).max() <= 1e-14
+
+
+def test_affine_forward_is_evaluated_through_its_jacobian():
+    calls = []
+    matrix = random_monotone_matrix(H, np.random.default_rng(13))
+    offset = np.arange(float(H))
+
+    def fn(z):
+        calls.append(1)
+        return matrix @ z + offset
+
+    batched = batched_forward([ForwardOperator(fn, 1.0, matrix)] * N, H)
+    assert len(calls) == N  # F(0), once per agent at build
+    z = rows(14)
+    for _ in range(3):
+        out = batched(z)
+    assert len(calls) == N
+    assert np.abs(out - (z @ matrix.T + offset)).max() <= 1e-14
+
+
+class CountingForward:
+    """A forward map without a Jacobian that counts its calls."""
+
+    jacobian = None
+    lipschitz = 1.0
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, z):
+        self.calls += 1
+        return 0.5 * z
+
+
+def test_custom_prox_and_jacobianless_forward_run_once_per_agent_per_round():
+    n = 4
+    mixing = metropolis_mixing(ring_graph(n))
+    agents = [AgentInclusion(CountingProx(), CountingForward()) for _ in range(n)]
+    # one library agent in the mix: the custom ones still run on their own rows
+    agents[2] = AgentInclusion(l1_prox(0.1), linear_forward(0.5 * np.eye(H), lipschitz=1.0))
+    custom = [a for a in agents if isinstance(a.resolvent, CountingProx)]
+    state = inclusion_init(agents, mixing, rows(15, n=n), 0.1)
+    before = [(a.resolvent.calls, a.forward.calls) for a in custom]
+    for k in range(1, 4):
+        state = inclusion_step(agents, mixing, state, 0.1)
+        assert [(a.resolvent.calls, a.forward.calls) for a in custom] == \
+            [(r + k, f + k) for r, f in before]
+
+
+def test_custom_coupling_gradients_run_once_per_agent_per_round():
+    n, p, d = 3, 2, 2
+    calls = {"x": 0, "y": 0}
+    m = np.array([[1.0, 0.5], [0.0, 1.0]])
+
+    def grad_x(x, y):
+        calls["x"] += 1
+        return m @ y
+
+    def grad_y(x, y):
+        calls["y"] += 1
+        return m.T @ x
+
+    coupling = SmoothCoupling(p=p, d=d, grad_x=grad_x, grad_y=grad_y, lipschitz=2.0)
+    problems = [AgentSaddleProblem(l1_prox(0.1), zero_prox(), coupling) for _ in range(n)]
+    w = metropolis_mixing(ring_graph(n))
+    mixing = BlockMixing(w, w)
+    state = minmax_init(problems, mixing, rows(16, n=n, h=p), rows(17, n=n, h=d), 0.05)
+    for k in range(1, 4):
+        before = dict(calls)
+        state = minmax_step(problems, mixing, state, 0.05)
+        assert calls == {"x": before["x"] + n, "y": before["y"] + n}
+
+
+# ---------------------------------------------------------------------------
+# one exchange per block per round
+# ---------------------------------------------------------------------------
+
+class CountingMixing:
+    """A mixing matrix that counts its exchanges."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def apply(self, x):
+        self.calls += 1
+        return self.inner.apply(x)
+
+
+def shifted_agents(n, h, seed):
+    rng = np.random.default_rng(seed)
+    return [AgentInclusion(l1_prox(0.05), affine_forward(np.eye(h), rng.standard_normal(h), lipschitz=1.0))
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("run", [inclusion_run, pg_extra_run])
+@pytest.mark.parametrize("premix", [False, True])
+def test_stacked_runs_exchange_once_per_round(run, premix):
+    n = 6
+    mixing = CountingMixing(metropolis_mixing(random_connected_graph(n, 0.5, seed=2)))
+    agents = shifted_agents(n, 3, seed=3)
+    _, trace = run(agents, mixing, rows(18, n=n, h=3), 0.2,
+                   StoppingRule(tol=1e-9, max_iters=5000), premix=premix)
+    assert trace.converged and trace.iterations > 10
+    assert mixing.calls == trace.iterations
+
+
+def test_minmax_run_exchanges_once_per_block_per_round():
+    n, p, d = 5, 2, 3
+    problems = random_saddle_problems(n, p, d, seed=4, coupling_kind="quadratic")
+    w1 = CountingMixing(metropolis_mixing(ring_graph(n)))
+    w2 = CountingMixing(metropolis_mixing(random_connected_graph(n, 0.6, seed=4)))
+    mixing = BlockMixing(w1, w2)
+    tau = 0.8 * stepsize_bound_pair(mixing, max(prob.lipschitz for prob in problems))
+    _, _, trace = minmax_run(problems, mixing, rows(19, n=n, h=p), rows(20, n=n, h=d), tau,
+                             StoppingRule(tol=1e-10, max_iters=20000))
+    assert trace.converged and trace.iterations > 10
+    assert (w1.calls, w2.calls) == (trace.iterations, trace.iterations)
+
+
+def test_a_state_without_its_cached_exchange_steps_the_same():
+    n = 5
+    mixing = metropolis_mixing(ring_graph(n))
+    agents = shifted_agents(n, 3, seed=5)
+    tau = 0.15
+    state = inclusion_step(agents, mixing, inclusion_init(agents, mixing, rows(21, n=n, h=3), tau), tau)
+    bare = type(state)(u=state.u, x=state.x, prev_x=state.prev_x, v=state.v,
+                       prev_v=state.prev_v, bx=state.bx)
+    assert state.wx_prev is not None and bare.wx_prev is None
+    assert_array_equal(inclusion_step(agents, mixing, bare, tau).x,
+                       inclusion_step(agents, mixing, state, tau).x)
+

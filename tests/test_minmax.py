@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -19,7 +21,7 @@ from saddlenet.minmax import (
     stepsize_bound_pair,
     sum_saddle_problem,
 )
-from saddlenet.operators import bilinear_coupling, l1_prox, zero_prox
+from saddlenet.operators import bilinear_coupling, l1_prox, quadratic_coupling, zero_prox
 from saddlenet.primal_dual import StepSizeError, StepSizes, pdtr_run
 from saddlenet.trace import StoppingRule
 
@@ -272,3 +274,19 @@ def test_centralized_run_on_product_space_matches_decentralized():
         mm = minmax_step(problems, mixing, mm, tau)
     stacked = np.concatenate([mm.x, mm.y], axis=1).reshape(-1)
     assert_allclose(state.x, stacked, atol=1e-12)
+
+
+def test_run_stops_on_a_non_finite_residual():
+    # a coupling with declared L = 0.01 but true curvature 1000 diverges
+    problems = [AgentSaddleProblem(zero_prox(), zero_prox(),
+                                   dataclasses.replace(quadratic_coupling(1000.0 * np.eye(1), np.ones((1, 1)),
+                                                                          np.eye(1)), lipschitz=0.01))
+                for _ in range(3)]
+    mixing = pair_mixing(3)
+    tau = 0.9 * stepsize_bound_pair(mixing, 0.01)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y, trace = minmax_run(problems, mixing, np.ones((3, 1)), np.ones((3, 1)), tau,
+                                 stop=StoppingRule(tol=1e-10, max_iters=100_000))
+    assert trace.status == "diverged" and not trace.converged
+    assert 1 < trace.iterations < 1000
+    assert np.all(np.isfinite(x)) and np.all(np.isfinite(y))
