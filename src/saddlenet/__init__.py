@@ -21,6 +21,7 @@ Layout:
 """
 
 from .graphs import (
+    BlockMixing,
     Graph,
     GraphFormatError,
     MixingCertificate,
@@ -31,6 +32,7 @@ from .graphs import (
     is_connected,
     laplacian,
     metropolis_mixing,
+    mixing_blocks,
     mixing_from_laplacian,
     named_topology,
     parse_edge_list,
@@ -101,7 +103,6 @@ from .inclusion import (
 )
 from .minmax import (
     AgentSaddleProblem,
-    BlockMixing,
     MinMaxState,
     minmax_init,
     minmax_run,

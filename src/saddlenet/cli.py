@@ -38,10 +38,10 @@ from .config import (
     load_config,
     resolve_steps,
 )
-from .graphs import certify_mixing, is_connected, laplacian, parse_edge_list
+from .graphs import certify_mixing, is_connected, laplacian, mixing_blocks, parse_edge_list
 from .harness import InclusionProgram, MinMaxProgram, PgExtraProgram, run_synchronous
 from .inclusion import (
-    consensus_gap,
+    _stacked_columns,
     inclusion_init,
     inclusion_run,
     inclusion_step,
@@ -54,10 +54,11 @@ from .minmax import (
     minmax_step,
     product_space_problem,
     stack_agents,
+    stack_state,
     stacked_block_mixing,
     sum_saddle_problem,
 )
-from .operators import l1_prox, product_resolvent, saddle_forward
+from .operators import ForwardOperator, l1_prox, product_resolvent, saddle_forward
 from .primal_dual import (
     ForbState,
     PdtrState,
@@ -105,14 +106,18 @@ def _apply_overrides(cfg, args):
     return replace(cfg, run=run)
 
 
-def _messages_per_round(name, mixing, d):
-    if name in ("alg2", "alg1"):
-        per = 2 * len(mixing.w1.graph.edges)
-        if d > 0:
-            per += 2 * len(mixing.w2.graph.edges)
-        return per
-    if name == "pg_extra":
-        return 2 * len(mixing.w1.graph.edges)
+def _round_mixing(name, mixing, problems):
+    """The mixing whose blocks a decentralized run exchanges over; None if centralized.
+
+    The stacked alg1/pg_extra rows travel as one vector when there is no y
+    block or both blocks mix alike, and as an x and a y vector otherwise.
+    """
+    if name == "alg2":
+        return stacked_block_mixing(mixing, problems)
+    if name in ("alg1", "pg_extra"):
+        if problems[0].d == 0 or np.array_equal(mixing.w1.w, mixing.w2.w):
+            return mixing.w1
+        return stacked_block_mixing(mixing, problems)
     return None
 
 
@@ -150,6 +155,7 @@ def _execute(name, cfg, problems, mixing, lip, tau, sigma, stop, reference):
     p, d = problems[0].p, problems[0].d
     x0, y0 = build_start(cfg)
     premix = cfg.algorithm.init == "premix"
+    ref = None if reference is None else np.concatenate(reference)
     t0 = time.perf_counter()
     info = {"tau": tau, "sigma": sigma}
 
@@ -158,22 +164,12 @@ def _execute(name, cfg, problems, mixing, lip, tau, sigma, stop, reference):
             raise ConfigError("algorithm.init: premix is only available for alg1/pg_extra")
         x_star, y_star, trace = minmax_run(problems, mixing, x0, y0, tau, stop,
                                            reference=reference)
-    elif name == "alg1":
-        agents = stack_agents(problems, lipschitz=lip)
-        bm = stacked_block_mixing(mixing, problems)
-        ref = None if reference is None else np.concatenate(reference)
-        z0 = np.concatenate([x0, y0], axis=1)
-        state, trace = inclusion_run(agents, bm, z0, tau, stop, premix=premix, reference=ref)
-        mean = state.x.mean(axis=0)
-        x_star, y_star = mean[:p], mean[p:]
-    elif name == "pg_extra":
-        if d > 0:
+    elif name in ("alg1", "pg_extra"):
+        if name == "pg_extra" and d > 0:
             raise ConfigError("algorithm.name: pg_extra handles minimization only (set d = 0)")
-        agents = stack_agents(problems, lipschitz=lip)
-        bm = stacked_block_mixing(mixing, problems)
-        ref = None if reference is None else np.concatenate(reference)
-        z0 = np.concatenate([x0, y0], axis=1)
-        state, trace = pg_extra_run(agents, bm, z0, tau, stop, premix=premix, reference=ref)
+        run = inclusion_run if name == "alg1" else pg_extra_run
+        state, trace = run(stack_agents(problems, lipschitz=lip), stacked_block_mixing(mixing, problems),
+                           np.concatenate([x0, y0], axis=1), tau, stop, premix=premix, reference=ref)
         mean = state.x.mean(axis=0)
         x_star, y_star = mean[:p], mean[p:]
     elif name == "forb":
@@ -189,11 +185,9 @@ def _execute(name, cfg, problems, mixing, lip, tau, sigma, stop, reference):
         z0 = np.concatenate([x0[0], y0[0]])
 
         def observe(state):
-            out = {}
-            if reference is not None:
-                ref = np.concatenate(reference)
-                out["distance_to_reference"] = float(np.linalg.norm(state.x - ref))
-            return out
+            if ref is None:
+                return {}
+            return {"distance_to_reference": float(np.linalg.norm(state.x - ref))}
 
         state, trace = forb_run(resolvent, forward, z0, tau_f, stop, observe=observe)
         x_star, y_star = state.x[:p], state.x[p:]
@@ -201,28 +195,22 @@ def _execute(name, cfg, problems, mixing, lip, tau, sigma, stop, reference):
         problem = product_space_problem(problems, mixing, lipschitz=lip)
         steps = StepSizes(tau, sigma)
         h = p + d
-
-        def observe(state):
-            rows = state.x.reshape(n, h)
-            out = {"consensus_gap_x": consensus_gap(rows[:, :p])}
-            if d:
-                out["consensus_gap_y"] = consensus_gap(rows[:, p:])
-            if reference is not None:
-                ref = np.concatenate(reference)
-                out["distance_to_reference"] = float(np.linalg.norm(rows.mean(axis=0) - ref))
-            return out
-
+        columns = _stacked_columns(ref, split=p if d else None)
         z0 = np.concatenate([x0, y0], axis=1).reshape(-1)
         init = (z0, np.zeros(problem.dual_dim))
         runner = {"pdtr": pdtr_run, "pdhg": pdhg_run, "condat_vu": condat_vu_run}[name]
-        state, trace = runner(problem, init, steps, stop, observe=observe)
+        state, trace = runner(problem, init, steps, stop,
+                              observe=lambda state: columns(state.x.reshape(n, h)))
         mean = state.x.reshape(n, h).mean(axis=0)
         x_star, y_star = mean[:p], mean[p:]
     else:  # pragma: no cover - the config layer rejects unknown names
         raise ConfigError(f"algorithm.name: unknown algorithm {name!r}")
 
     info["wall_time"] = time.perf_counter() - t0
-    per_round = _messages_per_round(name, mixing, d)
+    per_round = None
+    round_mixing = _round_mixing(name, mixing, problems)
+    if round_mixing is not None:
+        per_round = sum(2 * len(m.graph.edges) for _, m, _, _ in mixing_blocks(round_mixing))
     _stamp_messages(trace, per_round)
     info["messages_per_round"] = per_round
     return AlgoResult(name, trace, x_star, y_star, info)
@@ -276,45 +264,17 @@ def _audit_run(cfg, name, problems, mixing, lip, tau, rounds):
     rounds = min(rounds, _AUDIT_CAP)
     if name == "alg2":
         program = MinMaxProgram(problems, mixing, x0, y0, tau)
-    elif name == "alg1":
-        z0 = np.concatenate([x0, y0], axis=1)
-        program = InclusionProgram(stack_agents(problems, lipschitz=lip),
-                                   _single_mixing_view(mixing, problems), z0, tau,
-                                   premix=premix)
     else:
-        z0 = np.concatenate([x0, y0], axis=1)
-        program = PgExtraProgram(stack_agents(problems, lipschitz=lip),
-                                 _single_mixing_view(mixing, problems), z0, tau,
-                                 premix=premix)
+        program_type = InclusionProgram if name == "alg1" else PgExtraProgram
+        program = program_type(stack_agents(problems, lipschitz=lip),
+                               _round_mixing(name, mixing, problems),
+                               np.concatenate([x0, y0], axis=1), tau, premix=premix)
     _, audits = run_synchronous(program, rounds, audit=True)
     lines = ["round,messages,bytes,illegal_attempts"]
     for a in audits:
         lines.append(f"{a.round_index},{a.messages},{a.bytes},{a.illegal_attempts}")
     total_illegal = sum(a.illegal_attempts for a in audits)
     return "\n".join(lines) + "\n", rounds, total_illegal
-
-
-class _single_mixing_view:
-    """Block mixing dressed as a single mixing for the stacked programs.
-
-    Exact only when both blocks carry the same weight matrix, because the
-    stacked programs publish one vector per round and mix it with scalar
-    per-neighbor weights.
-    """
-
-    def __init__(self, mixing, problems):
-        if problems[0].d > 0 and not np.array_equal(mixing.w1.w, mixing.w2.w):
-            raise ConfigError(
-                "algorithm.name: auditing alg1/pg_extra on stacked variables needs "
-                "identical x and y mixing matrices; audit alg2 instead"
-            )
-        self.graph = mixing.w1.graph
-        self.w = mixing.w1.w
-        self.n = mixing.w1.n
-        self.lambda_min = mixing.w1.lambda_min
-
-    def apply(self, z):
-        return self.w @ np.asarray(z, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +382,6 @@ def _verify_rows(cfg):
     rows.append(("recursion vs explicit coupled form", dev, 1e-10))
 
     # min-max iteration against the stacked inclusion
-    from .minmax import stack_state
-
     mm = minmax_init(problems, mixing, x0, y0, tau)
     st = inclusion_init(agents, bm, z0, tau)
     dev = float(np.abs(stack_state(mm).x - st.x).max(initial=0.0))
@@ -434,13 +392,10 @@ def _verify_rows(cfg):
     rows.append(("two-block iteration vs stacked single-block", dev, 1e-14))
 
     # reduction: no forward term -> plain primal-dual (PDHG)
-    from .operators import ForwardOperator
-
     base = product_space_problem(problems, mixing, lipschitz=lip)
     nil = PrimalDualProblem(
         resolvent=base.resolvent,
-        forward=ForwardOperator(lambda z: np.zeros_like(z), 0.0,
-                                np.zeros((base.primal_dim, base.primal_dim))),
+        forward=ForwardOperator(lambda z: np.zeros_like(z), 0.0),
         dual_resolvent=base.dual_resolvent,
         k=base.k,
         k_norm=base.k_norm,

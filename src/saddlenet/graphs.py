@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "BlockMixing",
     "Graph",
     "GraphFormatError",
     "MixingCertificate",
@@ -30,6 +31,7 @@ __all__ = [
     "is_connected",
     "laplacian",
     "metropolis_mixing",
+    "mixing_blocks",
     "mixing_from_laplacian",
     "named_topology",
     "parse_edge_list",
@@ -255,6 +257,54 @@ class MixingMatrix:
     def apply(self, x):
         """One averaging round applied to stacked per-agent rows."""
         return self.w @ np.asarray(x, dtype=float)
+
+
+@dataclass(frozen=True, eq=False)
+class BlockMixing:
+    """Blockwise mixing: ``W1`` on the first ``split`` columns, ``W2`` after.
+
+    ``split`` is only needed when the pair is used as a single operator on
+    stacked ``(x, y)`` rows; the min-max functions set it to ``p`` themselves.
+    """
+
+    w1: object
+    w2: object
+    split: int | None = None
+
+    def __post_init__(self):
+        if self.w1.n != self.w2.n:
+            raise ValueError("both mixing matrices must have the same number of agents")
+
+    @property
+    def n(self):
+        return self.w1.n
+
+    @property
+    def lambda_min(self):
+        return min(self.w1.lambda_min, self.w2.lambda_min)
+
+    def apply(self, z):
+        """One exchange per block: ``W1`` on the first ``split`` columns, ``W2`` on the rest."""
+        if self.split is None:
+            raise ValueError("split must be set to apply a block mixing to stacked rows")
+        z = np.asarray(z, dtype=float)
+        left = self.w1.apply(np.ascontiguousarray(z[:, : self.split]))
+        right = self.w2.apply(np.ascontiguousarray(z[:, self.split :]))
+        return np.concatenate([left, right], axis=1)
+
+
+def mixing_blocks(mixing):
+    """Block layout of a mixing: one ``(name, matrix, lo, hi)`` per column block.
+
+    A :class:`BlockMixing` is block ``"x"`` on ``w1`` over columns
+    ``[0, split)`` and block ``"y"`` on ``w2`` over the rest (``hi = None``);
+    any other mixing is the single block ``"x"`` over all columns.
+    """
+    if isinstance(mixing, BlockMixing):
+        if mixing.split is None:
+            raise ValueError("split must be set to lay out a block mixing")
+        return (("x", mixing.w1, 0, mixing.split), ("y", mixing.w2, mixing.split, None))
+    return (("x", mixing, 0, None),)
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,10 @@ same program under a permuted agent schedule and demands bit-identical
 final states, which is what "the order agents compute in cannot matter"
 means operationally.
 
-Adapters at the bottom run the decentralized solvers of this package
-through the harness; their per-agent state dicts match the dense stacked
-implementations row for row, which the tests pin down numerically.
+One agent-local program at the bottom runs the decentralized solvers of
+this package through the harness: each agent applies the dense stacked
+step's update to its own row, so its per-agent state matches the dense
+iterate row for row, which the tests pin down numerically.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .primal_dual import StepSizeError
-from .inclusion import stepsize_bound, uniform_lipschitz, _pg_extra_bound
+from .graphs import mixing_blocks
+from .inclusion import StackedIterate, _advance, _bootstrap, _check_setup
+from .minmax import _stacked_setup
 
 __all__ = [
     "InclusionProgram",
@@ -187,19 +189,55 @@ def _local_mix(i, weights, own, inbox):
     return total
 
 
-class _RecursionProgram:
-    """Shared machinery: one published vector per block per round.
+# state-dict key of each StackedIterate field of an agent's row; the block
+# names ("x", or "x" and "y") hold that block's columns of the current row
+_KEYS = {"u": "u", "x": "z", "prev_x": "prev_z", "v": "v", "prev_v": "prev_v",
+         "bx": "bz", "wx_prev": "wz_prev"}
 
-    Round 1 publishes the start rows and runs the bootstrap step (which by
-    design needs no neighbor data unless premixing is requested); later
-    rounds publish the current iterate and run the recursion.  Neighbor
-    values from the previous round are cached locally so each round needs a
-    single exchange.
+
+class _RecursionProgram:
+    """Agent-local form of the stacked recursion of :mod:`saddlenet.inclusion`.
+
+    Every block of the mixing's layout (:func:`~saddlenet.graphs.mixing_blocks`)
+    publishes the agent's columns of that block on its own graph once per round.
+    Round 1 runs the bootstrap (using the neighbor values only when premixing);
+    later rounds apply the dense step's update with the agent's own resolvent
+    and forward map.  The previous round's mix stays in the agent's state, so
+    each round needs a single exchange.
     """
 
+    def __init__(self, agents, mixing, x0, tau, premix, reflect):
+        self.agents = agents
+        self.n = len(agents)
+        self.x0 = _check_setup(agents, mixing, x0, tau, reflect)
+        self.tau = tau
+        self.premix = premix
+        self.reflect = reflect
+        layout = mixing_blocks(mixing)
+        self.blocks = {name: m.graph for name, m, _, _ in layout}
+        self._layout = [(name, _weight_rows(m), slice(lo, hi)) for name, m, lo, hi in layout]
+
+    def _with_blocks(self, state):
+        """``state`` plus each block's columns of the current row ``z``."""
+        state.update((name, state["z"][cols]) for name, _, cols in self._layout)
+        return state
+
+    def initial_state(self, i):
+        return self._with_blocks({"z": self.x0[i].copy()})
+
     def outgoing(self, i, state):
-        # state holds exactly the rows the recursion publishes next
-        return {name: state[key] for name, key in self._publish}
+        return {name: state[name] for name, _, _ in self._layout}
+
+    def compute(self, i, state, inboxes, round_index):
+        agent = self.agents[i]
+        mix = np.concatenate([_local_mix(i, weights[i], state[name], inboxes[name])
+                              for name, weights, _ in self._layout])
+        if round_index == 1:
+            it = _bootstrap(agent, state["z"], mix, self.tau, self.premix, self.reflect)
+        else:
+            row = StackedIterate(**{f: state[k] for f, k in _KEYS.items()})
+            it = _advance(agent, mix, row, self.tau, self.reflect)
+        return self._with_blocks({k: getattr(it, f) for f, k in _KEYS.items()})
 
 
 class InclusionProgram(_RecursionProgram):
@@ -207,154 +245,30 @@ class InclusionProgram(_RecursionProgram):
 
     After ``r`` rounds each agent's ``x`` equals row ``i`` of the dense
     stacked iterate after ``r - 1`` calls of ``inclusion_step`` following
-    ``inclusion_init`` (round 1 performs the bootstrap).
+    ``inclusion_init`` (round 1 performs the bootstrap).  A
+    :class:`~saddlenet.graphs.BlockMixing` publishes blocks ``x`` and ``y``
+    on their own graphs.
     """
 
-    block = "x"
-
     def __init__(self, agents, mixing, x0, tau, premix=False):
-        x0 = np.asarray(x0, dtype=float)
-        bound = stepsize_bound(mixing, uniform_lipschitz(agents))
-        if not 0.0 < tau < bound:
-            raise StepSizeError(f"tau={tau!r} not in (0, {bound!r})")
-        self.agents = agents
-        self.n = len(agents)
-        self.blocks = {self.block: mixing.graph}
-        self.x0 = x0
-        self.tau = tau
-        self.premix = premix
-        self.weights = _weight_rows(mixing)
-        self._publish = ((self.block, "x"),)
-
-    def initial_state(self, i):
-        x0 = self.x0[i].copy()
-        return {"x": x0, "v": self.agents[i].forward(x0)}
-
-    def compute(self, i, state, inboxes, round_index):
-        inbox = inboxes[self.block]
-        tau = self.tau
-        agent = self.agents[i]
-        if round_index == 1:
-            x0, v0 = state["x"], state["v"]
-            mix0 = _local_mix(i, self.weights[i], x0, inbox)
-            u1 = (mix0 if self.premix else x0) - tau * v0
-            x1 = agent.resolvent(tau, u1)
-            b1 = agent.forward(x1)
-            return {"u": u1, "x": x1, "prev_x": x0, "v": 2.0 * b1 - v0, "prev_v": v0,
-                    "bx": b1, "wx_prev": mix0}
-        mix = _local_mix(i, self.weights[i], state["x"], inbox)
-        u_new = (mix + state["u"] - 0.5 * (state["prev_x"] + state["wx_prev"])
-                 - tau * (state["v"] - state["prev_v"]))
-        x_new = agent.resolvent(tau, u_new)
-        b_new = agent.forward(x_new)
-        return {"u": u_new, "x": x_new, "prev_x": state["x"],
-                "v": 2.0 * b_new - state["bx"], "prev_v": state["v"],
-                "bx": b_new, "wx_prev": mix}
+        super().__init__(agents, mixing, x0, tau, premix, reflect=True)
 
 
 class PgExtraProgram(_RecursionProgram):
     """Agent-local PG-EXTRA (plain gradient difference, same exchange pattern)."""
 
-    block = "x"
-
     def __init__(self, agents, mixing, x0, tau, premix=False):
-        x0 = np.asarray(x0, dtype=float)
-        bound = _pg_extra_bound(mixing, uniform_lipschitz(agents))
-        if not 0.0 < tau < bound:
-            raise StepSizeError(f"tau={tau!r} not in (0, {bound!r})")
-        self.agents = agents
-        self.n = len(agents)
-        self.blocks = {self.block: mixing.graph}
-        self.x0 = x0
-        self.tau = tau
-        self.premix = premix
-        self.weights = _weight_rows(mixing)
-        self._publish = ((self.block, "x"),)
-
-    def initial_state(self, i):
-        x0 = self.x0[i].copy()
-        return {"x": x0, "grad": self.agents[i].forward(x0)}
-
-    def compute(self, i, state, inboxes, round_index):
-        inbox = inboxes[self.block]
-        tau = self.tau
-        agent = self.agents[i]
-        if round_index == 1:
-            x0, g0 = state["x"], state["grad"]
-            mix0 = _local_mix(i, self.weights[i], x0, inbox)
-            u1 = (mix0 if self.premix else x0) - tau * g0
-            x1 = agent.resolvent(tau, u1)
-            return {"u": u1, "x": x1, "prev_x": x0, "grad": agent.forward(x1),
-                    "prev_grad": g0, "wx_prev": mix0}
-        mix = _local_mix(i, self.weights[i], state["x"], inbox)
-        u_new = (mix + state["u"] - 0.5 * (state["prev_x"] + state["wx_prev"])
-                 - tau * (state["grad"] - state["prev_grad"]))
-        x_new = agent.resolvent(tau, u_new)
-        return {"u": u_new, "x": x_new, "prev_x": state["x"],
-                "grad": agent.forward(x_new), "prev_grad": state["grad"],
-                "wx_prev": mix}
+        super().__init__(agents, mixing, x0, tau, premix, reflect=False)
 
 
 class MinMaxProgram(_RecursionProgram):
     """Agent-local execution of the decentralized min-max iteration.
 
-    Publishes one x-vector on the W1 graph and one y-vector on the W2 graph
-    per round; the two blocks may use different topologies.
+    Runs the stacked agents and publishes one x-vector on the W1 graph and
+    one y-vector on the W2 graph per round; the two blocks may use different
+    topologies.  Each agent's ``x`` and ``y`` hold its ``p`` and ``d`` columns.
     """
 
     def __init__(self, problems, mixing, x0, y0, tau):
-        from .minmax import _check_minmax  # shares the validation logic
-
-        x0, y0 = _check_minmax(problems, mixing, x0, y0, tau)
-        self.problems = problems
-        self.n = len(problems)
-        self.blocks = {"x": mixing.w1.graph, "y": mixing.w2.graph}
-        self.x0, self.y0 = x0, y0
-        self.tau = tau
-        self.wx = _weight_rows(mixing.w1)
-        self.wy = _weight_rows(mixing.w2)
-        self._publish = (("x", "x"), ("y", "y"))
-
-    def initial_state(self, i):
-        x0, y0 = self.x0[i].copy(), self.y0[i].copy()
-        prob = self.problems[i]
-        return {"x": x0, "y": y0,
-                "gx": prob.coupling.grad_x(x0, y0), "gy": prob.coupling.grad_y(x0, y0)}
-
-    def compute(self, i, state, inboxes, round_index):
-        tau = self.tau
-        prob = self.problems[i]
-        if round_index == 1:
-            x0, y0 = state["x"], state["y"]
-            gx0, gy0 = state["gx"], state["gy"]
-            mix_x = _local_mix(i, self.wx[i], x0, inboxes["x"])
-            mix_y = _local_mix(i, self.wy[i], y0, inboxes["y"])
-            ux1 = x0 - tau * gx0
-            uy1 = y0 - tau * (-gy0)
-            x1 = prob.prox_min(tau, ux1)
-            y1 = prob.prox_max(tau, uy1)
-            gx1 = prob.coupling.grad_x(x1, y1)
-            gy1 = prob.coupling.grad_y(x1, y1)
-            return {
-                "ux": ux1, "uy": uy1, "x": x1, "y": y1, "prev_x": x0, "prev_y": y0,
-                "vx": 2.0 * gx1 - gx0, "vy": -2.0 * gy1 + gy0,
-                "prev_vx": gx0, "prev_vy": -gy0,
-                "gx": gx1, "gy": gy1, "wx_prev": mix_x, "wy_prev": mix_y,
-            }
-        mix_x = _local_mix(i, self.wx[i], state["x"], inboxes["x"])
-        mix_y = _local_mix(i, self.wy[i], state["y"], inboxes["y"])
-        ux_new = (mix_x + state["ux"] - 0.5 * (state["prev_x"] + state["wx_prev"])
-                  - tau * (state["vx"] - state["prev_vx"]))
-        uy_new = (mix_y + state["uy"] - 0.5 * (state["prev_y"] + state["wy_prev"])
-                  - tau * (state["vy"] - state["prev_vy"]))
-        x_new = self.problems[i].prox_min(tau, ux_new)
-        y_new = self.problems[i].prox_max(tau, uy_new)
-        gx_new = prob.coupling.grad_x(x_new, y_new)
-        gy_new = prob.coupling.grad_y(x_new, y_new)
-        return {
-            "ux": ux_new, "uy": uy_new, "x": x_new, "y": y_new,
-            "prev_x": state["x"], "prev_y": state["y"],
-            "vx": 2.0 * gx_new - state["gx"], "vy": -2.0 * gy_new + state["gy"],
-            "prev_vx": state["vx"], "prev_vy": state["vy"],
-            "gx": gx_new, "gy": gy_new, "wx_prev": mix_x, "wy_prev": mix_y,
-        }
+        agents, stacked_mixing, z0 = _stacked_setup(problems, mixing, x0, y0)
+        super().__init__(agents, stacked_mixing, z0, tau, premix=False, reflect=True)

@@ -14,8 +14,9 @@ with ``v^0 = B(x^0)`` and ``u^1 = x^0 - tau v^0`` (or ``W x^0 - tau v^0``
 when initial mixing is requested).  Admissible steps satisfy
 ``0 < tau < (1 + lambda_min(W)) / (4 L)`` with ``L = max_i L_i``.
 
-The same recursion with the plain (unreflected) gradient difference and a
-smooth ``B_i = grad h_i`` is the PG-EXTRA baseline, also provided here.
+The same recursion with the plain gradient ``v^k = B(x^k)`` for a smooth
+``B_i = grad h_i`` is the PG-EXTRA baseline, ``0 < tau < (1 + lambda_min(W)) / L``;
+one implementation below runs both, and the reflection is all that differs.
 :func:`product_space_reference` runs the underlying primal-dual iteration
 with the explicit square-root coupling matrix kept around; it exists to
 check that the communication-friendly recursion above is the same method.
@@ -24,10 +25,11 @@ check that the communication-friendly recursion above is the same method.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .graphs import mixing_blocks
 from .operators import batched_forward, batched_resolvent
 from .primal_dual import StepSizeError
 from .trace import ConvergenceTrace, StoppingRule, TraceRow
@@ -35,7 +37,6 @@ from .trace import ConvergenceTrace, StoppingRule, TraceRow
 __all__ = [
     "AgentInclusion",
     "ConsensusReport",
-    "PgExtraState",
     "StackedIterate",
     "consensus_gap",
     "inclusion_init",
@@ -83,12 +84,13 @@ def stepsize_bound(mixing, lipschitz):
 class StackedIterate:
     """Stacked per-agent state of the decentralized iteration.
 
-    ``v`` and ``prev_v`` are the reflected forward rows for the current and
-    previous round; ``bx`` caches ``B(x)`` at the current ``x`` so each step
-    costs a single fresh forward evaluation per agent.  ``wx_prev`` caches
-    ``W prev_x`` (the previous round's exchange) so each step mixes once;
-    when it is None the step computes it.  ``kernels`` holds the agents'
-    row-batched operators, built once per run.
+    ``v`` and ``prev_v`` are the forward rows of the difference term for the
+    current and previous round (reflected, or plain for PG-EXTRA); ``bx``
+    caches ``B(x)`` at the current ``x`` so each step costs a single fresh
+    forward evaluation per agent.  ``wx_prev`` caches ``W prev_x`` (the
+    previous round's exchange) so each step mixes once; when it is None the
+    step computes it.  ``kernels`` holds the agents' row-batched operators,
+    built once per run.
     """
 
     u: np.ndarray
@@ -115,30 +117,74 @@ class _AgentKernels:
                    batched_forward([a.forward for a in agents], h))
 
 
-def _kernels(agents, state):
-    """The state's kernels when they were built for ``agents``, else fresh ones."""
-    if state.kernels is not None and state.kernels.source is agents:
-        return state.kernels
-    return _AgentKernels.build(agents, state.x.shape[1])
+def _pg_extra_bound(mixing, lipschitz):
+    return (1.0 + mixing.lambda_min) / lipschitz if lipschitz > 0 else float("inf")
 
 
-def _mixed_prev(mixing, state):
-    return state.wx_prev if state.wx_prev is not None else mixing.apply(state.prev_x)
+def _check_setup(agents, mixing, x0, tau, reflect):
+    """``x0`` as float rows after the shape checks and the step gate.
 
-
-def _check_setup(agents, mixing, x0, tau):
+    ``reflect`` selects the method, and with it the gate: ``(1 + lambda_min) /
+    (4 L)`` for the reflected recursion, ``(1 + lambda_min) / L`` for PG-EXTRA.
+    """
     x0 = np.asarray(x0, dtype=float)
     n = len(agents)
     if mixing.n != n:
         raise ValueError(f"mixing operates on {mixing.n} agents, got {n}")
     if x0.ndim != 2 or x0.shape[0] != n:
         raise ValueError(f"x0 must be (n, h) with n={n}, got {x0.shape}")
-    bound = stepsize_bound(mixing, uniform_lipschitz(agents))
+    lip = uniform_lipschitz(agents)
+    bound = stepsize_bound(mixing, lip) if reflect else _pg_extra_bound(mixing, lip)
     if not 0.0 < tau < bound:
-        raise StepSizeError(
-            f"step size exceeds (1+lambda_min)/(4L): tau={tau!r} not in (0, {bound!r})"
-        )
+        raise StepSizeError(f"step size exceeds its bound: tau={tau!r} not in (0, {bound!r})")
     return x0
+
+
+def _bootstrap(ops, x0, wx0, tau, premix, reflect):
+    """Round 1 from ``x0`` given the exchange ``wx0 = W x0`` (None when not needed).
+
+    ``ops`` supplies ``resolvent`` and ``forward``: the batched kernels on
+    stacked rows, or one agent's own operators on its row.
+    """
+    v0 = ops.forward(x0)
+    u1 = (wx0 if premix else x0) - tau * v0
+    x1 = ops.resolvent(tau, u1)
+    bx1 = ops.forward(x1)
+    v1 = 2.0 * bx1 - v0 if reflect else bx1
+    return StackedIterate(u=u1, x=x1, prev_x=x0, v=v1, prev_v=v0, bx=bx1,
+                          wx_prev=wx0, kernels=ops)
+
+
+def _advance(ops, wx, state, tau, reflect):
+    """One round of the recursion given this round's exchange ``wx = W x``.
+
+    ``state.wx_prev`` must be set; ``ops`` is as in :func:`_bootstrap`.
+    """
+    u_new = (wx + state.u - 0.5 * (state.prev_x + state.wx_prev)
+             - tau * (state.v - state.prev_v))
+    x_new = ops.resolvent(tau, u_new)
+    bx_new = ops.forward(x_new)
+    v_new = 2.0 * bx_new - state.bx if reflect else bx_new
+    return StackedIterate(u=u_new, x=x_new, prev_x=state.x, v=v_new, prev_v=state.v,
+                          bx=bx_new, wx_prev=wx, kernels=ops)
+
+
+def _start(agents, mixing, x0, tau, premix, reflect):
+    """Dense bootstrap after :func:`_check_setup`; builds the agents' kernels."""
+    x0 = _check_setup(agents, mixing, x0, tau, reflect)
+    kernels = _AgentKernels.build(agents, x0.shape[1])
+    return _bootstrap(kernels, x0, mixing.apply(x0) if premix else None, tau, premix, reflect)
+
+
+def _step(agents, mixing, state, tau, reflect):
+    """Dense round: one exchange, then :func:`_advance` on the batched kernels."""
+    kernels = state.kernels
+    if kernels is None or kernels.source is not agents:
+        kernels = _AgentKernels.build(agents, state.x.shape[1])
+    wx = mixing.apply(state.x)
+    if state.wx_prev is None:
+        state = replace(state, wx_prev=mixing.apply(state.prev_x))
+    return _advance(kernels, wx, state, tau, reflect)
 
 
 def inclusion_init(agents, mixing, x0, tau, premix=False):
@@ -150,29 +196,12 @@ def inclusion_init(agents, mixing, x0, tau, premix=False):
     to starting the underlying primal-dual method from a nonzero dual point;
     both variants converge to the same solution set.
     """
-    x0 = _check_setup(agents, mixing, x0, tau)
-    kernels = _AgentKernels.build(agents, x0.shape[1])
-    v0 = kernels.forward(x0)
-    wx0 = mixing.apply(x0) if premix else None
-    u1 = (wx0 if premix else x0) - tau * v0
-    x1 = kernels.resolvent(tau, u1)
-    bx1 = kernels.forward(x1)
-    v1 = 2.0 * bx1 - v0
-    return StackedIterate(u=u1, x=x1, prev_x=x0, v=v1, prev_v=v0, bx=bx1,
-                          wx_prev=wx0, kernels=kernels)
+    return _start(agents, mixing, x0, tau, premix, reflect=True)
 
 
 def inclusion_step(agents, mixing, state, tau):
     """Advance the stacked iterate by one communication round (one exchange)."""
-    kernels = _kernels(agents, state)
-    wx = mixing.apply(state.x)
-    u_new = (wx + state.u - 0.5 * (state.prev_x + _mixed_prev(mixing, state))
-             - tau * (state.v - state.prev_v))
-    x_new = kernels.resolvent(tau, u_new)
-    bx_new = kernels.forward(x_new)
-    v_new = 2.0 * bx_new - state.bx
-    return StackedIterate(u=u_new, x=x_new, prev_x=state.x, v=v_new, prev_v=state.v, bx=bx_new,
-                          wx_prev=wx, kernels=kernels)
+    return _step(agents, mixing, state, tau, reflect=True)
 
 
 def consensus_gap(x):
@@ -208,33 +237,47 @@ def _run_rounds(state, step, residual, observe, stop):
     trace = ConvergenceTrace()
     last = state
     it = 1
-    while True:
-        res = residual(state)
-        if not math.isfinite(res):
-            trace.status = "diverged"
-            return last, trace
-        trace.append(TraceRow(iteration=it, fp_residual=res, **observe(state)))
-        if res <= stop.tol:
-            trace.status = "converged"
-            return state, trace
-        if it >= stop.max_iters:
-            trace.status = "budget"
-            return state, trace
-        last = state
-        state = step(state)
-        it += 1
+    # overflow on the way to a non-finite residual is reported by the verdict
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            res = residual(state)
+            if not math.isfinite(res):
+                trace.status = "diverged"
+                return last, trace
+            trace.append(TraceRow(iteration=it, fp_residual=res, **observe(state)))
+            if res <= stop.tol:
+                trace.status = "converged"
+                return state, trace
+            if it >= stop.max_iters:
+                trace.status = "budget"
+                return state, trace
+            last = state
+            state = step(state)
+            it += 1
 
 
-def _run_stacked(step, state, stop, reference):
-    """:func:`_run_rounds` with the stacked iterates' residual and columns."""
+def _stacked_columns(reference, split=None):
+    """Trace columns of stacked rows: consensus gaps and the distance to ``reference``.
 
-    def observe(s):
-        dist = None
+    With ``split`` the consensus gaps are reported per block: ``x`` on the
+    first ``split`` columns, ``y`` on the rest.
+    """
+    blocks = ({"consensus_gap_x": slice(None)} if split is None else
+              {"consensus_gap_x": slice(None, split), "consensus_gap_y": slice(split, None)})
+
+    def columns(x):
+        out = {name: consensus_gap(x[:, cols]) for name, cols in blocks.items()}
         if reference is not None:
-            dist = float(np.linalg.norm(s.x.mean(axis=0) - reference))
-        return {"consensus_gap_x": consensus_gap(s.x), "distance_to_reference": dist}
+            out["distance_to_reference"] = float(np.linalg.norm(x.mean(axis=0) - reference))
+        return out
 
-    return _run_rounds(state, step, lambda s: _frob_diff(s.x, s.prev_x), observe,
+    return columns
+
+
+def _run_stacked(step, state, stop, reference, split=None):
+    """:func:`_run_rounds` with the stacked iterates' residual and :func:`_stacked_columns`."""
+    columns = _stacked_columns(reference, split)
+    return _run_rounds(state, step, lambda s: _frob_diff(s.x, s.prev_x), lambda s: columns(s.x),
                        stop or StoppingRule())
 
 
@@ -273,15 +316,9 @@ def _psd_sqrt(mat):
 
 def _sqrt_half_complement(mixing):
     """Symmetric square root of ``(I - W) / 2`` per block of the mixing."""
-    if hasattr(mixing, "blocks"):
-        ops = [(_psd_sqrt((np.eye(m.n) - m.w) / 2.0), lo, hi) for (m, lo, hi) in mixing.blocks()]
-
-        def apply(z):
-            return np.concatenate([k @ z[:, lo:hi] for (k, lo, hi) in ops], axis=1)
-
-        return apply
-    k = _psd_sqrt((np.eye(mixing.n) - mixing.w) / 2.0)
-    return lambda z: k @ z
+    ops = [(_psd_sqrt((np.eye(m.n) - m.w) / 2.0), slice(lo, hi))
+           for _, m, lo, hi in mixing_blocks(mixing)]
+    return lambda z: np.concatenate([k @ z[:, cols] for k, cols in ops], axis=1)
 
 
 def product_space_reference(agents, mixing, x0, tau, iterations, premix=False):
@@ -299,7 +336,7 @@ def product_space_reference(agents, mixing, x0, tau, iterations, premix=False):
     entry 0 therefore aligns with the state produced by
     :func:`inclusion_init`.
     """
-    x = _check_setup(agents, mixing, x0, tau)
+    x = _check_setup(agents, mixing, x0, tau, reflect=True)
     kernels = _AgentKernels.build(agents, x.shape[1])
     kop = _sqrt_half_complement(mixing)
     y = (2.0 / tau) * kop(x) if premix else np.zeros_like(x)
@@ -320,53 +357,18 @@ def product_space_reference(agents, mixing, x0, tau, iterations, premix=False):
 # PG-EXTRA baseline
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class PgExtraState:
-    """Stacked PG-EXTRA state; ``grad`` caches the smooth gradients at ``x``.
-
-    ``wx_prev`` and ``kernels`` are cached as in :class:`StackedIterate`.
-    """
-
-    u: np.ndarray
-    x: np.ndarray
-    prev_x: np.ndarray
-    grad: np.ndarray
-    prev_grad: np.ndarray
-    wx_prev: np.ndarray | None = None
-    kernels: object = field(default=None, repr=False)
-
-
-def _pg_extra_bound(mixing, lipschitz):
-    return (1.0 + mixing.lambda_min) / lipschitz if lipschitz > 0 else float("inf")
-
-
 def pg_extra_init(agents, mixing, x0, tau, premix=False):
-    """Bootstrap PG-EXTRA; agents carry (prox, smooth gradient) pairs."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 2 or x0.shape[0] != len(agents):
-        raise ValueError(f"x0 must be (n, h), got {x0.shape}")
-    bound = _pg_extra_bound(mixing, uniform_lipschitz(agents))
-    if not 0.0 < tau < bound:
-        raise StepSizeError(f"tau={tau!r} not in (0, {bound!r})")
-    kernels = _AgentKernels.build(agents, x0.shape[1])
-    g0 = kernels.forward(x0)
-    wx0 = mixing.apply(x0) if premix else None
-    u1 = (wx0 if premix else x0) - tau * g0
-    x1 = kernels.resolvent(tau, u1)
-    return PgExtraState(u=u1, x=x1, prev_x=x0, grad=kernels.forward(x1), prev_grad=g0,
-                        wx_prev=wx0, kernels=kernels)
+    """Bootstrap PG-EXTRA; agents carry (prox, smooth gradient) pairs.
+
+    This is :func:`inclusion_init` with the plain gradient difference, gated
+    at ``0 < tau < (1 + lambda_min(W)) / L``.
+    """
+    return _start(agents, mixing, x0, tau, premix, reflect=False)
 
 
 def pg_extra_step(agents, mixing, state, tau):
     """One PG-EXTRA round (plain gradient difference, no reflection, one exchange)."""
-    kernels = _kernels(agents, state)
-    wx = mixing.apply(state.x)
-    u_new = (wx + state.u - 0.5 * (state.prev_x + _mixed_prev(mixing, state))
-             - tau * (state.grad - state.prev_grad))
-    x_new = kernels.resolvent(tau, u_new)
-    return PgExtraState(u=u_new, x=x_new, prev_x=state.x,
-                        grad=kernels.forward(x_new), prev_grad=state.grad,
-                        wx_prev=wx, kernels=kernels)
+    return _step(agents, mixing, state, tau, reflect=False)
 
 
 def pg_extra_run(agents, mixing, x0, tau, stop=None, premix=False, reference=None):

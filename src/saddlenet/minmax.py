@@ -21,8 +21,10 @@ and the mirrored y-block with ``vy = -2 grad_y phi + grad_y phi(prev)`` and
 
 Stacking ``z_i = (x_i, y_i)`` with the blockwise mixing and the monotone map
 ``(grad_x phi_i, -grad_y phi_i)`` turns this into the decentralized
-inclusion iteration; :func:`stack_agents` builds exactly that reduction and
-the test-suite holds the two paths to agreement at machine precision.
+inclusion iteration, and that is how it runs: :func:`stack_agents` and
+:func:`stacked_block_mixing` build the reduction, the functions below run
+the stacked recursion of :mod:`saddlenet.inclusion` on it, and
+:class:`MinMaxState` is a two-block view of the stacked iterate.
 """
 
 from __future__ import annotations
@@ -32,17 +34,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .inclusion import AgentInclusion, _run_rounds, consensus_gap
+from .graphs import BlockMixing, mixing_blocks
+from .inclusion import (
+    AgentInclusion,
+    StackedIterate,
+    _AgentKernels,
+    _psd_sqrt,
+    _run_stacked,
+    _start,
+    _step,
+    stepsize_bound,
+    uniform_lipschitz,
+)
 from .operators import (
-    batched_forward,
-    batched_resolvent,
+    ForwardOperator,
+    Prox,
     combine_couplings,
     combine_proxes,
     product_resolvent,
     saddle_forward,
+    zero_prox,
 )
-from .primal_dual import ForbState, StepSizeError, forb_step
-from .trace import StoppingRule
+from .primal_dual import ForbState, PrimalDualProblem, forb_step
 
 __all__ = [
     "AgentSaddleProblem",
@@ -81,178 +94,73 @@ class AgentSaddleProblem:
         return self.coupling.lipschitz
 
 
-@dataclass(frozen=True, eq=False)
-class BlockMixing:
-    """Blockwise mixing: ``W1`` on the first ``split`` columns, ``W2`` after.
-
-    ``split`` is only needed when the pair is used as a single operator on
-    stacked ``(x, y)`` rows; the min-max iteration itself applies the two
-    matrices directly.
-    """
-
-    w1: object
-    w2: object
-    split: int | None = None
-
-    def __post_init__(self):
-        if self.w1.n != self.w2.n:
-            raise ValueError("both mixing matrices must have the same number of agents")
-
-    @property
-    def n(self):
-        return self.w1.n
-
-    @property
-    def lambda_min(self):
-        return min(self.w1.lambda_min, self.w2.lambda_min)
-
-    def blocks(self):
-        if self.split is None:
-            raise ValueError("split is not set")
-        total = None  # upper bound checked by apply()
-        return ((self.w1, 0, self.split), (self.w2, self.split, total))
-
-    def apply(self, z):
-        if self.split is None:
-            raise ValueError("split must be set to apply a block mixing to stacked rows")
-        z = np.asarray(z, dtype=float)
-        left = self.w1.w @ np.ascontiguousarray(z[:, : self.split])
-        right = self.w2.w @ np.ascontiguousarray(z[:, self.split :])
-        return np.concatenate([left, right], axis=1)
-
-
 def stepsize_bound_pair(mixing_pair, lipschitz):
     """Admissible supremum ``(1 + min lambda_min) / (4 L)`` for two mixings."""
-    if lipschitz <= 0:
-        raise ValueError("lipschitz must be positive; declare an upper bound")
-    return (1.0 + mixing_pair.lambda_min) / (4.0 * lipschitz)
+    return stepsize_bound(mixing_pair, lipschitz)
+
+
+def _block_columns(name, block):
+    """Property: block ``"x"`` (columns ``:p``) or ``"y"`` of the stacked field ``name``."""
+
+    def get(self):
+        rows = getattr(self.stacked, name)
+        return rows[:, : self.p] if block == "x" else rows[:, self.p :]
+
+    return property(get)
 
 
 @dataclass(frozen=True, eq=False)
 class MinMaxState:
-    """Stacked per-agent state; ``grad_x``/``grad_y`` cache the coupling
-    gradients at the current ``(x, y)`` so a step needs one fresh gradient.
+    """Two-block view of a stacked iterate: columns ``:p`` are x, the rest y.
 
-    ``wx_prev``/``wy_prev`` cache ``W1 prev_x`` and ``W2 prev_y`` (the
-    previous round's exchanges) so each step mixes each block once; when
-    they are None the step computes them.  ``kernels`` holds the agents'
-    row-batched operators, built once per run.
+    ``problems`` is the agent list the stacked agents (the kernels'
+    ``source``) were built from; steps on the same list reuse them.
     """
 
-    ux: np.ndarray
-    uy: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    prev_x: np.ndarray
-    prev_y: np.ndarray
-    vx: np.ndarray
-    vy: np.ndarray
-    prev_vx: np.ndarray
-    prev_vy: np.ndarray
-    grad_x: np.ndarray
-    grad_y: np.ndarray
-    wx_prev: np.ndarray | None = None
-    wy_prev: np.ndarray | None = None
-    kernels: object = field(default=None, repr=False)
+    stacked: StackedIterate
+    p: int
+    problems: list = field(default=None, repr=False)
+
+    x = _block_columns("x", "x")
+    y = _block_columns("x", "y")
+    ux = _block_columns("u", "x")
+    uy = _block_columns("u", "y")
+    prev_x = _block_columns("prev_x", "x")
+    prev_y = _block_columns("prev_x", "y")
 
 
-@dataclass(frozen=True, eq=False)
-class _SaddleKernels:
-    """Row-batched proxes and coupling map of the agent list ``source``.
+def _stacked_setup(problems, mixing, x0, y0):
+    """Stacked agents, block mixing and start rows of the min-max problem.
 
-    The gradients come from the stacked map ``saddle_forward`` on
-    ``z = (x | y)``, the same kernel the stacked inclusion evaluates, so the
-    two iterations run identical arithmetic.
+    Checks the per-block shapes; the stacked step gate is left to the caller.
     """
-
-    source: list
-    prox_min: object
-    prox_max: object
-    forward: object
-
-    @classmethod
-    def build(cls, problems):
-        p, d = problems[0].p, problems[0].d
-        return cls(problems,
-                   batched_resolvent([prob.prox_min for prob in problems], p),
-                   batched_resolvent([prob.prox_max for prob in problems], d),
-                   batched_forward([saddle_forward(prob.coupling) for prob in problems], p + d))
-
-    def gradients(self, x, y):
-        """``(grad_x phi_i, grad_y phi_i)`` at every agent's ``(x_i, y_i)``."""
-        out = self.forward(np.concatenate([x, y], axis=1))
-        p = x.shape[1]
-        return out[:, :p], -out[:, p:]
-
-
-def _check_minmax(problems, mixing, x0, y0, tau):
     n = len(problems)
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
-    if mixing.n != n:
-        raise ValueError(f"mixing operates on {mixing.n} agents, got {n}")
     p, d = problems[0].p, problems[0].d
     for prob in problems:
         if (prob.p, prob.d) != (p, d):
             raise ValueError("all agents must share the same (p, d)")
     if x0.shape != (n, p) or y0.shape != (n, d):
         raise ValueError(f"expected x0 {(n, p)} and y0 {(n, d)}, got {x0.shape} and {y0.shape}")
-    lip = max(prob.lipschitz for prob in problems)
-    bound = stepsize_bound_pair(mixing, lip if lip > 0 else _declared(problems))
-    if not 0.0 < tau < bound:
-        raise StepSizeError(
-            f"step size exceeds (1+lambda_min)/(4L): tau={tau!r} not in (0, {bound!r})"
-        )
-    return x0, y0
-
-
-def _declared(problems):
     # all-zero couplings carry no curvature; any positive declared bound works
-    return 1.0
+    declared = None if max(prob.lipschitz for prob in problems) > 0 else 1.0
+    agents = stack_agents(problems, lipschitz=declared)
+    return agents, stacked_block_mixing(mixing, problems), np.concatenate([x0, y0], axis=1)
 
 
 def minmax_init(problems, mixing, x0, y0, tau):
     """Bootstrap from per-agent rows ``x0``, ``y0`` (no communication needed)."""
-    x0, y0 = _check_minmax(problems, mixing, x0, y0, tau)
-    kernels = _SaddleKernels.build(problems)
-    gx0, gy0 = kernels.gradients(x0, y0)
-    vx0 = gx0
-    vy0 = -gy0
-    ux1 = x0 - tau * vx0
-    uy1 = y0 - tau * vy0
-    x1 = kernels.prox_min(tau, ux1)
-    y1 = kernels.prox_max(tau, uy1)
-    gx1, gy1 = kernels.gradients(x1, y1)
-    return MinMaxState(
-        ux=ux1, uy=uy1, x=x1, y=y1, prev_x=x0, prev_y=y0,
-        vx=2.0 * gx1 - gx0, vy=-2.0 * gy1 + gy0, prev_vx=vx0, prev_vy=vy0,
-        grad_x=gx1, grad_y=gy1, kernels=kernels,
-    )
+    agents, stacked_mixing, z0 = _stacked_setup(problems, mixing, x0, y0)
+    return MinMaxState(_start(agents, stacked_mixing, z0, tau, premix=False, reflect=True),
+                       problems[0].p, problems)
 
 
 def minmax_step(problems, mixing, state, tau):
     """Advance both blocks by one communication round (one exchange per block)."""
-    kernels = state.kernels
-    if kernels is None or kernels.source is not problems:
-        kernels = _SaddleKernels.build(problems)
-    w1, w2 = mixing.w1, mixing.w2
-    wx = w1.apply(state.x)
-    wy = w2.apply(state.y)
-    wx_prev = state.wx_prev if state.wx_prev is not None else w1.apply(state.prev_x)
-    wy_prev = state.wy_prev if state.wy_prev is not None else w2.apply(state.prev_y)
-    ux_new = (wx + state.ux - 0.5 * (state.prev_x + wx_prev)
-              - tau * (state.vx - state.prev_vx))
-    uy_new = (wy + state.uy - 0.5 * (state.prev_y + wy_prev)
-              - tau * (state.vy - state.prev_vy))
-    x_new = kernels.prox_min(tau, ux_new)
-    y_new = kernels.prox_max(tau, uy_new)
-    gx_new, gy_new = kernels.gradients(x_new, y_new)
-    return MinMaxState(
-        ux=ux_new, uy=uy_new, x=x_new, y=y_new, prev_x=state.x, prev_y=state.y,
-        vx=2.0 * gx_new - state.grad_x, vy=-2.0 * gy_new + state.grad_y,
-        prev_vx=state.vx, prev_vy=state.vy,
-        grad_x=gx_new, grad_y=gy_new, wx_prev=wx, wy_prev=wy, kernels=kernels,
-    )
+    agents = state.stacked.kernels.source if state.problems is problems else stack_agents(problems)
+    stacked = _step(agents, stacked_block_mixing(mixing, problems), state.stacked, tau, reflect=True)
+    return MinMaxState(stacked, state.p, problems)
 
 
 def minmax_run(problems, mixing, x0, y0, tau, stop=None, reference=None):
@@ -263,24 +171,14 @@ def minmax_run(problems, mixing, x0, y0, tau, stop=None, reference=None):
     for the distance column.  The trace also carries per-block consensus
     gaps; the Frobenius residual covers both blocks.
     """
-    state = minmax_init(problems, mixing, x0, y0, tau)
-
-    def residual(s):
-        return float(np.sqrt(np.linalg.norm(s.x - s.prev_x) ** 2
-                             + np.linalg.norm(s.y - s.prev_y) ** 2))
-
-    def observe(s):
-        dist = None
-        if reference is not None:
-            dx = s.x.mean(axis=0) - reference[0]
-            dy = s.y.mean(axis=0) - reference[1]
-            dist = float(np.sqrt(np.linalg.norm(dx) ** 2 + np.linalg.norm(dy) ** 2))
-        return {"consensus_gap_x": consensus_gap(s.x), "consensus_gap_y": consensus_gap(s.y),
-                "distance_to_reference": dist}
-
-    state, trace = _run_rounds(state, lambda s: minmax_step(problems, mixing, s, tau),
-                               residual, observe, stop or StoppingRule())
-    return state.x.mean(axis=0), state.y.mean(axis=0), trace
+    agents, stacked_mixing, z0 = _stacked_setup(problems, mixing, x0, y0)
+    p = problems[0].p
+    ref = None if reference is None else np.concatenate(reference)
+    state, trace = _run_stacked(lambda s: _step(agents, stacked_mixing, s, tau, reflect=True),
+                                _start(agents, stacked_mixing, z0, tau, premix=False, reflect=True),
+                                stop, ref, split=p)
+    mean = state.x.mean(axis=0)
+    return mean[:p], mean[p:], trace
 
 
 # ---------------------------------------------------------------------------
@@ -309,22 +207,14 @@ def stack_agents(problems, lipschitz=None):
 
 
 def stacked_block_mixing(mixing, problems):
-    """The same mixing pair viewed as one operator on stacked rows."""
-    return BlockMixing(mixing.w1, mixing.w2, split=problems[0].p)
+    """The same mixing pair viewed as one operator on stacked rows (``split = p``)."""
+    p = problems[0].p
+    return mixing if mixing.split == p else BlockMixing(mixing.w1, mixing.w2, split=p)
 
 
 def stack_state(state):
-    """Stacked-iterate view of a :class:`MinMaxState` (same memory layout)."""
-    from .inclusion import StackedIterate
-
-    return StackedIterate(
-        u=np.concatenate([state.ux, state.uy], axis=1),
-        x=np.concatenate([state.x, state.y], axis=1),
-        prev_x=np.concatenate([state.prev_x, state.prev_y], axis=1),
-        v=np.concatenate([state.vx, state.vy], axis=1),
-        prev_v=np.concatenate([state.prev_vx, state.prev_vy], axis=1),
-        bx=np.concatenate([state.grad_x, -state.grad_y], axis=1),
-    )
+    """The stacked iterate behind a :class:`MinMaxState`."""
+    return state.stacked
 
 
 def product_space_problem(problems, mixing, lipschitz=None):
@@ -340,42 +230,28 @@ def product_space_problem(problems, mixing, lipschitz=None):
     instances.  ``lipschitz`` overrides the declared constant as in
     :func:`stack_agents`.
     """
-    from .inclusion import _psd_sqrt
-    from .operators import Prox
-    from .primal_dual import PrimalDualProblem
-
     n = len(problems)
     p, d = problems[0].p, problems[0].d
     h = p + d
     agents = stack_agents(problems, lipschitz=lipschitz)
 
-    k1 = _psd_sqrt((np.eye(n) - mixing.w1.w) / 2.0)
-    k2 = _psd_sqrt((np.eye(n) - mixing.w2.w) / 2.0)
-    mask_x = np.diag(np.concatenate([np.ones(p), np.zeros(d)]))
-    mask_y = np.diag(np.concatenate([np.zeros(p), np.ones(d)]))
-    k = np.kron(k1, mask_x) + np.kron(k2, mask_y)
+    k = np.zeros((n * h, n * h))
+    for _, m, lo, hi in mixing_blocks(stacked_block_mixing(mixing, problems)):
+        mask = np.zeros(h)
+        mask[lo:hi] = 1.0
+        k += np.kron(_psd_sqrt((np.eye(n) - m.w) / 2.0), np.diag(mask))
     k_norm = float(np.sqrt((1.0 - mixing.lambda_min) / 2.0))
-    resolve_rows = batched_resolvent([a.resolvent for a in agents], h)
-    forward_rows = batched_forward([a.forward for a in agents], h)
+    kernels = _AgentKernels.build(agents, h)
 
     def res_fn(t, z):
-        return resolve_rows(t, z.reshape(n, h)).reshape(-1)
+        return kernels.resolvent(t, z.reshape(n, h)).reshape(-1)
 
     def fwd_fn(z):
-        return forward_rows(z.reshape(n, h)).reshape(-1)
-
-    from .operators import ForwardOperator
-    jac = None
-    if all(a.forward.jacobian is not None for a in agents):
-        jac = np.zeros((n * h, n * h))
-        for i, a in enumerate(agents):
-            jac[i * h : (i + 1) * h, i * h : (i + 1) * h] = a.forward.jacobian
-    lip = max(a.lipschitz for a in agents)
-    from .operators import zero_prox
+        return kernels.forward(z.reshape(n, h)).reshape(-1)
 
     return PrimalDualProblem(
         resolvent=Prox(res_fn, kind="stacked", dim=n * h),
-        forward=ForwardOperator(fwd_fn, lip, jac),
+        forward=ForwardOperator(fwd_fn, uniform_lipschitz(agents)),
         dual_resolvent=zero_prox(),
         k=k,
         k_norm=k_norm,

@@ -255,18 +255,20 @@ def _iterate(step, state, stop, residual, observe=None):
     trace = ConvergenceTrace()
     trace.status = "converged" if math.isinf(stop.tol) else "budget"
     it = 0
-    while trace.status == "budget" and it < stop.max_iters:
-        new = step(state)
-        res = residual(state, new)
-        if not math.isfinite(res):
-            trace.status = "diverged"
-            break
-        it += 1
-        extras = observe(new) if observe is not None else {}
-        trace.append(TraceRow(iteration=it, fp_residual=res, **extras))
-        state = new
-        if res <= stop.tol:
-            trace.status = "converged"
+    # overflow on the way to a non-finite residual is reported by the verdict
+    with np.errstate(over="ignore", invalid="ignore"):
+        while trace.status == "budget" and it < stop.max_iters:
+            new = step(state)
+            res = residual(state, new)
+            if not math.isfinite(res):
+                trace.status = "diverged"
+                break
+            it += 1
+            extras = observe(new) if observe is not None else {}
+            trace.append(TraceRow(iteration=it, fp_residual=res, **extras))
+            state = new
+            if res <= stop.tol:
+                trace.status = "converged"
     return state, trace
 
 
