@@ -38,7 +38,14 @@ from .config import (
     load_config,
     resolve_steps,
 )
-from .graphs import certify_mixing, is_connected, laplacian, mixing_blocks, parse_edge_list
+from .graphs import (
+    _metropolis_weights,
+    certify_mixing,
+    is_connected,
+    laplacian,
+    mixing_blocks,
+    parse_edge_list,
+)
 from .harness import InclusionProgram, MinMaxProgram, PgExtraProgram, run_synchronous
 from .inclusion import (
     _stacked_columns,
@@ -58,7 +65,7 @@ from .minmax import (
     stacked_block_mixing,
     sum_saddle_problem,
 )
-from .operators import ForwardOperator, l1_prox, product_resolvent, saddle_forward
+from .operators import ForwardOperator, l1_prox
 from .primal_dual import (
     ForbState,
     PdtrState,
@@ -109,16 +116,15 @@ def _apply_overrides(cfg, args):
 def _round_mixing(name, mixing, problems):
     """The mixing whose blocks a decentralized run exchanges over; None if centralized.
 
-    The stacked alg1/pg_extra rows travel as one vector when there is no y
-    block or both blocks mix alike, and as an x and a y vector otherwise.
+    Without a y block only the x block travels.  Otherwise alg2 sends an x
+    and a y vector; the stacked alg1/pg_extra rows travel as one vector when
+    both blocks mix alike, and as an x and a y vector when they do not.
     """
-    if name == "alg2":
-        return stacked_block_mixing(mixing, problems)
-    if name in ("alg1", "pg_extra"):
-        if problems[0].d == 0 or np.array_equal(mixing.w1.w, mixing.w2.w):
-            return mixing.w1
-        return stacked_block_mixing(mixing, problems)
-    return None
+    if name not in ("alg1", "alg2", "pg_extra"):
+        return None
+    if problems[0].d == 0 or (name != "alg2" and np.array_equal(mixing.w1.w, mixing.w2.w)):
+        return mixing.w1
+    return stacked_block_mixing(mixing, problems)
 
 
 class AlgoResult:
@@ -132,15 +138,13 @@ class AlgoResult:
 
 def _reference_point(problems, tol=1e-12, max_iters=2_000_000):
     """High-accuracy centralized reflected run on the summed problem."""
-    summed = sum_saddle_problem(problems)
-    forward = saddle_forward(summed.coupling)
-    resolvent = product_resolvent(summed.prox_min, summed.prox_max, split=summed.p)
-    lip = forward.lipschitz
+    central = stack_agents([sum_saddle_problem(problems)])[0]
+    lip = central.lipschitz
     tau = 0.45 / lip if lip > 0 else 1.0
-    z0 = np.zeros(summed.p + summed.d)
-    state, trace = forb_run(resolvent, forward, z0, tau,
+    p = problems[0].p
+    state, trace = forb_run(central.resolvent, central.forward, np.zeros(p + problems[0].d), tau,
                             StoppingRule(tol=tol, max_iters=max_iters))
-    return state.x[: summed.p], state.x[summed.p :], trace.converged
+    return state.x[:p], state.x[p:], trace.converged
 
 
 def _stamp_messages(trace, per_round):
@@ -173,10 +177,8 @@ def _execute(name, cfg, problems, mixing, lip, tau, sigma, stop, reference):
         mean = state.x.mean(axis=0)
         x_star, y_star = mean[:p], mean[p:]
     elif name == "forb":
-        summed = sum_saddle_problem(problems)
-        forward = saddle_forward(summed.coupling)
-        resolvent = product_resolvent(summed.prox_min, summed.prox_max, split=p)
-        lip = forward.lipschitz
+        central = stack_agents([sum_saddle_problem(problems)])[0]
+        lip = central.lipschitz
         tau_f = tau
         if cfg.algorithm.tau == "auto" and lip > 0:
             tau_f = cfg.algorithm.safety / (2.0 * lip)
@@ -189,7 +191,8 @@ def _execute(name, cfg, problems, mixing, lip, tau, sigma, stop, reference):
                 return {}
             return {"distance_to_reference": float(np.linalg.norm(state.x - ref))}
 
-        state, trace = forb_run(resolvent, forward, z0, tau_f, stop, observe=observe)
+        state, trace = forb_run(central.resolvent, central.forward, z0, tau_f, stop,
+                                observe=observe)
         x_star, y_star = state.x[:p], state.x[p:]
     elif name in ("pdtr", "pdhg", "condat_vu"):
         problem = product_space_problem(problems, mixing, lipschitz=lip)
@@ -338,12 +341,7 @@ def cmd_check_mixing(args):
     if args.matrix_file is not None:
         w = np.loadtxt(args.matrix_file, delimiter=",", ndmin=2)
     elif args.scheme == "metropolis":
-        deg = [g.degree(i) for i in range(g.n)]
-        w = np.zeros((g.n, g.n))
-        for i, j in g.edges:
-            w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
-        for i in range(g.n):
-            w[i, i] = 1.0 - w[i].sum()
+        w = _metropolis_weights(g)
     elif args.scheme == "laplacian":
         if args.alpha is None:
             print("laplacian scheme needs --alpha", file=sys.stderr)
@@ -413,10 +411,9 @@ def _verify_rows(cfg):
     rows.append(("zero forward term vs plain primal-dual", dev, 1e-14))
 
     # reduction: no coupling -> reflected forward-backward + proximal point
-    summed = sum_saddle_problem(problems)
-    forward = saddle_forward(summed.coupling)
-    resolvent = product_resolvent(summed.prox_min, summed.prox_max, split=summed.p)
-    hdim = summed.p + summed.d
+    central = stack_agents([sum_saddle_problem(problems)])[0]
+    resolvent, forward = central.resolvent, central.forward
+    hdim = z0.shape[1]
     lip_s = max(forward.lipschitz, 1e-12)
     free = PrimalDualProblem(
         resolvent=resolvent,

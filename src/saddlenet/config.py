@@ -3,21 +3,26 @@
 A config fully determines an experiment: the per-agent problem (prox kinds,
 coupling family, seed or inline matrices), the communication graph(s), the
 mixing construction(s), the algorithm and step sizes, and the run budget.
-``parse_config`` and ``serialize_config`` round-trip exactly, which the
-tests rely on.  Unknown sections or keys are errors that name the offender.
+Each key is stated once, on its dataclass field: its INI name (the field
+name; ``names`` is written ``name``), its cast and its default.
+``parse_config`` and ``serialize_config`` are loops over those fields, and
+``parse_config(serialize_config(c)) == c`` holds for every config that
+``parse_config`` returns (one holding a NaN is not equal even to itself):
+every set field is written, and multi-line values (edge lists) go out as
+indented continuation lines.  Unknown sections or keys are errors that name
+the offender.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .graphs import metropolis_mixing, mixing_from_laplacian, named_topology, parse_edge_list
 from .minmax import AgentSaddleProblem, BlockMixing
-from .operators import bilinear_coupling, make_prox, quadratic_coupling
+from .operators import bilinear_coupling, make_prox
 from .instances import seeded_couplings
 
 __all__ = [
@@ -34,7 +39,8 @@ __all__ = [
 ]
 
 ALGORITHMS = ("alg1", "alg2", "pdtr", "pdhg", "forb", "condat_vu", "pg_extra")
-_PROX_KINDS = ("zero", "l1", "box_indicator", "quadratic", "zero_set_indicator")
+# the prox kinds a config can build: each needs at most a weight or box bounds
+_PROX_KINDS = ("zero", "l1", "box_indicator", "zero_set_indicator")
 _COUPLINGS = ("bilinear", "quadratic", "zero")
 _TOPOLOGIES = ("path", "ring", "star", "complete", "random")
 _SCHEMES = ("metropolis", "laplacian")
@@ -44,95 +50,13 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
 
 
-@dataclass(frozen=True)
-class ProblemConfig:
-    n: int = 3
-    p: int = 2
-    d: int = 2
-    prox_f: str = "zero"
-    prox_f_weight: float = 1.0
-    prox_f_lo: float = -1.0
-    prox_f_hi: float = 1.0
-    prox_g: str = "zero"
-    prox_g_weight: float = 1.0
-    prox_g_lo: float = -1.0
-    prox_g_hi: float = 1.0
-    coupling: str = "bilinear"
-    seed: int = 0
-    scale: float = 1.0
-    lipschitz: float | None = None
-    coupling_m: tuple | None = None
-    coupling_a: tuple | None = None
-    coupling_b: tuple | None = None
-    x0: tuple | None = None
-    y0: tuple | None = None
-
-
-@dataclass(frozen=True)
-class GraphConfig:
-    topology: str = "ring"
-    density: float = 0.3
-    seed: int = 0
-    edges: str | None = None
-    edges_file: str | None = None
-    topology_y: str | None = None
-    density_y: float | None = None
-    seed_y: int | None = None
-    edges_y: str | None = None
-    edges_file_y: str | None = None
-
-
-@dataclass(frozen=True)
-class MixingConfig:
-    scheme: str = "metropolis"
-    alpha: float | None = None
-    scheme_y: str | None = None
-    alpha_y: float | None = None
-
-
-@dataclass(frozen=True)
-class AlgorithmConfig:
-    names: tuple = ("alg2",)
-    tau: float | str = "auto"
-    sigma: float | str = "auto"
-    safety: float = 0.9
-    init: str = "default"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    max_iters: int = 100_000
-    tol: float = 1e-10
-    trace_every: int = 1
-    reference: bool = False
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    problem: ProblemConfig = field(default_factory=ProblemConfig)
-    graph: GraphConfig = field(default_factory=GraphConfig)
-    mixing: MixingConfig = field(default_factory=MixingConfig)
-    algorithm: AlgorithmConfig = field(default_factory=AlgorithmConfig)
-    run: RunConfig = field(default_factory=RunConfig)
-
-
-# ---------------------------------------------------------------------------
-# parsing
-# ---------------------------------------------------------------------------
-
 def _fail(where, message):
     raise ConfigError(f"{where}: {message}")
 
 
-def _get(section_values, where, key, cast, default):
-    if key not in section_values:
-        return default
-    raw = section_values.pop(key)
-    try:
-        return cast(raw)
-    except (ValueError, TypeError) as exc:
-        _fail(f"{where}.{key}", f"cannot parse {raw!r} ({exc})")
-
+# ---------------------------------------------------------------------------
+# casts from INI values
+# ---------------------------------------------------------------------------
 
 def _as_int(raw):
     return int(str(raw).strip())
@@ -201,6 +125,144 @@ def _names(raw):
     return names
 
 
+def _key(cast, default=None, name=None):
+    """A config field: its cast from INI text, its default and, if not the field name, its key."""
+    return field(default=default, metadata={"cast": cast, "key": name})
+
+
+# ---------------------------------------------------------------------------
+# the config: one field per key
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ProblemConfig:
+    n: int = _key(_as_int, 3)
+    p: int = _key(_as_int, 2)
+    d: int = _key(_as_int, 2)
+    prox_f: str = _key(_choice(_PROX_KINDS), "zero")
+    prox_f_weight: float = _key(_as_float, 1.0)
+    prox_f_lo: float = _key(_as_float, -1.0)
+    prox_f_hi: float = _key(_as_float, 1.0)
+    prox_g: str = _key(_choice(_PROX_KINDS), "zero")
+    prox_g_weight: float = _key(_as_float, 1.0)
+    prox_g_lo: float = _key(_as_float, -1.0)
+    prox_g_hi: float = _key(_as_float, 1.0)
+    coupling: str = _key(_choice(_COUPLINGS), "bilinear")
+    seed: int = _key(_as_int, 0)
+    scale: float = _key(_as_float, 1.0)
+    lipschitz: float | None = _key(_as_float)
+    coupling_m: tuple | None = _key(_as_matrix)
+    coupling_a: tuple | None = _key(_as_vector)
+    coupling_b: tuple | None = _key(_as_vector)
+    x0: tuple | None = _key(_as_vector)
+    y0: tuple | None = _key(_as_vector)
+
+
+@dataclass(frozen=True)
+class GraphConfig:
+    topology: str = _key(_choice(_TOPOLOGIES), "ring")
+    density: float = _key(_as_float, 0.3)
+    seed: int = _key(_as_int, 0)
+    edges: str | None = _key(str)
+    edges_file: str | None = _key(str)
+    topology_y: str | None = _key(_choice(_TOPOLOGIES))
+    density_y: float | None = _key(_as_float)
+    seed_y: int | None = _key(_as_int)
+    edges_y: str | None = _key(str)
+    edges_file_y: str | None = _key(str)
+
+
+@dataclass(frozen=True)
+class MixingConfig:
+    scheme: str = _key(_choice(_SCHEMES), "metropolis")
+    alpha: float | None = _key(_as_float)
+    scheme_y: str | None = _key(_choice(_SCHEMES))
+    alpha_y: float | None = _key(_as_float)
+
+
+@dataclass(frozen=True)
+class AlgorithmConfig:
+    names: tuple = _key(_names, ("alg2",), name="name")
+    tau: float | str = _key(_as_tau, "auto")
+    sigma: float | str = _key(_as_tau, "auto")
+    safety: float = _key(_as_float, 0.9)
+    init: str = _key(_choice(("default", "premix")), "default")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    max_iters: int = _key(_as_int, 100_000)
+    tol: float = _key(_as_float, 1e-10)
+    trace_every: int = _key(_as_int, 1)
+    reference: bool = _key(_as_bool, False)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """One section per field; each section's dataclass is its default factory."""
+
+    problem: ProblemConfig = field(default_factory=ProblemConfig)
+    graph: GraphConfig = field(default_factory=GraphConfig)
+    mixing: MixingConfig = field(default_factory=MixingConfig)
+    algorithm: AlgorithmConfig = field(default_factory=AlgorithmConfig)
+    run: RunConfig = field(default_factory=RunConfig)
+
+
+# section name -> (section dataclass, its (field name, INI key, cast) triples)
+_SECTIONS = {
+    section.name: (section.default_factory,
+                   [(f.name, f.metadata["key"] or f.name, f.metadata["cast"])
+                    for f in fields(section.default_factory)])
+    for section in fields(ExperimentConfig)
+}
+
+
+# ---------------------------------------------------------------------------
+# parsing
+# ---------------------------------------------------------------------------
+
+def _parse_section(parser, name):
+    """Cast each field's key from the parsed section; any key left over is unknown."""
+    section_type, table = _SECTIONS[name]
+    values = dict(parser.items(name, raw=True)) if parser.has_section(name) else {}
+    kwargs = {}
+    for attr, key, cast in table:
+        if key in values:
+            raw = values.pop(key)
+            try:
+                kwargs[attr] = cast(raw)
+            except (ValueError, TypeError) as exc:
+                _fail(f"{name}.{key}", f"cannot parse {raw!r} ({exc})")
+    for key in values:
+        _fail(f"{name}.{key}", "unknown key")
+    return section_type(**kwargs)
+
+
+def _check(cfg):
+    """The checks that involve more than one key's cast."""
+    problem, algorithm, run = cfg.problem, cfg.algorithm, cfg.run
+    if problem.n < 1:
+        _fail("problem.n", "must be at least 1")
+    if problem.p < 1:
+        _fail("problem.p", "must be at least 1")
+    if problem.d < 0:
+        _fail("problem.d", "must be nonnegative")
+    if cfg.mixing.scheme == "laplacian" and cfg.mixing.alpha is None:
+        _fail("mixing.alpha", "required for the laplacian scheme")
+    if not 0.0 < algorithm.safety < 1.0:
+        _fail("algorithm.safety", "must lie in (0, 1)")
+    if algorithm.tau != "auto" and algorithm.tau <= 0:
+        _fail("algorithm.tau", "must be positive or 'auto'")
+    if algorithm.sigma != "auto" and algorithm.sigma <= 0:
+        _fail("algorithm.sigma", "must be positive or 'auto'")
+    if run.max_iters < 0:
+        _fail("run.max_iters", "must be nonnegative")
+    if run.tol < 0:
+        _fail("run.tol", "must be nonnegative")
+    if run.trace_every < 1:
+        _fail("run.trace_every", "must be at least 1")
+
+
 def parse_config(text):
     """Parse INI text into an :class:`ExperimentConfig` (strict keys)."""
     parser = configparser.ConfigParser(interpolation=None)
@@ -209,102 +271,12 @@ def parse_config(text):
     except configparser.Error as exc:
         raise ConfigError(f"config syntax: {exc}") from None
 
-    known = {"problem", "graph", "mixing", "algorithm", "run"}
-    for section in parser.sections():
-        if section not in known:
-            _fail(section, "unknown section")
-
-    sections = {name: dict(parser[name]) if parser.has_section(name) else {} for name in known}
-
-    pv = sections["problem"]
-    problem = ProblemConfig(
-        n=_get(pv, "problem", "n", _as_int, 3),
-        p=_get(pv, "problem", "p", _as_int, 2),
-        d=_get(pv, "problem", "d", _as_int, 2),
-        prox_f=_get(pv, "problem", "prox_f", _choice(_PROX_KINDS), "zero"),
-        prox_f_weight=_get(pv, "problem", "prox_f_weight", _as_float, 1.0),
-        prox_f_lo=_get(pv, "problem", "prox_f_lo", _as_float, -1.0),
-        prox_f_hi=_get(pv, "problem", "prox_f_hi", _as_float, 1.0),
-        prox_g=_get(pv, "problem", "prox_g", _choice(_PROX_KINDS), "zero"),
-        prox_g_weight=_get(pv, "problem", "prox_g_weight", _as_float, 1.0),
-        prox_g_lo=_get(pv, "problem", "prox_g_lo", _as_float, -1.0),
-        prox_g_hi=_get(pv, "problem", "prox_g_hi", _as_float, 1.0),
-        coupling=_get(pv, "problem", "coupling", _choice(_COUPLINGS), "bilinear"),
-        seed=_get(pv, "problem", "seed", _as_int, 0),
-        scale=_get(pv, "problem", "scale", _as_float, 1.0),
-        lipschitz=_get(pv, "problem", "lipschitz", _as_float, None),
-        coupling_m=_get(pv, "problem", "coupling_m", _as_matrix, None),
-        coupling_a=_get(pv, "problem", "coupling_a", _as_vector, None),
-        coupling_b=_get(pv, "problem", "coupling_b", _as_vector, None),
-        x0=_get(pv, "problem", "x0", _as_vector, None),
-        y0=_get(pv, "problem", "y0", _as_vector, None),
-    )
-    if problem.n < 1:
-        _fail("problem.n", "must be at least 1")
-    if problem.p < 1:
-        _fail("problem.p", "must be at least 1")
-    if problem.d < 0:
-        _fail("problem.d", "must be nonnegative")
-
-    gv = sections["graph"]
-    graph = GraphConfig(
-        topology=_get(gv, "graph", "topology", _choice(_TOPOLOGIES), "ring"),
-        density=_get(gv, "graph", "density", _as_float, 0.3),
-        seed=_get(gv, "graph", "seed", _as_int, 0),
-        edges=_get(gv, "graph", "edges", str, None),
-        edges_file=_get(gv, "graph", "edges_file", str, None),
-        topology_y=_get(gv, "graph", "topology_y", _choice(_TOPOLOGIES), None),
-        density_y=_get(gv, "graph", "density_y", _as_float, None),
-        seed_y=_get(gv, "graph", "seed_y", _as_int, None),
-        edges_y=_get(gv, "graph", "edges_y", str, None),
-        edges_file_y=_get(gv, "graph", "edges_file_y", str, None),
-    )
-
-    mv = sections["mixing"]
-    mixing = MixingConfig(
-        scheme=_get(mv, "mixing", "scheme", _choice(_SCHEMES), "metropolis"),
-        alpha=_get(mv, "mixing", "alpha", _as_float, None),
-        scheme_y=_get(mv, "mixing", "scheme_y", _choice(_SCHEMES), None),
-        alpha_y=_get(mv, "mixing", "alpha_y", _as_float, None),
-    )
-    if mixing.scheme == "laplacian" and mixing.alpha is None:
-        _fail("mixing.alpha", "required for the laplacian scheme")
-
-    av = sections["algorithm"]
-    algorithm = AlgorithmConfig(
-        names=_get(av, "algorithm", "name", _names, ("alg2",)),
-        tau=_get(av, "algorithm", "tau", _as_tau, "auto"),
-        sigma=_get(av, "algorithm", "sigma", _as_tau, "auto"),
-        safety=_get(av, "algorithm", "safety", _as_float, 0.9),
-        init=_get(av, "algorithm", "init", _choice(("default", "premix")), "default"),
-    )
-    if not 0.0 < algorithm.safety < 1.0:
-        _fail("algorithm.safety", "must lie in (0, 1)")
-    if algorithm.tau != "auto" and algorithm.tau <= 0:
-        _fail("algorithm.tau", "must be positive or 'auto'")
-    if algorithm.sigma != "auto" and algorithm.sigma <= 0:
-        _fail("algorithm.sigma", "must be positive or 'auto'")
-
-    rv = sections["run"]
-    run = RunConfig(
-        max_iters=_get(rv, "run", "max_iters", _as_int, 100_000),
-        tol=_get(rv, "run", "tol", _as_float, 1e-10),
-        trace_every=_get(rv, "run", "trace_every", _as_int, 1),
-        reference=_get(rv, "run", "reference", _as_bool, False),
-    )
-    if run.max_iters < 0:
-        _fail("run.max_iters", "must be nonnegative")
-    if run.tol < 0:
-        _fail("run.tol", "must be nonnegative")
-    if run.trace_every < 1:
-        _fail("run.trace_every", "must be at least 1")
-
-    for name in known:
-        for key in sections[name]:
-            _fail(f"{name}.{key}", "unknown key")
-
-    return ExperimentConfig(problem=problem, graph=graph, mixing=mixing,
-                            algorithm=algorithm, run=run)
+    for name in parser.sections():
+        if name not in _SECTIONS:
+            _fail(name, "unknown section")
+    cfg = ExperimentConfig(**{name: _parse_section(parser, name) for name in _SECTIONS})
+    _check(cfg)
+    return cfg
 
 
 def load_config(path):
@@ -317,85 +289,33 @@ def load_config(path):
 # ---------------------------------------------------------------------------
 
 def _fmt(value):
+    """INI text that each field's cast reads back to ``value``."""
     if isinstance(value, bool):
         return "on" if value else "off"
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, tuple) and value and isinstance(value[0], tuple):
-        return "; ".join(", ".join(repr(float(v)) for v in row) for row in value)
     if isinstance(value, tuple):
-        return ", ".join(repr(float(v)) for v in value)
-    return str(value)
+        # matrices are rows of vectors; names and vectors are flat
+        return ("; " if value and isinstance(value[0], tuple) else ", ").join(map(_fmt, value))
+    # later lines of a multi-line value go out as indented continuation lines
+    return str(value).replace("\n", "\n    ")
 
 
 def serialize_config(cfg):
-    """Canonical INI text; ``parse_config(serialize_config(c)) == c``."""
-    out = io.StringIO()
-    p = cfg.problem
-    out.write("[problem]\n")
-    out.write(f"n = {p.n}\np = {p.p}\nd = {p.d}\n")
-    out.write(f"prox_f = {p.prox_f}\n")
-    if p.prox_f == "l1":
-        out.write(f"prox_f_weight = {_fmt(p.prox_f_weight)}\n")
-    if p.prox_f == "box_indicator":
-        out.write(f"prox_f_lo = {_fmt(p.prox_f_lo)}\nprox_f_hi = {_fmt(p.prox_f_hi)}\n")
-    out.write(f"prox_g = {p.prox_g}\n")
-    if p.prox_g == "l1":
-        out.write(f"prox_g_weight = {_fmt(p.prox_g_weight)}\n")
-    if p.prox_g == "box_indicator":
-        out.write(f"prox_g_lo = {_fmt(p.prox_g_lo)}\nprox_g_hi = {_fmt(p.prox_g_hi)}\n")
-    out.write(f"coupling = {p.coupling}\nseed = {p.seed}\nscale = {_fmt(p.scale)}\n")
-    if p.lipschitz is not None:
-        out.write(f"lipschitz = {_fmt(p.lipschitz)}\n")
-    for key in ("coupling_m", "coupling_a", "coupling_b", "x0", "y0"):
-        value = getattr(p, key)
-        if value is not None:
-            out.write(f"{key} = {_fmt(value)}\n")
+    """Canonical INI text; ``parse_config(serialize_config(c)) == c``.
 
-    g = cfg.graph
-    out.write("\n[graph]\n")
-    if g.edges is not None:
-        out.write(f"edges = {g.edges}\n")
-    elif g.edges_file is not None:
-        out.write(f"edges_file = {g.edges_file}\n")
-    else:
-        out.write(f"topology = {g.topology}\n")
-        if g.topology == "random":
-            out.write(f"density = {_fmt(g.density)}\nseed = {g.seed}\n")
-    if g.edges_y is not None:
-        out.write(f"edges_y = {g.edges_y}\n")
-    elif g.edges_file_y is not None:
-        out.write(f"edges_file_y = {g.edges_file_y}\n")
-    elif g.topology_y is not None:
-        out.write(f"topology_y = {g.topology_y}\n")
-        if g.topology_y == "random":
-            if g.density_y is not None:
-                out.write(f"density_y = {_fmt(g.density_y)}\n")
-            if g.seed_y is not None:
-                out.write(f"seed_y = {g.seed_y}\n")
-
-    m = cfg.mixing
-    out.write("\n[mixing]\n")
-    out.write(f"scheme = {m.scheme}\n")
-    if m.alpha is not None:
-        out.write(f"alpha = {_fmt(m.alpha)}\n")
-    if m.scheme_y is not None:
-        out.write(f"scheme_y = {m.scheme_y}\n")
-    if m.alpha_y is not None:
-        out.write(f"alpha_y = {_fmt(m.alpha_y)}\n")
-
-    a = cfg.algorithm
-    out.write("\n[algorithm]\n")
-    out.write(f"name = {', '.join(a.names)}\n")
-    out.write(f"tau = {_fmt(a.tau) if a.tau != 'auto' else 'auto'}\n")
-    out.write(f"sigma = {_fmt(a.sigma) if a.sigma != 'auto' else 'auto'}\n")
-    out.write(f"safety = {_fmt(a.safety)}\ninit = {a.init}\n")
-
-    r = cfg.run
-    out.write("\n[run]\n")
-    out.write(f"max_iters = {r.max_iters}\ntol = {_fmt(r.tol)}\n")
-    out.write(f"trace_every = {r.trace_every}\nreference = {_fmt(r.reference)}\n")
-    return out.getvalue()
+    Every field that is not None is written, in field order.
+    """
+    lines = []
+    for name, (_, table) in _SECTIONS.items():
+        section = getattr(cfg, name)
+        lines.append(f"[{name}]")
+        for attr, key, _ in table:
+            value = getattr(section, attr)
+            if value is not None:
+                lines.append(f"{key} = {_fmt(value)}")
+        lines.append("")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -438,11 +438,15 @@ def metropolis_mixing(g):
     """
     if not is_connected(g):
         raise ValueError("graph must be connected")
-    n = g.n
-    deg = [g.degree(i) for i in range(n)]
-    w = np.zeros((n, n))
-    for i, j in g.edges:
-        w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
-    for i in range(n):
-        w[i, i] = 1.0 - w[i].sum()
-    return _certified(w, g, "metropolis_mixing")
+    return _certified(_metropolis_weights(g), g, "metropolis_mixing")
+
+
+def _metropolis_weights(g):
+    """The Metropolis weight matrix of ``g``, not certified; degrees come from one pass."""
+    w = np.zeros((g.n, g.n))
+    if g.edges:
+        i, j = np.array(g.sorted_edges).T
+        deg = np.bincount(np.concatenate([i, j]), minlength=g.n)
+        w[i, j] = w[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    return w

@@ -199,7 +199,8 @@ class _RecursionProgram:
     """Agent-local form of the stacked recursion of :mod:`saddlenet.inclusion`.
 
     Every block of the mixing's layout (:func:`~saddlenet.graphs.mixing_blocks`)
-    publishes the agent's columns of that block on its own graph once per round.
+    that has columns publishes the agent's columns of that block on its own
+    graph once per round.
     Round 1 runs the bootstrap (using the neighbor values only when premixing);
     later rounds apply the dense step's update with the agent's own resolvent
     and forward map.  The previous round's mix stays in the agent's state, so
@@ -213,7 +214,9 @@ class _RecursionProgram:
         self.tau = tau
         self.premix = premix
         self.reflect = reflect
-        layout = mixing_blocks(mixing)
+        h = self.x0.shape[1]
+        # a block without columns (the y block when d = 0) sends nothing
+        layout = [(name, m, lo, hi) for name, m, lo, hi in mixing_blocks(mixing) if range(h)[lo:hi]]
         self.blocks = {name: m.graph for name, m, _, _ in layout}
         self._layout = [(name, _weight_rows(m), slice(lo, hi)) for name, m, lo, hi in layout]
 
@@ -266,7 +269,8 @@ class MinMaxProgram(_RecursionProgram):
 
     Runs the stacked agents and publishes one x-vector on the W1 graph and
     one y-vector on the W2 graph per round; the two blocks may use different
-    topologies.  Each agent's ``x`` and ``y`` hold its ``p`` and ``d`` columns.
+    topologies.  Each agent's ``x`` and ``y`` hold its ``p`` and ``d`` columns;
+    with ``d = 0`` there is no y block and nothing travels on the W2 graph.
     """
 
     def __init__(self, problems, mixing, x0, y0, tau):

@@ -18,8 +18,8 @@ The same recursion with the plain gradient ``v^k = B(x^k)`` for a smooth
 ``B_i = grad h_i`` is the PG-EXTRA baseline, ``0 < tau < (1 + lambda_min(W)) / L``;
 one implementation below runs both, and the reflection is all that differs.
 :func:`product_space_reference` runs the underlying primal-dual iteration
-with the explicit square-root coupling matrix kept around; it exists to
-check that the communication-friendly recursion above is the same method.
+(``pdtr`` with the explicit square-root coupling matrix); it exists to check
+that the communication-friendly recursion above is the same method.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .graphs import mixing_blocks
-from .operators import batched_forward, batched_resolvent
-from .primal_dual import StepSizeError
+from .operators import ForwardOperator, Prox, batched_forward, batched_resolvent, zero_prox
+from .primal_dual import PdtrState, PrimalDualProblem, StepSizeError, StepSizes, pdtr_step
 from .trace import ConvergenceTrace, StoppingRule, TraceRow
 
 __all__ = [
@@ -314,18 +314,44 @@ def _psd_sqrt(mat):
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 
-def _sqrt_half_complement(mixing):
-    """Symmetric square root of ``(I - W) / 2`` per block of the mixing."""
-    ops = [(_psd_sqrt((np.eye(m.n) - m.w) / 2.0), slice(lo, hi))
-           for _, m, lo, hi in mixing_blocks(mixing)]
-    return lambda z: np.concatenate([k @ z[:, cols] for k, cols in ops], axis=1)
+def _product_space_problem(agents, mixing, h):
+    """The stacked inclusion as one primal-dual problem on the flattened rows.
+
+    The ``n x h`` rows are flattened row-major; the coupling matrix applies
+    the symmetric square root of ``(I - W)/2`` to each block's columns of the
+    mixing's layout (:func:`~saddlenet.graphs.mixing_blocks`), and the dual
+    resolvent is the identity.
+    """
+    n = len(agents)
+    k = np.zeros((n * h, n * h))
+    for _, m, lo, hi in mixing_blocks(mixing):
+        mask = np.zeros(h)
+        mask[lo:hi] = 1.0
+        k += np.kron(_psd_sqrt((np.eye(n) - m.w) / 2.0), np.diag(mask))
+    kernels = _AgentKernels.build(agents, h)
+
+    def res_fn(t, z):
+        return kernels.resolvent(t, z.reshape(n, h)).reshape(-1)
+
+    def fwd_fn(z):
+        return kernels.forward(z.reshape(n, h)).reshape(-1)
+
+    return PrimalDualProblem(
+        resolvent=Prox(res_fn, kind="stacked", dim=n * h),
+        forward=ForwardOperator(fwd_fn, uniform_lipschitz(agents)),
+        dual_resolvent=zero_prox(),
+        k=k,
+        k_norm=float(np.sqrt((1.0 - mixing.lambda_min) / 2.0)),
+    )
 
 
 def product_space_reference(agents, mixing, x0, tau, iterations, premix=False):
     """Iterate the underlying primal-dual method with its explicit coupling.
 
-    Maintains the dual block ``y`` and applies the square root of
-    ``(I - W)/2`` directly instead of the communication-friendly recursion:
+    Runs :func:`~saddlenet.primal_dual.pdtr_step` with ``sigma = 1/tau`` on
+    the product-space problem.  It keeps the dual block ``y`` that the
+    communication-friendly recursion eliminates, and ``K`` is the square root
+    of ``(I - W)/2``:
 
         x^{k+1} = J_{tau A}(x^k - tau K y^k - tau v^k)
         y^{k+1} = y^k + (1/tau) K (2 x^{k+1} - x^k)
@@ -336,20 +362,17 @@ def product_space_reference(agents, mixing, x0, tau, iterations, premix=False):
     entry 0 therefore aligns with the state produced by
     :func:`inclusion_init`.
     """
-    x = _check_setup(agents, mixing, x0, tau, reflect=True)
-    kernels = _AgentKernels.build(agents, x.shape[1])
-    kop = _sqrt_half_complement(mixing)
-    y = (2.0 / tau) * kop(x) if premix else np.zeros_like(x)
-    bx_prev = kernels.forward(x)
+    x0 = _check_setup(agents, mixing, x0, tau, reflect=True)
+    n, h = x0.shape
+    problem = _product_space_problem(agents, mixing, h)
+    z0 = x0.reshape(-1)
+    y0 = (2.0 / tau) * (problem.k @ z0) if premix else np.zeros_like(z0)
+    state = PdtrState.start(problem, z0, y0)
+    steps = StepSizes(tau, 1.0 / tau)
     out = []
     for _ in range(iterations):
-        bx = kernels.forward(x)
-        v = 2.0 * bx - bx_prev
-        x_new = kernels.resolvent(tau, x - tau * kop(y) - tau * v)
-        y = y + kop(2.0 * x_new - x) / tau
-        bx_prev = bx
-        x = x_new
-        out.append(x)
+        state = pdtr_step(problem, state, steps)
+        out.append(state.x.reshape(n, h))
     return out
 
 

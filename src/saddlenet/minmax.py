@@ -34,28 +34,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import BlockMixing, mixing_blocks
+from .graphs import BlockMixing
 from .inclusion import (
     AgentInclusion,
     StackedIterate,
-    _AgentKernels,
-    _psd_sqrt,
+    _product_space_problem,
     _run_stacked,
     _start,
     _step,
     stepsize_bound,
-    uniform_lipschitz,
 )
-from .operators import (
-    ForwardOperator,
-    Prox,
-    combine_couplings,
-    combine_proxes,
-    product_resolvent,
-    saddle_forward,
-    zero_prox,
-)
-from .primal_dual import ForbState, PrimalDualProblem, forb_step
+from .operators import combine_couplings, combine_proxes, product_resolvent, saddle_forward
+from .primal_dual import ForbState, forb_step
 
 __all__ = [
     "AgentSaddleProblem",
@@ -230,32 +220,9 @@ def product_space_problem(problems, mixing, lipschitz=None):
     instances.  ``lipschitz`` overrides the declared constant as in
     :func:`stack_agents`.
     """
-    n = len(problems)
-    p, d = problems[0].p, problems[0].d
-    h = p + d
-    agents = stack_agents(problems, lipschitz=lipschitz)
-
-    k = np.zeros((n * h, n * h))
-    for _, m, lo, hi in mixing_blocks(stacked_block_mixing(mixing, problems)):
-        mask = np.zeros(h)
-        mask[lo:hi] = 1.0
-        k += np.kron(_psd_sqrt((np.eye(n) - m.w) / 2.0), np.diag(mask))
-    k_norm = float(np.sqrt((1.0 - mixing.lambda_min) / 2.0))
-    kernels = _AgentKernels.build(agents, h)
-
-    def res_fn(t, z):
-        return kernels.resolvent(t, z.reshape(n, h)).reshape(-1)
-
-    def fwd_fn(z):
-        return kernels.forward(z.reshape(n, h)).reshape(-1)
-
-    return PrimalDualProblem(
-        resolvent=Prox(res_fn, kind="stacked", dim=n * h),
-        forward=ForwardOperator(fwd_fn, uniform_lipschitz(agents)),
-        dual_resolvent=zero_prox(),
-        k=k,
-        k_norm=k_norm,
-    )
+    return _product_space_problem(stack_agents(problems, lipschitz=lipschitz),
+                                  stacked_block_mixing(mixing, problems),
+                                  problems[0].p + problems[0].d)
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +244,9 @@ def saddle_residual(problems, x, y, tau=None):
     Zero exactly at saddle points of the summed problem; used as a
     solution certificate for decentralized output.
     """
-    summed = sum_saddle_problem(problems)
-    forward = saddle_forward(summed.coupling)
+    central = stack_agents([sum_saddle_problem(problems)])[0]
     if tau is None:
-        lip = max(summed.coupling.lipschitz, 1e-12)
-        tau = 0.25 / lip
-    resolvent = product_resolvent(summed.prox_min, summed.prox_max, split=summed.p)
+        tau = 0.25 / max(central.lipschitz, 1e-12)
     z = np.concatenate([np.asarray(x, dtype=float), np.asarray(y, dtype=float)])
-    new = forb_step(resolvent, forward, ForbState.start(forward, z), tau)
+    new = forb_step(central.resolvent, central.forward, ForbState.start(central.forward, z), tau)
     return float(np.abs(new.x - z).max(initial=0.0))

@@ -148,32 +148,31 @@ class PdtrState:
         return cls(x0, y0, x0, problem.forward(x0))
 
 
-def _dual_update(problem, steps, x_old, y, x_new):
-    # shared by every method below so reductions agree bit for bit
-    return problem.dual_resolvent(
-        steps.sigma, y + steps.sigma * (problem.k @ (2.0 * x_new - x_old))
+def _primal_dual_step(problem, state, steps, forward_term):
+    """``x+ = J_{tau A}(forward_term(x - tau K' y))`` and the dual update.
+
+    ``forward_term(u, bx, tau)`` subtracts the method's forward term from
+    ``u``; the rest is shared by every method below so reductions agree bit
+    for bit.
+    """
+    bx = problem.forward(state.x)
+    kty = problem.k.T @ state.y
+    x_new = problem.resolvent(steps.tau, forward_term(state.x - steps.tau * kty, bx, steps.tau))
+    y_new = problem.dual_resolvent(
+        steps.sigma, state.y + steps.sigma * (problem.k @ (2.0 * x_new - state.x))
     )
+    return PdtrState(x_new, y_new, state.x, bx)
 
 
 def pdtr_step(problem, state, steps):
     """One twice-reflected primal-dual step."""
-    bx = problem.forward(state.x)
-    kty = problem.k.T @ state.y
-    x_new = problem.resolvent(
-        steps.tau,
-        state.x - steps.tau * kty - (2.0 * steps.tau) * bx + steps.tau * state.prev_bx,
-    )
-    y_new = _dual_update(problem, steps, state.x, state.y, x_new)
-    return PdtrState(x_new, y_new, state.x, bx)
+    return _primal_dual_step(problem, state, steps,
+                             lambda u, bx, tau: u - (2.0 * tau) * bx + tau * state.prev_bx)
 
 
 def pdhg_step(problem, state, steps):
     """Plain PDHG step (no forward term); the ``B = 0`` reduction of pdtr."""
-    bx = problem.forward(state.x)
-    kty = problem.k.T @ state.y
-    x_new = problem.resolvent(steps.tau, state.x - steps.tau * kty)
-    y_new = _dual_update(problem, steps, state.x, state.y, x_new)
-    return PdtrState(x_new, y_new, state.x, bx)
+    return _primal_dual_step(problem, state, steps, lambda u, bx, tau: u)
 
 
 def condat_vu_step(problem, state, steps):
@@ -183,11 +182,7 @@ def condat_vu_step(problem, state, steps):
     example skew) forward terms this iteration can diverge, which is exactly
     what the comparison tooling demonstrates.
     """
-    bx = problem.forward(state.x)
-    kty = problem.k.T @ state.y
-    x_new = problem.resolvent(steps.tau, state.x - steps.tau * kty - steps.tau * bx)
-    y_new = _dual_update(problem, steps, state.x, state.y, x_new)
-    return PdtrState(x_new, y_new, state.x, bx)
+    return _primal_dual_step(problem, state, steps, lambda u, bx, tau: u - tau * bx)
 
 
 def primal_resolvent_from_dual(dual_resolvent, gamma, point):
@@ -276,11 +271,11 @@ def _pair_residual(old, new):
     return max(_sup_diff(old.x, new.x), _sup_diff(old.y, new.y))
 
 
-def _as_pd_state(problem, init):
-    if isinstance(init, PdtrState):
-        return init
-    x0, y0 = init
-    return PdtrState.start(problem, x0, y0)
+def _run_primal_dual(step, problem, init, steps, stop, observe):
+    """Iterate ``step`` from ``init``: a ``(x0, y0)`` pair or a prepared state."""
+    state = init if isinstance(init, PdtrState) else PdtrState.start(problem, *init)
+    return _iterate(lambda s: step(problem, s, steps), state, stop or StoppingRule(),
+                    _pair_residual, observe)
 
 
 def pdtr_run(problem, init, steps, stop=None, unsafe=False, observe=None):
@@ -290,24 +285,20 @@ def pdtr_run(problem, init, steps, stop=None, unsafe=False, observe=None):
     raise unless ``unsafe=True`` (useful only for divergence demos).
     Returns the final state and the :class:`ConvergenceTrace`.
     """
-    stop = stop or StoppingRule()
     if not unsafe and not steps.admissible(problem.lipschitz, problem.k_norm):
         raise StepSizeError(
             "steps violate 2*tau*L + tau*sigma*||K||^2 < 1 "
             f"(tau={steps.tau!r}, sigma={steps.sigma!r}, L={problem.lipschitz!r}, "
             f"||K||={problem.k_norm!r})"
         )
-    state = _as_pd_state(problem, init)
-    return _iterate(lambda s: pdtr_step(problem, s, steps), state, stop, _pair_residual, observe)
+    return _run_primal_dual(pdtr_step, problem, init, steps, stop, observe)
 
 
 def pdhg_run(problem, init, steps, stop=None, unsafe=False, observe=None):
     """Iterate :func:`pdhg_step`; requires ``tau sigma ||K||^2 < 1``."""
-    stop = stop or StoppingRule()
     if not unsafe and not steps.tau * steps.sigma * problem.k_norm**2 < 1.0:
         raise StepSizeError("steps violate tau*sigma*||K||^2 < 1")
-    state = _as_pd_state(problem, init)
-    return _iterate(lambda s: pdhg_step(problem, s, steps), state, stop, _pair_residual, observe)
+    return _run_primal_dual(pdhg_step, problem, init, steps, stop, observe)
 
 
 def condat_vu_run(problem, init, steps, stop=None, observe=None):
@@ -317,9 +308,7 @@ def condat_vu_run(problem, init, steps, stop=None, observe=None):
     cocoercivity constant the caller may not have, and running it outside
     its theory on purpose is a supported comparison scenario.
     """
-    stop = stop or StoppingRule()
-    state = _as_pd_state(problem, init)
-    return _iterate(lambda s: condat_vu_step(problem, s, steps), state, stop, _pair_residual, observe)
+    return _run_primal_dual(condat_vu_step, problem, init, steps, stop, observe)
 
 
 def forb_run(resolvent, forward, x0, tau, stop=None, observe=None):
