@@ -87,10 +87,8 @@ from .primal_dual import (
 )
 from .inclusion import (
     AgentInclusion,
-    ConsensusReport,
     StackedIterate,
     consensus_gap,
-    final_report,
     inclusion_init,
     inclusion_run,
     inclusion_step,

@@ -26,6 +26,7 @@ import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -46,18 +47,16 @@ from .graphs import (
     mixing_blocks,
     parse_edge_list,
 )
-from .harness import InclusionProgram, MinMaxProgram, PgExtraProgram, run_synchronous
+from .harness import InclusionProgram, PgExtraProgram, run_synchronous
 from .inclusion import (
+    _run_stacked,
     _stacked_columns,
     inclusion_init,
-    inclusion_run,
     inclusion_step,
-    pg_extra_run,
     product_space_reference,
 )
 from .minmax import (
     minmax_init,
-    minmax_run,
     minmax_step,
     product_space_problem,
     stack_agents,
@@ -81,7 +80,7 @@ from .primal_dual import (
     pdtr_run,
     pdtr_step,
 )
-from .trace import StoppingRule
+from .trace import StoppingRule, kept_rows
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -113,6 +112,15 @@ def _apply_overrides(cfg, args):
     return replace(cfg, run=run)
 
 
+# The decentralized algorithms all run the stacked recursion; per algorithm:
+# (reflected forward difference, algorithm.init = premix allowed, needs d = 0)
+_DECENTRALIZED = {
+    "alg1": (True, True, False),
+    "alg2": (True, False, False),
+    "pg_extra": (False, True, True),
+}
+
+
 def _round_mixing(name, mixing, problems):
     """The mixing whose blocks a decentralized run exchanges over; None if centralized.
 
@@ -120,7 +128,7 @@ def _round_mixing(name, mixing, problems):
     and a y vector; the stacked alg1/pg_extra rows travel as one vector when
     both blocks mix alike, and as an x and a y vector when they do not.
     """
-    if name not in ("alg1", "alg2", "pg_extra"):
+    if name not in _DECENTRALIZED:
         return None
     if problems[0].d == 0 or (name != "alg2" and np.array_equal(mixing.w1.w, mixing.w2.w)):
         return mixing.w1
@@ -137,45 +145,55 @@ class AlgoResult:
 
 
 def _reference_point(problems, tol=1e-12, max_iters=2_000_000):
-    """High-accuracy centralized reflected run on the summed problem."""
+    """High-accuracy centralized reflected run on the summed problem.
+
+    Returns the stacked point ``(x, y)`` and whether the run converged.
+    """
     central = stack_agents([sum_saddle_problem(problems)])[0]
     lip = central.lipschitz
     tau = 0.45 / lip if lip > 0 else 1.0
-    p = problems[0].p
-    state, trace = forb_run(central.resolvent, central.forward, np.zeros(p + problems[0].d), tau,
+    z0 = np.zeros(problems[0].p + problems[0].d)
+    state, trace = forb_run(central.resolvent, central.forward, z0, tau,
                             StoppingRule(tol=tol, max_iters=max_iters))
-    return state.x[:p], state.x[p:], trace.converged
+    return state.x, trace.converged
 
 
-def _stamp_messages(trace, per_round):
-    if per_round is None:
-        return
-    for idx, row in enumerate(trace.rows):
-        trace.rows[idx] = replace(row, messages_cum=row.iteration * per_round)
+def _setup(cfg):
+    """What every algorithm of one config shares: instance, mixing, L, steps, budget, reference.
+
+    ``reference`` is the stacked ``(x, y)`` reference point, or None.
+    """
+    problems = build_problems(cfg)
+    mixing = build_block_mixing(cfg)
+    lip = declared_lipschitz(cfg, problems)
+    tau, sigma = resolve_steps(cfg, mixing, lip)
+    reference, converged = _reference_point(problems) if cfg.run.reference else (None, True)
+    return SimpleNamespace(problems=problems, mixing=mixing, lip=lip, tau=tau, sigma=sigma,
+                           stop=StoppingRule(tol=cfg.run.tol, max_iters=cfg.run.max_iters),
+                           reference=reference, reference_converged=converged)
 
 
-def _execute(name, cfg, problems, mixing, lip, tau, sigma, stop, reference):
-    n = len(problems)
+def _execute(name, cfg, setup):
+    problems, mixing, tau, stop = setup.problems, setup.mixing, setup.tau, setup.stop
     p, d = problems[0].p, problems[0].d
-    x0, y0 = build_start(cfg)
+    z0 = np.concatenate(build_start(cfg), axis=1)  # the stacked (x, y) start rows
     premix = cfg.algorithm.init == "premix"
-    ref = None if reference is None else np.concatenate(reference)
+    ref = setup.reference
+    split = p if d else None
     t0 = time.perf_counter()
-    info = {"tau": tau, "sigma": sigma}
+    info = {"tau": tau, "sigma": setup.sigma}
 
-    if name == "alg2":
-        if premix:
-            raise ConfigError("algorithm.init: premix is only available for alg1/pg_extra")
-        x_star, y_star, trace = minmax_run(problems, mixing, x0, y0, tau, stop,
-                                           reference=reference)
-    elif name in ("alg1", "pg_extra"):
-        if name == "pg_extra" and d > 0:
-            raise ConfigError("algorithm.name: pg_extra handles minimization only (set d = 0)")
-        run = inclusion_run if name == "alg1" else pg_extra_run
-        state, trace = run(stack_agents(problems, lipschitz=lip), stacked_block_mixing(mixing, problems),
-                           np.concatenate([x0, y0], axis=1), tau, stop, premix=premix, reference=ref)
-        mean = state.x.mean(axis=0)
-        x_star, y_star = mean[:p], mean[p:]
+    if name in _DECENTRALIZED:
+        reflect, premix_allowed, minimization_only = _DECENTRALIZED[name]
+        if premix and not premix_allowed:
+            allowed = "/".join(k for k, row in _DECENTRALIZED.items() if row[1])
+            raise ConfigError(f"algorithm.init: premix is only available for {allowed}")
+        if minimization_only and d > 0:
+            raise ConfigError(f"algorithm.name: {name} handles minimization only (set d = 0)")
+        state, trace = _run_stacked(stack_agents(problems, lipschitz=setup.lip),
+                                    stacked_block_mixing(mixing, problems), z0, tau, stop, premix,
+                                    ref, reflect, split)
+        point = state.x.mean(axis=0)
     elif name == "forb":
         central = stack_agents([sum_saddle_problem(problems)])[0]
         lip = central.lipschitz
@@ -184,39 +202,32 @@ def _execute(name, cfg, problems, mixing, lip, tau, sigma, stop, reference):
             tau_f = cfg.algorithm.safety / (2.0 * lip)
             info["tau"] = tau_f
             info["note"] = "forb acts on the summed objective; auto tau uses its constant"
-        z0 = np.concatenate([x0[0], y0[0]])
 
         def observe(state):
             if ref is None:
                 return {}
             return {"distance_to_reference": float(np.linalg.norm(state.x - ref))}
 
-        state, trace = forb_run(central.resolvent, central.forward, z0, tau_f, stop,
+        state, trace = forb_run(central.resolvent, central.forward, z0[0], tau_f, stop,
                                 observe=observe)
-        x_star, y_star = state.x[:p], state.x[p:]
-    elif name in ("pdtr", "pdhg", "condat_vu"):
-        problem = product_space_problem(problems, mixing, lipschitz=lip)
-        steps = StepSizes(tau, sigma)
-        h = p + d
-        columns = _stacked_columns(ref, split=p if d else None)
-        z0 = np.concatenate([x0, y0], axis=1).reshape(-1)
-        init = (z0, np.zeros(problem.dual_dim))
+        point = state.x
+    else:  # the centralized primal-dual methods on the product-space problem
+        problem = product_space_problem(problems, mixing, lipschitz=setup.lip)
+        columns = _stacked_columns(ref, split)
         runner = {"pdtr": pdtr_run, "pdhg": pdhg_run, "condat_vu": condat_vu_run}[name]
-        state, trace = runner(problem, init, steps, stop,
-                              observe=lambda state: columns(state.x.reshape(n, h)))
-        mean = state.x.reshape(n, h).mean(axis=0)
-        x_star, y_star = mean[:p], mean[p:]
-    else:  # pragma: no cover - the config layer rejects unknown names
-        raise ConfigError(f"algorithm.name: unknown algorithm {name!r}")
+        state, trace = runner(problem, (z0.reshape(-1), np.zeros(problem.dual_dim)),
+                              StepSizes(tau, setup.sigma), stop,
+                              observe=lambda state: columns(state.x.reshape(z0.shape)))
+        point = state.x.reshape(z0.shape).mean(axis=0)
 
     info["wall_time"] = time.perf_counter() - t0
     per_round = None
     round_mixing = _round_mixing(name, mixing, problems)
     if round_mixing is not None:
         per_round = sum(2 * len(m.graph.edges) for _, m, _, _ in mixing_blocks(round_mixing))
-    _stamp_messages(trace, per_round)
+        trace.rows[:] = [replace(row, messages_cum=row.iteration * per_round) for row in trace.rows]
     info["messages_per_round"] = per_round
-    return AlgoResult(name, trace, x_star, y_star, info)
+    return AlgoResult(name, trace, point[:p], point[p:], info)
 
 
 def _solution_csv(result):
@@ -260,18 +271,15 @@ def _summary_text(cfg, result, stop, extra_lines=()):
 _AUDIT_CAP = 2000
 
 
-def _audit_run(cfg, name, problems, mixing, lip, tau, rounds):
+def _audit_run(cfg, name, setup, rounds):
     """Re-execute a decentralized run through the message-passing harness."""
-    x0, y0 = build_start(cfg)
-    premix = cfg.algorithm.init == "premix"
     rounds = min(rounds, _AUDIT_CAP)
-    if name == "alg2":
-        program = MinMaxProgram(problems, mixing, x0, y0, tau)
-    else:
-        program_type = InclusionProgram if name == "alg1" else PgExtraProgram
-        program = program_type(stack_agents(problems, lipschitz=lip),
-                               _round_mixing(name, mixing, problems),
-                               np.concatenate([x0, y0], axis=1), tau, premix=premix)
+    reflect, _, _ = _DECENTRALIZED[name]
+    program_type = InclusionProgram if reflect else PgExtraProgram
+    program = program_type(stack_agents(setup.problems, lipschitz=setup.lip),
+                           _round_mixing(name, setup.mixing, setup.problems),
+                           np.concatenate(build_start(cfg), axis=1), setup.tau,
+                           premix=cfg.algorithm.init == "premix")
     _, audits = run_synchronous(program, rounds, audit=True)
     lines = ["round,messages,bytes,illegal_attempts"]
     for a in audits:
@@ -289,29 +297,16 @@ def cmd_run(args):
     if len(cfg.algorithm.names) != 1:
         raise ConfigError("algorithm.name: run needs exactly one algorithm")
     name = cfg.algorithm.names[0]
-    problems = build_problems(cfg)
-    mixing = build_block_mixing(cfg)
-    lip = declared_lipschitz(cfg, problems)
-    tau, sigma = resolve_steps(cfg, mixing, lip)
-    stop = StoppingRule(tol=cfg.run.tol, max_iters=cfg.run.max_iters)
-    reference = None
-    ref_note = []
-    if cfg.run.reference:
-        rx, ry, ok = _reference_point(problems)
-        reference = (rx, ry)
-        if not ok:
-            ref_note.append("warning: reference run hit its iteration budget")
-
-    result = _execute(name, cfg, problems, mixing, lip, tau, sigma, stop, reference)
+    setup = _setup(cfg)
+    result = _execute(name, cfg, setup)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    extra = list(ref_note)
+    extra = [] if setup.reference_converged else ["warning: reference run hit its iteration budget"]
     audit_text = None
     if args.audit:
-        if name in ("alg1", "alg2", "pg_extra"):
-            audit_text, rounds, illegal = _audit_run(cfg, name, problems, mixing, lip, tau,
-                                                     result.trace.iterations)
+        if name in _DECENTRALIZED:
+            audit_text, rounds, illegal = _audit_run(cfg, name, setup, result.trace.iterations)
             extra.append(f"audit: {rounds} rounds re-executed on the message harness, "
                          f"{illegal} illegal reads")
         else:
@@ -319,11 +314,12 @@ def cmd_run(args):
     _write_atomic(outdir / "trace.csv",
                   "\n".join(result.trace.csv_lines(cfg.run.trace_every)) + "\n")
     _write_atomic(outdir / "solution.csv", _solution_csv(result))
-    _write_atomic(outdir / "summary.txt", _summary_text(cfg, result, stop, extra))
+    summary = _summary_text(cfg, result, setup.stop, extra)
+    _write_atomic(outdir / "summary.txt", summary)
     if audit_text is not None:
         _write_atomic(outdir / "audit.csv", audit_text)
 
-    print(_summary_text(cfg, result, stop, extra), end="")
+    print(summary, end="")
     return EXIT_OK if result.trace.converged else EXIT_NO_CONVERGENCE
 
 
@@ -480,41 +476,23 @@ def cmd_compare(args):
     names = cfg.algorithm.names
     if len(names) < 2:
         raise ConfigError("algorithm.name: compare needs at least two algorithms")
-    problems = build_problems(cfg)
-    mixing = build_block_mixing(cfg)
-    lip = declared_lipschitz(cfg, problems)
-    tau, sigma = resolve_steps(cfg, mixing, lip)
-    stop = StoppingRule(tol=cfg.run.tol, max_iters=cfg.run.max_iters)
-    reference = None
-    if cfg.run.reference:
-        rx, ry, _ = _reference_point(problems)
-        reference = (rx, ry)
-
-    results = [_execute(name, cfg, problems, mixing, lip, tau, sigma, stop, reference)
-               for name in names]
+    setup = _setup(cfg)
+    results = [_execute(name, cfg, setup) for name in names]
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    header = ["iteration"] + [f"fp_residual_{r.name}" for r in results]
-    depth = max(len(r.trace.rows) for r in results)
-    lines = [",".join(header)]
-    for k in range(0, depth, cfg.run.trace_every):
-        cells = [str(k + 1)]
-        for r in results:
-            cells.append(repr(r.trace.rows[k].fp_residual) if k < len(r.trace.rows) else "")
-        lines.append(",".join(cells))
-    if (depth - 1) % cfg.run.trace_every:
-        cells = [str(depth)]
-        for r in results:
-            cells.append(repr(r.trace.rows[depth - 1].fp_residual)
-                         if depth - 1 < len(r.trace.rows) else "")
-        lines.append(",".join(cells))
+    # row k of every trace is iteration k + 1; each trace keeps its own final row
+    kept = set().union(*(kept_rows(len(r.trace.rows), cfg.run.trace_every) for r in results))
+    lines = [",".join(["iteration"] + [f"fp_residual_{r.name}" for r in results])]
+    for k in sorted(kept):
+        lines.append(",".join([str(k + 1)] + [repr(r.trace.rows[k].fp_residual)
+                                              if k < len(r.trace.rows) else "" for r in results]))
     _write_atomic(outdir / "compare.csv", "\n".join(lines) + "\n")
 
     width = max(len(r.name) for r in results)
-    table = [f"shared steps: tau = {tau!r}, sigma = {sigma!r}",
-             f"budget: tol = {stop.tol!r}, max_iters = {stop.max_iters}"]
+    table = [f"shared steps: tau = {setup.tau!r}, sigma = {setup.sigma!r}",
+             f"budget: tol = {setup.stop.tol!r}, max_iters = {setup.stop.max_iters}"]
     for r in results:
         status = "converged" if r.trace.converged else f"NOT CONVERGED ({r.trace.status})"
         table.append(

@@ -7,15 +7,16 @@ Each key is stated once, on its dataclass field: its INI name (the field
 name; ``names`` is written ``name``), its cast and its default.
 ``parse_config`` and ``serialize_config`` are loops over those fields, and
 ``parse_config(serialize_config(c)) == c`` holds for every config that
-``parse_config`` returns (one holding a NaN is not equal even to itself):
-every set field is written, and multi-line values (edge lists) go out as
-indented continuation lines.  Unknown sections or keys are errors that name
-the offender.
+``parse_config`` returns: every set field is written, and multi-line values
+(edge lists) go out as indented continuation lines.  Unknown sections
+(``[DEFAULT]`` with keys included) or keys, and NaN values, are errors that
+name the offender.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -63,7 +64,10 @@ def _as_int(raw):
 
 
 def _as_float(raw):
-    return float(str(raw).strip())
+    value = float(str(raw).strip())
+    if math.isnan(value):
+        raise ValueError("not a number")
+    return value
 
 
 def _as_bool(raw):
@@ -82,7 +86,7 @@ def _as_matrix(raw):
         chunk = chunk.strip().strip(",")
         if not chunk:
             continue
-        rows.append(tuple(float(t) for t in chunk.split(",")))
+        rows.append(tuple(_as_float(t) for t in chunk.split(",")))
     if not rows:
         raise ValueError("empty matrix")
     width = len(rows[0])
@@ -102,7 +106,7 @@ def _as_tau(raw):
     token = str(raw).strip().lower()
     if token == "auto":
         return "auto"
-    return float(token)
+    return _as_float(token)
 
 
 def _choice(options):
@@ -271,6 +275,8 @@ def parse_config(text):
     except configparser.Error as exc:
         raise ConfigError(f"config syntax: {exc}") from None
 
+    if parser.defaults():  # keys under [DEFAULT] would be merged into every section
+        _fail(parser.default_section, "unknown section")
     for name in parser.sections():
         if name not in _SECTIONS:
             _fail(name, "unknown section")

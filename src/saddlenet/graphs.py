@@ -15,7 +15,7 @@ weights) together with a numerical certificate for arbitrary matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,21 +50,27 @@ class GraphFormatError(ValueError):
 class Graph:
     """Simple undirected graph on vertices ``0 .. n-1``.
 
-    Edges are stored as a frozenset of ``(i, j)`` pairs with ``i < j``.
+    Edges are stored as a frozenset of ``(i, j)`` pairs with ``i < j``; the
+    sorted neighbor tuples of every vertex are built once from them.
     """
 
     n: int
     edges: frozenset
+    _adjacent: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
+        adjacent = [[] for _ in range(self.n)]
         for e in self.edges:
             i, j = e
             if i == j:
                 raise ValueError(f"self-loop at vertex {i}")
             if not (0 <= i < j < self.n):
                 raise ValueError(f"edge {e} out of range for n={self.n}")
+            adjacent[i].append(j)
+            adjacent[j].append(i)
+        object.__setattr__(self, "_adjacent", tuple(tuple(sorted(a)) for a in adjacent))
 
     @classmethod
     def from_edges(cls, n, edges):
@@ -76,8 +82,7 @@ class Graph:
         return tuple(sorted(self.edges))
 
     def neighbors(self, i):
-        out = [j for (a, b) in self.edges for j in ((b,) if a == i else (a,) if b == i else ())]
-        return tuple(sorted(out))
+        return self._adjacent[i]
 
     def degree(self, i):
         return len(self.neighbors(i))

@@ -236,7 +236,8 @@ class _RecursionProgram:
         mix = np.concatenate([_local_mix(i, weights[i], state[name], inboxes[name])
                               for name, weights, _ in self._layout])
         if round_index == 1:
-            it = _bootstrap(agent, state["z"], mix, self.tau, self.premix, self.reflect)
+            start = StackedIterate(u=mix if self.premix else state["z"], x=state["z"], wx_prev=mix)
+            it = _bootstrap(agent, start, self.tau, self.reflect)
         else:
             row = StackedIterate(**{f: state[k] for f, k in _KEYS.items()})
             it = _advance(agent, mix, row, self.tau, self.reflect)

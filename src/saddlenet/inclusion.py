@@ -24,7 +24,6 @@ that the communication-friendly recursion above is the same method.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -32,11 +31,10 @@ import numpy as np
 from .graphs import mixing_blocks
 from .operators import ForwardOperator, Prox, batched_forward, batched_resolvent, zero_prox
 from .primal_dual import PdtrState, PrimalDualProblem, StepSizeError, StepSizes, pdtr_step
-from .trace import ConvergenceTrace, StoppingRule, TraceRow
+from .trace import run_loop
 
 __all__ = [
     "AgentInclusion",
-    "ConsensusReport",
     "StackedIterate",
     "consensus_gap",
     "inclusion_init",
@@ -91,14 +89,18 @@ class StackedIterate:
     previous round's exchange) so each step mixes once; when it is None the
     step computes it.  ``kernels`` holds the agents' row-batched operators,
     built once per run.
+
+    Round 0 holds only ``x = x0``, the ``u`` the bootstrap steps from
+    (``x0``, or ``W x0`` when premixing, which is then also ``wx_prev``) and
+    the kernels; the next step is the bootstrap.
     """
 
     u: np.ndarray
     x: np.ndarray
-    prev_x: np.ndarray
-    v: np.ndarray
-    prev_v: np.ndarray
-    bx: np.ndarray
+    prev_x: np.ndarray | None = None
+    v: np.ndarray | None = None
+    prev_v: np.ndarray | None = None
+    bx: np.ndarray | None = None
     wx_prev: np.ndarray | None = None
     kernels: object = field(default=None, repr=False)
 
@@ -140,19 +142,20 @@ def _check_setup(agents, mixing, x0, tau, reflect):
     return x0
 
 
-def _bootstrap(ops, x0, wx0, tau, premix, reflect):
-    """Round 1 from ``x0`` given the exchange ``wx0 = W x0`` (None when not needed).
+def _bootstrap(ops, start, tau, reflect):
+    """Round 1 from the round-0 iterate ``start`` (see :class:`StackedIterate`).
 
     ``ops`` supplies ``resolvent`` and ``forward``: the batched kernels on
     stacked rows, or one agent's own operators on its row.
     """
+    x0 = start.x
     v0 = ops.forward(x0)
-    u1 = (wx0 if premix else x0) - tau * v0
+    u1 = start.u - tau * v0
     x1 = ops.resolvent(tau, u1)
     bx1 = ops.forward(x1)
     v1 = 2.0 * bx1 - v0 if reflect else bx1
     return StackedIterate(u=u1, x=x1, prev_x=x0, v=v1, prev_v=v0, bx=bx1,
-                          wx_prev=wx0, kernels=ops)
+                          wx_prev=start.wx_prev, kernels=ops)
 
 
 def _advance(ops, wx, state, tau, reflect):
@@ -170,17 +173,20 @@ def _advance(ops, wx, state, tau, reflect):
 
 
 def _start(agents, mixing, x0, tau, premix, reflect):
-    """Dense bootstrap after :func:`_check_setup`; builds the agents' kernels."""
+    """The round-0 iterate after :func:`_check_setup`; builds the agents' kernels."""
     x0 = _check_setup(agents, mixing, x0, tau, reflect)
-    kernels = _AgentKernels.build(agents, x0.shape[1])
-    return _bootstrap(kernels, x0, mixing.apply(x0) if premix else None, tau, premix, reflect)
+    wx0 = mixing.apply(x0) if premix else None
+    return StackedIterate(u=x0 if wx0 is None else wx0, x=x0, wx_prev=wx0,
+                          kernels=_AgentKernels.build(agents, x0.shape[1]))
 
 
 def _step(agents, mixing, state, tau, reflect):
-    """Dense round: one exchange, then :func:`_advance` on the batched kernels."""
+    """Dense round: the bootstrap from round 0, else one exchange and :func:`_advance`."""
     kernels = state.kernels
     if kernels is None or kernels.source is not agents:
         kernels = _AgentKernels.build(agents, state.x.shape[1])
+    if state.prev_x is None:
+        return _bootstrap(kernels, state, tau, reflect)
     wx = mixing.apply(state.x)
     if state.wx_prev is None:
         state = replace(state, wx_prev=mixing.apply(state.prev_x))
@@ -196,7 +202,7 @@ def inclusion_init(agents, mixing, x0, tau, premix=False):
     to starting the underlying primal-dual method from a nonzero dual point;
     both variants converge to the same solution set.
     """
-    return _start(agents, mixing, x0, tau, premix, reflect=True)
+    return _step(agents, mixing, _start(agents, mixing, x0, tau, premix, True), tau, reflect=True)
 
 
 def inclusion_step(agents, mixing, state, tau):
@@ -211,49 +217,6 @@ def consensus_gap(x):
         return 0.0
     dev = x - x.mean(axis=0)
     return float(np.linalg.norm(dev, axis=1).max(initial=0.0))
-
-
-@dataclass(frozen=True)
-class ConsensusReport:
-    """Termination summary of a decentralized run."""
-
-    consensus_gap: float
-    fp_residual: float
-    distance_to_reference: float | None = None
-
-
-def _frob_diff(a, b):
-    return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
-
-
-def _run_rounds(state, step, residual, observe, stop):
-    """Step a bootstrapped ``state`` (round 1) until ``stop`` ends the run.
-
-    ``residual(state)`` is a round's fixed-point residual and
-    ``observe(state)`` the other trace columns of that round.  The trace's
-    ``status`` records why the run stopped; a non-finite residual stops it
-    as diverged and the last state with a finite residual is returned.
-    """
-    trace = ConvergenceTrace()
-    last = state
-    it = 1
-    # overflow on the way to a non-finite residual is reported by the verdict
-    with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            res = residual(state)
-            if not math.isfinite(res):
-                trace.status = "diverged"
-                return last, trace
-            trace.append(TraceRow(iteration=it, fp_residual=res, **observe(state)))
-            if res <= stop.tol:
-                trace.status = "converged"
-                return state, trace
-            if it >= stop.max_iters:
-                trace.status = "budget"
-                return state, trace
-            last = state
-            state = step(state)
-            it += 1
 
 
 def _stacked_columns(reference, split=None):
@@ -274,11 +237,17 @@ def _stacked_columns(reference, split=None):
     return columns
 
 
-def _run_stacked(step, state, stop, reference, split=None):
-    """:func:`_run_rounds` with the stacked iterates' residual and :func:`_stacked_columns`."""
+def _run_stacked(agents, mixing, x0, tau, stop, premix, reference, reflect, split=None):
+    """:func:`~saddlenet.trace.run_loop` over the recursion from round 0.
+
+    The residual is ``||x_new - x_old||_F`` and the other columns are
+    :func:`_stacked_columns`.
+    """
     columns = _stacked_columns(reference, split)
-    return _run_rounds(state, step, lambda s: _frob_diff(s.x, s.prev_x), lambda s: columns(s.x),
-                       stop or StoppingRule())
+    return run_loop(lambda s: _step(agents, mixing, s, tau, reflect),
+                    _start(agents, mixing, x0, tau, premix, reflect), stop,
+                    lambda old, new: float(np.linalg.norm(new.x - old.x)),
+                    lambda s: columns(s.x))
 
 
 def inclusion_run(agents, mixing, x0, tau, stop=None, premix=False, reference=None):
@@ -286,22 +255,10 @@ def inclusion_run(agents, mixing, x0, tau, stop=None, premix=False, reference=No
 
     ``reference``, when given, is a single solution row; the trace then
     carries the distance from the row average to it.  Returns the final
-    :class:`StackedIterate` and the trace (first row is the bootstrap step).
+    :class:`StackedIterate` and the trace (first row is the bootstrap step;
+    a run that takes no step returns the round-0 iterate).
     """
-    state = inclusion_init(agents, mixing, x0, tau, premix=premix)
-    return _run_stacked(lambda s: inclusion_step(agents, mixing, s, tau), state, stop, reference)
-
-
-def final_report(state, reference=None):
-    """Consensus summary of a finished run."""
-    dist = None
-    if reference is not None:
-        dist = float(np.linalg.norm(np.asarray(state.x).mean(axis=0) - reference))
-    return ConsensusReport(
-        consensus_gap=consensus_gap(state.x),
-        fp_residual=_frob_diff(state.x, state.prev_x),
-        distance_to_reference=dist,
-    )
+    return _run_stacked(agents, mixing, x0, tau, stop, premix, reference, reflect=True)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +343,7 @@ def pg_extra_init(agents, mixing, x0, tau, premix=False):
     This is :func:`inclusion_init` with the plain gradient difference, gated
     at ``0 < tau < (1 + lambda_min(W)) / L``.
     """
-    return _start(agents, mixing, x0, tau, premix, reflect=False)
+    return _step(agents, mixing, _start(agents, mixing, x0, tau, premix, False), tau, reflect=False)
 
 
 def pg_extra_step(agents, mixing, state, tau):
@@ -396,5 +353,4 @@ def pg_extra_step(agents, mixing, state, tau):
 
 def pg_extra_run(agents, mixing, x0, tau, stop=None, premix=False, reference=None):
     """Run PG-EXTRA; same trace conventions as :func:`inclusion_run`."""
-    state = pg_extra_init(agents, mixing, x0, tau, premix=premix)
-    return _run_stacked(lambda s: pg_extra_step(agents, mixing, s, tau), state, stop, reference)
+    return _run_stacked(agents, mixing, x0, tau, stop, premix, reference, reflect=False)

@@ -142,8 +142,9 @@ def _stacked_setup(problems, mixing, x0, y0):
 def minmax_init(problems, mixing, x0, y0, tau):
     """Bootstrap from per-agent rows ``x0``, ``y0`` (no communication needed)."""
     agents, stacked_mixing, z0 = _stacked_setup(problems, mixing, x0, y0)
-    return MinMaxState(_start(agents, stacked_mixing, z0, tau, premix=False, reflect=True),
-                       problems[0].p, problems)
+    start = _start(agents, stacked_mixing, z0, tau, premix=False, reflect=True)
+    return MinMaxState(_step(agents, stacked_mixing, start, tau, reflect=True), problems[0].p,
+                       problems)
 
 
 def minmax_step(problems, mixing, state, tau):
@@ -164,9 +165,8 @@ def minmax_run(problems, mixing, x0, y0, tau, stop=None, reference=None):
     agents, stacked_mixing, z0 = _stacked_setup(problems, mixing, x0, y0)
     p = problems[0].p
     ref = None if reference is None else np.concatenate(reference)
-    state, trace = _run_stacked(lambda s: _step(agents, stacked_mixing, s, tau, reflect=True),
-                                _start(agents, stacked_mixing, z0, tau, premix=False, reflect=True),
-                                stop, ref, split=p)
+    state, trace = _run_stacked(agents, stacked_mixing, z0, tau, stop, premix=False, reference=ref,
+                                reflect=True, split=p)
     mean = state.x.mean(axis=0)
     return mean[:p], mean[p:], trace
 

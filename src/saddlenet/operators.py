@@ -53,13 +53,11 @@ class Prox:
     expected input length when the map is dimension-specific, else None.
     """
 
-    def __init__(self, fn, kind="custom", params=None, dim=None, value=None, domain="full-space"):
+    def __init__(self, fn, kind="custom", params=None, dim=None):
         self._fn = fn
         self.kind = kind
         self.params = dict(params or {})
         self.dim = dim
-        self.value = value
-        self.domain = domain
 
     def __call__(self, tau, point):
         if tau <= 0:
@@ -87,8 +85,7 @@ def l1_prox(weight):
     def fn(t, v):
         return np.sign(v) * np.maximum(np.abs(v) - t * weight, 0.0)
 
-    return Prox(fn, kind="l1", params={"weight": weight},
-                value=lambda v: weight * float(np.abs(v).sum()))
+    return Prox(fn, kind="l1", params={"weight": weight})
 
 
 def box_prox(lo, hi):
@@ -101,7 +98,7 @@ def box_prox(lo, hi):
     if lo.ndim > 0 or hi.ndim > 0:
         dim = int(np.broadcast(lo, hi).shape[0])
     return Prox(lambda t, v: np.clip(v, lo, hi), kind="box_indicator",
-                params={"lo": lo, "hi": hi}, dim=dim, domain="box")
+                params={"lo": lo, "hi": hi}, dim=dim)
 
 
 def quadratic_prox(q_matrix, q_vec=None):
@@ -125,16 +122,12 @@ def quadratic_prox(q_matrix, q_vec=None):
     def fn(t, v):
         return np.linalg.solve(eye + t * q_matrix, v - t * q_vec)
 
-    def value(v):
-        return 0.5 * float(v @ q_matrix @ v) + float(q_vec @ v)
-
-    return Prox(fn, kind="quadratic", params={"q_matrix": q_matrix, "q_vec": q_vec},
-                dim=h, value=value)
+    return Prox(fn, kind="quadratic", params={"q_matrix": q_matrix, "q_vec": q_vec}, dim=h)
 
 
 def zero_point_prox():
     """Prox of the indicator of the origin: the zero map."""
-    return Prox(lambda t, v: np.zeros_like(v), kind="zero_set_indicator", domain="affine-zero")
+    return Prox(lambda t, v: np.zeros_like(v), kind="zero_set_indicator")
 
 
 _PROX_FACTORIES = {

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import estimate_operator_norm
-from .trace import ConvergenceTrace, StoppingRule, TraceRow
+from .trace import run_loop
 
 __all__ = [
     "ForbState",
@@ -242,31 +242,6 @@ def _sup_diff(a, b):
     return float(d.max(initial=0.0))
 
 
-def _iterate(step, state, stop, residual, observe=None):
-    """Step until ``stop`` ends the run; a non-finite residual ends it as diverged.
-
-    A diverged run returns the last state with a finite residual.
-    """
-    trace = ConvergenceTrace()
-    trace.status = "converged" if math.isinf(stop.tol) else "budget"
-    it = 0
-    # overflow on the way to a non-finite residual is reported by the verdict
-    with np.errstate(over="ignore", invalid="ignore"):
-        while trace.status == "budget" and it < stop.max_iters:
-            new = step(state)
-            res = residual(state, new)
-            if not math.isfinite(res):
-                trace.status = "diverged"
-                break
-            it += 1
-            extras = observe(new) if observe is not None else {}
-            trace.append(TraceRow(iteration=it, fp_residual=res, **extras))
-            state = new
-            if res <= stop.tol:
-                trace.status = "converged"
-    return state, trace
-
-
 def _pair_residual(old, new):
     return max(_sup_diff(old.x, new.x), _sup_diff(old.y, new.y))
 
@@ -274,8 +249,7 @@ def _pair_residual(old, new):
 def _run_primal_dual(step, problem, init, steps, stop, observe):
     """Iterate ``step`` from ``init``: a ``(x0, y0)`` pair or a prepared state."""
     state = init if isinstance(init, PdtrState) else PdtrState.start(problem, *init)
-    return _iterate(lambda s: step(problem, s, steps), state, stop or StoppingRule(),
-                    _pair_residual, observe)
+    return run_loop(lambda s: step(problem, s, steps), state, stop, _pair_residual, observe)
 
 
 def pdtr_run(problem, init, steps, stop=None, unsafe=False, observe=None):
@@ -313,19 +287,12 @@ def condat_vu_run(problem, init, steps, stop=None, observe=None):
 
 def forb_run(resolvent, forward, x0, tau, stop=None, observe=None):
     """Reflected forward-backward iteration; needs ``tau < 1 / (2 L)``."""
-    stop = stop or StoppingRule()
     if forward.lipschitz > 0 and not tau < 1.0 / (2.0 * forward.lipschitz):
         raise StepSizeError(
             f"tau={tau!r} must be below 1/(2L)={1.0 / (2.0 * forward.lipschitz)!r}"
         )
-    state = ForbState.start(forward, x0)
-    return _iterate(
-        lambda s: forb_step(resolvent, forward, s, tau),
-        state,
-        stop,
-        lambda old, new: _sup_diff(old.x, new.x),
-        observe,
-    )
+    return run_loop(lambda s: forb_step(resolvent, forward, s, tau), ForbState.start(forward, x0),
+                    stop, lambda old, new: _sup_diff(old.x, new.x), observe)
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["ConvergenceTrace", "StoppingRule", "TraceRow"]
+import numpy as np
+
+__all__ = ["ConvergenceTrace", "StoppingRule", "TraceRow", "kept_rows", "run_loop"]
 
 
 @dataclass(frozen=True)
 class StoppingRule:
     """Stop when the fixed-point residual drops to ``tol`` or the budget ends.
 
-    ``tol = inf`` means "do not iterate at all" and is useful for probing
-    initial states.
+    Every solver runs under this contract through :func:`run_loop`: step
+    ``k`` is trace row ``k``, and a run with ``tol = inf`` or
+    ``max_iters = 0`` takes no step, records no row and returns its start
+    (``tol = inf`` reports ``converged``, which is useful for probing
+    initial states).
     """
 
     tol: float = 1e-10
@@ -54,7 +59,7 @@ class ConvergenceTrace:
     absent.  ``status`` says why the run stopped: ``"converged"`` (the
     residual met the tolerance), ``"budget"`` (the iteration budget ran out)
     or ``"diverged"`` (a residual was not finite; that round is not
-    recorded).  It is None until a run loop sets it.
+    recorded).  It is None until :func:`run_loop` sets it.
     """
 
     def __init__(self):
@@ -88,22 +93,57 @@ class ConvergenceTrace:
         return cols
 
     def csv_lines(self, every=1):
-        """CSV serialization, optionally subsampled to every ``every``-th row.
+        """CSV serialization of the rows :func:`kept_rows` keeps.
 
-        The final row is always kept so the terminal state is never lost;
-        subsampling changes which rows are written, never their content.
+        Subsampling changes which rows are written, never their content.
         """
-        if every < 1:
-            raise ValueError("every must be at least 1")
         cols = self.active_columns()
         lines = [",".join(cols)]
-        last = len(self.rows) - 1
-        for idx, row in enumerate(self.rows):
-            if idx % every and idx != last:
-                continue
+        for idx in kept_rows(len(self.rows), every):
+            row = self.rows[idx]
             cells = []
             for name in cols:
                 v = getattr(row, name)
                 cells.append("" if v is None else (str(v) if isinstance(v, int) else repr(float(v))))
             lines.append(",".join(cells))
         return lines
+
+
+def kept_rows(count, every):
+    """Indices of ``count`` rows subsampled to every ``every``-th one.
+
+    The final row is always kept so the terminal state is never lost.
+    """
+    if every < 1:
+        raise ValueError("every must be at least 1")
+    return [idx for idx in range(count) if idx % every == 0 or idx == count - 1]
+
+
+def run_loop(step, state, stop, residual, observe=None):
+    """Step ``state`` until ``stop`` (default :class:`StoppingRule`) ends the run.
+
+    Returns the last state and its trace.  ``residual(old, new)`` is one
+    step's fixed-point residual and ``observe(new)`` the other trace columns
+    of the new state.  A non-finite residual ends the run as diverged; the
+    last state with a finite residual is returned and the diverging step is
+    not recorded.
+    """
+    stop = stop or StoppingRule()
+    trace = ConvergenceTrace()
+    trace.status = "converged" if math.isinf(stop.tol) else "budget"
+    it = 0
+    # overflow on the way to a non-finite residual is reported by the verdict
+    with np.errstate(over="ignore", invalid="ignore"):
+        while trace.status == "budget" and it < stop.max_iters:
+            new = step(state)
+            res = residual(state, new)
+            if not math.isfinite(res):
+                trace.status = "diverged"
+                break
+            it += 1
+            extras = observe(new) if observe is not None else {}
+            trace.append(TraceRow(iteration=it, fp_residual=res, **extras))
+            state = new
+            if res <= stop.tol:
+                trace.status = "converged"
+    return state, trace
