@@ -213,10 +213,14 @@ def random_connected_graph(n, density=0.3, seed=0):
     for k in range(1, n):
         anchor = order[int(rng.integers(0, k))]
         edges.add((min(anchor, order[k]), max(anchor, order[k])))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (i, j) not in edges and rng.random() < density:
-                edges.add((i, j))
+    # one coin per non-tree pair, drawn at once; the (i < j) row-major order of
+    # the pairs is the order seeded graphs were always drawn in
+    free = np.triu(np.ones((n, n), dtype=bool), 1)
+    tree = np.array(list(edges), dtype=int).reshape(-1, 2)
+    free[tree[:, 0], tree[:, 1]] = False
+    i, j = np.nonzero(free)
+    keep = rng.random(i.size) < density
+    edges.update(zip(i[keep].tolist(), j[keep].tolist()))
     return Graph.from_edges(n, edges)
 
 
@@ -289,9 +293,15 @@ class BlockMixing:
         return min(self.w1.lambda_min, self.w2.lambda_min)
 
     def apply(self, z):
-        """One exchange per block: ``W1`` on the first ``split`` columns, ``W2`` on the rest."""
+        """One exchange per block: ``W1`` on the first ``split`` columns, ``W2`` on the rest.
+
+        When both blocks share one matrix (``w1 is w2``) a single product
+        covers all columns; each block still counts as its own exchange.
+        """
         if self.split is None:
             raise ValueError("split must be set to apply a block mixing to stacked rows")
+        if self.w1 is self.w2:
+            return self.w1.apply(z)
         z = np.asarray(z, dtype=float)
         left = self.w1.apply(np.ascontiguousarray(z[:, : self.split]))
         right = self.w2.apply(np.ascontiguousarray(z[:, self.split :]))

@@ -105,6 +105,30 @@ def test_random_connected_graph_is_connected_and_reproducible():
         assert g == random_connected_graph(8, density=0.2, seed=seed)
 
 
+def looped_random_connected_graph(n, density, seed):
+    """The one-coin-per-pair double loop that drew the random graphs before."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    edges = set()
+    for k in range(1, n):
+        anchor = order[int(rng.integers(0, k))]
+        edges.add((min(anchor, order[k]), max(anchor, order[k])))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (i, j) not in edges and rng.random() < density:
+                edges.add((i, j))
+    return Graph.from_edges(n, edges)
+
+
+@pytest.mark.parametrize("n, density, seed", [
+    (1, 0.3, 0), (2, 0.5, 1), (2, 1.0, 2), (3, 0.0, 3), (6, 1.0, 4), (9, 0.3, 5),
+    (40, 0.1, 6), (50, 0.1, 7), (120, 0.02, 11), (200, 0.6, 12),
+])
+def test_random_connected_graph_draws_the_looped_graph(n, density, seed):
+    g = random_connected_graph(n, density=density, seed=seed)
+    assert g.sorted_edges == looped_random_connected_graph(n, density, seed).sorted_edges
+
+
 # ---------------------------------------------------------------------------
 # laplacian
 # ---------------------------------------------------------------------------

@@ -285,16 +285,18 @@ def test_stacked_runs_exchange_once_per_round(run, premix):
 
 
 def test_minmax_run_exchanges_once_per_block_per_round():
+    """One product per block and round; blocks that share one matrix share one product."""
     n, p, d = 5, 2, 3
     problems = random_saddle_problems(n, p, d, seed=4, coupling_kind="quadratic")
     w1 = CountingMixing(metropolis_mixing(ring_graph(n)))
     w2 = CountingMixing(metropolis_mixing(random_connected_graph(n, 0.6, seed=4)))
-    mixing = BlockMixing(w1, w2)
-    tau = 0.8 * stepsize_bound_pair(mixing, max(prob.lipschitz for prob in problems))
-    _, _, trace = minmax_run(problems, mixing, rows(19, n=n, h=p), rows(20, n=n, h=d), tau,
-                             StoppingRule(tol=1e-10, max_iters=20000))
-    assert trace.converged and trace.iterations > 10
-    assert (w1.calls, w2.calls) == (trace.iterations, trace.iterations)
+    shared = CountingMixing(metropolis_mixing(ring_graph(n)))
+    for mixing in (BlockMixing(w1, w2), BlockMixing(shared, shared)):
+        tau = 0.8 * stepsize_bound_pair(mixing, max(prob.lipschitz for prob in problems))
+        _, _, trace = minmax_run(problems, mixing, rows(19, n=n, h=p), rows(20, n=n, h=d), tau,
+                                 StoppingRule(tol=1e-10, max_iters=20000))
+        assert trace.converged and trace.iterations > 10
+        assert (mixing.w1.calls, mixing.w2.calls) == (trace.iterations, trace.iterations)
 
 
 def test_a_state_without_its_cached_exchange_steps_the_same():

@@ -56,12 +56,12 @@ def test_block_mixing_lambda_min_is_the_worse_one():
 
 def test_block_mixing_apply_is_columnwise():
     w1 = metropolis_mixing(ring_graph(3))
-    w2 = metropolis_mixing(path_graph(3))
-    mixing = BlockMixing(w1, w2, split=2)
-    z = np.arange(15.0).reshape(3, 5)
-    out = mixing.apply(z)
-    assert_allclose(out[:, :2], w1.w @ z[:, :2])
-    assert_allclose(out[:, 2:], w2.w @ z[:, 2:])
+    for w2 in (metropolis_mixing(path_graph(3)), w1):  # two matrices, then one shared
+        mixing = BlockMixing(w1, w2, split=2)
+        z = np.arange(15.0).reshape(3, 5)
+        out = mixing.apply(z)
+        assert_allclose(out[:, :2], w1.w @ z[:, :2])
+        assert_allclose(out[:, 2:], w2.w @ z[:, 2:])
 
 
 def test_block_mixing_apply_needs_split():
