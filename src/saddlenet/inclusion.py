@@ -289,7 +289,9 @@ def _product_space_problem(agents, mixing, h):
     The ``n x h`` rows are flattened row-major; the coupling matrix applies
     the symmetric square root of ``(I - W)/2`` to each block's columns of the
     mixing's layout (:func:`~saddlenet.graphs.mixing_blocks`), and the dual
-    resolvent is the identity.
+    resolvent is the identity.  ``k_norm`` is passed in closed form,
+    ``sqrt((1 - lambda_min(W)) / 2)``: an SVD of the ``(n h) x (n h)``
+    coupling would cost O((n h)^3).
     """
     n = len(agents)
     k = np.zeros((n * h, n * h))

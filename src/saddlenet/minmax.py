@@ -218,7 +218,8 @@ def product_space_problem(problems, mixing, lipschitz=None):
     problem is the un-eliminated form of the decentralized iterations; it
     is also how the comparison tooling applies those baselines to networked
     instances.  ``lipschitz`` overrides the declared constant as in
-    :func:`stack_agents`.
+    :func:`stack_agents`.  The norm of the coupling is passed in closed form
+    rather than computed from the ``(n (p + d))``-square matrix.
     """
     return _product_space_problem(stack_agents(problems, lipschitz=lipschitz),
                                   stacked_block_mixing(mixing, problems),

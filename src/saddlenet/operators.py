@@ -179,37 +179,15 @@ def product_resolvent(first, second, split=None):
 # operator norms
 # ---------------------------------------------------------------------------
 
-def estimate_operator_norm(m, max_iters=500, tol=1e-12):
-    """Largest singular value of ``m`` by block power iteration on ``m' m``.
+def estimate_operator_norm(m):
+    """Largest singular value of ``m`` (exact, from an SVD); 0 for a zero matrix.
 
-    Deterministic (fixed seeded start).  The block has width two because the
-    singular values of (near-)skew matrices come in pairs, so the top of the
-    Gram spectrum is often a two-cluster that a single power vector cannot
-    resolve; a two-dimensional subspace captures the pair wholesale and its
-    top Ritz value converges at the healthy third-eigenvalue rate.  Stops
-    when that value is stable to a relative ``tol``; raises if the budget
-    runs out.  An exactly zero matrix returns 0.
+    The instance builders call this once per agent on small matrices.  Large
+    couplings such as the product-space ``K`` carry their norm in closed form
+    instead, since an SVD costs cubic time in their size.
     """
     m = np.atleast_2d(np.asarray(m, dtype=float))
-    if not np.any(m):
-        return 0.0
-    gram = m.T @ m
-    g = gram.shape[0]
-    rng = np.random.default_rng(20210905)
-    q, _ = np.linalg.qr(rng.standard_normal((g, min(2, g))))
-    lam_prev = 0.0
-    for it in range(max_iters):
-        z = gram @ q
-        if not np.any(z):
-            # the subspace fell into the kernel; perturb and go on
-            q, _ = np.linalg.qr(rng.standard_normal((g, min(2, g))))
-            continue
-        lam = float(np.linalg.eigvalsh(q.T @ z)[-1])
-        q, _ = np.linalg.qr(z)
-        if it >= 2 and abs(lam - lam_prev) <= tol * max(abs(lam), 1e-300):
-            return float(np.sqrt(max(lam, 0.0)))
-        lam_prev = lam
-    raise RuntimeError(f"operator norm estimate did not converge in {max_iters} iterations")
+    return float(np.linalg.norm(m, 2)) if np.any(m) else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +225,7 @@ def affine_forward(matrix, offset, lipschitz=None):
     matrix = np.asarray(matrix, dtype=float)
     offset = np.asarray(offset, dtype=float)
     if lipschitz is None:
-        lipschitz = estimate_operator_norm(matrix) if np.any(matrix) else 0.0
+        lipschitz = estimate_operator_norm(matrix)
     return ForwardOperator(lambda z: matrix @ z + offset, float(lipschitz), matrix)
 
 
@@ -297,7 +275,7 @@ def bilinear_coupling(m=None, a=None, b=None, p=None, d=None):
     b = np.zeros(d) if b is None else b
     if m.shape != (p, d) or a.shape != (p,) or b.shape != (d,):
         raise ValueError("inconsistent coupling dimensions")
-    lip = estimate_operator_norm(m) if np.any(m) else 0.0
+    lip = estimate_operator_norm(m)
 
     return SmoothCoupling(
         p=p,
@@ -325,7 +303,7 @@ def quadratic_coupling(p_matrix, m, r_matrix, a=None, b=None):
         if mat.size and float(np.linalg.eigvalsh(mat)[0]) < -1e-10:
             raise ValueError(f"{name} must be positive semidefinite")
     jac = np.block([[p_matrix, m], [-m.T, r_matrix]]) if p + d else np.zeros((0, 0))
-    lip = estimate_operator_norm(jac) if np.any(jac) else 0.0
+    lip = estimate_operator_norm(jac)
 
     def value(x, y):
         return (0.5 * float(x @ p_matrix @ x) + float(x @ m @ y)

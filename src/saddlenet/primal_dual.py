@@ -102,7 +102,9 @@ class PrimalDualProblem:
     ``J_{sigma C^{-1}}`` (identity when the dual has no regularizer), and
     ``k`` is the dense coupling matrix of shape (dual_dim, primal_dim); use
     an all-zero matrix for uncoupled problems.  ``k_norm`` is filled in by
-    power iteration when not supplied.
+    an exact SVD (:func:`~saddlenet.operators.estimate_operator_norm`) when
+    not supplied; a large ``k`` should come with its norm, since the SVD
+    costs cubic time in its size.
     """
 
     resolvent: object
@@ -115,8 +117,7 @@ class PrimalDualProblem:
         k = np.atleast_2d(np.asarray(self.k, dtype=float))
         object.__setattr__(self, "k", k)
         if self.k_norm is None:
-            norm = estimate_operator_norm(k) if np.any(k) else 0.0
-            object.__setattr__(self, "k_norm", norm)
+            object.__setattr__(self, "k_norm", estimate_operator_norm(k))
 
     @property
     def primal_dim(self):
@@ -303,13 +304,14 @@ class MMetric:
     """The block metric ``[[I/tau, -K'], [-K, I/sigma]]`` used by the analysis.
 
     Positive definite exactly when ``tau sigma ||K||^2 < 1``; construction
-    fails otherwise.  Vectors are ``(x, y)`` pairs.
+    fails otherwise.  Vectors are ``(x, y)`` pairs.  ``k_norm`` defaults to
+    the exact norm of ``k`` from an SVD.
     """
 
     def __init__(self, steps, k, k_norm=None):
         k = np.atleast_2d(np.asarray(k, dtype=float))
         if k_norm is None:
-            k_norm = estimate_operator_norm(k) if np.any(k) else 0.0
+            k_norm = estimate_operator_norm(k)
         if not steps.tau * steps.sigma * k_norm**2 < 1.0:
             raise StepSizeError("metric is not positive definite: tau*sigma*||K||^2 >= 1")
         self.steps = steps

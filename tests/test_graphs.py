@@ -269,3 +269,80 @@ def test_certify_both_constructions_on_corpus():
         lap_max = float(np.linalg.eigvalsh(laplacian(g)).max())
         con = mixing_from_laplacian(g, 0.75 * lap_max)
         assert certify_mixing(con.w, g).passed
+
+
+def eigenvector_certificate(w, graph, tol=1e-9):
+    """The earlier rule: a full ``eigh``, then the unit eigenvector against the ones vector."""
+    w = np.asarray(w, dtype=float)
+    n = graph.n
+    allowed = graph.adjacency().astype(bool) | np.eye(n, dtype=bool)
+    off_support = np.abs(np.where(allowed, 0.0, w))
+    decentralized = bool(off_support.max(initial=0.0) <= tol)
+    notes = []
+    if not decentralized:
+        i, j = np.unravel_index(np.argmax(off_support), w.shape)
+        notes.append(f"nonzero weight {w[i, j]!r} on non-edge ({i}, {j})")
+    symmetric = bool(np.abs(w - w.T).max(initial=0.0) <= tol)
+    if not symmetric:
+        notes.append("matrix is not symmetric; spectral checks skipped")
+        return dict(decentralized=decentralized, symmetric=False, kernel=False, spectral=False,
+                    lambda_min=float("nan"), lambda_max=float("nan"),
+                    unit_eigenvalue_multiplicity=0, notes=tuple(notes))
+    vals, vecs = np.linalg.eigh((w + w.T) / 2.0)
+    near_one = np.abs(vals - 1.0) <= tol
+    multiplicity = int(near_one.sum())
+    kernel = multiplicity == 1
+    if kernel:
+        v = vecs[:, int(np.argmax(near_one))]
+        ones = np.ones(n) / np.sqrt(n)
+        kernel = bool(min(np.abs(v - ones).max(), np.abs(v + ones).max()) <= tol)
+        if not kernel:
+            notes.append("unit eigenvector is not the consensus direction")
+    elif multiplicity == 0:
+        notes.append("no eigenvalue equal to 1")
+    else:
+        notes.append(f"eigenvalue 1 has multiplicity {multiplicity}")
+    spectral = bool(vals[-1] <= 1.0 + tol and vals[0] > -1.0 + tol)
+    if not spectral:
+        notes.append("eigenvalues must lie in (-1, 1]")
+    return dict(decentralized=decentralized, symmetric=True, kernel=kernel, spectral=spectral,
+                lambda_min=float(vals[0]), lambda_max=float(vals[-1]),
+                unit_eigenvalue_multiplicity=multiplicity, notes=tuple(notes))
+
+
+def _certificate_cases():
+    graphs = [path_graph(n) for n in range(2, 8)]
+    graphs += [ring_graph(n) for n in range(3, 8)]
+    graphs += [star_graph(n) for n in range(3, 8)]
+    graphs += [random_connected_graph(9, density=0.3, seed=s) for s in range(4)]
+    cases = []
+    for g in graphs:
+        lap_max = float(np.linalg.eigvalsh(laplacian(g)).max())
+        cases += [(metropolis_mixing(g).w, g), (mixing_from_laplacian(g, 0.75 * lap_max).w, g)]
+    cases += [
+        (np.eye(3), path_graph(3)),
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), path_graph(2)),
+        (metropolis_mixing(ring_graph(3)).w, path_graph(3)),
+        (np.array([[0.5, 0.5], [0.4, 0.6]]), path_graph(2)),
+        # eigenvalue 1 is simple, but its eigenvector is e_1
+        (np.diag([1.0, 0.5, 0.5]), path_graph(3)),
+    ]
+    return cases
+
+
+def test_eigenvalue_certificate_matches_the_eigenvector_rule():
+    for w, g in _certificate_cases():
+        cert = certify_mixing(w, g)
+        ref = eigenvector_certificate(w, g)
+        for name in ("decentralized", "symmetric", "kernel", "spectral",
+                     "unit_eigenvalue_multiplicity", "notes"):
+            assert getattr(cert, name) == ref[name], name
+        assert_allclose([cert.lambda_min, cert.lambda_max], [ref["lambda_min"], ref["lambda_max"]],
+                        rtol=0.0, atol=1e-12)
+
+
+def test_certify_simple_unit_eigenvalue_off_the_consensus_line_fails_kernel():
+    cert = certify_mixing(np.diag([1.0, 0.5, 0.5]), path_graph(3))
+    assert not cert.kernel and not cert.passed
+    assert cert.unit_eigenvalue_multiplicity == 1
+    assert cert.notes == ("unit eigenvector is not the consensus direction",)

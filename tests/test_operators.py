@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from saddlenet.instances import random_monotone_matrix
 from saddlenet.operators import (
     bilinear_coupling,
     box_prox,
@@ -150,6 +151,24 @@ def test_operator_norm_matches_svd():
 def test_operator_norm_rank_one():
     m = np.outer([1.0, 2.0], [3.0, 0.0, 4.0])
     assert_allclose(estimate_operator_norm(m), np.sqrt(5.0) * 5.0, rtol=1e-10)
+
+
+def _norm_corpus():
+    rng = np.random.default_rng(2024)
+    mats = [random_monotone_matrix(8, rng) for _ in range(200)]
+    for h in (2, 3, 4, 7, 8):  # pure skew: singular values come in equal pairs
+        a = rng.standard_normal((h, h))
+        mats.append(a - a.T)
+    mats += [rng.standard_normal(shape) for shape in ((3, 8), (8, 3), (1, 6), (6, 1))]
+    mats.append(np.outer(rng.standard_normal(5), rng.standard_normal(4)))
+    mats += [np.array([[-2.5]]), np.array([[1e-300]])]
+    return mats
+
+
+def test_operator_norm_is_the_top_singular_value_on_a_corpus():
+    for m in _norm_corpus():
+        assert_allclose(estimate_operator_norm(m), np.linalg.svd(m, compute_uv=False)[0],
+                        rtol=1e-13, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
