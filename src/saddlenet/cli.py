@@ -25,8 +25,8 @@ import sys
 import tempfile
 import time
 from dataclasses import replace
+from functools import cached_property
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .graphs import (
 )
 from .harness import InclusionProgram, PgExtraProgram, run_synchronous
 from .inclusion import (
+    _product_space_problem,
     _run_stacked,
     _stacked_columns,
     inclusion_init,
@@ -58,7 +59,6 @@ from .inclusion import (
 from .minmax import (
     minmax_init,
     minmax_step,
-    product_space_problem,
     stack_agents,
     stack_state,
     stacked_block_mixing,
@@ -112,27 +112,90 @@ def _apply_overrides(cfg, args):
     return replace(cfg, run=run)
 
 
-# The decentralized algorithms all run the stacked recursion; per algorithm:
-# (reflected forward difference, algorithm.init = premix allowed, needs d = 0)
-_DECENTRALIZED = {
-    "alg1": (True, True, False),
-    "alg2": (True, False, False),
-    "pg_extra": (False, True, True),
-}
+# The decentralized algorithms all run the stacked recursion; per algorithm,
+# whether the forward difference is reflected
+_DECENTRALIZED = {"alg1": True, "alg2": True, "pg_extra": False}
+_PREMIX = ("alg1", "pg_extra")  # the algorithms that take algorithm.init = premix
 
 
-def _round_mixing(name, mixing, problems):
+def _check_algorithm(name, setup):
+    """Raise :class:`ConfigError` when ``name`` cannot run on ``setup``."""
+    if setup.premix and name not in _PREMIX:
+        raise ConfigError(f"algorithm.init: premix is only available for {'/'.join(_PREMIX)}")
+    if name == "pg_extra" and setup.problems[0].d > 0:
+        raise ConfigError("algorithm.name: pg_extra handles minimization only (set d = 0)")
+    if name == "pdhg" and not all(_vanishes(a.forward, setup.z0.shape[1]) for a in setup.agents):
+        raise ConfigError("algorithm.name: pdhg drops the forward term, so every coupling "
+                          "gradient must vanish (coupling = zero)")
+
+
+def _vanishes(forward, h):
+    """Whether ``forward`` is zero everywhere: a zero Jacobian and zero at the origin."""
+    return (forward.jacobian is not None and not forward.jacobian.any()
+            and not forward(np.zeros(h)).any())
+
+
+def _reference_point(central, h, tol=1e-12, max_iters=2_000_000):
+    """High-accuracy reflected run of the summed problem's agent from the origin of R^h.
+
+    Returns the stacked point ``(x, y)`` and whether the run converged.
+    """
+    lip = central.lipschitz
+    tau = 0.45 / lip if lip > 0 else 1.0
+    state, trace = forb_run(central.resolvent, central.forward, np.zeros(h), tau,
+                            StoppingRule(tol=tol, max_iters=max_iters))
+    return state.x, trace.converged
+
+
+class _Setup:
+    """What the algorithms of one config run on, built once per command.
+
+    The summed problem's agent (forb, the reference) and the product-space
+    problem (pdtr, pdhg, condat_vu) are built on first use.  Every algorithm
+    in ``names`` is checked before anything runs; the reference (the stacked
+    ``(x, y)`` point, or None) runs only if the config asks for it and an
+    algorithm is named.
+    """
+
+    def __init__(self, cfg, names=()):
+        self.problems = build_problems(cfg)
+        self.mixing = build_block_mixing(cfg)
+        self.lip = declared_lipschitz(cfg, self.problems)
+        self.tau, self.sigma = resolve_steps(cfg, self.mixing, self.lip)
+        self.stop = StoppingRule(tol=cfg.run.tol, max_iters=cfg.run.max_iters)
+        self.z0 = np.concatenate(build_start(cfg), axis=1)
+        self.premix = cfg.algorithm.init == "premix"
+        self.agents = stack_agents(self.problems, lipschitz=self.lip)
+        self.block_mixing = stacked_block_mixing(self.mixing, self.problems)
+        for name in names:
+            _check_algorithm(name, self)
+        self.reference, self.reference_converged = (
+            _reference_point(self.central, self.z0.shape[1]) if cfg.run.reference and names
+            else (None, True))
+
+    @cached_property
+    def central(self):
+        return stack_agents([sum_saddle_problem(self.problems)])[0]
+
+    @cached_property
+    def product_space(self):
+        return _product_space_problem(self.agents, self.block_mixing, self.z0.shape[1])
+
+
+def _round_mixing(name, setup):
     """The mixing whose blocks a decentralized run exchanges over; None if centralized.
 
-    Without a y block only the x block travels.  Otherwise alg2 sends an x
-    and a y vector; the stacked alg1/pg_extra rows travel as one vector when
-    both blocks mix alike, and as an x and a y vector when they do not.
+    alg2 sends an x and a y vector; the stacked alg1/pg_extra rows travel as
+    one vector when both blocks mix alike, and as an x and a y vector when
+    they do not.  Without a y block only the x block travels
+    (:func:`~saddlenet.graphs.mixing_blocks`).
     """
     if name not in _DECENTRALIZED:
         return None
-    if problems[0].d == 0 or (name != "alg2" and np.array_equal(mixing.w1.w, mixing.w2.w)):
+    mixing = setup.mixing
+    if name != "alg2" and np.array_equal(mixing.w1.w, mixing.w2.w):
         return mixing.w1
-    return stacked_block_mixing(mixing, problems)
+    return setup.block_mixing
 
 
 class AlgoResult:
@@ -144,58 +207,19 @@ class AlgoResult:
         self.info = info
 
 
-def _reference_point(problems, tol=1e-12, max_iters=2_000_000):
-    """High-accuracy centralized reflected run on the summed problem.
-
-    Returns the stacked point ``(x, y)`` and whether the run converged.
-    """
-    central = stack_agents([sum_saddle_problem(problems)])[0]
-    lip = central.lipschitz
-    tau = 0.45 / lip if lip > 0 else 1.0
-    z0 = np.zeros(problems[0].p + problems[0].d)
-    state, trace = forb_run(central.resolvent, central.forward, z0, tau,
-                            StoppingRule(tol=tol, max_iters=max_iters))
-    return state.x, trace.converged
-
-
-def _setup(cfg):
-    """What every algorithm of one config shares: instance, mixing, L, steps, budget, reference.
-
-    ``reference`` is the stacked ``(x, y)`` reference point, or None.
-    """
-    problems = build_problems(cfg)
-    mixing = build_block_mixing(cfg)
-    lip = declared_lipschitz(cfg, problems)
-    tau, sigma = resolve_steps(cfg, mixing, lip)
-    reference, converged = _reference_point(problems) if cfg.run.reference else (None, True)
-    return SimpleNamespace(problems=problems, mixing=mixing, lip=lip, tau=tau, sigma=sigma,
-                           stop=StoppingRule(tol=cfg.run.tol, max_iters=cfg.run.max_iters),
-                           reference=reference, reference_converged=converged)
-
-
 def _execute(name, cfg, setup):
-    problems, mixing, tau, stop = setup.problems, setup.mixing, setup.tau, setup.stop
-    p, d = problems[0].p, problems[0].d
-    z0 = np.concatenate(build_start(cfg), axis=1)  # the stacked (x, y) start rows
-    premix = cfg.algorithm.init == "premix"
-    ref = setup.reference
-    split = p if d else None
+    tau, stop, z0, ref = setup.tau, setup.stop, setup.z0, setup.reference
+    p = setup.problems[0].p
+    split = p if z0.shape[1] > p else None
     t0 = time.perf_counter()
     info = {"tau": tau, "sigma": setup.sigma}
 
     if name in _DECENTRALIZED:
-        reflect, premix_allowed, minimization_only = _DECENTRALIZED[name]
-        if premix and not premix_allowed:
-            allowed = "/".join(k for k, row in _DECENTRALIZED.items() if row[1])
-            raise ConfigError(f"algorithm.init: premix is only available for {allowed}")
-        if minimization_only and d > 0:
-            raise ConfigError(f"algorithm.name: {name} handles minimization only (set d = 0)")
-        state, trace = _run_stacked(stack_agents(problems, lipschitz=setup.lip),
-                                    stacked_block_mixing(mixing, problems), z0, tau, stop, premix,
-                                    ref, reflect, split)
+        state, trace = _run_stacked(setup.agents, setup.block_mixing, z0, tau, stop, setup.premix,
+                                    ref, _DECENTRALIZED[name], split)
         point = state.x.mean(axis=0)
     elif name == "forb":
-        central = stack_agents([sum_saddle_problem(problems)])[0]
+        central = setup.central
         lip = central.lipschitz
         tau_f = tau
         if cfg.algorithm.tau == "auto" and lip > 0:
@@ -212,7 +236,7 @@ def _execute(name, cfg, setup):
                                 observe=observe)
         point = state.x
     else:  # the centralized primal-dual methods on the product-space problem
-        problem = product_space_problem(problems, mixing, lipschitz=setup.lip)
+        problem = setup.product_space
         columns = _stacked_columns(ref, split)
         runner = {"pdtr": pdtr_run, "pdhg": pdhg_run, "condat_vu": condat_vu_run}[name]
         state, trace = runner(problem, (z0.reshape(-1), np.zeros(problem.dual_dim)),
@@ -222,9 +246,9 @@ def _execute(name, cfg, setup):
 
     info["wall_time"] = time.perf_counter() - t0
     per_round = None
-    round_mixing = _round_mixing(name, mixing, problems)
+    round_mixing = _round_mixing(name, setup)
     if round_mixing is not None:
-        per_round = sum(2 * len(m.graph.edges) for _, m, _, _ in mixing_blocks(round_mixing))
+        per_round = sum(2 * len(m.graph.edges) for _, m, _ in mixing_blocks(round_mixing, z0.shape[1]))
         trace.rows[:] = [replace(row, messages_cum=row.iteration * per_round) for row in trace.rows]
     info["messages_per_round"] = per_round
     return AlgoResult(name, trace, point[:p], point[p:], info)
@@ -271,15 +295,12 @@ def _summary_text(cfg, result, stop, extra_lines=()):
 _AUDIT_CAP = 2000
 
 
-def _audit_run(cfg, name, setup, rounds):
+def _audit_run(name, setup, rounds):
     """Re-execute a decentralized run through the message-passing harness."""
     rounds = min(rounds, _AUDIT_CAP)
-    reflect, _, _ = _DECENTRALIZED[name]
-    program_type = InclusionProgram if reflect else PgExtraProgram
-    program = program_type(stack_agents(setup.problems, lipschitz=setup.lip),
-                           _round_mixing(name, setup.mixing, setup.problems),
-                           np.concatenate(build_start(cfg), axis=1), setup.tau,
-                           premix=cfg.algorithm.init == "premix")
+    program_type = InclusionProgram if _DECENTRALIZED[name] else PgExtraProgram
+    program = program_type(setup.agents, _round_mixing(name, setup), setup.z0, setup.tau,
+                           premix=setup.premix)
     _, audits = run_synchronous(program, rounds, audit=True)
     lines = ["round,messages,bytes,illegal_attempts"]
     for a in audits:
@@ -297,7 +318,7 @@ def cmd_run(args):
     if len(cfg.algorithm.names) != 1:
         raise ConfigError("algorithm.name: run needs exactly one algorithm")
     name = cfg.algorithm.names[0]
-    setup = _setup(cfg)
+    setup = _Setup(cfg, (name,))
     result = _execute(name, cfg, setup)
 
     outdir = Path(args.out)
@@ -306,7 +327,7 @@ def cmd_run(args):
     audit_text = None
     if args.audit:
         if name in _DECENTRALIZED:
-            audit_text, rounds, illegal = _audit_run(cfg, name, setup, result.trace.iterations)
+            audit_text, rounds, illegal = _audit_run(name, setup, result.trace.iterations)
             extra.append(f"audit: {rounds} rounds re-executed on the message harness, "
                          f"{illegal} illegal reads")
         else:
@@ -352,114 +373,90 @@ def cmd_check_mixing(args):
     return EXIT_OK if cert.passed else EXIT_CHECK_FAILED
 
 
-def _verify_rows(cfg):
-    """The equivalence corpus on the configured instance."""
-    problems = build_problems(cfg)
-    mixing = build_block_mixing(cfg)
-    lip = declared_lipschitz(cfg, problems)
-    tau = cfg.algorithm.safety * (1.0 + mixing.lambda_min) / (4.0 * lip)
-    x0, y0 = build_start(cfg)
-    z0 = np.concatenate([x0, y0], axis=1)
-    agents = stack_agents(problems, lipschitz=lip)
-    bm = stacked_block_mixing(mixing, problems)
+def _iterates(step, state, rounds):
+    """``state`` and the ``rounds`` states that ``step`` makes from it, lazily."""
+    yield state
+    for _ in range(rounds):
+        state = step(state)
+        yield state
+
+
+def _max_gap(pairs):
+    """Largest entry-wise gap between the arrays of each ``(a, b)`` pair."""
+    return max(float(np.abs(a - b).max(initial=0.0)) for a, b in pairs)
+
+
+def _verify_rows(setup):
+    """The equivalence corpus on the configured instance, at the configured step."""
+    problems, mixing, agents, bm = setup.problems, setup.mixing, setup.agents, setup.block_mixing
+    tau, z0, h = setup.tau, setup.z0, setup.z0.shape[1]
+    p = problems[0].p
     rows = []
+
+    def inclusion(state):
+        return inclusion_step(agents, bm, state, tau)
 
     # decentralized recursion against the explicit product-space iteration
     iters = 200
-    seq = product_space_reference(agents, bm, z0, tau, iters,
-                                  premix=cfg.algorithm.init == "premix")
-    state = inclusion_init(agents, bm, z0, tau, premix=cfg.algorithm.init == "premix")
-    dev = float(np.abs(state.x - seq[0]).max(initial=0.0))
-    for k in range(1, iters):
-        state = inclusion_step(agents, bm, state, tau)
-        dev = max(dev, float(np.abs(state.x - seq[k]).max(initial=0.0)))
-    rows.append(("recursion vs explicit coupled form", dev, 1e-10))
+    seq = product_space_reference(agents, bm, z0, tau, iters, premix=setup.premix)
+    states = _iterates(inclusion, inclusion_init(agents, bm, z0, tau, premix=setup.premix), iters - 1)
+    rows.append(("recursion vs explicit coupled form",
+                 _max_gap((s.x, x) for s, x in zip(states, seq)), 1e-10))
 
     # min-max iteration against the stacked inclusion
-    mm = minmax_init(problems, mixing, x0, y0, tau)
-    st = inclusion_init(agents, bm, z0, tau)
-    dev = float(np.abs(stack_state(mm).x - st.x).max(initial=0.0))
-    for _ in range(50):
-        mm = minmax_step(problems, mixing, mm, tau)
-        st = inclusion_step(agents, bm, st, tau)
-        dev = max(dev, float(np.abs(stack_state(mm).x - st.x).max(initial=0.0)))
-    rows.append(("two-block iteration vs stacked single-block", dev, 1e-14))
+    mm = _iterates(lambda s: minmax_step(problems, mixing, s, tau),
+                   minmax_init(problems, mixing, z0[:, :p], z0[:, p:], tau), 50)
+    st = _iterates(inclusion, inclusion_init(agents, bm, z0, tau), 50)
+    rows.append(("two-block iteration vs stacked single-block",
+                 _max_gap((stack_state(a).x, b.x) for a, b in zip(mm, st)), 1e-14))
 
     # reduction: no forward term -> plain primal-dual (PDHG)
-    base = product_space_problem(problems, mixing, lipschitz=lip)
-    nil = PrimalDualProblem(
-        resolvent=base.resolvent,
-        forward=ForwardOperator(lambda z: np.zeros_like(z), 0.0),
-        dual_resolvent=base.dual_resolvent,
-        k=base.k,
-        k_norm=base.k_norm,
-    )
+    base = setup.product_space
+    nil = replace(base, forward=ForwardOperator(lambda z: np.zeros_like(z), 0.0))
     steps = StepSizes(tau, 1.0 / tau)
-    flat0 = z0.reshape(-1)
-    a = PdtrState.start(nil, flat0, np.zeros(nil.dual_dim))
-    b = PdtrState.start(nil, flat0, np.zeros(nil.dual_dim))
-    dev = 0.0
-    for _ in range(100):
-        a = pdtr_step(nil, a, steps)
-        b = pdhg_step(nil, b, steps)
-        dev = max(dev, float(np.abs(a.x - b.x).max(initial=0.0)),
-                  float(np.abs(a.y - b.y).max(initial=0.0)))
-    rows.append(("zero forward term vs plain primal-dual", dev, 1e-14))
+    start = PdtrState.start(nil, z0.reshape(-1), np.zeros(nil.dual_dim))
+    pairs = zip(_iterates(lambda s: pdtr_step(nil, s, steps), start, 100),
+                _iterates(lambda s: pdhg_step(nil, s, steps), start, 100))
+    rows.append(("zero forward term vs plain primal-dual",
+                 _max_gap(pair for a, b in pairs for pair in ((a.x, b.x), (a.y, b.y))), 1e-14))
 
     # reduction: no coupling -> reflected forward-backward + proximal point
-    central = stack_agents([sum_saddle_problem(problems)])[0]
-    resolvent, forward = central.resolvent, central.forward
-    hdim = z0.shape[1]
+    resolvent, forward = setup.central.resolvent, setup.central.forward
     lip_s = max(forward.lipschitz, 1e-12)
     free = PrimalDualProblem(
         resolvent=resolvent,
         forward=forward,
         dual_resolvent=l1_prox(0.1),
-        k=np.zeros((hdim, hdim)),
+        k=np.zeros((h, h)),
         k_norm=0.0,
     )
     tau_c = 0.9 / (2.0 * lip_s)
     steps_c = StepSizes(tau_c, 1.0)
-    z_start = np.concatenate([x0[0], y0[0]])
-    y_start = np.linspace(-1.0, 1.0, hdim)
-    pd = PdtrState.start(free, z_start, y_start)
-    fb = ForbState.start(forward, z_start)
-    ytrack = y_start.copy()
-    dev = 0.0
-    for _ in range(100):
-        pd = pdtr_step(free, pd, steps_c)
-        fb = forb_step(resolvent, forward, fb, tau_c)
-        ytrack = free.dual_resolvent(steps_c.sigma, ytrack)
-        dev = max(dev, float(np.abs(pd.x - fb.x).max(initial=0.0)),
-                  float(np.abs(pd.y - ytrack).max(initial=0.0)))
-    rows.append(("no coupling vs reflected step + proximal point", dev, 1e-14))
+    z_start, y_start = z0[0], np.linspace(-1.0, 1.0, h)
+    pd = _iterates(lambda s: pdtr_step(free, s, steps_c), PdtrState.start(free, z_start, y_start), 100)
+    fb = _iterates(lambda s: forb_step(resolvent, forward, s, tau_c),
+                   ForbState.start(forward, z_start), 100)
+    dual = _iterates(lambda y: free.dual_resolvent(steps_c.sigma, y), y_start, 100)
+    rows.append(("no coupling vs reflected step + proximal point",
+                 _max_gap(pair for a, b, y in zip(pd, fb, dual) for pair in ((a.x, b.x), (a.y, y))),
+                 1e-14))
 
     # reduction: identity coupling -> three-line reflected splitting
-    ident = PrimalDualProblem(
-        resolvent=resolvent,
-        forward=forward,
-        dual_resolvent=l1_prox(0.1),
-        k=np.eye(hdim),
-        k_norm=1.0,
-    )
-    sigma_i = 1.0
-    gamma = 1.0 / sigma_i
+    ident = replace(free, k=np.eye(h), k_norm=1.0)
+    gamma = 1.0  # = 1 / sigma
     tau_i = 0.9 * gamma / (1.0 + 2.0 * gamma * lip_s)
-    steps_i = StepSizes(tau_i, sigma_i)
-    a = PdtrState.start(ident, z_start, y_start)
-    b = PdtrState.start(ident, z_start, y_start)
-    dev = 0.0
-    for _ in range(50):
-        a = pdtr_step(ident, a, steps_i)
-        b = frdr_step(ident, b, gamma, tau_i)
-        dev = max(dev, float(np.abs(a.x - b.x).max(initial=0.0)))
-    rows.append(("identity coupling vs reflected three-line form", dev, 1e-12))
+    steps_i = StepSizes(tau_i, 1.0 / gamma)
+    start = PdtrState.start(ident, z_start, y_start)
+    pairs = zip(_iterates(lambda s: pdtr_step(ident, s, steps_i), start, 50),
+                _iterates(lambda s: frdr_step(ident, s, gamma, tau_i), start, 50))
+    rows.append(("identity coupling vs reflected three-line form",
+                 _max_gap((a.x, b.x) for a, b in pairs), 1e-12))
     return rows
 
 
 def cmd_verify(args):
     cfg = _apply_overrides(load_config(args.config), args)
-    rows = _verify_rows(cfg)
+    rows = _verify_rows(_Setup(cfg))
     width = max(len(name) for name, _, _ in rows)
     ok = True
     for name, dev, tol in rows:
@@ -476,7 +473,7 @@ def cmd_compare(args):
     names = cfg.algorithm.names
     if len(names) < 2:
         raise ConfigError("algorithm.name: compare needs at least two algorithms")
-    setup = _setup(cfg)
+    setup = _Setup(cfg, names)
     results = [_execute(name, cfg, setup) for name in names]
 
     outdir = Path(args.out)

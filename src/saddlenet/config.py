@@ -244,15 +244,17 @@ def _parse_section(parser, name):
 
 def _check(cfg):
     """The checks that involve more than one key's cast."""
-    problem, algorithm, run = cfg.problem, cfg.algorithm, cfg.run
+    problem, mixing, algorithm, run = cfg.problem, cfg.mixing, cfg.algorithm, cfg.run
     if problem.n < 1:
         _fail("problem.n", "must be at least 1")
     if problem.p < 1:
         _fail("problem.p", "must be at least 1")
     if problem.d < 0:
         _fail("problem.d", "must be nonnegative")
-    if cfg.mixing.scheme == "laplacian" and cfg.mixing.alpha is None:
+    if mixing.scheme == "laplacian" and mixing.alpha is None:
         _fail("mixing.alpha", "required for the laplacian scheme")
+    if mixing.scheme_y == "laplacian" and mixing.alpha is None and mixing.alpha_y is None:
+        _fail("mixing.alpha_y", "required for the laplacian scheme")
     if not 0.0 < algorithm.safety < 1.0:
         _fail("algorithm.safety", "must lie in (0, 1)")
     if algorithm.tau != "auto" and algorithm.tau <= 0:
@@ -344,12 +346,8 @@ def _build_graph(n, topology, density, seed, edges, edges_file, where):
     return g
 
 
-def _build_mixing(g, scheme, alpha, where):
-    if scheme == "metropolis":
-        return metropolis_mixing(g)
-    if alpha is None:
-        _fail(where, "alpha required for the laplacian scheme")
-    return mixing_from_laplacian(g, alpha)
+def _build_mixing(g, scheme, alpha):
+    return metropolis_mixing(g) if scheme == "metropolis" else mixing_from_laplacian(g, alpha)
 
 
 def build_block_mixing(cfg):
@@ -371,22 +369,18 @@ def build_block_mixing(cfg):
     else:
         gy = gx
     m = cfg.mixing
-    w1 = _build_mixing(gx, m.scheme, m.alpha, "mixing")
+    w1 = _build_mixing(gx, m.scheme, m.alpha)
     if has_y or m.scheme_y is not None or m.alpha_y is not None:
-        w2 = _build_mixing(gy, m.scheme_y or m.scheme,
-                           m.alpha if m.alpha_y is None else m.alpha_y, "mixing")
+        w2 = _build_mixing(gy, m.scheme_y or m.scheme, m.alpha if m.alpha_y is None else m.alpha_y)
     else:
         w2 = w1
     return BlockMixing(w1, w2, split=cfg.problem.p)
 
 
 def _prox_from_config(kind, weight, lo, hi, where):
+    """Each factory takes the keys of its kind and ignores the others."""
     try:
-        if kind == "l1":
-            return make_prox("l1", weight=weight)
-        if kind == "box_indicator":
-            return make_prox("box_indicator", lo=lo, hi=hi)
-        return make_prox(kind)
+        return make_prox(kind, weight=weight, lo=lo, hi=hi)
     except ValueError as exc:
         _fail(where, str(exc))
 

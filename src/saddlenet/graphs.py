@@ -308,18 +308,21 @@ class BlockMixing:
         return np.concatenate([left, right], axis=1)
 
 
-def mixing_blocks(mixing):
-    """Block layout of a mixing: one ``(name, matrix, lo, hi)`` per column block.
+def mixing_blocks(mixing, h):
+    """What a round sends on rows of width ``h``: one ``(name, matrix, columns)`` per block.
 
     A :class:`BlockMixing` is block ``"x"`` on ``w1`` over columns
-    ``[0, split)`` and block ``"y"`` on ``w2`` over the rest (``hi = None``);
-    any other mixing is the single block ``"x"`` over all columns.
+    ``[0, split)`` and block ``"y"`` on ``w2`` over the rest; any other
+    mixing is the single block ``"x"`` over all columns.  A block without
+    columns (``"y"`` when ``split = h``) sends nothing and is left out.
     """
     if isinstance(mixing, BlockMixing):
         if mixing.split is None:
             raise ValueError("split must be set to lay out a block mixing")
-        return (("x", mixing.w1, 0, mixing.split), ("y", mixing.w2, mixing.split, None))
-    return (("x", mixing, 0, None),)
+        blocks = (("x", mixing.w1, slice(0, mixing.split)), ("y", mixing.w2, slice(mixing.split, h)))
+    else:
+        blocks = (("x", mixing, slice(0, h)),)
+    return tuple(block for block in blocks if range(h)[block[2]])
 
 
 @dataclass(frozen=True)

@@ -198,9 +198,9 @@ _KEYS = {"u": "u", "x": "z", "prev_x": "prev_z", "v": "v", "prev_v": "prev_v",
 class _RecursionProgram:
     """Agent-local form of the stacked recursion of :mod:`saddlenet.inclusion`.
 
-    Every block of the mixing's layout (:func:`~saddlenet.graphs.mixing_blocks`)
-    that has columns publishes the agent's columns of that block on its own
-    graph once per round.
+    Every block that a round sends (:func:`~saddlenet.graphs.mixing_blocks`)
+    publishes the agent's columns of that block on its own graph once per
+    round.
     Round 1 runs the bootstrap (using the neighbor values only when premixing);
     later rounds apply the dense step's update with the agent's own resolvent
     and forward map.  The previous round's mix stays in the agent's state, so
@@ -214,11 +214,9 @@ class _RecursionProgram:
         self.tau = tau
         self.premix = premix
         self.reflect = reflect
-        h = self.x0.shape[1]
-        # a block without columns (the y block when d = 0) sends nothing
-        layout = [(name, m, lo, hi) for name, m, lo, hi in mixing_blocks(mixing) if range(h)[lo:hi]]
-        self.blocks = {name: m.graph for name, m, _, _ in layout}
-        self._layout = [(name, _weight_rows(m), slice(lo, hi)) for name, m, lo, hi in layout]
+        layout = mixing_blocks(mixing, self.x0.shape[1])
+        self.blocks = {name: m.graph for name, m, _ in layout}
+        self._layout = [(name, _weight_rows(m), cols) for name, m, cols in layout]
 
     def _with_blocks(self, state):
         """``state`` plus each block's columns of the current row ``z``."""

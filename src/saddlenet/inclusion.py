@@ -295,9 +295,9 @@ def _product_space_problem(agents, mixing, h):
     """
     n = len(agents)
     k = np.zeros((n * h, n * h))
-    for _, m, lo, hi in mixing_blocks(mixing):
+    for _, m, cols in mixing_blocks(mixing, h):
         mask = np.zeros(h)
-        mask[lo:hi] = 1.0
+        mask[cols] = 1.0
         k += np.kron(_psd_sqrt((np.eye(n) - m.w) / 2.0), np.diag(mask))
     kernels = _AgentKernels.build(agents, h)
 

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from saddlenet import cli
 from saddlenet.cli import main
+from saddlenet.graphs import mixing_from_laplacian, random_connected_graph, ring_graph
+from saddlenet.instances import seeded_couplings
 
 FAST_MINMAX = """
 [problem]
@@ -107,10 +110,11 @@ def test_run_rejects_multiple_algorithms(tmp_path, capsys):
 
 
 def test_run_premix_only_for_the_inclusion_methods(tmp_path, capsys):
-    text = swap(FAST_MINMAX, "name = alg2", "name = alg2\ninit = premix")
-    cfg = write(tmp_path, text)
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "premix" in capsys.readouterr().err
+    for name in ("alg2", "pdtr", "pdhg", "forb", "condat_vu"):
+        text = swap(FAST_MINMAX, "name = alg2", f"name = {name}\ninit = premix")
+        cfg = write(tmp_path, text)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "algorithm.init: premix is only available for alg1/pg_extra" in capsys.readouterr().err
 
 
 def test_run_alg1_with_audit(tmp_path):
@@ -326,3 +330,144 @@ def test_compare_exit_three_when_nothing_converges(tmp_path):
     out = tmp_path / "o"
     assert main(["compare", "--config", cfg, "--out", str(out),
                  "--max-iters", "50"]) == 3
+
+
+# ---------------------------------------------------------------------------
+# one set-up per config
+# ---------------------------------------------------------------------------
+
+README_MINMAX = """
+[problem]
+n = 5
+p = 3
+d = 3
+prox_f = l1
+prox_f_weight = 0.3
+prox_g = box_indicator
+prox_g_lo = -1.0
+prox_g_hi = 1.0
+coupling = bilinear
+seed = 3
+
+[graph]
+topology = ring
+
+[algorithm]
+name = alg2
+
+[run]
+max_iters = 100000
+tol = 1e-10
+reference = on
+"""
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Counts every solver and reference call the CLI makes."""
+    calls = []
+    for name in ("_run_stacked", "forb_run", "pdtr_run", "pdhg_run", "condat_vu_run",
+                 "_reference_point"):
+        def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("command, edits, message", [
+    ("compare", [("name = alg2", "name = alg2, pg_extra")], "algorithm.name: pg_extra handles"),
+    ("run", [("name = alg2", "name = pdtr\ninit = premix")], "algorithm.init: premix is only"),
+    ("run", [("name = alg2", "name = pdhg")], "algorithm.name: pdhg drops the forward term"),
+    ("run", [("name = alg2", "name = pdhg"), ("seed = 3", "seed = 3\ncoupling_a = 1.0, 0.0, 0.0")],
+     "algorithm.name: pdhg drops the forward term"),
+    ("compare", [("name = alg2", "name = alg1, forb, pdhg")], "algorithm.name: pdhg drops"),
+], ids=["compare-alg2-pg_extra", "premix-pdtr", "pdhg-coupled", "pdhg-offset-only",
+        "compare-pdhg-last"])
+def test_requirements_are_checked_before_any_work(tmp_path, capsys, work, command, edits, message):
+    text = README_MINMAX
+    for old, new in edits:
+        text = swap(text, old, new)
+    out = tmp_path / "out"
+    assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert work == []
+    assert not out.exists()
+
+
+def test_pdhg_runs_when_every_coupling_gradient_vanishes(tmp_path):
+    text = swap(swap(README_MINMAX, "coupling = bilinear", "coupling = zero\nx0 = 1.0, 0.0, -2.0\n"
+                     "y0 = 0.5, 0.5, 0.5"), "name = alg2", "name = pdhg")
+    out = tmp_path / "out"
+    assert main(["run", "--config", write(tmp_path, text), "--out", str(out)]) == 0
+    summary = (out / "summary.txt").read_text()
+    assert "converged = yes" in summary
+    assert int(summary.split("iterations = ")[1].splitlines()[0]) > 1
+
+
+def test_compare_shares_the_stacked_agents_and_one_product_space_problem(tmp_path, monkeypatch):
+    built, stacked = [], []
+
+    def product_space(*args):
+        built.append(args)
+        return original(*args)
+
+    def run_stacked(agents, *args):
+        stacked.append(agents)
+        return run_original(agents, *args)
+
+    original, run_original = cli._product_space_problem, cli._run_stacked
+    monkeypatch.setattr(cli, "_product_space_problem", product_space)
+    monkeypatch.setattr(cli, "_run_stacked", run_stacked)
+    text = swap(FAST_MINMAX, "name = alg2", "name = alg1, alg2, pdtr, condat_vu")
+    assert main(["compare", "--config", write(tmp_path, text), "--out", str(tmp_path / "o"),
+                 "--max-iters", "50"]) in (0, 3)
+    assert len(built) == 1
+    assert len(stacked) == 2 and stacked[0] is stacked[1]
+
+
+def test_verify_runs_at_the_configured_step(tmp_path, capsys):
+    cfg = write(tmp_path, swap(FAST_MINMAX, "name = alg2", "name = alg2\ntau = 1.0"))
+    assert main(["verify", "--config", cfg]) == 2
+    assert "step size exceeds its bound" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# config paths
+# ---------------------------------------------------------------------------
+
+def _laplacian_tau():
+    lip = max(c.lipschitz for c in seeded_couplings(3, 1, 1, 0, kind="quadratic"))
+    return 0.9 * (1.0 + mixing_from_laplacian(ring_graph(3), 4.0).lambda_min) / (4.0 * lip)
+
+
+# alg2 sends an x and a y vector on every edge in both directions
+RANDOM_MESSAGES = 4 * len(random_connected_graph(3, density=0.5, seed=4).edges)
+
+
+@pytest.mark.parametrize("argv, edits, code, where, expected", [
+    (["run"], [("topology = ring", "topology = random\ndensity = 0.5\nseed = 4")], 0,
+     "summary.txt", f"messages per round = {RANDOM_MESSAGES}\n"),
+    (["run"], [("topology = ring", "topology = ring\n\n[mixing]\nscheme = laplacian\nalpha = 4.0")],
+     0, "summary.txt", f"tau = {_laplacian_tau()!r}\n"),
+    (["run"], [("topology = ring", "edges_file = {tmp}/path.edges")], 0,
+     "summary.txt", "messages per round = 8\n"),
+    (["run"], [("name = alg2", "name = forb"), ("tol = 1e-10", "tol = 1e-10\nreference = on")], 0,
+     "trace.csv", "iteration,fp_residual,distance_to_reference\n"),
+    (["run", "--tol", "1e-6"], [], 0, "summary.txt", "converged = yes (tol = 1e-06)\n"),
+    (["check-mixing", "{tmp}/path.edges", "--scheme", "laplacian"], None, 2,
+     "stderr", "laplacian scheme needs --alpha"),
+], ids=["random-topology", "laplacian-scheme", "edges-file", "forb-reference", "tol-override",
+        "check-mixing-laplacian-without-alpha"])
+def test_config_paths_reach_their_output(tmp_path, capsys, argv, edits, code, where, expected):
+    (tmp_path / "path.edges").write_text("0 1\n1 2\n", encoding="utf-8")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    out = tmp_path / "out"
+    if edits is not None:
+        text = FAST_MINMAX
+        for old, new in edits:
+            text = swap(text, old, new.format(tmp=tmp_path))
+        argv[1:1] = ["--config", write(tmp_path, text), "--out", str(out)]
+    assert main(argv) == code
+    text = capsys.readouterr().err if where == "stderr" else (out / where).read_text()
+    assert expected in text

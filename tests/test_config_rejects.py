@@ -28,3 +28,8 @@ def test_infinite_box_bounds_stay_legal_and_round_trip():
 def test_keys_under_default_are_an_unknown_section():
     with pytest.raises(ConfigError, match=r"^DEFAULT: unknown section$"):
         parse_config("[DEFAULT]\nn = 3\n[problem]\n[graph]\n")
+
+
+def test_a_laplacian_y_block_needs_a_weight():
+    with pytest.raises(ConfigError, match=r"^mixing.alpha_y: required for the laplacian scheme$"):
+        parse_config("[mixing]\nscheme_y = laplacian\n")
