@@ -40,6 +40,7 @@ from .config import (
     resolve_steps,
 )
 from .graphs import (
+    _laplacian_weights,
     _metropolis_weights,
     certify_mixing,
     is_connected,
@@ -115,13 +116,10 @@ def _apply_overrides(cfg, args):
 # The decentralized algorithms all run the stacked recursion; per algorithm,
 # whether the forward difference is reflected
 _DECENTRALIZED = {"alg1": True, "alg2": True, "pg_extra": False}
-_PREMIX = ("alg1", "pg_extra")  # the algorithms that take algorithm.init = premix
 
 
 def _check_algorithm(name, setup):
     """Raise :class:`ConfigError` when ``name`` cannot run on ``setup``."""
-    if setup.premix and name not in _PREMIX:
-        raise ConfigError(f"algorithm.init: premix is only available for {'/'.join(_PREMIX)}")
     if name == "pg_extra" and setup.problems[0].d > 0:
         raise ConfigError("algorithm.name: pg_extra handles minimization only (set d = 0)")
     if name == "pdhg" and not all(_vanishes(a.forward, setup.z0.shape[1]) for a in setup.agents):
@@ -164,7 +162,6 @@ class _Setup:
         self.tau, self.sigma = resolve_steps(cfg, self.mixing, self.lip)
         self.stop = StoppingRule(tol=cfg.run.tol, max_iters=cfg.run.max_iters)
         self.z0 = np.concatenate(build_start(cfg), axis=1)
-        self.premix = cfg.algorithm.init == "premix"
         self.agents = stack_agents(self.problems, lipschitz=self.lip)
         self.block_mixing = stacked_block_mixing(self.mixing, self.problems)
         for name in names:
@@ -215,7 +212,8 @@ def _execute(name, cfg, setup):
     info = {"tau": tau, "sigma": setup.sigma}
 
     if name in _DECENTRALIZED:
-        state, trace = _run_stacked(setup.agents, setup.block_mixing, z0, tau, stop, setup.premix,
+        # never premixed: the config's start rows are all equal, so W z0 = z0
+        state, trace = _run_stacked(setup.agents, setup.block_mixing, z0, tau, stop, False,
                                     ref, _DECENTRALIZED[name], split)
         point = state.x.mean(axis=0)
     elif name == "forb":
@@ -299,8 +297,7 @@ def _audit_run(name, setup, rounds):
     """Re-execute a decentralized run through the message-passing harness."""
     rounds = min(rounds, _AUDIT_CAP)
     program_type = InclusionProgram if _DECENTRALIZED[name] else PgExtraProgram
-    program = program_type(setup.agents, _round_mixing(name, setup), setup.z0, setup.tau,
-                           premix=setup.premix)
+    program = program_type(setup.agents, _round_mixing(name, setup), setup.z0, setup.tau)
     _, audits = run_synchronous(program, rounds, audit=True)
     lines = ["round,messages,bytes,illegal_attempts"]
     for a in audits:
@@ -363,7 +360,7 @@ def cmd_check_mixing(args):
         if args.alpha is None:
             print("laplacian scheme needs --alpha", file=sys.stderr)
             return EXIT_CONFIG
-        w = np.eye(g.n) - laplacian(g) / args.alpha
+        w = _laplacian_weights(laplacian(g), args.alpha)
     else:
         print("give either --scheme or --matrix-file", file=sys.stderr)
         return EXIT_CONFIG
@@ -398,8 +395,8 @@ def _verify_rows(setup):
 
     # decentralized recursion against the explicit product-space iteration
     iters = 200
-    seq = product_space_reference(agents, bm, z0, tau, iters, premix=setup.premix)
-    states = _iterates(inclusion, inclusion_init(agents, bm, z0, tau, premix=setup.premix), iters - 1)
+    seq = product_space_reference(agents, bm, z0, tau, iters)
+    states = _iterates(inclusion, inclusion_init(agents, bm, z0, tau), iters - 1)
     rows.append(("recursion vs explicit coupled form",
                  _max_gap((s.x, x) for s, x in zip(states, seq)), 1e-10))
 

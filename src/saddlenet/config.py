@@ -190,7 +190,6 @@ class AlgorithmConfig:
     tau: float | str = _key(_as_tau, "auto")
     sigma: float | str = _key(_as_tau, "auto")
     safety: float = _key(_as_float, 0.9)
-    init: str = _key(_choice(("default", "premix")), "default")
 
 
 @dataclass(frozen=True)
@@ -355,15 +354,18 @@ def build_block_mixing(cfg):
     n = cfg.problem.n
     g = cfg.graph
     gx = _build_graph(n, g.topology, g.density, g.seed, g.edges, g.edges_file, "graph")
-    has_y = any(v is not None for v in (g.topology_y, g.edges_y, g.edges_file_y))
+    # an unset *_y key takes its x key's value; the y graph keeps the x
+    # graph's edges unless topology_y, edges_y or edges_file_y is set
+    own = any(v is not None for v in (g.topology_y, g.edges_y, g.edges_file_y))
+    has_y = own or g.density_y is not None or g.seed_y is not None
     if has_y:
         gy = _build_graph(
             n,
             g.topology_y or g.topology,
             g.density if g.density_y is None else g.density_y,
             g.seed if g.seed_y is None else g.seed_y,
-            g.edges_y,
-            g.edges_file_y,
+            g.edges_y if own else g.edges,
+            g.edges_file_y if own else g.edges_file,
             "graph",
         )
     else:

@@ -442,8 +442,7 @@ def mixing_from_laplacian(g, alpha):
         raise ValueError(
             f"alpha={alpha!r} must exceed half the largest Laplacian eigenvalue ({lam_max / 2.0!r})"
         )
-    w = np.eye(g.n) - lap / alpha
-    return _certified(w, g, "mixing_from_laplacian")
+    return _certified(_laplacian_weights(lap, alpha), g, "mixing_from_laplacian")
 
 
 def metropolis_mixing(g):
@@ -466,3 +465,10 @@ def _metropolis_weights(g):
         w[i, j] = w[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return w
+
+
+def _laplacian_weights(lap, alpha):
+    """The weight matrix ``I - lap / alpha`` of a Laplacian, not certified; ``alpha > 0``."""
+    if not alpha > 0:
+        raise ValueError(f"alpha={alpha!r} must be positive")
+    return np.eye(len(lap)) - lap / alpha

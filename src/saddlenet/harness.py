@@ -173,10 +173,10 @@ def sequential_equivalence(program, rounds, seed=0):
 # ---------------------------------------------------------------------------
 
 def _weight_rows(mixing):
-    """Per-agent weights restricted to the closed neighborhood."""
+    """Per-agent ``(j, w_ij)`` pairs over the closed neighborhood, in agent-index order."""
     w, g = mixing.w, mixing.graph
     return [
-        {j: float(w[i, j]) for j in (*g.neighbors(i), i)}
+        tuple((j, float(w[i, j])) for j in sorted((*g.neighbors(i), i)))
         for i in range(g.n)
     ]
 
@@ -184,8 +184,8 @@ def _weight_rows(mixing):
 def _local_mix(i, weights, own, inbox):
     """Weighted neighborhood average, summed in agent-index order."""
     total = 0.0
-    for j in sorted(weights):
-        total = total + weights[j] * (own if j == i else inbox[j])
+    for j, w_ij in weights:
+        total = total + w_ij * (own if j == i else inbox[j])
     return total
 
 

@@ -138,7 +138,6 @@ class PdtrState:
 
     x: np.ndarray
     y: np.ndarray
-    prev_x: np.ndarray
     prev_bx: np.ndarray
 
     @classmethod
@@ -146,7 +145,7 @@ class PdtrState:
         """History convention: the pre-initial point coincides with ``x0``."""
         x0 = np.asarray(x0, dtype=float)
         y0 = np.asarray(y0, dtype=float)
-        return cls(x0, y0, x0, problem.forward(x0))
+        return cls(x0, y0, problem.forward(x0))
 
 
 def _primal_dual_step(problem, state, steps, forward_term):
@@ -162,7 +161,7 @@ def _primal_dual_step(problem, state, steps, forward_term):
     y_new = problem.dual_resolvent(
         steps.sigma, state.y + steps.sigma * (problem.k @ (2.0 * x_new - state.x))
     )
-    return PdtrState(x_new, y_new, state.x, bx)
+    return PdtrState(x_new, y_new, bx)
 
 
 def pdtr_step(problem, state, steps):
@@ -211,7 +210,7 @@ def frdr_step(problem, state, gamma, tau):
     shift = 2.0 * x_new - state.x
     u_new = primal_resolvent_from_dual(problem.dual_resolvent, gamma, shift + gamma * state.y)
     y_new = state.y + (shift - u_new) / gamma
-    return PdtrState(x_new, y_new, state.x, bx)
+    return PdtrState(x_new, y_new, bx)
 
 
 @dataclass(frozen=True, eq=False)

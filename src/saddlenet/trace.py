@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,14 +41,7 @@ class TraceRow:
     messages_cum: int | None = None
 
 
-_COLUMNS = (
-    "iteration",
-    "fp_residual",
-    "consensus_gap_x",
-    "consensus_gap_y",
-    "distance_to_reference",
-    "messages_cum",
-)
+_COLUMNS = tuple(f.name for f in fields(TraceRow))
 
 
 class ConvergenceTrace:

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line front end (exit codes and artifacts)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -109,12 +111,15 @@ def test_run_rejects_multiple_algorithms(tmp_path, capsys):
     assert "exactly one algorithm" in capsys.readouterr().err
 
 
-def test_run_premix_only_for_the_inclusion_methods(tmp_path, capsys):
-    for name in ("alg2", "pdtr", "pdhg", "forb", "condat_vu"):
+def test_run_rejects_init_as_an_unknown_key_for_every_algorithm(tmp_path, capsys):
+    # a config's start is one row replicated to every agent, so W x0 = x0 and
+    # a premixed start could not change the run
+    for name in ("alg1", "alg2", "pdtr", "pdhg", "forb", "condat_vu", "pg_extra"):
         text = swap(FAST_MINMAX, "name = alg2", f"name = {name}\ninit = premix")
         cfg = write(tmp_path, text)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "algorithm.init: premix is only available for alg1/pg_extra" in capsys.readouterr().err
+        assert "algorithm.init: unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 def test_run_alg1_with_audit(tmp_path):
@@ -250,6 +255,17 @@ def test_check_mixing_boundary_alpha_fails_spectral(tmp_path, capsys):
     assert "overall: FAIL" in out
 
 
+@pytest.mark.parametrize("alpha", ["0", "-1"])
+def test_check_mixing_nonpositive_alpha_is_a_usage_error(tmp_path, capsys, alpha):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check-mixing", triangle(tmp_path), "--scheme", "laplacian",
+                     "--alpha", alpha]) == 2
+    captured = capsys.readouterr()
+    assert f"alpha={float(alpha)!r} must be positive" in captured.err
+    assert captured.out == ""
+
+
 def test_check_mixing_identity_fails_kernel(tmp_path, capsys):
     mf = tmp_path / "identity.csv"
     mf.write_text("1,0,0\n0,1,0\n0,0,1\n", encoding="utf-8")
@@ -377,7 +393,7 @@ def work(monkeypatch):
 
 @pytest.mark.parametrize("command, edits, message", [
     ("compare", [("name = alg2", "name = alg2, pg_extra")], "algorithm.name: pg_extra handles"),
-    ("run", [("name = alg2", "name = pdtr\ninit = premix")], "algorithm.init: premix is only"),
+    ("run", [("name = alg2", "name = pdtr\ninit = premix")], "algorithm.init: unknown key"),
     ("run", [("name = alg2", "name = pdhg")], "algorithm.name: pdhg drops the forward term"),
     ("run", [("name = alg2", "name = pdhg"), ("seed = 3", "seed = 3\ncoupling_a = 1.0, 0.0, 0.0")],
      "algorithm.name: pdhg drops the forward term"),

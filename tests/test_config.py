@@ -14,6 +14,7 @@ from saddlenet.config import (
     resolve_steps,
     serialize_config,
 )
+from saddlenet.graphs import random_connected_graph
 
 FULL = """
 [problem]
@@ -143,6 +144,24 @@ def test_build_block_mixing_with_separate_y_graph():
     mixing = build_block_mixing(cfg)
     assert mixing.w1 is not mixing.w2
     assert mixing.w2.graph.degree(0) == 4  # star center
+
+    # seed_y and density_y alone give the y block its own random graph; the
+    # keys it leaves unset take the x graph's values
+    random_x = "topology = random\ndensity = 0.3\nseed = 1"
+    for y_keys, density, seed in [("seed_y = 5", 0.3, 5), ("density_y = 0.9", 0.9, 1),
+                                  ("density_y = 0.9\nseed_y = 5", 0.9, 5)]:
+        cfg = parse_config(text.replace("topology = ring", f"{random_x}\n{y_keys}"))
+        mixing = build_block_mixing(cfg)
+        assert mixing.w1.graph.edges == random_connected_graph(5, 0.3, 1).edges
+        assert mixing.w2.graph.edges == random_connected_graph(5, density, seed).edges
+        assert mixing.w2.graph.edges != mixing.w1.graph.edges
+
+    # on an edge-list x graph, seed_y alone keeps the x graph's edges
+    cfg = parse_config(text.replace("topology = ring", "edges = 0 1\n\t1 2\n\t2 3\n\t3 4\n"
+                                    "seed_y = 5"))
+    mixing = build_block_mixing(cfg)
+    assert mixing.w2.graph.edges == mixing.w1.graph.edges
+    assert_array_equal(mixing.w2.w, mixing.w1.w)
 
 
 def test_build_graph_from_inline_edges():
