@@ -239,7 +239,7 @@ def _execute(name, cfg, setup):
         runner = {"pdtr": pdtr_run, "pdhg": pdhg_run, "condat_vu": condat_vu_run}[name]
         state, trace = runner(problem, (z0.reshape(-1), np.zeros(problem.dual_dim)),
                               StepSizes(tau, setup.sigma), stop,
-                              observe=lambda state: columns(state.x.reshape(z0.shape)))
+                              observe=lambda state: columns([state.x.reshape(z0.shape)])[0])
         point = state.x.reshape(z0.shape).mean(axis=0)
 
     info["wall_time"] = time.perf_counter() - t0

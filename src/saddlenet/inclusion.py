@@ -163,11 +163,21 @@ def _advance(ops, wx, state, tau, reflect):
 
     ``state.wx_prev`` must be set; ``ops`` is as in :func:`_bootstrap`.
     """
-    u_new = (wx + state.u - 0.5 * (state.prev_x + state.wx_prev)
-             - tau * (state.v - state.prev_v))
+    # u_new = ((wx + u) - 0.5 (prev_x + wx_prev)) - tau (v - prev_v), in two temporaries
+    u_new = wx + state.u
+    tmp = state.prev_x + state.wx_prev
+    tmp *= 0.5
+    u_new -= tmp
+    np.subtract(state.v, state.prev_v, out=tmp)
+    tmp *= tau
+    u_new -= tmp
     x_new = ops.resolvent(tau, u_new)
     bx_new = ops.forward(x_new)
-    v_new = 2.0 * bx_new - state.bx if reflect else bx_new
+    if reflect:
+        v_new = 2.0 * bx_new
+        v_new -= state.bx
+    else:
+        v_new = bx_new
     return StackedIterate(u=u_new, x=x_new, prev_x=state.x, v=v_new, prev_v=state.v,
                           bx=bx_new, wx_prev=wx, kernels=ops)
 
@@ -220,24 +230,31 @@ def consensus_gap(x):
 
 
 def _stacked_columns(reference, split=None):
-    """Trace columns of stacked rows: consensus gaps and the distance to ``reference``.
+    """Trace columns of stacks of rows: consensus gaps and the distance to ``reference``.
 
-    With ``split`` the consensus gaps are reported per block: ``x`` on the
-    first ``split`` columns, ``y`` on the rest.  One pass forms the row mean
-    and the squared deviations once; each block's gap is the square root of
-    its largest row sum, which is bitwise :func:`consensus_gap` of the block.
+    The observer takes a list of ``(n, h)`` row arrays and returns one dict
+    of columns per array.  With ``split`` the consensus gaps are reported
+    per block: ``x`` on the first ``split`` columns, ``y`` on the rest.  One
+    pass over the ``(K, n, h)`` stack forms the row means and the squared
+    deviations; each block's gap is the square root of its largest row sum.
+    Every reduction runs along the same axis, in the same order, as on one
+    array, so each column is bitwise :func:`consensus_gap` of the block and
+    ``np.linalg.norm`` of the mean's distance to ``reference``.
     """
     blocks = ({"consensus_gap_x": slice(None)} if split is None else
               {"consensus_gap_x": slice(None, split), "consensus_gap_y": slice(split, None)})
 
-    def columns(x):
-        mean = np.add.reduce(x, 0) / x.shape[0]
-        dev = x - mean
+    def columns(xs):
+        stack = np.array(xs)
+        mean = np.add.reduce(stack, 1) / stack.shape[1]
+        dev = stack - mean[:, None]
         sq = dev * dev
-        out = {name: float(np.sqrt(np.add.reduce(sq[:, cols], 1).max(initial=0.0)))
-               for name, cols in blocks.items()}
+        gaps = {name: np.sqrt(np.add.reduce(sq[:, :, cols], 2).max(axis=1, initial=0.0)).tolist()
+                for name, cols in blocks.items()}
+        out = [dict(zip(gaps, row)) for row in zip(*gaps.values())]
         if reference is not None:
-            out["distance_to_reference"] = _norm(mean - reference)
+            for row, m in zip(out, mean):
+                row["distance_to_reference"] = _norm(m - reference)
         return out
 
     return columns
@@ -259,7 +276,7 @@ def _run_stacked(agents, mixing, x0, tau, stop, premix, reference, reflect, spli
     return run_loop(lambda s: _step(agents, mixing, s, tau, reflect),
                     _start(agents, mixing, x0, tau, premix, reflect), stop,
                     lambda old, new: _norm(new.x - old.x),
-                    lambda s: columns(s.x))
+                    lambda states: columns([s.x for s in states]))
 
 
 def inclusion_run(agents, mixing, x0, tau, stop=None, premix=False, reference=None):
@@ -278,8 +295,15 @@ def inclusion_run(agents, mixing, x0, tau, stop=None, premix=False, reference=No
 # ---------------------------------------------------------------------------
 
 def _psd_sqrt(mat):
+    """Symmetric square root of the PSD ``mat``; eigenvalues at roundoff level count as 0.
+
+    ``eigh`` returns the consensus eigenvalue of ``(I - W)/2`` as about
+    ``1e-17`` rather than 0, and its square root (about ``3e-9``) would
+    leave ``K 1`` nonzero: the dual of a product-space run would drift by
+    ``sigma K x*`` every step and never settle.
+    """
     vals, vecs = np.linalg.eigh(mat)
-    vals = np.clip(vals, 0.0, None)
+    vals = np.where(vals <= mat.shape[0] * np.finfo(float).eps * vals[-1], 0.0, vals)
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 

@@ -452,6 +452,32 @@ class _QuadraticRows:
         return np.matmul(self.inverse, (u - t * self.q_vec)[:, :, None])[:, :, 0]
 
 
+class _L1Rows:
+    """``sign(u_i) max(|u_i| - t w_i, 0)`` for every row, in one temporary.
+
+    The thresholds ``t w_i`` are kept for the last ``t`` seen.
+    """
+
+    def __init__(self, proxes):
+        self.weight = np.array([p.params["weight"] for p in proxes])[:, None]
+        self.tau = None
+
+    def __call__(self, u, t):
+        if t != self.tau:
+            self.threshold = t * self.weight
+            self.tau = t
+        out = np.abs(u)
+        out -= self.threshold
+        np.maximum(out, 0.0, out=out)
+        return np.multiply(np.sign(u), out, out=out)
+
+
+def _box_rows(u, lo, hi):
+    """``np.clip(u, lo, hi)`` bit for bit, in one temporary and without ``clip``'s wrapper."""
+    out = np.maximum(u, lo)
+    return np.minimum(out, hi, out=out)
+
+
 def _prox_rows(proxes, h):
     """``part(u, t)`` evaluating ``proxes[i](t, u[i])`` on every row."""
     keys = []
@@ -474,12 +500,11 @@ def _library_rows(key, proxes, h):
     if key == "zero_set_indicator":
         return lambda u, t: np.zeros_like(u)
     if key == "l1":
-        weight = np.array([p.params["weight"] for p in proxes])[:, None]
-        return lambda u, t: np.sign(u) * np.maximum(np.abs(u) - t * weight, 0.0)
+        return _L1Rows(proxes)
     if key == "box_indicator":
         lo = np.stack([np.broadcast_to(p.params["lo"], (h,)) for p in proxes])
         hi = np.stack([np.broadcast_to(p.params["hi"], (h,)) for p in proxes])
-        return lambda u, t: np.clip(u, lo, hi)
+        return lambda u, t: _box_rows(u, lo, hi)
     if key == "quadratic":
         return _QuadraticRows(proxes)
     if isinstance(key, tuple):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import estimate_operator_norm
-from .trace import run_loop
+from .trace import per_state, run_loop
 
 __all__ = [
     "ForbState",
@@ -249,15 +249,17 @@ def _pair_residual(old, new):
 def _run_primal_dual(step, problem, init, steps, stop, observe):
     """Iterate ``step`` from ``init``: a ``(x0, y0)`` pair or a prepared state."""
     state = init if isinstance(init, PdtrState) else PdtrState.start(problem, *init)
-    return run_loop(lambda s: step(problem, s, steps), state, stop, _pair_residual, observe)
+    return run_loop(lambda s: step(problem, s, steps), state, stop, _pair_residual,
+                    per_state(observe))
 
 
 def pdtr_run(problem, init, steps, stop=None, unsafe=False, observe=None):
     """Iterate :func:`pdtr_step` until the sup-norm residual meets the rule.
 
-    ``init`` is a ``(x0, y0)`` pair or a prepared state.  Inadmissible steps
-    raise unless ``unsafe=True`` (useful only for divergence demos).
-    Returns the final state and the :class:`ConvergenceTrace`.
+    ``init`` is a ``(x0, y0)`` pair or a prepared state, and ``observe`` is
+    as in :func:`forb_run`.  Inadmissible steps raise unless ``unsafe=True``
+    (useful only for divergence demos).  Returns the final state and the
+    :class:`ConvergenceTrace`.
     """
     if not unsafe and not steps.admissible(problem.lipschitz, problem.k_norm):
         raise StepSizeError(
@@ -286,13 +288,16 @@ def condat_vu_run(problem, init, steps, stop=None, observe=None):
 
 
 def forb_run(resolvent, forward, x0, tau, stop=None, observe=None):
-    """Reflected forward-backward iteration; needs ``tau < 1 / (2 L)``."""
+    """Reflected forward-backward iteration; needs ``tau < 1 / (2 L)``.
+
+    ``observe(state)``, when given, returns the other trace columns of one state.
+    """
     if forward.lipschitz > 0 and not tau < 1.0 / (2.0 * forward.lipschitz):
         raise StepSizeError(
             f"tau={tau!r} must be below 1/(2L)={1.0 / (2.0 * forward.lipschitz)!r}"
         )
     return run_loop(lambda s: forb_step(resolvent, forward, s, tau), ForbState.start(forward, x0),
-                    stop, lambda old, new: _sup_diff(old.x, new.x), observe)
+                    stop, lambda old, new: _sup_diff(old.x, new.x), per_state(observe))
 
 
 # ---------------------------------------------------------------------------

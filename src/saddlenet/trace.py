@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-__all__ = ["ConvergenceTrace", "StoppingRule", "TraceRow", "kept_rows", "run_loop"]
+__all__ = ["ConvergenceTrace", "StoppingRule", "TraceRow", "kept_rows", "per_state", "run_loop"]
 
 
 @dataclass(frozen=True)
@@ -112,19 +112,44 @@ def kept_rows(count, every):
     return [idx for idx in range(count) if idx % every == 0 or idx == count - 1]
 
 
+# run_loop observes the rows of consecutive rounds in one call.  A chunk of
+# held states ends at CHUNK_ROWS rows or once their iterates ``x`` reach
+# CHUNK_BYTES: each held state keeps several arrays of that size alive, so
+# the byte cap bounds the memory a chunk pins at any number of agents.
+CHUNK_ROWS = 256
+CHUNK_BYTES = 128 * 1024
+
+
+def per_state(observe):
+    """A :func:`run_loop` observer from ``observe(state)``, the columns of one state."""
+    if observe is None:
+        return None
+    return lambda states: [observe(s) for s in states]
+
+
+def _no_columns(states):
+    return [{}] * len(states)
+
+
 def run_loop(step, state, stop, residual, observe=None):
     """Step ``state`` until ``stop`` (default :class:`StoppingRule`) ends the run.
 
     Returns the last state and its trace.  ``residual(old, new)`` is one
-    step's fixed-point residual and ``observe(new)`` the other trace columns
-    of the new state.  A non-finite residual ends the run as diverged; the
-    last state with a finite residual is returned and the diverging step is
-    not recorded.
+    step's fixed-point residual; it is computed and tested against ``stop``
+    every round.  ``observe(states)`` maps a list of new states of
+    consecutive rounds to one dict of the other trace columns per state.
+    The loop holds the new states (each has its iterate as ``x``) and
+    observes them in chunks (:data:`CHUNK_ROWS`, :data:`CHUNK_BYTES`) and
+    once more when the run ends; it never observes an empty list.  A
+    non-finite residual ends the run as diverged; the last state with a
+    finite residual is returned and the diverging step is not recorded.
     """
     stop = stop or StoppingRule()
+    observe = observe or _no_columns
     trace = ConvergenceTrace()
     trace.status = "converged" if math.isinf(stop.tol) else "budget"
     it = 0
+    held, residuals, held_bytes = [], [], 0
     # overflow on the way to a non-finite residual is reported by the verdict
     with np.errstate(over="ignore", invalid="ignore"):
         while trace.status == "budget" and it < stop.max_iters:
@@ -134,9 +159,24 @@ def run_loop(step, state, stop, residual, observe=None):
                 trace.status = "diverged"
                 break
             it += 1
-            extras = observe(new) if observe is not None else {}
-            trace.append(TraceRow(iteration=it, fp_residual=res, **extras))
+            held.append(new)
+            residuals.append(res)
+            held_bytes += new.x.nbytes
             state = new
             if res <= stop.tol:
                 trace.status = "converged"
+            elif len(held) == CHUNK_ROWS or held_bytes >= CHUNK_BYTES:
+                _record(trace, held, residuals, observe)
+                held_bytes = 0
+        if held:
+            _record(trace, held, residuals, observe)
     return state, trace
+
+
+def _record(trace, held, residuals, observe):
+    """Append the rows of the held states, the rounds after the trace's last; empty the chunk."""
+    first = trace.iterations + 1
+    for k, (res, extras) in enumerate(zip(residuals, observe(held), strict=True), start=first):
+        trace.append(TraceRow(iteration=k, fp_residual=res, **extras))
+    held.clear()
+    residuals.clear()

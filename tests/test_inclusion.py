@@ -2,9 +2,18 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from saddlenet.graphs import metropolis_mixing, mixing_from_laplacian, path_graph, ring_graph
+from saddlenet.graphs import (
+    laplacian,
+    metropolis_mixing,
+    mixing_from_laplacian,
+    path_graph,
+    random_connected_graph,
+    ring_graph,
+    star_graph,
+)
 from saddlenet.inclusion import (
     AgentInclusion,
+    _product_space_problem,
     consensus_gap,
     inclusion_init,
     inclusion_run,
@@ -176,6 +185,21 @@ def test_premix_variants_agree_too():
     for k in range(1, 20):
         state = inclusion_step(agents, mixing, state, tau)
         assert_allclose(state.x, ref[k], atol=1e-10)
+
+
+def test_product_space_coupling_annihilates_consensus_rows():
+    graphs = [path_graph(n) for n in range(2, 8)]
+    graphs += [ring_graph(n) for n in range(3, 8)]
+    graphs += [star_graph(n) for n in range(3, 8)]
+    graphs += [random_connected_graph(9, density=0.3, seed=s) for s in range(4)]
+    for g in graphs:
+        lam_max = float(np.linalg.eigvalsh(laplacian(g)).max())
+        for mixing in (metropolis_mixing(g), mixing_from_laplacian(g, 0.75 * lam_max)):
+            h = 2
+            k = _product_space_problem(random_inclusion_agents(g.n, h, seed=0), mixing, h).k
+            # K 1 = 0 up to the roundoff of one product
+            assert np.abs(k @ np.ones(g.n * h)).max() <= g.n * np.finfo(float).eps
+            assert_allclose(k @ k, np.kron((np.eye(g.n) - mixing.w) / 2.0, np.eye(h)), atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

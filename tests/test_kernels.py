@@ -73,15 +73,48 @@ BITWISE_KINDS = {
     "per-coordinate box": random_box,
     "product of l1 and box": lambda rng: product_resolvent(
         l1_prox(float(rng.uniform(0.0, 1.0))), random_box(rng, 2), split=2),
+    "box with infinite bounds": lambda rng: box_prox([-np.inf, -1.0, -np.inf, 0.0],
+                                                     [np.inf, np.inf, 0.5, 0.0]),
 }
+
+NON_FINITE_AND_SIGNED_ZEROS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+def kinks(prox, h, tau):
+    """Rows where ``prox`` switches branch: ``±tau w`` (l1), the bounds (box), per factor."""
+    if prox.kind == "l1":
+        return [np.full(h, tau * prox.params["weight"]), np.full(h, -tau * prox.params["weight"])]
+    if prox.kind == "box_indicator":
+        return [np.broadcast_to(prox.params[bound], (h,)) for bound in ("lo", "hi")]
+    if prox.kind == "product":
+        split = prox.params["split"]
+        first = kinks(prox.params["first"], split, tau)
+        second = kinks(prox.params["second"], h - split, tau)
+        return [np.concatenate(pair) for pair in zip(first, second)]
+    return []
+
+
+def edge_rows(proxes, tau):
+    """Random rows, rows of signed zeros, infinities and NaN, and rows at every agent's kinks."""
+    out = [rows(2)]
+    shifted = np.arange(N * H).reshape(N, H) + np.arange(N)[:, None]
+    count = len(NON_FINITE_AND_SIGNED_ZEROS)
+    out += [NON_FINITE_AND_SIGNED_ZEROS[(shifted + k) % count] for k in range(count)]
+    agent_kinks = [kinks(prox, H, tau) or [np.zeros(H)] for prox in proxes]
+    out += [np.stack([k[j % len(k)] for k in agent_kinks]) for j in range(2)]
+    return out
 
 
 @pytest.mark.parametrize("name", sorted(BITWISE_KINDS))
 def test_batched_resolvent_is_bitwise_per_agent(name):
     rng = np.random.default_rng(1)
     proxes = [BITWISE_KINDS[name](rng) for _ in range(N)]
-    u = rows(2)
-    assert_array_equal(batched_resolvent(proxes, H)(TAU, u), per_agent(proxes, TAU, u))
+    fn = batched_resolvent(proxes, H)
+    for tau in (TAU, 2.5, TAU):  # the cached l1 thresholds follow a change of tau
+        for u in edge_rows(proxes, tau):
+            got, want = fn(tau, u), per_agent(proxes, tau, u)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()  # the sign of a zero counts
 
 
 def test_batched_quadratic_matches_per_agent_solves():

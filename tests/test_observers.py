@@ -1,17 +1,25 @@
 """The trace observers of the stacked runs, held bitwise to their references.
 
-One observer pass forms the row mean and the squared deviations once per
-row of the trace.  Each column it reports must equal, bit for bit, what the
+The run loop holds the states of consecutive rounds and observes them in
+chunks; one observer pass forms the row means and the squared deviations of
+a whole chunk.  Each column it reports must equal, bit for bit, what the
 public references compute on the same rows: :func:`consensus_gap` per block,
 ``np.linalg.norm`` of the mean's distance to the reference, and
-``np.linalg.norm`` of the step for the residual.
+``np.linalg.norm`` of the step for the residual.  However the rounds fall
+into chunks, every recorded row is observed once, in order, and a run that
+ends mid-chunk keeps its last rows.
 """
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 from saddlenet.graphs import BlockMixing, metropolis_mixing, random_connected_graph, ring_graph
 from saddlenet.inclusion import (
+    AgentInclusion,
     _stacked_columns,
     consensus_gap,
     inclusion_init,
@@ -21,10 +29,26 @@ from saddlenet.inclusion import (
     uniform_lipschitz,
 )
 from saddlenet.instances import random_inclusion_agents, random_saddle_problems
-from saddlenet.minmax import minmax_init, minmax_run, minmax_step, stepsize_bound_pair
-from saddlenet.trace import StoppingRule
+from saddlenet.minmax import (
+    minmax_init,
+    minmax_run,
+    minmax_step,
+    product_space_problem,
+    stack_agents,
+    stepsize_bound_pair,
+    sum_saddle_problem,
+)
+from saddlenet.operators import linear_forward, zero_prox
+from saddlenet.primal_dual import ForbState, PdtrState, StepSizes, forb_run, forb_step, pdtr_run, pdtr_step
+from saddlenet.trace import CHUNK_BYTES, CHUNK_ROWS, StoppingRule, run_loop
 
-ROUNDS = 30
+# several full chunks and a remainder
+ROUNDS = 2 * CHUNK_ROWS + 17
+
+
+def chunk_rows(x_nbytes):
+    """Rows in a full chunk of states whose ``x`` has ``x_nbytes`` bytes."""
+    return min(CHUNK_ROWS, -(-CHUNK_BYTES // x_nbytes))
 
 
 def reference_columns(x, reference, split):
@@ -56,11 +80,14 @@ SHAPES = [(1, 3, 2), (2, 0, 3), (2, 3, 0), (3, 1, 1), (5, 3, 3), (7, 9, 2),
 def test_stacked_columns_are_bitwise_the_references(n, p, d, blocked, with_reference):
     rng = np.random.default_rng(100 * n + 10 * p + d)
     split = p if blocked else None
-    for scale in (1e-9, 1.0, 1e6):
-        x = scale * rng.standard_normal((n, p + d)) + rng.uniform(-3.0, 3.0, p + d)
-        reference = rng.standard_normal(p + d) if with_reference else None
-        got = _stacked_columns(reference, split)(x)
-        assert_bitwise(got, reference_columns(x, reference, split))
+    reference = rng.standard_normal(p + d) if with_reference else None
+    for count in (1, 3, chunk_rows(8 * n * (p + d))):
+        xs = [scale * rng.standard_normal((n, p + d)) + rng.uniform(-3.0, 3.0, p + d)
+              for scale in np.resize([1e-9, 1.0, 1e6], count)]
+        got = _stacked_columns(reference, split)(xs)
+        assert len(got) == count
+        for row, x in zip(got, xs):
+            assert_bitwise(row, reference_columns(x, reference, split))
 
 
 def manual_rows(init, step, xs_of, count):
@@ -87,7 +114,9 @@ def assert_trace_matches(trace, x0, xs, reference, split):
 
 @pytest.mark.parametrize("premix", [False, True])
 def test_inclusion_run_rows_are_the_references_of_a_manual_loop(premix):
-    n, h = 9, 4
+    # 2560-byte rows: the byte cap cuts the chunks
+    n, h = 40, 8
+    assert chunk_rows(8 * n * h) < CHUNK_ROWS
     agents = random_inclusion_agents(n, h, seed=3, pool=("zero", "quadratic"))
     mixing = metropolis_mixing(random_connected_graph(n, 0.3, seed=3))
     tau = 0.9 * stepsize_bound(mixing, uniform_lipschitz(agents))
@@ -116,3 +145,110 @@ def test_minmax_run_rows_are_the_references_of_a_manual_loop(shared):
     xs = manual_rows(lambda: minmax_init(problems, mixing, x0, y0, tau),
                      lambda s: minmax_step(problems, mixing, s, tau), lambda s: s.stacked.x, ROUNDS)
     assert_trace_matches(trace, np.concatenate([x0, y0], axis=1), xs, np.concatenate(reference), p)
+
+
+@dataclass(frozen=True)
+class Counted:
+    """A state that knows its round; ``x`` sets the bytes it holds."""
+
+    k: int
+    x: np.ndarray
+
+
+# (x width in floats, round the run ends on, how it ends): 8-byte rows fill a
+# chunk by the row cap, 40 kB rows by the byte cap
+ENDINGS = [(width, end, status) for width in (1, 5000)
+           for end, status in ((ROUNDS, "budget"), (CHUNK_ROWS + 44, "diverged"),
+                               (2 * CHUNK_ROWS, "converged"), (1, "converged"))]
+
+
+@pytest.mark.parametrize("width, end, status", ENDINGS)
+def test_run_loop_observes_every_row_once_in_order_in_full_chunks(width, end, status):
+    chunks = []
+
+    def observe(states):
+        chunks.append([s.k for s in states])
+        return [{"consensus_gap_x": float(s.k)} for s in states]
+
+    def residual(old, new):
+        if new.k == end and status != "budget":
+            return math.inf if status == "diverged" else 0.0
+        return 1.0 / new.k
+
+    state, trace = run_loop(lambda s: Counted(s.k + 1, np.zeros(width)),
+                            Counted(0, np.zeros(width)), StoppingRule(tol=0.0, max_iters=ROUNDS),
+                            residual, observe)
+    last = end - 1 if status == "diverged" else end
+    assert trace.status == status and state.k == last
+    assert [r.iteration for r in trace.rows] == list(range(1, last + 1))
+    assert [r.consensus_gap_x for r in trace.rows] == [float(k) for k in range(1, last + 1)]
+    assert [k for chunk in chunks for k in chunk] == list(range(1, last + 1))
+    full = chunk_rows(8 * width)
+    assert all(len(chunk) == full for chunk in chunks[:-1])
+    assert 0 < len(chunks[-1]) <= full
+
+
+def test_a_run_diverging_mid_chunk_keeps_the_rows_up_to_the_last_finite_one():
+    # B(x) = 2 x declared with L = 0.1: from rows near 1e-150 the step
+    # overflows after more than a chunk of rounds
+    n = 3
+    agents = [AgentInclusion(zero_prox(), linear_forward(2.0 * np.eye(1), lipschitz=0.1))
+              for _ in range(n)]
+    mixing = metropolis_mixing(ring_graph(n))
+    tau = 0.9 * stepsize_bound(mixing, 0.1)
+    x0 = 1e-150 * np.arange(1.0, n + 1.0).reshape(n, 1)
+    reference = np.zeros(1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        state, trace = inclusion_run(agents, mixing, x0, tau,
+                                     StoppingRule(tol=0.0, max_iters=ROUNDS), reference=reference)
+        xs = manual_rows(lambda: inclusion_init(agents, mixing, x0, tau),
+                         lambda s: inclusion_step(agents, mixing, s, tau), lambda s: s.x,
+                         trace.iterations)
+    assert trace.status == "diverged"
+    assert CHUNK_ROWS < trace.iterations < ROUNDS and trace.iterations % CHUNK_ROWS
+    assert len(trace.rows) == trace.iterations and np.array_equal(state.x, xs[-1])
+    prev = x0
+    for k, (row, x) in enumerate(zip(trace.rows, xs), start=1):
+        assert row.iteration == k
+        want = reference_columns(x, reference, None)
+        assert_bitwise({name: getattr(row, name) for name in want}, want)
+        assert_bitwise({"r": row.fp_residual}, {"r": float(np.linalg.norm(x - prev))})
+        prev = x
+
+
+def test_a_per_state_observer_sees_each_recorded_state_once_in_order():
+    problems = random_saddle_problems(3, 2, 2, seed=8, prox_min_kind="zero", prox_max_kind="zero")
+    central = stack_agents([sum_saddle_problem(problems)])[0]
+    z0 = np.random.default_rng(9).uniform(-1.0, 1.0, 4)
+    tau = 0.4 / central.lipschitz
+    stop = StoppingRule(tol=0.0, max_iters=ROUNDS)
+
+    def recorder(seen):
+        def observe(state):
+            seen.append(state)
+            return {"distance_to_reference": float(len(seen))}
+        return observe
+
+    seen = []
+    _, trace = forb_run(central.resolvent, central.forward, z0, tau, stop, observe=recorder(seen))
+    state = ForbState.start(central.forward, z0)
+    for row, got in zip(trace.rows, seen, strict=True):
+        state = forb_step(central.resolvent, central.forward, state, tau)
+        assert row.distance_to_reference == row.iteration
+        assert_array_equal(got.x, state.x)
+    assert len(seen) > CHUNK_ROWS
+
+    w = metropolis_mixing(ring_graph(3))
+    problem = product_space_problem(problems, BlockMixing(w, w))
+    tau = 0.5 * stepsize_bound_pair(BlockMixing(w, w), problem.lipschitz)
+    steps = StepSizes(tau, 1.0 / tau)
+    init = (np.tile(z0, 3), np.zeros(problem.dual_dim))
+    seen = []
+    _, trace = pdtr_run(problem, init, steps, stop, observe=recorder(seen))
+    state = PdtrState.start(problem, *init)
+    for row, got in zip(trace.rows, seen, strict=True):
+        state = pdtr_step(problem, state, steps)
+        assert row.distance_to_reference == row.iteration
+        assert_array_equal(got.x, state.x)
+        assert_array_equal(got.y, state.y)
+    assert len(seen) > CHUNK_ROWS

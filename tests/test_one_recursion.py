@@ -115,6 +115,19 @@ def test_summary_messages_per_round_is_the_audited_count(tmp_path, text):
     assert counted == {int(summary_value(summary, "messages per round"))}
 
 
+@pytest.mark.parametrize("name", ["pdtr", "condat_vu"])
+def test_product_space_runs_converge_on_the_minimization_config(tmp_path, name):
+    # K = sqrt((I - W)/2) must annihilate consensus rows to roundoff, or the
+    # dual drifts by sigma K x* every step and the run spends its budget
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(MINIMIZATION.replace("name = pg_extra", f"name = {name}"), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = (out / "summary.txt").read_text()
+    assert "stopped on = converged" in summary
+    assert int(summary_value(summary, "iterations")) < 1000
+
+
 # ---------------------------------------------------------------------------
 # one agent-local program
 # ---------------------------------------------------------------------------
