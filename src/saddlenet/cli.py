@@ -72,13 +72,11 @@ from .primal_dual import (
     PrimalDualProblem,
     StepSizeError,
     StepSizes,
-    condat_vu_run,
+    _run_primal_dual,
     forb_run,
     forb_step,
     frdr_step,
-    pdhg_run,
     pdhg_step,
-    pdtr_run,
     pdtr_step,
 )
 from .trace import StoppingRule, kept_rows
@@ -236,10 +234,9 @@ def _execute(name, cfg, setup):
     else:  # the centralized primal-dual methods on the product-space problem
         problem = setup.product_space
         columns = _stacked_columns(ref, split)
-        runner = {"pdtr": pdtr_run, "pdhg": pdhg_run, "condat_vu": condat_vu_run}[name]
-        state, trace = runner(problem, (z0.reshape(-1), np.zeros(problem.dual_dim)),
-                              StepSizes(tau, setup.sigma), stop,
-                              observe=lambda state: columns([state.x.reshape(z0.shape)])[0])
+        state, trace = _run_primal_dual(name, problem, (z0.reshape(-1), np.zeros(problem.dual_dim)),
+                                        StepSizes(tau, setup.sigma), stop,
+                                        lambda states: columns([s.x.reshape(z0.shape) for s in states]))
         point = state.x.reshape(z0.shape).mean(axis=0)
 
     info["wall_time"] = time.perf_counter() - t0
@@ -247,7 +244,7 @@ def _execute(name, cfg, setup):
     round_mixing = _round_mixing(name, setup)
     if round_mixing is not None:
         per_round = sum(2 * len(m.graph.edges) for _, m, _ in mixing_blocks(round_mixing, z0.shape[1]))
-        trace.rows[:] = [replace(row, messages_cum=row.iteration * per_round) for row in trace.rows]
+        trace.set_column("messages_cum", [k * per_round for k in trace.column("iteration")])
     info["messages_per_round"] = per_round
     return AlgoResult(name, trace, point[:p], point[p:], info)
 
@@ -263,8 +260,6 @@ def _solution_csv(result):
 
 def _summary_text(cfg, result, stop, extra_lines=()):
     trace = result.trace
-    rows = trace.rows
-    last = rows[-1] if rows else None
     lines = [
         f"algorithm = {result.name}",
         f"n = {cfg.problem.n}, p = {cfg.problem.p}, d = {cfg.problem.d}",
@@ -275,12 +270,10 @@ def _summary_text(cfg, result, stop, extra_lines=()):
         f"stopped on = {trace.status}",
         f"final fp residual = {trace.final_residual!r}",
     ]
-    if last is not None and last.consensus_gap_x is not None:
-        lines.append(f"final consensus gap x = {last.consensus_gap_x!r}")
-    if last is not None and last.consensus_gap_y is not None:
-        lines.append(f"final consensus gap y = {last.consensus_gap_y!r}")
-    if last is not None and last.distance_to_reference is not None:
-        lines.append(f"final distance to reference = {last.distance_to_reference!r}")
+    for name in ("consensus_gap_x", "consensus_gap_y", "distance_to_reference"):
+        last = trace.column(name)[-1] if trace.iterations else None
+        if last is not None:
+            lines.append(f"final {name.replace('_', ' ')} = {last!r}")
     if result.info.get("messages_per_round") is not None:
         lines.append(f"messages per round = {result.info['messages_per_round']}")
     if result.info.get("note"):
@@ -477,11 +470,11 @@ def cmd_compare(args):
     outdir.mkdir(parents=True, exist_ok=True)
 
     # row k of every trace is iteration k + 1; each trace keeps its own final row
-    kept = set().union(*(kept_rows(len(r.trace.rows), cfg.run.trace_every) for r in results))
+    residuals = [r.trace.column("fp_residual") for r in results]
+    kept = set().union(*(kept_rows(len(res), cfg.run.trace_every) for res in residuals))
     lines = [",".join(["iteration"] + [f"fp_residual_{r.name}" for r in results])]
     for k in sorted(kept):
-        lines.append(",".join([str(k + 1)] + [repr(r.trace.rows[k].fp_residual)
-                                              if k < len(r.trace.rows) else "" for r in results]))
+        lines.append(",".join([str(k + 1)] + [repr(res[k]) if k < len(res) else "" for res in residuals]))
     _write_atomic(outdir / "compare.csv", "\n".join(lines) + "\n")
 
     width = max(len(r.name) for r in results)

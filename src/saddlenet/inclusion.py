@@ -78,7 +78,7 @@ def stepsize_bound(mixing, lipschitz):
     return (1.0 + mixing.lambda_min) / (4.0 * lipschitz)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class StackedIterate:
     """Stacked per-agent state of the decentralized iteration.
 
@@ -92,7 +92,8 @@ class StackedIterate:
 
     Round 0 holds only ``x = x0``, the ``u`` the bootstrap steps from
     (``x0``, or ``W x0`` when premixing, which is then also ``wx_prev``) and
-    the kernels; the next step is the bootstrap.
+    the kernels; the next step is the bootstrap.  Steps build a new iterate
+    and never write to the one they step from.
     """
 
     u: np.ndarray
@@ -232,11 +233,12 @@ def consensus_gap(x):
 def _stacked_columns(reference, split=None):
     """Trace columns of stacks of rows: consensus gaps and the distance to ``reference``.
 
-    The observer takes a list of ``(n, h)`` row arrays and returns one dict
-    of columns per array.  With ``split`` the consensus gaps are reported
-    per block: ``x`` on the first ``split`` columns, ``y`` on the rest.  One
-    pass over the ``(K, n, h)`` stack forms the row means and the squared
-    deviations; each block's gap is the square root of its largest row sum.
+    The observer takes a list of ``(n, h)`` row arrays and returns a dict of
+    columns, each a list with one value per array.  With ``split`` the
+    consensus gaps are reported per block: ``x`` on the first ``split``
+    columns, ``y`` on the rest.  One pass over the ``(K, n, h)`` stack forms
+    the row means and the squared deviations; each block's gap is the square
+    root of its largest row sum.
     Every reduction runs along the same axis, in the same order, as on one
     array, so each column is bitwise :func:`consensus_gap` of the block and
     ``np.linalg.norm`` of the mean's distance to ``reference``.
@@ -249,12 +251,10 @@ def _stacked_columns(reference, split=None):
         mean = np.add.reduce(stack, 1) / stack.shape[1]
         dev = stack - mean[:, None]
         sq = dev * dev
-        gaps = {name: np.sqrt(np.add.reduce(sq[:, :, cols], 2).max(axis=1, initial=0.0)).tolist()
-                for name, cols in blocks.items()}
-        out = [dict(zip(gaps, row)) for row in zip(*gaps.values())]
+        out = {name: np.sqrt(np.add.reduce(sq[:, :, cols], 2).max(axis=1, initial=0.0)).tolist()
+               for name, cols in blocks.items()}
         if reference is not None:
-            for row, m in zip(out, mean):
-                row["distance_to_reference"] = _norm(m - reference)
+            out["distance_to_reference"] = [_norm(m - reference) for m in mean]
         return out
 
     return columns

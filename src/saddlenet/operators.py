@@ -77,13 +77,18 @@ def zero_prox():
 
 
 def l1_prox(weight):
-    """Soft thresholding, the prox of ``weight * ||.||_1``."""
+    """Soft thresholding, the prox of ``weight * ||.||_1``: ``v - clip(v, -t w, t w)``.
+
+    This is ``sign(v) max(|v| - t w, 0)`` with one clip; the dead zone is
+    ``+0.0``.  The clip is ``np.maximum`` then ``np.minimum``, as in the
+    batched kernel, so the two agree bit for bit.
+    """
     weight = float(weight)
     if weight < 0:
         raise ValueError("l1 weight must be nonnegative")
 
     def fn(t, v):
-        return np.sign(v) * np.maximum(np.abs(v) - t * weight, 0.0)
+        return v - np.minimum(np.maximum(v, -t * weight), t * weight)
 
     return Prox(fn, kind="l1", params={"weight": weight})
 
@@ -452,30 +457,67 @@ class _QuadraticRows:
         return np.matmul(self.inverse, (u - t * self.q_vec)[:, :, None])[:, :, 0]
 
 
-class _L1Rows:
-    """``sign(u_i) max(|u_i| - t w_i, 0)`` for every row, in one temporary.
+# the kinds whose prox is a clip: l1 (``u - clip(u, -t w, t w)``), the box and the identity
+_CLIP_KINDS = ("zero", "l1", "box_indicator")
 
-    The thresholds ``t w_i`` are kept for the last ``t`` seen.
+
+def _is_clip(prox):
+    """Whether ``prox`` is a clip kind or a product of them."""
+    if prox.kind == "product":
+        return _is_clip(prox.params["first"]) and _is_clip(prox.params["second"])
+    return prox.kind in _CLIP_KINDS
+
+
+def _clip_columns(prox, h):
+    """Per-column ``(lo, hi, weight, is_l1)`` of the clip-family ``prox`` on ``h`` columns.
+
+    A box column clips to ``[lo, hi]``, a zero column to ``[-inf, inf]``; an
+    l1 column carries its weight.  The dims are checked as on a whole row.
+    """
+    if prox.dim is not None and prox.dim != h:
+        raise ValueError(f"{prox.kind} prox expects shape ({prox.dim},), got ({h},)")
+    if prox.kind == "product":
+        split = prox.params["split"]
+        if split > h:
+            raise ValueError("point is shorter than the first block")
+        first = _clip_columns(prox.params["first"], split)
+        second = _clip_columns(prox.params["second"], h - split)
+        return tuple(np.concatenate(pair) for pair in zip(first, second))
+    lo, hi, weight = np.full(h, -np.inf), np.full(h, np.inf), np.zeros(h)
+    if prox.kind == "box_indicator":
+        lo, hi = np.broadcast_to(prox.params["lo"], (h,)), np.broadcast_to(prox.params["hi"], (h,))
+    elif prox.kind == "l1":
+        weight = np.full(h, prox.params["weight"])
+    return lo, hi, weight, np.full(h, prox.kind == "l1")
+
+
+class _ClipRows:
+    """Rows of clip-family proxes: one clip of the whole row, then ``u - clip`` on the l1 columns.
+
+    The l1 columns clip to ``[-t w, t w]`` (soft thresholding), the others to
+    their box (infinite for zero).  The ``(n, h)`` bounds are kept for the
+    last ``t`` seen.
     """
 
-    def __init__(self, proxes):
-        self.weight = np.array([p.params["weight"] for p in proxes])[:, None]
+    def __init__(self, proxes, h):
+        self.box_lo, self.box_hi, self.weight, l1 = (
+            np.stack(col) for col in zip(*(_clip_columns(p, h) for p in proxes)))
+        self.l1 = l1
+        # where= mask of the subtraction: all of the row, some columns or none
+        self.where = True if l1.all() else (l1 if l1.any() else None)
         self.tau = None
 
     def __call__(self, u, t):
         if t != self.tau:
-            self.threshold = t * self.weight
+            threshold = t * self.weight
+            self.lo = np.where(self.l1, -threshold, self.box_lo)
+            self.hi = np.where(self.l1, threshold, self.box_hi)
             self.tau = t
-        out = np.abs(u)
-        out -= self.threshold
-        np.maximum(out, 0.0, out=out)
-        return np.multiply(np.sign(u), out, out=out)
-
-
-def _box_rows(u, lo, hi):
-    """``np.clip(u, lo, hi)`` bit for bit, in one temporary and without ``clip``'s wrapper."""
-    out = np.maximum(u, lo)
-    return np.minimum(out, hi, out=out)
+        out = np.maximum(u, self.lo)
+        np.minimum(out, self.hi, out=out)
+        if self.where is not None:
+            np.subtract(u, out, out=out, where=self.where)
+        return out
 
 
 def _prox_rows(proxes, h):
@@ -484,7 +526,9 @@ def _prox_rows(proxes, h):
     for prox in proxes:
         if prox.dim is not None and prox.dim != h:
             raise ValueError(f"{prox.kind} prox expects shape ({prox.dim},), got ({h},)")
-        if prox.kind == "product":
+        if prox.kind != "zero" and _is_clip(prox):
+            keys.append("clip")
+        elif prox.kind == "product":
             if prox.params["split"] > h:
                 raise ValueError("point is shorter than the first block")
             keys.append(("product", prox.params["split"]))
@@ -499,12 +543,8 @@ def _library_rows(key, proxes, h):
         return lambda u, t: u.copy()
     if key == "zero_set_indicator":
         return lambda u, t: np.zeros_like(u)
-    if key == "l1":
-        return _L1Rows(proxes)
-    if key == "box_indicator":
-        lo = np.stack([np.broadcast_to(p.params["lo"], (h,)) for p in proxes])
-        hi = np.stack([np.broadcast_to(p.params["hi"], (h,)) for p in proxes])
-        return lambda u, t: _box_rows(u, lo, hi)
+    if key == "clip":
+        return _ClipRows(proxes, h)
     if key == "quadratic":
         return _QuadraticRows(proxes)
     if isinstance(key, tuple):
@@ -521,6 +561,7 @@ def batched_resolvent(proxes, h):
     Library kinds (zero, zero-set indicator, l1, box, quadratic and products
     of these) are evaluated from their ``kind``/``params`` on all their rows
     together -- the same trust :func:`combine_proxes` places in those fields.
+    l1, box and products of zero, l1 and box share one clip kernel.
     Agents of different kinds are grouped by row; any other kind keeps its
     own callable, called once per row.  Each prox's ``dim`` is checked
     against the row length ``h`` here, ``tau`` on every call.

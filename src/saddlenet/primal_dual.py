@@ -246,35 +246,53 @@ def _pair_residual(old, new):
     return max(_sup_diff(old.x, new.x), _sup_diff(old.y, new.y))
 
 
-def _run_primal_dual(step, problem, init, steps, stop, observe):
-    """Iterate ``step`` from ``init``: a ``(x0, y0)`` pair or a prepared state."""
+def _pdtr_gate(problem, steps):
+    if not steps.admissible(problem.lipschitz, problem.k_norm):
+        raise StepSizeError(
+            "steps violate 2*tau*L + tau*sigma*||K||^2 < 1 "
+            f"(tau={steps.tau!r}, sigma={steps.sigma!r}, L={problem.lipschitz!r}, "
+            f"||K||={problem.k_norm!r})"
+        )
+
+
+def _pdhg_gate(problem, steps):
+    if not steps.tau * steps.sigma * problem.k_norm**2 < 1.0:
+        raise StepSizeError("steps violate tau*sigma*||K||^2 < 1")
+
+
+# method name -> (step, step-size gate); condat_vu has none (see condat_vu_run)
+_METHODS = {"pdtr": (pdtr_step, _pdtr_gate), "pdhg": (pdhg_step, _pdhg_gate),
+            "condat_vu": (condat_vu_step, None)}
+
+
+def _run_primal_dual(name, problem, init, steps, stop, observe, unsafe=False):
+    """Gate the steps of method ``name`` (unless ``unsafe``) and iterate it from ``init``.
+
+    ``init`` is a ``(x0, y0)`` pair or a prepared state; ``observe`` is a
+    batched :func:`~saddlenet.trace.run_loop` observer.
+    """
+    step, gate = _METHODS[name]
+    if gate is not None and not unsafe:
+        gate(problem, steps)
     state = init if isinstance(init, PdtrState) else PdtrState.start(problem, *init)
-    return run_loop(lambda s: step(problem, s, steps), state, stop, _pair_residual,
-                    per_state(observe))
+    return run_loop(lambda s: step(problem, s, steps), state, stop, _pair_residual, observe)
 
 
 def pdtr_run(problem, init, steps, stop=None, unsafe=False, observe=None):
     """Iterate :func:`pdtr_step` until the sup-norm residual meets the rule.
 
     ``init`` is a ``(x0, y0)`` pair or a prepared state, and ``observe`` is
-    as in :func:`forb_run`.  Inadmissible steps raise unless ``unsafe=True``
+    as in :func:`forb_run`.  Inadmissible steps
+    (``2 tau L + tau sigma ||K||^2 >= 1``) raise unless ``unsafe=True``
     (useful only for divergence demos).  Returns the final state and the
     :class:`ConvergenceTrace`.
     """
-    if not unsafe and not steps.admissible(problem.lipschitz, problem.k_norm):
-        raise StepSizeError(
-            "steps violate 2*tau*L + tau*sigma*||K||^2 < 1 "
-            f"(tau={steps.tau!r}, sigma={steps.sigma!r}, L={problem.lipschitz!r}, "
-            f"||K||={problem.k_norm!r})"
-        )
-    return _run_primal_dual(pdtr_step, problem, init, steps, stop, observe)
+    return _run_primal_dual("pdtr", problem, init, steps, stop, per_state(observe), unsafe)
 
 
 def pdhg_run(problem, init, steps, stop=None, unsafe=False, observe=None):
     """Iterate :func:`pdhg_step`; requires ``tau sigma ||K||^2 < 1``."""
-    if not unsafe and not steps.tau * steps.sigma * problem.k_norm**2 < 1.0:
-        raise StepSizeError("steps violate tau*sigma*||K||^2 < 1")
-    return _run_primal_dual(pdhg_step, problem, init, steps, stop, observe)
+    return _run_primal_dual("pdhg", problem, init, steps, stop, per_state(observe), unsafe)
 
 
 def condat_vu_run(problem, init, steps, stop=None, observe=None):
@@ -284,7 +302,7 @@ def condat_vu_run(problem, init, steps, stop=None, observe=None):
     cocoercivity constant the caller may not have, and running it outside
     its theory on purpose is a supported comparison scenario.
     """
-    return _run_primal_dual(condat_vu_step, problem, init, steps, stop, observe)
+    return _run_primal_dual("condat_vu", problem, init, steps, stop, per_state(observe))
 
 
 def forb_run(resolvent, forward, x0, tau, stop=None, observe=None):

@@ -31,7 +31,7 @@ class StoppingRule:
             raise ValueError("max_iters must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRow:
     iteration: int
     fp_residual: float
@@ -42,10 +42,11 @@ class TraceRow:
 
 
 _COLUMNS = tuple(f.name for f in fields(TraceRow))
+_OPTIONAL = _COLUMNS[2:]
 
 
 class ConvergenceTrace:
-    """Append-only record of one solver run.
+    """Append-only record of one solver run, kept as one column per field.
 
     Iteration numbers must increase strictly and residuals are nonnegative;
     optional columns are per-row and simply left blank in the CSV when
@@ -53,11 +54,18 @@ class ConvergenceTrace:
     residual met the tolerance), ``"budget"`` (the iteration budget ran out)
     or ``"diverged"`` (a residual was not finite; that round is not
     recorded).  It is None until :func:`run_loop` sets it.
+
+    The iterations are a ``range`` while they are consecutive; an optional
+    column exists once a row has a value in it, with None in the rows
+    without one.  :attr:`rows` builds the :class:`TraceRow` view on first use.
     """
 
     def __init__(self):
-        self.rows = []
         self.status = None
+        self._iteration = range(1, 1)
+        self._residual = []
+        self._optional = {}
+        self._rows = None
 
     @property
     def converged(self):
@@ -66,24 +74,82 @@ class ConvergenceTrace:
     def append(self, row):
         if row.fp_residual < 0 or math.isnan(row.fp_residual):
             raise ValueError("fp_residual must be a nonnegative number")
-        if self.rows and row.iteration <= self.rows[-1].iteration:
+        if self._residual and row.iteration <= self._iteration[-1]:
             raise ValueError("iterations must be strictly increasing")
-        self.rows.append(row)
+        self._extend(row.iteration, [row.fp_residual],
+                     {name: [v] for name in _OPTIONAL if (v := getattr(row, name)) is not None})
+
+    def _extend(self, first, residuals, columns):
+        """Append rows ``first, first + 1, ...``, one per residual.
+
+        ``columns`` holds one value per residual for each optional column the
+        rows have; the other columns get None.  The caller checks the
+        residuals and that ``first`` follows the last iteration.
+        """
+        count, size = len(residuals), len(self._residual)
+        for name, values in columns.items():
+            if name not in _OPTIONAL:
+                raise ValueError(f"unknown trace column {name!r}")
+            if len(values) != count:
+                raise ValueError(f"column {name!r} has {len(values)} values for {count} rows")
+        its = self._iteration
+        if isinstance(its, range) and type(first) is int and (not its or its.stop == first):
+            self._iteration = range(its.start if its else first, first + count)
+        else:
+            if isinstance(its, range):
+                its = self._iteration = list(its)
+            its.extend(first + k for k in range(count))
+        self._residual += residuals
+        for name, values in columns.items():
+            if name not in self._optional:
+                self._optional[name] = [None] * size
+            self._optional[name] += values
+        for name, column in self._optional.items():
+            if name not in columns:
+                column += [None] * count
+        self._rows = None
+
+    def column(self, name):
+        """The values of column ``name``, one per row (None where a row has none)."""
+        if name == "iteration":
+            return self._iteration
+        if name == "fp_residual":
+            return self._residual
+        if name not in _OPTIONAL:
+            raise ValueError(f"unknown trace column {name!r}")
+        return self._optional.get(name, [None] * len(self._residual))
+
+    def set_column(self, name, values):
+        """Replace the optional column ``name`` with ``values``, one per row."""
+        if name not in _OPTIONAL:
+            raise ValueError(f"not an optional trace column: {name!r}")
+        values = list(values)
+        if len(values) != len(self._residual):
+            raise ValueError(f"column {name!r} has {len(values)} values "
+                             f"for {len(self._residual)} rows")
+        self._optional[name] = values
+        self._rows = None
+
+    @property
+    def rows(self):
+        """The rows as :class:`TraceRow`s, built on first use and kept until the trace grows."""
+        if self._rows is None:
+            self._rows = [TraceRow(*cells)
+                          for cells in zip(*(self.column(name) for name in _COLUMNS))]
+        return self._rows
 
     @property
     def iterations(self):
-        return self.rows[-1].iteration if self.rows else 0
+        return self._iteration[-1] if self._residual else 0
 
     @property
     def final_residual(self):
-        return self.rows[-1].fp_residual if self.rows else float("inf")
+        return self._residual[-1] if self._residual else float("inf")
 
     def active_columns(self):
-        cols = ["iteration", "fp_residual"]
-        for name in _COLUMNS[2:]:
-            if any(getattr(r, name) is not None for r in self.rows):
-                cols.append(name)
-        return cols
+        return ["iteration", "fp_residual"] + [
+            name for name in _OPTIONAL
+            if any(v is not None for v in self._optional.get(name, ()))]
 
     def csv_lines(self, every=1):
         """CSV serialization of the rows :func:`kept_rows` keeps.
@@ -91,15 +157,16 @@ class ConvergenceTrace:
         Subsampling changes which rows are written, never their content.
         """
         cols = self.active_columns()
+        data = [self.column(name) for name in cols]
         lines = [",".join(cols)]
-        for idx in kept_rows(len(self.rows), every):
-            row = self.rows[idx]
-            cells = []
-            for name in cols:
-                v = getattr(row, name)
-                cells.append("" if v is None else (str(v) if isinstance(v, int) else repr(float(v))))
-            lines.append(",".join(cells))
+        for idx in kept_rows(len(self._residual), every):
+            lines.append(",".join(_cell(col[idx]) for col in data))
         return lines
+
+
+def _cell(v):
+    """One CSV cell: blank for None, ``str`` of an int, ``repr`` of a float (an exact round trip)."""
+    return "" if v is None else str(v) if isinstance(v, int) else repr(float(v))
 
 
 def kept_rows(count, every):
@@ -121,14 +188,20 @@ CHUNK_BYTES = 128 * 1024
 
 
 def per_state(observe):
-    """A :func:`run_loop` observer from ``observe(state)``, the columns of one state."""
+    """A :func:`run_loop` observer from ``observe(state)``, the dict of columns of one state."""
     if observe is None:
         return None
-    return lambda states: [observe(s) for s in states]
+
+    def columns(states):
+        rows = [observe(s) for s in states]
+        names = {name for row in rows for name in row}
+        return {name: [row.get(name) for row in rows] for name in names}
+
+    return columns
 
 
 def _no_columns(states):
-    return [{}] * len(states)
+    return {}
 
 
 def run_loop(step, state, stop, residual, observe=None):
@@ -137,7 +210,8 @@ def run_loop(step, state, stop, residual, observe=None):
     Returns the last state and its trace.  ``residual(old, new)`` is one
     step's fixed-point residual; it is computed and tested against ``stop``
     every round.  ``observe(states)`` maps a list of new states of
-    consecutive rounds to one dict of the other trace columns per state.
+    consecutive rounds to a dict of the other trace columns, each a list
+    with one value per state (:func:`per_state` adapts a per-state observer).
     The loop holds the new states (each has its iterate as ``x``) and
     observes them in chunks (:data:`CHUNK_ROWS`, :data:`CHUNK_BYTES`) and
     once more when the run ends; it never observes an empty list.  A
@@ -175,8 +249,8 @@ def run_loop(step, state, stop, residual, observe=None):
 
 def _record(trace, held, residuals, observe):
     """Append the rows of the held states, the rounds after the trace's last; empty the chunk."""
-    first = trace.iterations + 1
-    for k, (res, extras) in enumerate(zip(residuals, observe(held), strict=True), start=first):
-        trace.append(TraceRow(iteration=k, fp_residual=res, **extras))
+    if min(residuals) < 0:
+        raise ValueError("fp_residual must be a nonnegative number")
+    trace._extend(trace.iterations + 1, residuals, observe(held))
     held.clear()
     residuals.clear()

@@ -382,8 +382,7 @@ reference = on
 def work(monkeypatch):
     """Counts every solver and reference call the CLI makes."""
     calls = []
-    for name in ("_run_stacked", "forb_run", "pdtr_run", "pdhg_run", "condat_vu_run",
-                 "_reference_point"):
+    for name in ("_run_stacked", "forb_run", "_run_primal_dual", "_reference_point"):
         def counted(*args, _name=name, _fn=getattr(cli, name), **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)

@@ -117,6 +117,55 @@ def test_batched_resolvent_is_bitwise_per_agent(name):
             assert got.tobytes() == want.tobytes()  # the sign of a zero counts
 
 
+def plain(prox, tau, row):
+    """The textbook formula of a clip-family prox on one row."""
+    if prox.kind == "l1":
+        return np.sign(row) * np.maximum(np.abs(row) - tau * prox.params["weight"], 0.0)
+    if prox.kind == "box_indicator":
+        return np.clip(row, prox.params["lo"], prox.params["hi"])
+    if prox.kind == "zero":
+        return row.copy()
+    split = prox.params["split"]
+    return np.concatenate([plain(prox.params["first"], tau, row[:split]),
+                           plain(prox.params["second"], tau, row[split:])])
+
+
+CLIP_FAMILY = {
+    "l1": BITWISE_KINDS["l1"],
+    "box": random_box,
+    "zero": BITWISE_KINDS["zero"],
+    "product of l1 and box": BITWISE_KINDS["product of l1 and box"],
+    "product of box and l1": lambda rng: product_resolvent(
+        random_box(rng, 3), l1_prox(float(rng.uniform(0.0, 1.0))), split=3),
+    "product of l1 and zero": lambda rng: product_resolvent(
+        l1_prox(float(rng.uniform(0.0, 1.0))), zero_prox(), split=1),
+    "nested product": lambda rng: product_resolvent(
+        product_resolvent(zero_prox(), l1_prox(0.4), split=1), random_box(rng, 2), split=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLIP_FAMILY) + ["every kind in one group"])
+def test_clip_family_kernels_are_the_plain_formulas(name):
+    rng = np.random.default_rng(2)
+    makers = list(CLIP_FAMILY.values()) if name not in CLIP_FAMILY else [CLIP_FAMILY[name]]
+    proxes = [makers[i % len(makers)](rng) for i in range(N)]
+    fn = batched_resolvent(proxes, H)
+    for tau in (TAU, 2.5, TAU):
+        for u in edge_rows(proxes, tau):
+            assert_array_equal(fn(tau, u), np.stack([plain(p, tau, u[i]) for i, p in enumerate(proxes)]))
+
+
+def test_the_l1_dead_zone_is_positive_zero():
+    """``u - clip(u, -t w, t w)`` is ``+0.0`` on the whole dead zone, negative ``u`` included."""
+    u = np.array([-0.5, -0.2, -0.0, 0.0, 0.2, 0.5, -1.0, 1.0])
+    want = np.array([0.0] * 6 + [-0.5, 0.5])
+    prox = l1_prox(1.0)
+    for got in (prox(0.5, u), batched_resolvent([prox], 8)(0.5, u[None])[0],
+                batched_resolvent([product_resolvent(prox, box_prox(-1.0, 1.0), split=8)], 9)(
+                    0.5, np.append(u, 2.0)[None])[0, :8]):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_batched_quadratic_matches_per_agent_solves():
     rng = np.random.default_rng(3)
     proxes = [random_quadratic(rng) for _ in range(N)]

@@ -85,9 +85,10 @@ def test_stacked_columns_are_bitwise_the_references(n, p, d, blocked, with_refer
         xs = [scale * rng.standard_normal((n, p + d)) + rng.uniform(-3.0, 3.0, p + d)
               for scale in np.resize([1e-9, 1.0, 1e6], count)]
         got = _stacked_columns(reference, split)(xs)
-        assert len(got) == count
-        for row, x in zip(got, xs):
-            assert_bitwise(row, reference_columns(x, reference, split))
+        assert all(len(column) == count for column in got.values())
+        for k, x in enumerate(xs):
+            assert_bitwise({name: column[k] for name, column in got.items()},
+                           reference_columns(x, reference, split))
 
 
 def manual_rows(init, step, xs_of, count):
@@ -168,7 +169,7 @@ def test_run_loop_observes_every_row_once_in_order_in_full_chunks(width, end, st
 
     def observe(states):
         chunks.append([s.k for s in states])
-        return [{"consensus_gap_x": float(s.k)} for s in states]
+        return {"consensus_gap_x": [float(s.k) for s in states]}
 
     def residual(old, new):
         if new.k == end and status != "budget":

@@ -1,7 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from saddlenet.trace import ConvergenceTrace, StoppingRule, TraceRow
+from saddlenet.graphs import BlockMixing, metropolis_mixing, ring_graph
+from saddlenet.instances import random_saddle_problems
+from saddlenet.minmax import minmax_run, stepsize_bound_pair
+from saddlenet.operators import linear_forward, zero_prox
+from saddlenet.primal_dual import forb_run
+from saddlenet.trace import CHUNK_ROWS, ConvergenceTrace, StoppingRule, TraceRow
 
 
 def test_stopping_rule_defaults_and_validation():
@@ -75,3 +82,79 @@ def test_csv_blank_cells_for_missing_optionals():
     lines = trace.csv_lines()
     assert lines[1] == "1,1.0,0.5"
     assert lines[2] == "2,0.5,"
+
+
+def rebuilt(trace):
+    """The same rows appended one by one to a fresh trace."""
+    out = ConvergenceTrace()
+    for row in trace.rows:
+        out.append(row)
+    return out
+
+
+def minmax_trace():
+    """A run with every observer column: both consensus gaps and the distance to a reference."""
+    n, p, d = 4, 2, 2
+    problems = random_saddle_problems(n, p, d, seed=1, coupling_kind="quadratic")
+    mixing = BlockMixing(metropolis_mixing(ring_graph(n)), metropolis_mixing(ring_graph(n)))
+    tau = 0.9 * stepsize_bound_pair(mixing, max(prob.lipschitz for prob in problems))
+    rng = np.random.default_rng(2)
+    _, _, trace = minmax_run(problems, mixing, rng.uniform(-1.0, 1.0, (n, p)),
+                             rng.uniform(-1.0, 1.0, (n, d)), tau,
+                             StoppingRule(tol=0.0, max_iters=CHUNK_ROWS + 40),
+                             reference=(np.zeros(p), np.zeros(d)))
+    return trace
+
+
+def forb_trace():
+    """A run with no optional column."""
+    forward = linear_forward(np.array([[0.5, 1.0], [-1.0, 0.5]]))
+    _, trace = forb_run(zero_prox(), forward, np.array([1.0, -2.0]), 0.05,
+                        StoppingRule(tol=0.0, max_iters=CHUNK_ROWS + 40))
+    return trace
+
+
+@pytest.mark.parametrize("make, optional", [
+    (minmax_trace, ["consensus_gap_x", "consensus_gap_y", "distance_to_reference"]),
+    (forb_trace, []),
+], ids=["optional-columns", "no-optional-column"])
+def test_a_columnar_run_trace_reads_as_the_same_rows_appended_one_by_one(make, optional):
+    trace = make()
+    assert trace.iterations > CHUNK_ROWS  # the columns grew over more than one chunk
+    built = rebuilt(trace)
+    assert all(type(row) is TraceRow for row in trace.rows)
+    assert trace.rows == built.rows
+    assert [r.iteration for r in trace.rows] == list(range(1, trace.iterations + 1))
+    assert trace.active_columns() == built.active_columns() == ["iteration", "fp_residual"] + optional
+    for every in (1, 7):
+        assert trace.csv_lines(every) == built.csv_lines(every)
+    assert (trace.iterations, trace.final_residual) == (built.iterations, built.final_residual)
+
+
+def test_a_filled_column_is_in_the_rows_and_the_csv():
+    trace = forb_trace()
+    trace.set_column("messages_cum", [4 * k for k in trace.column("iteration")])
+    assert [r.messages_cum for r in trace.rows] == [4 * r.iteration for r in trace.rows]
+    assert trace.csv_lines()[0] == "iteration,fp_residual,messages_cum"
+    assert trace.csv_lines(7) == rebuilt(trace).csv_lines(7)
+    with pytest.raises(ValueError):
+        trace.set_column("messages_cum", [1])
+    with pytest.raises(ValueError):
+        trace.set_column("fp_residual", trace.column("fp_residual"))
+
+
+def test_append_to_a_run_trace_validates_and_extends_the_columns():
+    trace = minmax_trace()
+    last = trace.rows[-1]
+    with pytest.raises(ValueError):
+        trace.append(replace(last, fp_residual=0.1))  # not increasing
+    for bad in (-0.1, float("nan")):
+        with pytest.raises(ValueError):
+            trace.append(TraceRow(iteration=last.iteration + 1, fp_residual=bad))
+    assert trace.rows[-1] == last
+    # a gap in the iterations and a row without the optional columns
+    trace.append(TraceRow(iteration=last.iteration + 5, fp_residual=0.0))
+    assert trace.iterations == last.iteration + 5 and trace.final_residual == 0.0
+    assert trace.rows[-2] == last and trace.rows[-1].consensus_gap_x is None
+    assert trace.csv_lines()[-1] == f"{last.iteration + 5},0.0,,,"
+    assert trace.csv_lines(7) == rebuilt(trace).csv_lines(7)
