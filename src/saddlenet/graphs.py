@@ -246,18 +246,81 @@ def named_topology(name, n, density=0.3, seed=0):
 # mixing matrices
 # ---------------------------------------------------------------------------
 
+# The product rule: the neighbour gather when W is large and sparse, else the
+# dense ``w @ x`` (measured crossover, see :class:`MixingMatrix`).
+_GATHER_MIN_N = 450
+_GATHER_MIN_N_OVER_K = 12
+
+
 @dataclass(frozen=True, eq=False)
 class MixingMatrix:
-    """A certified mixing matrix bound to its communication graph."""
+    """A certified mixing matrix bound to its communication graph.
+
+    ``apply`` computes ``w @ x`` by one of two products, picked once here and
+    recorded in the read-only ``product``:
+
+    * ``"dense"``: the matrix product ``w @ x``, O(n^2 h);
+    * ``"gather"``: a padded neighbour gather, O(n K h).  Row ``i`` keeps the
+      column indices and weights of its nonzeros (diagonal included) in
+      ``nbr[i]`` and ``wp[i, 0]``; ``K`` is the widest row and shorter rows
+      point at a zero pad row ``n``.  ``x`` is copied into an ``(n + 1, h)``
+      buffer with a zero last row, and the output is
+      ``matmul(wp, take(pad, nbr, axis=0))[:, 0, :]``.
+
+    The gather is picked when ``n >= 450`` and ``12 K <= n``.  It sums each
+    row in another order, so it matches ``w @ x`` to rounding, not bitwise.
+    The rule is fitted to products of ``(n, h)`` rows, ``h`` = 1, 3 and 8, on
+    Metropolis weights; one product with ``h = 8`` took (µs, best of 9, one
+    BLAS thread, 2-vCPU Intel Xeon VM):
+
+    ==========  =====  ===  =====  ======
+    graph        n      K   dense  gather
+    ==========  =====  ===  =====  ======
+    ring          300    3     37      32
+    random 2 %    300   19     40      70
+    random 2 %    400   22    155     105
+    random 2 %    500   24    245     110
+    random 5 %    500   46    216     269
+    random 5 %    700   59    462     409
+    random 2 %   1000   41    950     481
+    random 10 %  1000  135    870    1277
+    random 5 %   2000  136   4550    2353
+    random 10 %  2000  259   4115    8979
+    ==========  =====  ===  =====  ======
+
+    Up to about n = 400, ``w`` fits in the L2 cache and the dense product
+    wins on random graphs or loses by little (at n = 400 with ``h = 3`` it
+    took 28 µs against 68 µs); from n = 450 on, the gather wins while rows
+    hold at most about ``n / 12`` nonzeros.
+    """
 
     w: np.ndarray
     graph: Graph
     lambda_min: float
+    product: str = field(init=False)
+    _nbr: np.ndarray | None = field(init=False, repr=False, default=None)
+    _wp: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         w = np.array(self.w, dtype=float)
         w.flags.writeable = False
         object.__setattr__(self, "w", w)
+        n = len(w)
+        rows, cols = np.nonzero(w)
+        counts = np.bincount(rows, minlength=n)
+        k = int(counts.max(initial=0))
+        if n < _GATHER_MIN_N or _GATHER_MIN_N_OVER_K * k > n:
+            object.__setattr__(self, "product", "dense")
+            return
+        # slot of each nonzero within its row (np.nonzero walks w row by row)
+        slot = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+        nbr = np.full((n, k), n)
+        nbr[rows, slot] = cols
+        wp = np.zeros((n, 1, k))
+        wp[rows, 0, slot] = w[rows, cols]
+        object.__setattr__(self, "product", "gather")
+        object.__setattr__(self, "_nbr", nbr)
+        object.__setattr__(self, "_wp", wp)
 
     @property
     def n(self):
@@ -265,7 +328,15 @@ class MixingMatrix:
 
     def apply(self, x):
         """One averaging round applied to stacked per-agent rows."""
-        return self.w @ np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float)
+        if self.product == "dense":
+            return self.w @ x
+        rows = x.reshape(len(x), -1)
+        pad = np.empty((len(rows) + 1, rows.shape[1]))
+        pad[:-1] = rows
+        pad[-1] = 0.0
+        out = np.matmul(self._wp, np.take(pad, self._nbr, axis=0))
+        return out[:, 0, :].reshape(x.shape)
 
 
 @dataclass(frozen=True, eq=False)

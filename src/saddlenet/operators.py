@@ -94,7 +94,11 @@ def l1_prox(weight):
 
 
 def box_prox(lo, hi):
-    """Projection onto the box ``[lo, hi]`` (the step size is irrelevant)."""
+    """Projection onto the box ``[lo, hi]`` (the step size is irrelevant).
+
+    The clip is ``np.maximum`` then ``np.minimum``, as in the batched kernel,
+    so the two agree bit for bit, the sign of a zero bound included.
+    """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if np.any(lo > hi):
@@ -102,7 +106,7 @@ def box_prox(lo, hi):
     dim = None
     if lo.ndim > 0 or hi.ndim > 0:
         dim = int(np.broadcast(lo, hi).shape[0])
-    return Prox(lambda t, v: np.clip(v, lo, hi), kind="box_indicator",
+    return Prox(lambda t, v: np.minimum(np.maximum(v, lo), hi), kind="box_indicator",
                 params={"lo": lo, "hi": hi}, dim=dim)
 
 
@@ -411,21 +415,26 @@ def combine_couplings(couplings):
 # row-batched evaluation (one row per agent)
 # ---------------------------------------------------------------------------
 
-def _grouped(items, keys, build):
+def _grouped(items, keys, build, identity=None):
     """Row function over ``items`` built per group of equal ``keys``.
 
     ``build(key, members)`` returns ``part(rows, *args)`` for the rows of one
-    group; the groups' outputs are scattered back by row index.
+    group; the groups' outputs are scattered back by row index.  Rows whose
+    key is ``identity`` map to themselves: when there are other groups too,
+    the output starts as a copy of the input and only those are scattered.
     """
     groups = {}
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
-    parts = [(np.array(idx), build(key, [items[i] for i in idx])) for key, idx in groups.items()]
-    if len(parts) == 1:
-        return parts[0][1]
+    if len(groups) == 1:
+        key, idx = groups.popitem()
+        return build(key, [items[i] for i in idx])
+    keep = identity in groups
+    parts = [(np.array(idx), build(key, [items[i] for i in idx]))
+             for key, idx in groups.items() if key != identity]
 
     def rows(u, *args):
-        out = np.empty_like(u)
+        out = u.copy() if keep else np.empty_like(u)
         for idx, part in parts:
             out[idx] = part(u[idx], *args)
         return out
@@ -534,7 +543,8 @@ def _prox_rows(proxes, h):
             keys.append(("product", prox.params["split"]))
         else:
             keys.append(prox.kind)
-    return _grouped(proxes, keys, lambda key, members: _library_rows(key, members, h))
+    return _grouped(proxes, keys, lambda key, members: _library_rows(key, members, h),
+                    identity="zero")
 
 
 def _library_rows(key, proxes, h):

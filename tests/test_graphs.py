@@ -5,6 +5,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from saddlenet.graphs import (
     Graph,
     GraphFormatError,
+    MixingMatrix,
+    _metropolis_weights,
     certify_mixing,
     complete_graph,
     graph_to_edge_list,
@@ -204,6 +206,80 @@ def test_mixing_apply_is_matmul():
     w = metropolis_mixing(ring_graph(4))
     x = np.arange(8.0).reshape(4, 2)
     assert_array_equal(w.apply(x), w.w @ x)
+
+
+# ---------------------------------------------------------------------------
+# the mixing product (dense or neighbour gather)
+# ---------------------------------------------------------------------------
+
+PRODUCT_GRAPHS = {
+    "ring": ring_graph,
+    "path": path_graph,
+    "star": star_graph,
+    "complete": complete_graph,
+    "random": lambda n: random_connected_graph(n, min(1.0, 10.0 / n), 11),
+}
+
+
+@pytest.mark.parametrize("topology, n", [
+    (topology, n) for topology in sorted(PRODUCT_GRAPHS) for n in (1, 5, 50, 300, 500, 1000)
+    if n > 1 or topology not in ("ring", "star")  # a ring needs 3 vertices, a star 2
+])
+def test_mixing_apply_matches_matmul_to_rounding(topology, n):
+    """Either product is ``w @ x`` to rounding; the dense one is ``w @ x`` bitwise.
+
+    The Metropolis weights are built uncertified: only the product is under test.
+    """
+    g = PRODUCT_GRAPHS[topology](n)
+    mixing = MixingMatrix(_metropolis_weights(g), g, 0.0)
+    rng = np.random.default_rng(n)
+    row_sum = np.abs(mixing.w).sum(axis=1).max()
+    for h in (1, 3, 8):
+        wide = rng.standard_normal((n, 2 * h + 1))
+        for x in (wide[:, :h].copy(), wide[:, 1 : 2 * h + 1 : 2]):  # contiguous, a column slice
+            got, want = mixing.apply(x), mixing.w @ x
+            assert got.shape == want.shape
+            if mixing.product == "dense":
+                assert_array_equal(got, want)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(x).max() * row_sum
+
+
+def test_the_benchmark_matrices_pick_their_product():
+    ring5 = metropolis_mixing(ring_graph(5))
+    random50_x = metropolis_mixing(random_connected_graph(50, 0.1, 7))
+    random50_y = metropolis_mixing(ring_graph(50))
+    assert [m.product for m in (ring5, random50_x, random50_y)] == ["dense"] * 3
+    assert metropolis_mixing(random_connected_graph(500, 0.02, 11)).product == "gather"
+
+
+def test_the_product_rule_reads_the_widest_row():
+    """Sparse and large takes the gather; a dense row or a small ``n`` keeps ``w @ x``."""
+    def product(g):
+        return MixingMatrix(_metropolis_weights(g), g, 0.0).product
+
+    assert product(ring_graph(500)) == "gather"
+    assert product(star_graph(500)) == "dense"
+    assert product(ring_graph(300)) == "dense"
+
+
+def test_the_gather_reads_the_weights_not_the_graph():
+    """Rows of any width, empty rows included, and the product is read-only."""
+    g = ring_graph(600)
+    rng = np.random.default_rng(0)
+    w = np.zeros((600, 600))
+    w[np.arange(600), np.arange(600)] = rng.uniform(size=600)
+    w[5, 40:80] = rng.uniform(size=40)
+    w[7] = 0.0
+    mixing = MixingMatrix(w, g, 0.0)
+    assert mixing.product == "gather"
+    x = rng.standard_normal((600, 4))
+    assert_allclose(mixing.apply(x), w @ x, rtol=0.0, atol=1e-12 * np.abs(x).max() * 41)
+    assert not mixing.apply(x)[7].any()
+    # a non-finite row reaches the rows that weight it and no other: the pad row is zero
+    x[60] = np.inf
+    assert_array_equal(np.flatnonzero(~np.isfinite(mixing.apply(x)).any(axis=1)), [5, 60])
+    with pytest.raises(AttributeError):
+        mixing.product = "dense"
 
 
 # ---------------------------------------------------------------------------

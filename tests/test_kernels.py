@@ -75,6 +75,12 @@ BITWISE_KINDS = {
         l1_prox(float(rng.uniform(0.0, 1.0))), random_box(rng, 2), split=2),
     "box with infinite bounds": lambda rng: box_prox([-np.inf, -1.0, -np.inf, 0.0],
                                                      [np.inf, np.inf, 0.5, 0.0]),
+    # scalar boxes whose bounds are signed zeros: ties at ±0 pick the same operand
+    "scalar box at -0": lambda rng: box_prox(-0.0, -0.0),
+    "scalar box at +0": lambda rng: box_prox(0.0, 0.0),
+    "scalar box from -0 to +0": lambda rng: box_prox(-0.0, 0.0),
+    "product of l1 and a signed-zero box": lambda rng: product_resolvent(
+        l1_prox(0.3), box_prox(-0.0, 0.0), split=2),
 }
 
 NON_FINITE_AND_SIGNED_ZEROS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
