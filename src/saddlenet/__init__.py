@@ -49,6 +49,7 @@ from .operators import (
     batched_forward,
     batched_resolvent,
     bilinear_coupling,
+    bilinear_couplings,
     box_prox,
     combine_couplings,
     combine_proxes,
@@ -56,9 +57,12 @@ from .operators import (
     l1_prox,
     linear_forward,
     make_prox,
+    operator_norms,
     product_resolvent,
     quadratic_coupling,
+    quadratic_couplings,
     quadratic_prox,
+    quadratic_proxes,
     saddle_forward,
     zero_point_prox,
     zero_prox,

@@ -400,18 +400,15 @@ def build_problems(cfg):
             _fail("problem.coupling_a", f"expected length {p.p}")
         if b is not None and b.shape != (p.d,):
             _fail("problem.coupling_b", f"expected length {p.d}")
-        couplings = [bilinear_coupling(m=m, a=a, b=b, p=p.p, d=p.d) for _ in range(p.n)]
+        couplings = [bilinear_coupling(m=m, a=a, b=b, p=p.p, d=p.d)] * p.n
         if p.coupling == "quadratic":
             _fail("problem.coupling", "inline matrices are only supported for bilinear")
     else:
         couplings = seeded_couplings(p.n, p.p, p.d, p.seed, kind=p.coupling, scale=p.scale)
 
-    prox_f = lambda: _prox_from_config(p.prox_f, p.prox_f_weight, p.prox_f_lo, p.prox_f_hi,  # noqa: E731
-                                       "problem.prox_f")
-    prox_g = lambda: _prox_from_config(p.prox_g, p.prox_g_weight, p.prox_g_lo, p.prox_g_hi,  # noqa: E731
-                                       "problem.prox_g")
-    return [AgentSaddleProblem(prox_min=prox_f(), prox_max=prox_g(), coupling=c)
-            for c in couplings]
+    prox_f = _prox_from_config(p.prox_f, p.prox_f_weight, p.prox_f_lo, p.prox_f_hi, "problem.prox_f")
+    prox_g = _prox_from_config(p.prox_g, p.prox_g_weight, p.prox_g_lo, p.prox_g_hi, "problem.prox_g")
+    return [AgentSaddleProblem(prox_min=prox_f, prox_max=prox_g, coupling=c) for c in couplings]
 
 
 def declared_lipschitz(cfg, problems):

@@ -15,6 +15,7 @@ weights) together with a numerical certificate for arbitrary matrices.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,27 +51,38 @@ class GraphFormatError(ValueError):
 class Graph:
     """Simple undirected graph on vertices ``0 .. n-1``.
 
-    Edges are stored as a frozenset of ``(i, j)`` pairs with ``i < j``; the
-    sorted neighbor tuples of every vertex are built once from them.
+    Edges are stored as a frozenset of ``(i, j)`` pairs with ``i < j``.  The
+    read-only ``(m, 2)`` array ``edge_array`` holds them in sorted order, and
+    the sorted neighbor tuples of every vertex are built from it once.
     """
 
     n: int
     edges: frozenset
+    edge_array: np.ndarray = field(init=False, repr=False, compare=False)
     _adjacent: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
+        pairs = np.fromiter(itertools.chain.from_iterable(self.edges), dtype=np.intp,
+                            count=2 * len(self.edges)).reshape(-1, 2)
+        i, j = pairs.T
+        loops = np.flatnonzero(i == j)
+        if loops.size:
+            raise ValueError(f"self-loop at vertex {i[loops[0]]}")
+        bad = np.flatnonzero((i < 0) | (i > j) | (j >= self.n))
+        if bad.size:
+            raise ValueError(f"edge {tuple(pairs[bad[0]].tolist())} out of range for n={self.n}")
+        pairs = pairs[np.argsort(i * self.n + j)]
+        pairs.flags.writeable = False
+        # in sorted order, each vertex meets its smaller neighbors, then its larger ones,
+        # each in increasing order: the lists come out sorted
         adjacent = [[] for _ in range(self.n)]
-        for e in self.edges:
-            i, j = e
-            if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"edge {e} out of range for n={self.n}")
+        for i, j in zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()):
             adjacent[i].append(j)
             adjacent[j].append(i)
-        object.__setattr__(self, "_adjacent", tuple(tuple(sorted(a)) for a in adjacent))
+        object.__setattr__(self, "edge_array", pairs)
+        object.__setattr__(self, "_adjacent", tuple(map(tuple, adjacent)))
 
     @classmethod
     def from_edges(cls, n, edges):
@@ -79,7 +91,7 @@ class Graph:
 
     @property
     def sorted_edges(self):
-        return tuple(sorted(self.edges))
+        return tuple(zip(*self.edge_array.T.tolist()))
 
     def neighbors(self, i):
         return self._adjacent[i]
@@ -89,8 +101,8 @@ class Graph:
 
     def adjacency(self):
         a = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            a[i, j] = a[j, i] = 1.0
+        i, j = self.edge_array.T
+        a[i, j] = a[j, i] = 1.0
         return a
 
 
@@ -530,10 +542,9 @@ def metropolis_mixing(g):
 def _metropolis_weights(g):
     """The Metropolis weight matrix of ``g``, not certified; degrees come from one pass."""
     w = np.zeros((g.n, g.n))
-    if g.edges:
-        i, j = np.array(g.sorted_edges).T
-        deg = np.bincount(np.concatenate([i, j]), minlength=g.n)
-        w[i, j] = w[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
+    i, j = g.edge_array.T
+    deg = np.bincount(g.edge_array.ravel(), minlength=g.n)
+    w[i, j] = w[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return w
 

@@ -12,14 +12,12 @@ import numpy as np
 from .inclusion import AgentInclusion
 from .minmax import AgentSaddleProblem
 from .operators import (
-    bilinear_coupling,
-    box_prox,
-    l1_prox,
+    bilinear_couplings,
     linear_forward,
     make_prox,
-    quadratic_coupling,
-    quadratic_prox,
-    zero_prox,
+    operator_norms,
+    quadratic_couplings,
+    quadratic_proxes,
 )
 
 __all__ = [
@@ -46,34 +44,51 @@ def random_monotone_matrix(h, rng, skew_scale=1.0, sym_scale=0.3):
 _PROX_POOL = ("zero", "l1", "box_indicator", "quadratic")
 
 
-def _random_prox(h, rng, pool=_PROX_POOL):
-    """Draw order: one integer for the kind, then kind-specific draws."""
+def _random_prox_params(h, rng, pool=_PROX_POOL):
+    """``(kind, params)`` of one library prox.
+
+    Draw order: one integer for the kind, then kind-specific draws.
+    """
     kind = pool[int(rng.integers(0, len(pool)))]
-    if kind == "zero":
-        return zero_prox()
     if kind == "l1":
-        return l1_prox(float(rng.uniform(0.01, 0.5)))
+        return kind, {"weight": float(rng.uniform(0.01, 0.5))}
     if kind == "box_indicator":
         lo = rng.uniform(-2.0, 0.0, size=h)
         hi = lo + rng.uniform(0.5, 3.0, size=h)
-        return box_prox(lo, hi)
-    g = rng.standard_normal((h, h))
-    q = (g @ g.T) / h
-    return quadratic_prox(q, rng.standard_normal(h) * 0.5)
+        return kind, {"lo": lo, "hi": hi}
+    if kind == "quadratic":
+        g = rng.standard_normal((h, h))
+        return kind, {"q_matrix": (g @ g.T) / h, "q_vec": rng.standard_normal(h) * 0.5}
+    return kind, {}
 
 
 def random_inclusion_agents(n, h, seed, pool=_PROX_POOL):
     """``n`` agents with random library proxes and monotone linear maps.
 
     Per agent in order: prox draws, then the forward-matrix draws of
-    :func:`random_monotone_matrix`.
+    :func:`random_monotone_matrix`.  The draws fill ``(n, ...)`` stacks;
+    the forward norms and the quadratic proxes' checks then take one
+    batched call each.
     """
     rng = np.random.default_rng(seed)
-    agents = []
-    for _ in range(n):
-        prox = _random_prox(h, rng, pool)
-        agents.append(AgentInclusion(resolvent=prox, forward=linear_forward(random_monotone_matrix(h, rng))))
-    return agents
+    proxes = [None] * n
+    forward = np.empty((n, h, h))
+    q_matrix, q_vec = np.empty((n, h, h)), np.empty((n, h))
+    quadratic = []  # the agents with a quadratic prox, in order
+    for i in range(n):
+        kind, params = _random_prox_params(h, rng, pool)
+        if kind == "quadratic":
+            q_matrix[len(quadratic)], q_vec[len(quadratic)] = params["q_matrix"], params["q_vec"]
+            quadratic.append(i)
+        else:
+            proxes[i] = make_prox(kind, **params)
+        forward[i] = random_monotone_matrix(h, rng)
+    k = len(quadratic)
+    for i, prox in zip(quadratic, quadratic_proxes(q_matrix[:k], q_vec[:k])):
+        proxes[i] = prox
+    lipschitz = operator_norms(forward)
+    return [AgentInclusion(resolvent=prox, forward=linear_forward(forward[i], lipschitz=lipschitz[i]))
+            for i, prox in enumerate(proxes)]
 
 
 def seeded_couplings(n, p, d, seed, kind="bilinear", scale=1.0):
@@ -83,46 +98,36 @@ def seeded_couplings(n, p, d, seed, kind="bilinear", scale=1.0):
     major), then ``a`` (length p), then ``b`` (length d); for ``quadratic``
     additionally ``p x p`` and ``d x d`` Gaussian factors for the PSD blocks
     drawn first.  Entries are standard normal scaled by
-    ``scale / sqrt(max(p, d, 1))``.
+    ``scale / sqrt(max(p, d, 1))``.  The draws fill ``(n, ...)`` stacks,
+    which are checked, assembled and normed in one batched pass.
     """
+    if kind not in ("bilinear", "quadratic", "zero"):
+        raise ValueError(f"unknown coupling kind {kind!r}")
+    m, a, b = np.zeros((n, p, d)), np.zeros((n, p)), np.zeros((n, d))
+    if kind == "zero":
+        return bilinear_couplings(m, a, b)
     rng = np.random.default_rng(seed)
     s = scale / np.sqrt(max(p, d, 1))
-    out = []
-    for _ in range(n):
-        if kind == "bilinear":
-            m = rng.standard_normal((p, d)) * s
-            a = rng.standard_normal(p) * s
-            b = rng.standard_normal(d) * s
-            out.append(bilinear_coupling(m=m, a=a, b=b, p=p, d=d))
-        elif kind == "quadratic":
+    pm, rm = np.empty((n, p, p)), np.empty((n, d, d))
+    for i in range(n):
+        if kind == "quadratic":
             gp = rng.standard_normal((p, p))
             gr = rng.standard_normal((d, d))
-            m = rng.standard_normal((p, d)) * s
-            a = rng.standard_normal(p) * s
-            b = rng.standard_normal(d) * s
-            out.append(quadratic_coupling((gp @ gp.T) / max(p, 1) * s,
-                                          m,
-                                          (gr @ gr.T) / max(d, 1) * s,
-                                          a=a, b=b))
-        elif kind == "zero":
-            out.append(bilinear_coupling(p=p, d=d))
-        else:
-            raise ValueError(f"unknown coupling kind {kind!r}")
-    return out
+            pm[i] = (gp @ gp.T) / max(p, 1) * s
+            rm[i] = (gr @ gr.T) / max(d, 1) * s
+        m[i] = rng.standard_normal((p, d)) * s
+        a[i] = rng.standard_normal(p) * s
+        b[i] = rng.standard_normal(d) * s
+    if kind == "quadratic":
+        return quadratic_couplings(pm, m, rm, a, b)
+    return bilinear_couplings(m, a, b)
 
 
 def random_saddle_problems(n, p, d, seed, coupling_kind="bilinear",
                            prox_min_kind="l1", prox_max_kind="box_indicator",
                            prox_min_params=None, prox_max_params=None, scale=1.0):
-    """``n`` saddle agents with shared prox kinds and seeded couplings."""
+    """``n`` saddle agents with seeded couplings, all sharing one ``Prox`` of each kind."""
     couplings = seeded_couplings(n, p, d, seed, kind=coupling_kind, scale=scale)
-    pmin = dict(prox_min_params or {})
-    pmax = dict(prox_max_params or {})
-    return [
-        AgentSaddleProblem(
-            prox_min=make_prox(prox_min_kind, **pmin),
-            prox_max=make_prox(prox_max_kind, **pmax),
-            coupling=c,
-        )
-        for c in couplings
-    ]
+    prox_min = make_prox(prox_min_kind, **dict(prox_min_params or {}))
+    prox_max = make_prox(prox_max_kind, **dict(prox_max_params or {}))
+    return [AgentSaddleProblem(prox_min=prox_min, prox_max=prox_max, coupling=c) for c in couplings]

@@ -25,6 +25,7 @@ __all__ = [
     "batched_forward",
     "batched_resolvent",
     "bilinear_coupling",
+    "bilinear_couplings",
     "box_prox",
     "combine_couplings",
     "combine_proxes",
@@ -32,9 +33,12 @@ __all__ = [
     "l1_prox",
     "linear_forward",
     "make_prox",
+    "operator_norms",
     "product_resolvent",
     "quadratic_coupling",
+    "quadratic_couplings",
     "quadratic_prox",
+    "quadratic_proxes",
     "saddle_forward",
     "zero_point_prox",
     "zero_prox",
@@ -111,27 +115,51 @@ def box_prox(lo, hi):
 
 
 def quadratic_prox(q_matrix, q_vec=None):
-    """Prox of ``v -> v' Q v / 2 + q' v`` for symmetric PSD ``Q``.
+    """Prox of ``v -> v' Q v / 2 + q' v`` for symmetric PSD ``Q``: a stack of one.
 
     Evaluates by solving ``(I + tau Q) out = point - tau q``.
     """
     q_matrix = np.asarray(q_matrix, dtype=float)
-    h = q_matrix.shape[0]
-    if q_matrix.shape != (h, h):
-        raise ValueError("Q must be square")
-    if np.abs(q_matrix - q_matrix.T).max(initial=0.0) > 1e-12:
-        raise ValueError("Q must be symmetric")
-    if float(np.linalg.eigvalsh(q_matrix)[0]) < -1e-10:
-        raise ValueError("Q must be positive semidefinite")
-    q_vec = np.zeros(h) if q_vec is None else np.asarray(q_vec, dtype=float)
-    if q_vec.shape != (h,):
+    q_vec = np.zeros(q_matrix.shape[:1]) if q_vec is None else np.asarray(q_vec, dtype=float)
+    return quadratic_proxes(q_matrix[None], q_vec[None])[0]
+
+
+def quadratic_proxes(q_matrix, q_vec):
+    """One :func:`quadratic_prox` per row of the stacks ``Q (n, h, h)`` and ``q (n, h)``.
+
+    All ``Q`` are checked at once, with one batched ``eigvalsh``.
+    """
+    q_matrix = np.asarray(q_matrix, dtype=float)
+    fault = _symmetric_psd_fault(q_matrix)
+    if fault:
+        raise ValueError(f"Q must be {fault}")
+    n, h = q_matrix.shape[:2]
+    q_vec = np.asarray(q_vec, dtype=float)
+    if q_vec.shape != (n, h):
         raise ValueError("q has the wrong length")
     eye = np.eye(h)
 
-    def fn(t, v):
-        return np.linalg.solve(eye + t * q_matrix, v - t * q_vec)
+    def one(q, qv):
+        return Prox(lambda t, v: np.linalg.solve(eye + t * q, v - t * qv), kind="quadratic",
+                    params={"q_matrix": q, "q_vec": qv}, dim=h)
 
-    return Prox(fn, kind="quadratic", params={"q_matrix": q_matrix, "q_vec": q_vec}, dim=h)
+    return [one(q_matrix[i], q_vec[i]) for i in range(n)]
+
+
+def _symmetric_psd_fault(stack):
+    """What the ``(n, k, k)`` stack lacks first: ``"square"``, ``"symmetric"`` or
+    ``"positive semidefinite"``; None when every matrix is symmetric PSD.
+
+    Symmetry is held to 1e-12 and the smallest eigenvalue to -1e-10, over the
+    whole stack at once.
+    """
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        return "square"
+    if np.abs(stack - np.swapaxes(stack, 1, 2)).max(initial=0.0) > 1e-12:
+        return "symmetric"
+    if stack.shape[1] and np.linalg.eigvalsh(stack)[:, 0].min(initial=np.inf) < -1e-10:
+        return "positive semidefinite"
+    return None
 
 
 def zero_point_prox():
@@ -191,12 +219,22 @@ def product_resolvent(first, second, split=None):
 def estimate_operator_norm(m):
     """Largest singular value of ``m`` (exact, from an SVD); 0 for a zero matrix.
 
-    The instance builders call this once per agent on small matrices.  Large
-    couplings such as the product-space ``K`` carry their norm in closed form
-    instead, since an SVD costs cubic time in their size.
+    Large couplings such as the product-space ``K`` carry their norm in
+    closed form instead, since an SVD costs cubic time in their size.
     """
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    return float(np.linalg.norm(m, 2)) if np.any(m) else 0.0
+    return float(operator_norms(np.atleast_2d(np.asarray(m, dtype=float))[None])[0])
+
+
+def operator_norms(stack):
+    """:func:`estimate_operator_norm` of every matrix of an ``(n, r, c)`` stack.
+
+    The instance builders take all their agents' norms in this one batched
+    SVD.  An all-zero or empty matrix gets 0.
+    """
+    stack = np.asarray(stack, dtype=float)
+    if not (stack.shape[1] and stack.shape[2]):
+        return np.zeros(len(stack))
+    return np.where(np.any(stack, axis=(1, 2)), np.linalg.norm(stack, 2, axis=(1, 2)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +286,9 @@ class SmoothCoupling:
 
     ``grad_x``/``grad_y`` take (x, y) with ``x`` of length ``p`` and ``y``
     of length ``d`` (``d = 0`` is allowed for pure minimization).  ``value``
-    is optional and used only by finite-difference diagnostics.
+    is optional and used only by finite-difference diagnostics.  The affine
+    families carry the constant Jacobian of their saddle map in
+    ``jacobian`` (see :func:`saddle_forward`); None for custom couplings.
     """
 
     p: int
@@ -259,10 +299,11 @@ class SmoothCoupling:
     value: callable | None = None
     kind: str = "custom"
     params: dict = field(default_factory=dict)
+    jacobian: np.ndarray | None = None
 
 
 def bilinear_coupling(m=None, a=None, b=None, p=None, d=None):
-    """``phi(x, y) = x' M y + a' x - b' y`` with ``L = ||M||``.
+    """``phi(x, y) = x' M y + a' x - b' y`` with ``L = ||M||``: a stack of one.
 
     Any of ``m``, ``a``, ``b`` may be omitted (zero); dimensions are taken
     from whatever is present, or from explicit ``p``/``d``.
@@ -282,75 +323,132 @@ def bilinear_coupling(m=None, a=None, b=None, p=None, d=None):
     m = np.zeros((p, d)) if m is None else m
     a = np.zeros(p) if a is None else a
     b = np.zeros(d) if b is None else b
-    if m.shape != (p, d) or a.shape != (p,) or b.shape != (d,):
+    if m.shape != (p, d):
         raise ValueError("inconsistent coupling dimensions")
-    lip = estimate_operator_norm(m)
-
-    return SmoothCoupling(
-        p=p,
-        d=d,
-        grad_x=lambda x, y: m @ y + a,
-        grad_y=lambda x, y: m.T @ x - b,
-        lipschitz=lip,
-        value=lambda x, y: float(x @ m @ y) + float(a @ x) - float(b @ y),
-        kind="bilinear",
-        params={"m": m, "a": a, "b": b},
-    )
+    return bilinear_couplings(m[None], a[None], b[None])[0]
 
 
 def quadratic_coupling(p_matrix, m, r_matrix, a=None, b=None):
-    """``phi = x' P x / 2 + x' M y - y' R y / 2 + a' x - b' y`` with PSD ``P, R``."""
+    """``phi = x' P x / 2 + x' M y - y' R y / 2 + a' x - b' y`` with PSD ``P, R``: a stack of one.
+
+    ``M`` is ``p x d`` and may be None (zero), as may ``a`` and ``b``.
+    """
     p_matrix = np.atleast_2d(np.asarray(p_matrix, dtype=float))
     r_matrix = np.atleast_2d(np.asarray(r_matrix, dtype=float))
     p, d = p_matrix.shape[0], r_matrix.shape[0]
-    m = np.zeros((p, d)) if m is None else np.asarray(m, dtype=float).reshape(p, d)
+    m = np.zeros((p, d)) if m is None else np.atleast_2d(np.asarray(m, dtype=float))
     a = np.zeros(p) if a is None else np.asarray(a, dtype=float)
     b = np.zeros(d) if b is None else np.asarray(b, dtype=float)
+    return quadratic_couplings(p_matrix[None], m[None], r_matrix[None], a[None], b[None])[0]
+
+
+def _coupling_stacks(m, a, b):
+    """``M (n, p, d)``, ``a (n, p)``, ``b (n, d)`` as float arrays, their shapes checked."""
+    m, a, b = (np.asarray(v, dtype=float) for v in (m, a, b))
+    if m.ndim != 3 or a.shape != m.shape[:2] or b.shape != m.shape[:1] + m.shape[2:]:
+        raise ValueError("inconsistent coupling dimensions")
+    return m, a, b
+
+
+def _saddle_jacobians(m, p_matrix=None, r_matrix=None):
+    """The stack ``[[P, M], [-M', R]]`` (zero blocks where ``P``/``R`` are None), by slices."""
+    n, p, d = m.shape
+    jac = np.zeros((n, p + d, p + d))
+    jac[:, :p, p:] = m
+    jac[:, p:, :p] = -np.swapaxes(m, 1, 2)
+    if p_matrix is not None:
+        jac[:, :p, :p] = p_matrix
+        jac[:, p:, p:] = r_matrix
+    return jac
+
+
+def bilinear_couplings(m, a, b):
+    """One :func:`bilinear_coupling` per row of the stacks ``M (n, p, d)``, ``a (n, p)``, ``b (n, d)``.
+
+    The norms come from one batched SVD of the ``M`` stack and the Jacobians
+    from one ``(n, p + d, p + d)`` array.
+    """
+    m, a, b = _coupling_stacks(m, a, b)
+    n, p, d = m.shape
+    jac = _saddle_jacobians(m)
+    lip = operator_norms(m).tolist()
+
+    def one(i):
+        mi, ai, bi = m[i], a[i], b[i]
+        return SmoothCoupling(
+            p=p,
+            d=d,
+            grad_x=lambda x, y: mi @ y + ai,
+            grad_y=lambda x, y: mi.T @ x - bi,
+            lipschitz=lip[i],
+            value=lambda x, y: float(x @ mi @ y) + float(ai @ x) - float(bi @ y),
+            kind="bilinear",
+            params={"m": mi, "a": ai, "b": bi},
+            jacobian=jac[i],
+        )
+
+    return [one(i) for i in range(n)]
+
+
+def quadratic_couplings(p_matrix, m, r_matrix, a, b):
+    """One :func:`quadratic_coupling` per row of the stacks ``P (n, p, p)``, ``M (n, p, d)``,
+    ``R (n, d, d)``, ``a (n, p)`` and ``b (n, d)``.
+
+    ``P`` and ``R`` are checked over the whole stack (one batched ``eigvalsh``
+    each); ``L`` is the norm of the Jacobian ``[[P, M], [-M', R]]``, all
+    taken in one batched SVD.
+    """
+    p_matrix = np.asarray(p_matrix, dtype=float)
+    r_matrix = np.asarray(r_matrix, dtype=float)
     for name, mat in (("P", p_matrix), ("R", r_matrix)):
-        if mat.shape[0] != mat.shape[1] or np.abs(mat - mat.T).max(initial=0.0) > 1e-12:
-            raise ValueError(f"{name} must be square symmetric")
-        if mat.size and float(np.linalg.eigvalsh(mat)[0]) < -1e-10:
+        fault = _symmetric_psd_fault(mat)
+        if fault == "positive semidefinite":
             raise ValueError(f"{name} must be positive semidefinite")
-    jac = np.block([[p_matrix, m], [-m.T, r_matrix]]) if p + d else np.zeros((0, 0))
-    lip = estimate_operator_norm(jac)
+        if fault:
+            raise ValueError(f"{name} must be square symmetric")
+    m, a, b = _coupling_stacks(m, a, b)
+    n, p, d = m.shape
+    if p_matrix.shape != (n, p, p) or r_matrix.shape != (n, d, d):
+        raise ValueError("inconsistent coupling dimensions")
+    jac = _saddle_jacobians(m, p_matrix, r_matrix)
+    lip = operator_norms(jac).tolist()
 
-    def value(x, y):
-        return (0.5 * float(x @ p_matrix @ x) + float(x @ m @ y)
-                - 0.5 * float(y @ r_matrix @ y) + float(a @ x) - float(b @ y))
+    def one(i):
+        pm, mi, rm, ai, bi = p_matrix[i], m[i], r_matrix[i], a[i], b[i]
 
-    return SmoothCoupling(
-        p=p,
-        d=d,
-        grad_x=lambda x, y: p_matrix @ x + m @ y + a,
-        grad_y=lambda x, y: m.T @ x - r_matrix @ y - b,
-        lipschitz=lip,
-        value=value,
-        kind="quadratic",
-        params={"p_matrix": p_matrix, "m": m, "r_matrix": r_matrix, "a": a, "b": b},
-    )
+        def value(x, y):
+            return (0.5 * float(x @ pm @ x) + float(x @ mi @ y)
+                    - 0.5 * float(y @ rm @ y) + float(ai @ x) - float(bi @ y))
+
+        return SmoothCoupling(
+            p=p,
+            d=d,
+            grad_x=lambda x, y: pm @ x + mi @ y + ai,
+            grad_y=lambda x, y: mi.T @ x - rm @ y - bi,
+            lipschitz=lip[i],
+            value=value,
+            kind="quadratic",
+            params={"p_matrix": pm, "m": mi, "r_matrix": rm, "a": ai, "b": bi},
+            jacobian=jac[i],
+        )
+
+    return [one(i) for i in range(n)]
 
 
 def saddle_forward(coupling):
     """Monotone forward map ``z = (x, y) -> (grad_x phi, -grad_y phi)``.
 
     This is the operator the splitting methods evaluate on the product
-    space; for the affine coupling families the constant Jacobian is
-    attached so diagnostics can batch differences.
+    space; it carries the coupling's constant Jacobian when it has one, so
+    the solvers evaluate it batched and diagnostics can batch differences.
     """
-    p, d = coupling.p, coupling.d
+    p = coupling.p
 
     def fn(z):
         x, y = z[:p], z[p:]
         return np.concatenate([coupling.grad_x(x, y), -coupling.grad_y(x, y)])
 
-    jac = None
-    if coupling.kind == "bilinear":
-        m = coupling.params["m"]
-        jac = np.block([[np.zeros((p, p)), m], [-m.T, np.zeros((d, d))]])
-    elif coupling.kind == "quadratic":
-        pm, m, rm = (coupling.params[k] for k in ("p_matrix", "m", "r_matrix"))
-        jac = np.block([[pm, m], [-m.T, rm]])
-    return ForwardOperator(fn, coupling.lipschitz, jac)
+    return ForwardOperator(fn, coupling.lipschitz, coupling.jacobian)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,22 @@
-"""Neighbor lists are built once per graph and equal the edge-scan definition."""
+"""Neighbor lists and the sorted edge array are built once per graph and equal
+the edge-scan definitions."""
 
 import pickle
 
+import numpy as np
 import pytest
 
-from saddlenet.graphs import Graph, is_connected, path_graph, random_connected_graph, ring_graph
+from saddlenet.graphs import (
+    Graph,
+    complete_graph,
+    is_connected,
+    path_graph,
+    random_connected_graph,
+    ring_graph,
+    star_graph,
+)
 
-GRAPHS = ([Graph(1, frozenset()), path_graph(2), ring_graph(7)]
+GRAPHS = ([Graph(1, frozenset()), path_graph(2), ring_graph(7), star_graph(9), complete_graph(12)]
           + [random_connected_graph(n, density, seed)
              for n in (5, 40, 120) for density in (0.02, 0.3) for seed in range(3)])
 
@@ -22,6 +32,27 @@ def test_neighbors_and_degrees_equal_the_edge_scan(g):
         assert g.neighbors(i) == scanned_neighbors(g, i)
         assert g.degree(i) == len(scanned_neighbors(g, i))
     assert is_connected(g)
+
+
+@pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}-e{len(g.edges)}")
+def test_edge_array_and_adjacency_equal_the_loop_forms(g):
+    assert g.sorted_edges == tuple(sorted(g.edges))
+    assert g.edge_array.tolist() == [list(e) for e in sorted(g.edges)]
+    assert not g.edge_array.flags.writeable
+    looped = np.zeros((g.n, g.n))
+    for i, j in g.edges:
+        looped[i, j] = looped[j, i] = 1.0
+    assert np.array_equal(g.adjacency(), looped)
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1), (2, 2)], "self-loop at vertex 2"),
+    ([(0, 1), (1, 4)], r"edge \(1, 4\) out of range for n=3"),
+    ([(-1, 1)], r"edge \(-1, 1\) out of range for n=3"),
+])
+def test_bad_edges_are_rejected(edges, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(3, frozenset(edges))
 
 
 def test_graphs_with_equal_edges_are_equal_and_hash_alike():

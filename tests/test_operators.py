@@ -201,6 +201,8 @@ def test_bilinear_coupling_dimension_inference():
     assert phi.lipschitz == 0.0
     with pytest.raises(ValueError):
         bilinear_coupling()  # nothing to infer from
+    with pytest.raises(ValueError, match="inconsistent coupling dimensions"):
+        bilinear_coupling(m=np.ones((2, 3)), a=np.ones(2), b=np.ones(3), p=5)
 
 
 def test_quadratic_coupling_gradients_match_finite_differences():
@@ -228,6 +230,19 @@ def test_quadratic_coupling_gradients_match_finite_differences():
 def test_quadratic_coupling_rejects_indefinite_blocks():
     with pytest.raises(ValueError):
         quadratic_coupling(np.array([[-1.0]]), np.zeros((1, 1)), np.eye(1))
+
+
+def test_quadratic_coupling_rejects_a_transposed_m():
+    # a (d, p) matrix used to be reshaped to (p, d), scrambling its entries
+    with pytest.raises(ValueError, match="inconsistent coupling dimensions"):
+        quadratic_coupling(np.eye(2), np.arange(6.0).reshape(3, 2), np.eye(3))
+
+
+def test_quadratic_coupling_rejects_offsets_of_the_wrong_length():
+    with pytest.raises(ValueError, match="inconsistent coupling dimensions"):
+        quadratic_coupling(np.eye(2), np.ones((2, 3)), np.eye(3), a=np.ones(3))
+    with pytest.raises(ValueError, match="inconsistent coupling dimensions"):
+        quadratic_coupling(np.eye(2), np.ones((2, 3)), np.eye(3), b=np.ones(2))
 
 
 def test_saddle_forward_is_monotone_affine():
