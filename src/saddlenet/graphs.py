@@ -394,12 +394,13 @@ class BlockMixing:
 def mixing_blocks(mixing, h):
     """What a round sends on rows of width ``h``: one ``(name, matrix, columns)`` per block.
 
-    A :class:`BlockMixing` is block ``"x"`` on ``w1`` over columns
-    ``[0, split)`` and block ``"y"`` on ``w2`` over the rest; any other
-    mixing is the single block ``"x"`` over all columns.  A block without
-    columns (``"y"`` when ``split = h``) sends nothing and is left out.
+    A :class:`BlockMixing` (anything with a ``w1``, so also a proxy that
+    delegates to one) is block ``"x"`` on ``w1`` over columns ``[0, split)``
+    and block ``"y"`` on ``w2`` over the rest; any other mixing is the
+    single block ``"x"`` over all columns.  A block without columns (``"y"``
+    when ``split = h``) sends nothing and is left out.
     """
-    if isinstance(mixing, BlockMixing):
+    if hasattr(mixing, "w1"):
         if mixing.split is None:
             raise ValueError("split must be set to lay out a block mixing")
         blocks = (("x", mixing.w1, slice(0, mixing.split)), ("y", mixing.w2, slice(mixing.split, h)))

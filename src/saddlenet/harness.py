@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import mixing_blocks
-from .inclusion import StackedIterate, _advance, _bootstrap, _check_setup
+from .inclusion import StackedIterate, _advance, _check_setup
 from .minmax import _stacked_setup
 
 __all__ = [
@@ -189,22 +189,33 @@ def _local_mix(i, weights, own, inbox):
     return total
 
 
-# state-dict key of each StackedIterate field of an agent's row; the block
-# names ("x", or "x" and "y") hold that block's columns of the current row
-_KEYS = {"u": "u", "x": "z", "prev_x": "prev_z", "v": "v", "prev_v": "prev_v",
-         "bx": "bz", "wx_prev": "wz_prev"}
+# state-dict key of each StackedIterate row field of an agent; the block names
+# ("x", or "x" and "y") hold that block's columns of the current row
+_KEYS = {"u": "u", "x": "z", "g": "g", "b": "b", "e": "e"}
+
+
+class _AgentOps:
+    """One agent's own resolvent, and its forward map scaled by ``tau``, on its row."""
+
+    def __init__(self, agent, tau):
+        self.resolvent = agent.resolvent
+        self._forward = agent.forward
+        self._tau = tau
+
+    def forward(self, x):
+        return self._tau * self._forward(x)
 
 
 class _RecursionProgram:
-    """Agent-local form of the stacked recursion of :mod:`saddlenet.inclusion`.
+    """Agent-local form of the stacked dual recursion of :mod:`saddlenet.inclusion`.
 
     Every block that a round sends (:func:`~saddlenet.graphs.mixing_blocks`)
     publishes the agent's columns of that block on its own graph once per
-    round.
-    Round 1 runs the bootstrap (using the neighbor values only when premixing);
-    later rounds apply the dense step's update with the agent's own resolvent
-    and forward map.  The previous round's mix stays in the agent's state, so
-    each round needs a single exchange.
+    round.  Every round applies the dense step's update to the agent's row
+    with its own resolvent and forward map, given the neighbourhood average
+    ``(W x)_i`` it computes from the delivered values.  Without premixing,
+    round 1 first completes the start's dual sum ``g = x^0 - (W x^0)_i``
+    from that average: the agent learns it in the first exchange.
     """
 
     def __init__(self, agents, mixing, x0, tau, premix, reflect):
@@ -214,6 +225,7 @@ class _RecursionProgram:
         self.tau = tau
         self.premix = premix
         self.reflect = reflect
+        self._ops = [_AgentOps(a, tau) for a in agents]
         layout = mixing_blocks(mixing, self.x0.shape[1])
         self.blocks = {name: m.graph for name, m, _ in layout}
         self._layout = [(name, _weight_rows(m), cols) for name, m, cols in layout]
@@ -224,21 +236,22 @@ class _RecursionProgram:
         return state
 
     def initial_state(self, i):
-        return self._with_blocks({"z": self.x0[i].copy()})
+        z = self.x0[i].copy()
+        b = self._ops[i].forward(z)
+        g = np.zeros_like(z)
+        return self._with_blocks({"u": z, "z": z, "g": g, "b": b, "e": g - b})
 
     def outgoing(self, i, state):
         return {name: state[name] for name, _, _ in self._layout}
 
     def compute(self, i, state, inboxes, round_index):
-        agent = self.agents[i]
         mix = np.concatenate([_local_mix(i, weights[i], state[name], inboxes[name])
                               for name, weights, _ in self._layout])
-        if round_index == 1:
-            start = StackedIterate(u=mix if self.premix else state["z"], x=state["z"], wx_prev=mix)
-            it = _bootstrap(agent, start, self.tau, self.reflect)
-        else:
-            row = StackedIterate(**{f: state[k] for f, k in _KEYS.items()})
-            it = _advance(agent, mix, row, self.tau, self.reflect)
+        row = StackedIterate(**{f: state[k] for f, k in _KEYS.items()}, tau=self.tau)
+        if round_index == 1 and not self.premix:
+            row.g = row.x - mix
+            row.e = row.g - row.b
+        it = _advance(self._ops[i], mix, row, self.reflect)
         return self._with_blocks({k: getattr(it, f) for f, k in _KEYS.items()})
 
 
@@ -247,7 +260,7 @@ class InclusionProgram(_RecursionProgram):
 
     After ``r`` rounds each agent's ``x`` equals row ``i`` of the dense
     stacked iterate after ``r - 1`` calls of ``inclusion_step`` following
-    ``inclusion_init`` (round 1 performs the bootstrap).  A
+    ``inclusion_init`` (which runs round 1).  A
     :class:`~saddlenet.graphs.BlockMixing` publishes blocks ``x`` and ``y``
     on their own graphs.
     """

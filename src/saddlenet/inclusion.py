@@ -4,19 +4,36 @@
 map ``B_i``; the network seeks a consensus ``x*`` with
 ``0 in sum_i (A_i + B_i)(x*)``.  The iteration keeps per-agent rows stacked
 in an ``n x h`` array and needs one neighbor exchange and one ``B_i``
-evaluation per round:
+evaluation per round.  With ``v^k = 2 B(x^k) - B(x^{k-1})`` it is
 
-    v^k     = 2 B(x^k) - B(x^{k-1})                     (rows)
     u^{k+1} = W x^k + u^k - (x^{k-1} + W x^{k-1}) / 2 - tau (v^k - v^{k-1})
     x^{k+1} = J_{tau A}(u^{k+1})                         (rows)
 
-with ``v^0 = B(x^0)`` and ``u^1 = x^0 - tau v^0`` (or ``W x^0 - tau v^0``
-when initial mixing is requested).  Admissible steps satisfy
+with ``u^1 = x^0 - tau B(x^0)`` (or ``W x^0 - tau B(x^0)`` when initial
+mixing is requested).  Admissible steps satisfy
 ``0 < tau < (1 + lambda_min(W)) / (4 L)`` with ``L = max_i L_i``.
 
-The same recursion with the plain gradient ``v^k = B(x^k)`` for a smooth
+It runs in its dual form, where the eliminated dual block is a running sum
+``g`` (as in PG-EXTRA and NIDS).  With ``b = tau B(x)``, every round,
+the first included, is
+
+    w = W x                                  (the round's one exchange)
+    u = w + e
+    g <- g + (w - x) / 2                     (with the old x)
+    x <- J_{tau A}(u)
+    b <- tau B(x),   e <- g - (2 b - b_prev)
+
+from ``g = x^0 - W x^0`` (0 when premixing), ``b = tau B(x^0)`` and
+``e = g - b``.  Summing the recursion above telescopes to ``u^{k+1} = W x^k
++ g^k - tau v^k``, which is this form.  Every column of ``g`` sums to zero
+over the agents, because ``1' (W - I) = 0``.
+
+The same recursion with the plain gradient, ``e = g - b``, for a smooth
 ``B_i = grad h_i`` is the PG-EXTRA baseline, ``0 < tau < (1 + lambda_min(W)) / L``;
 one implementation below runs both, and the reflection is all that differs.
+On a small stack whose forwards are all affine and whose blocks mix over
+dense matrices, a round's whole linear part is one matrix product
+(:class:`_OneProduct`).
 :func:`product_space_reference` runs the underlying primal-dual iteration
 (``pdtr`` with the explicit square-root coupling matrix); it exists to check
 that the communication-friendly recursion above is the same method.
@@ -24,12 +41,20 @@ that the communication-friendly recursion above is the same method.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .graphs import mixing_blocks
-from .operators import ForwardOperator, Prox, batched_forward, batched_resolvent, zero_prox
+from .operators import (
+    ForwardOperator,
+    Prox,
+    _affine_rows,
+    batched_forward,
+    batched_resolvent,
+    zero_prox,
+)
 from .primal_dual import PdtrState, PrimalDualProblem, StepSizeError, StepSizes, pdtr_step
 from .trace import run_loop
 
@@ -80,44 +105,137 @@ def stepsize_bound(mixing, lipschitz):
 
 @dataclass(eq=False, slots=True)
 class StackedIterate:
-    """Stacked per-agent state of the decentralized iteration.
+    """Stacked per-agent state of the decentralized iteration, in dual form.
 
-    ``v`` and ``prev_v`` are the forward rows of the difference term for the
-    current and previous round (reflected, or plain for PG-EXTRA); ``bx``
-    caches ``B(x)`` at the current ``x`` so each step costs a single fresh
-    forward evaluation per agent.  ``wx_prev`` caches ``W prev_x`` (the
-    previous round's exchange) so each step mixes once; when it is None the
-    step computes it.  ``kernels`` holds the agents' row-batched operators,
-    built once per run.
+    ``x = J_{tau A}(u)`` holds the agents' rows and ``u`` the point they were
+    resolved from.  ``g`` is the dual running sum that replaces the
+    eliminated dual block: it starts at ``x_0 - W x_0`` (at 0 when
+    premixing), and every round adds ``(W x - x) / 2`` of the ``x`` it
+    mixed, so each column of ``g`` sums to zero over the agents.
+    ``b = tau B(x)`` is the scaled forward at ``x``, and ``e = g - (2 b -
+    b_prev)`` (``g - b`` for PG-EXTRA) is what the next round adds to its
+    exchange: ``u_next = W x + e``.
 
-    Round 0 holds only ``x = x0``, the ``u`` the bootstrap steps from
-    (``x0``, or ``W x0`` when premixing, which is then also ``wx_prev``) and
-    the kernels; the next step is the bootstrap.  Steps build a new iterate
-    and never write to the one they step from.
+    ``tau`` is the run's step; it is fixed, because the kernels fold it into
+    the forward stack.  ``kernels`` holds the agents' row-batched operators,
+    built once per run.  ``mixed``, when set, is the ``(2, n, h)`` pair
+    ``W x`` and ``(W x - x) / 2`` that the one-product kernel formed with
+    ``b`` in the round that made ``x``; a round without it mixes ``x``.
+
+    Round 0 holds ``u = x = x0`` and the ``g``, ``b`` and ``e`` of the start.
+    Steps build a new iterate and never write to the one they step from.
     """
 
     u: np.ndarray
     x: np.ndarray
-    prev_x: np.ndarray | None = None
-    v: np.ndarray | None = None
-    prev_v: np.ndarray | None = None
-    bx: np.ndarray | None = None
-    wx_prev: np.ndarray | None = None
+    g: np.ndarray
+    b: np.ndarray
+    e: np.ndarray
+    tau: float
     kernels: object = field(default=None, repr=False)
+    mixed: np.ndarray | None = field(default=None, repr=False)
 
 
-@dataclass(frozen=True, eq=False)
-class _AgentKernels:
-    """Row-batched resolvent and forward of the agent list ``source``."""
+# The one-product kernel is picked while n h is at most this; above it
+# ``mixing.apply`` and the batched forward cost less than one (3 n h, n h)
+# matrix-vector product.  A round of a ring min-max stack with h = 6 took
+# (µs, one-product against structured, best of 15-25 interleaved 2000-round
+# runs, one BLAS thread, 2-vCPU VM): n h = 30: 9.5-11.5 against 11.7-12.6;
+# 72: 11.7-12.0 against 12.8-13.1; 96: 12.9-16.5 against 13.0-13.3;
+# 120: 17.2-21.2 against 16.3-20.5.
+_ONE_PRODUCT_MAX_NH = 80
 
-    source: list
-    resolvent: object
-    forward: object
 
-    @classmethod
-    def build(cls, agents, h):
-        return cls(agents, batched_resolvent([a.resolvent for a in agents], h),
-                   batched_forward([a.forward for a in agents], h))
+class _Kernels:
+    """Row-batched resolvent and ``tau B`` of the agent list ``source``.
+
+    A round mixes ``x`` with ``mixing.apply`` and evaluates the forward of
+    the new rows with the batched forward (:func:`_advance`).
+    """
+
+    def __init__(self, agents, h, tau):
+        self.source = agents
+        self.resolvent = batched_resolvent([a.resolvent for a in agents], h)
+        self.forward = batched_forward([a.forward for a in agents], h, scale=tau)
+
+    def serves(self, agents, mixing):
+        return self.source is agents
+
+    def start(self, mixing, x0, tau, premix):
+        b = self.forward(x0)
+        g = np.zeros_like(x0) if premix else x0 - mixing.apply(x0)
+        return StackedIterate(u=x0, x=x0, g=g, b=b, e=g - b, tau=tau, kernels=self)
+
+    def round(self, mixing, state, reflect):
+        return _advance(self, mixing.apply(state.x), state, reflect)
+
+
+class _OneProduct:
+    """The kernels of a small stack whose forwards are all affine and whose
+    blocks mix over dense matrices.
+
+    One ``(3 n h, n h)`` matrix, built once per run, maps the flattened rows
+    of a new iterate to ``W x``, ``(W x - x) / 2`` and ``tau J x`` at once
+    (``J`` the block-diagonal Jacobian of the forwards), so a round's whole
+    linear part is one matrix-vector product; ``b`` adds the forwards'
+    ``tau F(0)`` when one is nonzero.
+    """
+
+    def __init__(self, agents, mixing, h, tau, layout):
+        n = len(agents)
+        self.source = agents
+        self.mixing = mixing
+        self.layout = layout
+        self.resolvent = batched_resolvent([a.resolvent for a in agents], h)
+        jac, self.offset = _affine_rows([a.forward for a in agents], h, tau)
+        mix = np.zeros((n * h, n * h))
+        for _, m, cols in layout:
+            mask = np.zeros(h)
+            mask[cols] = 1.0
+            mix += np.kron(m.w, np.diag(mask))
+        forms = np.zeros((3, n * h, n * h))
+        forms[0] = mix
+        forms[1] = 0.5 * (mix - np.eye(n * h))
+        forms[2].reshape(n, h, n, h)[np.arange(n), :, np.arange(n), :] = jac
+        self.forms = forms.reshape(3 * n * h, n * h)
+        self.shape = (3, n, h)
+
+    def serves(self, agents, mixing):
+        return self.source is agents and (
+            mixing is self.mixing or mixing_blocks(mixing, self.shape[2]) == self.layout)
+
+    def _products(self, x):
+        """``(W x, (W x - x) / 2)`` and ``b = tau B(x)`` of the rows ``x``."""
+        out = self.forms.dot(x.ravel()).reshape(self.shape)
+        return out[:2], (out[2] if self.offset is None else out[2] + self.offset)
+
+    def start(self, mixing, x0, tau, premix):
+        mixed, b = self._products(x0)
+        g = np.zeros_like(x0) if premix else x0 - mixed[0]
+        return StackedIterate(u=x0, x=x0, g=g, b=b, e=g - b, tau=tau, kernels=self, mixed=mixed)
+
+    def round(self, mixing, state, reflect):
+        w, half_gap = state.mixed if state.mixed is not None else self._products(state.x)[0]
+        u = w + state.e
+        x = self.resolvent(state.tau, u)
+        mixed, b = self._products(x)
+        g = state.g + half_gap
+        return StackedIterate(u=u, x=x, g=g, b=b, e=_dual_step(g, b, state.b, reflect),
+                              tau=state.tau, kernels=self, mixed=mixed)
+
+
+def _kernels(agents, mixing, h, tau):
+    """The one-product kernels when they apply (see :class:`_OneProduct`), else :class:`_Kernels`.
+
+    The pick reads only the forwards' ``jacobian`` and the block matrices'
+    ``w``, so a mixing or a forward wrapped in a delegating proxy takes the
+    same path as the bare one.
+    """
+    if len(agents) * h <= _ONE_PRODUCT_MAX_NH and all(a.forward.jacobian is not None for a in agents):
+        layout = mixing_blocks(mixing, h)
+        if all(getattr(m, "w", None) is not None for _, m, _ in layout):
+            return _OneProduct(agents, mixing, h, tau, layout)
+    return _Kernels(agents, h, tau)
 
 
 def _pg_extra_bound(mixing, lipschitz):
@@ -143,75 +261,58 @@ def _check_setup(agents, mixing, x0, tau, reflect):
     return x0
 
 
-def _bootstrap(ops, start, tau, reflect):
-    """Round 1 from the round-0 iterate ``start`` (see :class:`StackedIterate`).
+def _dual_step(g, b, b_prev, reflect):
+    """``e = g - (2 b - b_prev)``, or ``g - b`` without the reflection."""
+    if not reflect:
+        return g - b
+    v = b + b
+    v -= b_prev
+    return np.subtract(g, v, out=v)
 
-    ``ops`` supplies ``resolvent`` and ``forward``: the batched kernels on
-    stacked rows, or one agent's own operators on its row.
+
+def _advance(ops, w, state, reflect):
+    """One round of the dual recursion given this round's exchange ``w = W x``.
+
+    ``ops`` supplies ``resolvent`` and ``forward`` (``tau B``): the batched
+    kernels on stacked rows, or one agent's own operators on its row.
     """
-    x0 = start.x
-    v0 = ops.forward(x0)
-    u1 = start.u - tau * v0
-    x1 = ops.resolvent(tau, u1)
-    bx1 = ops.forward(x1)
-    v1 = 2.0 * bx1 - v0 if reflect else bx1
-    return StackedIterate(u=u1, x=x1, prev_x=x0, v=v1, prev_v=v0, bx=bx1,
-                          wx_prev=start.wx_prev, kernels=ops)
-
-
-def _advance(ops, wx, state, tau, reflect):
-    """One round of the recursion given this round's exchange ``wx = W x``.
-
-    ``state.wx_prev`` must be set; ``ops`` is as in :func:`_bootstrap`.
-    """
-    # u_new = ((wx + u) - 0.5 (prev_x + wx_prev)) - tau (v - prev_v), in two temporaries
-    u_new = wx + state.u
-    tmp = state.prev_x + state.wx_prev
-    tmp *= 0.5
-    u_new -= tmp
-    np.subtract(state.v, state.prev_v, out=tmp)
-    tmp *= tau
-    u_new -= tmp
-    x_new = ops.resolvent(tau, u_new)
-    bx_new = ops.forward(x_new)
-    if reflect:
-        v_new = 2.0 * bx_new
-        v_new -= state.bx
-    else:
-        v_new = bx_new
-    return StackedIterate(u=u_new, x=x_new, prev_x=state.x, v=v_new, prev_v=state.v,
-                          bx=bx_new, wx_prev=wx, kernels=ops)
+    u = w + state.e
+    x = ops.resolvent(state.tau, u)
+    g = w - state.x
+    g *= 0.5
+    g += state.g
+    b = ops.forward(x)
+    return StackedIterate(u=u, x=x, g=g, b=b, e=_dual_step(g, b, state.b, reflect),
+                          tau=state.tau, kernels=state.kernels)
 
 
 def _start(agents, mixing, x0, tau, premix, reflect):
     """The round-0 iterate after :func:`_check_setup`; builds the agents' kernels."""
     x0 = _check_setup(agents, mixing, x0, tau, reflect)
-    wx0 = mixing.apply(x0) if premix else None
-    return StackedIterate(u=x0 if wx0 is None else wx0, x=x0, wx_prev=wx0,
-                          kernels=_AgentKernels.build(agents, x0.shape[1]))
+    return _kernels(agents, mixing, x0.shape[1], tau).start(mixing, x0, tau, premix)
 
 
 def _step(agents, mixing, state, tau, reflect):
-    """Dense round: the bootstrap from round 0, else one exchange and :func:`_advance`."""
+    """One round: one exchange, one resolvent and one forward of every agent."""
+    if tau != state.tau:
+        raise ValueError(f"this run steps with tau={state.tau!r}, not {tau!r}; start a new run")
     kernels = state.kernels
-    if kernels is None or kernels.source is not agents:
-        kernels = _AgentKernels.build(agents, state.x.shape[1])
-    if state.prev_x is None:
-        return _bootstrap(kernels, state, tau, reflect)
-    wx = mixing.apply(state.x)
-    if state.wx_prev is None:
-        state = replace(state, wx_prev=mixing.apply(state.prev_x))
-    return _advance(kernels, wx, state, tau, reflect)
+    if kernels is None or not kernels.serves(agents, mixing):
+        kernels = _kernels(agents, mixing, state.x.shape[1], tau)
+        state = replace(state, kernels=kernels, mixed=None)
+    return kernels.round(mixing, state, reflect)
 
 
 def inclusion_init(agents, mixing, x0, tau, premix=False):
-    """Bootstrap the iteration from ``x0`` (one row per agent).
+    """Start from ``x0`` (one row per agent) and run round 1.
 
-    With ``premix=False`` no communication is needed before the first
-    exchange: ``u^1 = x^0 - tau B(x^0)``.  With ``premix=True`` the first
-    point is averaged once, ``u^1 = W x^0 - tau B(x^0)``, which corresponds
-    to starting the underlying primal-dual method from a nonzero dual point;
-    both variants converge to the same solution set.
+    With ``premix=False`` the first point is ``u^1 = x^0 - tau B(x^0)``: the
+    dual sum starts at ``x^0 - W x^0``, which costs one product before the
+    first round.  With ``premix=True`` the first point is averaged once,
+    ``u^1 = W x^0 - tau B(x^0)``, which corresponds to starting the
+    underlying primal-dual method from a nonzero dual point; both variants
+    converge to the same solution set.  ``tau`` is fixed for the run: a step
+    with another ``tau`` raises ``ValueError``.
     """
     return _step(agents, mixing, _start(agents, mixing, x0, tau, premix, True), tau, reflect=True)
 
@@ -263,7 +364,7 @@ def _stacked_columns(reference, split=None):
 def _norm(d):
     """``np.linalg.norm(d)`` (Frobenius) without its wrapper: ``sqrt(d . d)`` on the raveled array."""
     d = d.ravel()
-    return float(np.sqrt(d.dot(d)))
+    return math.sqrt(d.dot(d))
 
 
 def _run_stacked(agents, mixing, x0, tau, stop, premix, reference, reflect, split=None):
@@ -284,7 +385,7 @@ def inclusion_run(agents, mixing, x0, tau, stop=None, premix=False, reference=No
 
     ``reference``, when given, is a single solution row; the trace then
     carries the distance from the row average to it.  Returns the final
-    :class:`StackedIterate` and the trace (first row is the bootstrap step;
+    :class:`StackedIterate` and the trace (first row is round 1;
     a run that takes no step returns the round-0 iterate).
     """
     return _run_stacked(agents, mixing, x0, tau, stop, premix, reference, reflect=True)
@@ -323,13 +424,14 @@ def _product_space_problem(agents, mixing, h):
         mask = np.zeros(h)
         mask[cols] = 1.0
         k += np.kron(_psd_sqrt((np.eye(n) - m.w) / 2.0), np.diag(mask))
-    kernels = _AgentKernels.build(agents, h)
+    resolvent = batched_resolvent([a.resolvent for a in agents], h)
+    forward = batched_forward([a.forward for a in agents], h)
 
     def res_fn(t, z):
-        return kernels.resolvent(t, z.reshape(n, h)).reshape(-1)
+        return resolvent(t, z.reshape(n, h)).reshape(-1)
 
     def fwd_fn(z):
-        return kernels.forward(z.reshape(n, h)).reshape(-1)
+        return forward(z.reshape(n, h)).reshape(-1)
 
     return PrimalDualProblem(
         resolvent=Prox(res_fn, kind="stacked", dim=n * h),

@@ -9,14 +9,17 @@ at consensus.  Each block mixes over its own matrix (``W1`` for the
 minimization variables, ``W2`` for the maximization variables; they may
 live on different graphs with the same agents).  Per round and agent the
 iteration costs one gradient of ``phi_i``, one prox of each of ``f_i`` and
-``g_i``, and one neighbor exchange per block:
+``g_i``, and one neighbor exchange per block.  In the dual form it runs in,
+with ``bx = tau grad_x phi(x, y)`` and ``by = -tau grad_y phi(x, y)``:
 
-    vx^k = 2 grad_x phi(x^k, y^k) - grad_x phi(x^{k-1}, y^{k-1})
-    ux^{k+1} = W1 x^k + ux^k - (x^{k-1} + W1 x^{k-1}) / 2 - tau (vx^k - vx^{k-1})
-    x^{k+1} = prox_{tau f}(ux^{k+1})
+    ux = W1 x + ex,                  uy = W2 y + ey
+    gx <- gx + (W1 x - x) / 2,       gy <- gy + (W2 y - y) / 2
+    x <- prox_{tau f}(ux),           y <- prox_{tau g}(uy)
+    ex <- gx - (2 bx - bx_prev),     ey <- gy - (2 by - by_prev)
 
-and the mirrored y-block with ``vy = -2 grad_y phi + grad_y phi(prev)`` and
-``prox_{tau g}``.  Steps must satisfy
+from ``gx = x^0 - W1 x^0``, ``gy = y^0 - W2 y^0`` and ``e = g - b``.  The
+dual sums ``gx``, ``gy`` stand for the eliminated dual block of each
+consensus constraint.  Steps must satisfy
 ``0 < tau < (1 + min(lambda_min(W1), lambda_min(W2))) / (4 L)``.
 
 Stacking ``z_i = (x_i, y_i)`` with the blockwise mixing and the monotone map
@@ -103,6 +106,11 @@ def _block_columns(name, block):
 class MinMaxState:
     """Two-block view of a stacked iterate: columns ``:p`` are x, the rest y.
 
+    ``x``/``y`` are the agents' rows, ``ux``/``uy`` the points they were
+    resolved from, ``gx``/``gy`` the dual sums, ``bx``/``by`` the scaled
+    forward ``tau (grad_x phi, -grad_y phi)`` at ``(x, y)`` and ``ex``/``ey``
+    what the next round adds to its exchange (see
+    :class:`~saddlenet.inclusion.StackedIterate`).
     ``problems`` is the agent list the stacked agents (the kernels'
     ``source``) were built from; steps on the same list reuse them.
     """
@@ -115,8 +123,12 @@ class MinMaxState:
     y = _block_columns("x", "y")
     ux = _block_columns("u", "x")
     uy = _block_columns("u", "y")
-    prev_x = _block_columns("prev_x", "x")
-    prev_y = _block_columns("prev_x", "y")
+    gx = _block_columns("g", "x")
+    gy = _block_columns("g", "y")
+    bx = _block_columns("b", "x")
+    by = _block_columns("b", "y")
+    ex = _block_columns("e", "x")
+    ey = _block_columns("e", "y")
 
 
 def _stacked_setup(problems, mixing, x0, y0):
@@ -182,17 +194,20 @@ def stack_agents(problems, lipschitz=None):
 
     ``lipschitz`` replaces the declared constant of every stacked forward
     map (needed when the couplings have vanishing curvature and the step
-    gate wants an explicit upper bound instead).
+    gate wants an explicit upper bound instead).  Agents that share their
+    two proxes (as the config's and ``random_saddle_problems``' agents do)
+    share one product resolvent.
     """
+    resolvents = {}
     out = []
     for prob in problems:
         forward = saddle_forward(prob.coupling)
         if lipschitz is not None:
             forward = dataclasses.replace(forward, lipschitz=float(lipschitz))
-        out.append(AgentInclusion(
-            resolvent=product_resolvent(prob.prox_min, prob.prox_max, split=prob.p),
-            forward=forward,
-        ))
+        pair = (id(prob.prox_min), id(prob.prox_max))
+        if pair not in resolvents:
+            resolvents[pair] = product_resolvent(prob.prox_min, prob.prox_max, split=prob.p)
+        out.append(AgentInclusion(resolvent=resolvents[pair], forward=forward))
     return out
 
 

@@ -250,12 +250,14 @@ class ForwardOperator:
     matrix when the map is affine: setting it promises
     ``F(z) = jacobian @ z + F(0)``, and the solvers evaluate the map through
     it (see :func:`batched_forward`) instead of calling ``fn``.  Leave it
-    None for genuinely nonlinear maps.
+    None for genuinely nonlinear maps.  ``offset`` is ``F(0)`` of an affine
+    map; when it is None the solvers call the map once at 0 instead.
     """
 
     fn: callable
     lipschitz: float
     jacobian: np.ndarray | None = None
+    offset: np.ndarray | None = None
 
     def __call__(self, z):
         return self.fn(np.asarray(z, dtype=float))
@@ -265,7 +267,7 @@ def linear_forward(matrix, lipschitz=None):
     matrix = np.asarray(matrix, dtype=float)
     if lipschitz is None:
         lipschitz = estimate_operator_norm(matrix)
-    return ForwardOperator(lambda z: matrix @ z, float(lipschitz), matrix)
+    return ForwardOperator(lambda z: matrix @ z, float(lipschitz), matrix, np.zeros(len(matrix)))
 
 
 def affine_forward(matrix, offset, lipschitz=None):
@@ -273,7 +275,8 @@ def affine_forward(matrix, offset, lipschitz=None):
     offset = np.asarray(offset, dtype=float)
     if lipschitz is None:
         lipschitz = estimate_operator_norm(matrix)
-    return ForwardOperator(lambda z: matrix @ z + offset, float(lipschitz), matrix)
+    return ForwardOperator(lambda z: matrix @ z + offset, float(lipschitz), matrix,
+                           np.zeros(len(matrix)) + offset)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +291,8 @@ class SmoothCoupling:
     of length ``d`` (``d = 0`` is allowed for pure minimization).  ``value``
     is optional and used only by finite-difference diagnostics.  The affine
     families carry the constant Jacobian of their saddle map in
-    ``jacobian`` (see :func:`saddle_forward`); None for custom couplings.
+    ``jacobian`` and its value at 0, ``(a, b)``, in ``offset`` (see
+    :func:`saddle_forward`); both are None for custom couplings.
     """
 
     p: int
@@ -300,6 +304,7 @@ class SmoothCoupling:
     kind: str = "custom"
     params: dict = field(default_factory=dict)
     jacobian: np.ndarray | None = None
+    offset: np.ndarray | None = None
 
 
 def bilinear_coupling(m=None, a=None, b=None, p=None, d=None):
@@ -371,6 +376,7 @@ def bilinear_couplings(m, a, b):
     m, a, b = _coupling_stacks(m, a, b)
     n, p, d = m.shape
     jac = _saddle_jacobians(m)
+    offset = np.concatenate([a, b], axis=1)
     lip = operator_norms(m).tolist()
 
     def one(i):
@@ -385,6 +391,7 @@ def bilinear_couplings(m, a, b):
             kind="bilinear",
             params={"m": mi, "a": ai, "b": bi},
             jacobian=jac[i],
+            offset=offset[i],
         )
 
     return [one(i) for i in range(n)]
@@ -411,6 +418,7 @@ def quadratic_couplings(p_matrix, m, r_matrix, a, b):
     if p_matrix.shape != (n, p, p) or r_matrix.shape != (n, d, d):
         raise ValueError("inconsistent coupling dimensions")
     jac = _saddle_jacobians(m, p_matrix, r_matrix)
+    offset = np.concatenate([a, b], axis=1)
     lip = operator_norms(jac).tolist()
 
     def one(i):
@@ -430,6 +438,7 @@ def quadratic_couplings(p_matrix, m, r_matrix, a, b):
             kind="quadratic",
             params={"p_matrix": pm, "m": mi, "r_matrix": rm, "a": ai, "b": bi},
             jacobian=jac[i],
+            offset=offset[i],
         )
 
     return [one(i) for i in range(n)]
@@ -439,8 +448,9 @@ def saddle_forward(coupling):
     """Monotone forward map ``z = (x, y) -> (grad_x phi, -grad_y phi)``.
 
     This is the operator the splitting methods evaluate on the product
-    space; it carries the coupling's constant Jacobian when it has one, so
-    the solvers evaluate it batched and diagnostics can batch differences.
+    space; it carries the coupling's constant Jacobian and offset when it
+    has them, so the solvers evaluate it batched and diagnostics can batch
+    differences.
     """
     p = coupling.p
 
@@ -448,7 +458,7 @@ def saddle_forward(coupling):
         x, y = z[:p], z[p:]
         return np.concatenate([coupling.grad_x(x, y), -coupling.grad_y(x, y)])
 
-    return ForwardOperator(fn, coupling.lipschitz, coupling.jacobian)
+    return ForwardOperator(fn, coupling.lipschitz, coupling.jacobian, coupling.offset)
 
 
 # ---------------------------------------------------------------------------
@@ -602,13 +612,17 @@ class _ClipRows:
     """Rows of clip-family proxes: one clip of the whole row, then ``u - clip`` on the l1 columns.
 
     The l1 columns clip to ``[-t w, t w]`` (soft thresholding), the others to
-    their box (infinite for zero).  The ``(n, h)`` bounds are kept for the
-    last ``t`` seen.
+    their box (infinite for zero).  Each distinct prox object's columns are
+    derived once; the ``(n, h)`` bounds are kept for the last ``t`` seen.
     """
 
     def __init__(self, proxes, h):
+        columns = {}
+        for prox in proxes:
+            if id(prox) not in columns:
+                columns[id(prox)] = _clip_columns(prox, h)
         self.box_lo, self.box_hi, self.weight, l1 = (
-            np.stack(col) for col in zip(*(_clip_columns(p, h) for p in proxes)))
+            np.stack(col) for col in zip(*(columns[id(p)] for p in proxes)))
         self.l1 = l1
         # where= mask of the subtraction: all of the row, some columns or none
         self.where = True if l1.all() else (l1 if l1.any() else None)
@@ -684,24 +698,45 @@ def batched_resolvent(proxes, h):
     return fn
 
 
-def batched_forward(forwards, h):
-    """All agents' forward maps at once: ``fn(z)`` has rows ``forwards[i](z[i])``.
+def _affine_rows(forwards, h, scale=1.0):
+    """``(scale J, scale F(0))`` of affine maps, stacked: ``(n, h, h)`` and ``(n, h)``.
+
+    Every map must carry a ``jacobian``.  ``F(0)`` is the map's ``offset``,
+    or one call of the map at 0 when it has none.  The offset stack is None
+    when every offset is zero.
+    """
+    jac = [np.asarray(f.jacobian, dtype=float) for f in forwards]
+    if any(j.shape != (h, h) for j in jac):
+        raise ValueError(f"forward jacobians must be ({h}, {h})")
+    zero = np.zeros(h)
+    offset = [np.asarray(f(zero) if getattr(f, "offset", None) is None else f.offset, dtype=float)
+              for f in forwards]
+    if any(o.shape != (h,) for o in offset):
+        raise ValueError(f"forward offsets must be ({h},)")
+    jac, offset = np.stack(jac), np.stack(offset)
+    if scale != 1.0:
+        jac *= scale
+        offset *= scale
+    return jac, (offset if offset.any() else None)
+
+
+def batched_forward(forwards, h, scale=1.0):
+    """All agents' forward maps at once: ``fn(z)`` has rows ``scale * forwards[i](z[i])``.
 
     A map with a ``jacobian`` is affine by that field's contract and is
-    evaluated as ``J_i z_i + F_i(0)`` with one ``matmul`` over the stacked
-    Jacobians; ``F_i(0)`` is taken once, here.  Maps without one are called
-    once per row.
+    evaluated as ``(scale J_i) z_i + scale F_i(0)`` with one ``matmul`` over
+    the stacked Jacobians (:func:`_affine_rows`, which takes ``F_i(0)`` once,
+    here); the add is skipped when every offset is zero.  Maps without one
+    are called once per row.
     """
-    zero = np.zeros(h)
 
     def build(affine, members):
         if not affine:
-            return _per_row(members)
-        jac = [np.asarray(f.jacobian, dtype=float) for f in members]
-        if any(j.shape != (h, h) for j in jac):
-            raise ValueError(f"forward jacobians must be ({h}, {h})")
-        jac = np.stack(jac)
-        offset = np.stack([f(zero) for f in members])
+            rows = _per_row(members)
+            return rows if scale == 1.0 else lambda z: scale * rows(z)
+        jac, offset = _affine_rows(members, h, scale)
+        if offset is None:
+            return lambda z: np.matmul(jac, z[:, :, None])[:, :, 0]
         return lambda z: np.matmul(jac, z[:, :, None])[:, :, 0] + offset
 
     return _grouped(forwards, [f.jacobian is not None for f in forwards], build)

@@ -91,9 +91,10 @@ def test_init_hand_value():
     state = inclusion_init(identity_agents(3), mixing, np.ones((3, 1)), 0.1)
     assert_allclose(state.u, 0.9 * np.ones((3, 1)), atol=0)
     assert_array_equal(state.x, state.u)  # identity resolvent
-    assert_array_equal(state.prev_x, np.ones((3, 1)))
-    assert_array_equal(state.prev_v, np.ones((3, 1)))
-    assert_array_equal(state.v, 2 * state.x - 1.0)
+    # W 1 = 1 keeps the dual sum at 0; b = tau x, and e = g - (2 b - tau x0)
+    assert_array_equal(state.g, np.zeros((3, 1)))
+    assert_allclose(state.b, 0.09 * np.ones((3, 1)), rtol=1e-15)
+    assert_allclose(state.e, -0.08 * np.ones((3, 1)), rtol=1e-14)
 
 
 def test_premix_hand_value():

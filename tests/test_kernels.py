@@ -6,6 +6,8 @@ the kernel reorders it (a cached inverse instead of a solve, a stacked
 ``matmul`` instead of each map's own expression).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -19,6 +21,7 @@ from saddlenet.minmax import (
     minmax_init,
     minmax_run,
     minmax_step,
+    stack_agents,
     stepsize_bound_pair,
 )
 from saddlenet.operators import (
@@ -34,6 +37,7 @@ from saddlenet.operators import (
     product_resolvent,
     quadratic_prox,
     saddle_forward,
+    _affine_rows,
     zero_point_prox,
     zero_prox,
 )
@@ -340,18 +344,21 @@ def test_custom_coupling_gradients_run_once_per_agent_per_round():
 # ---------------------------------------------------------------------------
 
 class CountingMixing:
-    """A mixing matrix that counts its exchanges."""
+    """A mixing that counts its exchanges.
+
+    It has only ``apply``, ``n`` and ``lambda_min`` (no dense ``w``), so the
+    solvers mix through ``apply`` rather than the one-product kernel.
+    """
 
     def __init__(self, inner):
-        self.inner = inner
+        self._inner = inner
+        self.n = inner.n
+        self.lambda_min = inner.lambda_min
         self.calls = 0
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
 
     def apply(self, x):
         self.calls += 1
-        return self.inner.apply(x)
+        return self._inner.apply(x)
 
 
 def shifted_agents(n, h, seed):
@@ -369,7 +376,8 @@ def test_stacked_runs_exchange_once_per_round(run, premix):
     _, trace = run(agents, mixing, rows(18, n=n, h=3), 0.2,
                    StoppingRule(tol=1e-9, max_iters=5000), premix=premix)
     assert trace.converged and trace.iterations > 10
-    assert mixing.calls == trace.iterations
+    # without premixing, the start's dual sum x0 - W x0 takes one more product
+    assert mixing.calls == trace.iterations + (0 if premix else 1)
 
 
 def test_minmax_run_exchanges_once_per_block_per_round():
@@ -384,18 +392,96 @@ def test_minmax_run_exchanges_once_per_block_per_round():
         _, _, trace = minmax_run(problems, mixing, rows(19, n=n, h=p), rows(20, n=n, h=d), tau,
                                  StoppingRule(tol=1e-10, max_iters=20000))
         assert trace.converged and trace.iterations > 10
-        assert (mixing.w1.calls, mixing.w2.calls) == (trace.iterations, trace.iterations)
+        # one product per round, and one for the start's dual sum
+        assert (mixing.w1.calls, mixing.w2.calls) == (trace.iterations + 1, trace.iterations + 1)
 
 
-def test_a_state_without_its_cached_exchange_steps_the_same():
+def test_a_state_without_its_cached_products_steps_the_same():
     n = 5
     mixing = metropolis_mixing(ring_graph(n))
     agents = shifted_agents(n, 3, seed=5)
     tau = 0.15
     state = inclusion_step(agents, mixing, inclusion_init(agents, mixing, rows(21, n=n, h=3), tau), tau)
-    bare = type(state)(u=state.u, x=state.x, prev_x=state.prev_x, v=state.v,
-                       prev_v=state.prev_v, bx=state.bx)
-    assert state.wx_prev is not None and bare.wx_prev is None
-    assert_array_equal(inclusion_step(agents, mixing, bare, tau).x,
-                       inclusion_step(agents, mixing, state, tau).x)
+    assert state.mixed is not None  # the one-product kernel formed W x with b
+    for bare in (dataclasses.replace(state, mixed=None),
+                 dataclasses.replace(state, kernels=None, mixed=None)):
+        assert_array_equal(inclusion_step(agents, mixing, bare, tau).x,
+                           inclusion_step(agents, mixing, state, tau).x)
 
+
+
+# ---------------------------------------------------------------------------
+# affine maps carry their value at 0; shared proxes are read once
+# ---------------------------------------------------------------------------
+
+def test_library_affine_maps_carry_their_value_at_zero():
+    rng = np.random.default_rng(30)
+    matrix = random_monotone_matrix(H, rng)
+    forwards = [linear_forward(matrix), affine_forward(matrix, rng.standard_normal(H))]
+    for kind in ("bilinear", "quadratic"):
+        forwards += [saddle_forward(prob.coupling)
+                     for prob in random_saddle_problems(2, 3, H - 3, seed=31, coupling_kind=kind)]
+    for f in forwards:
+        assert_array_equal(f.offset, f(np.zeros(H)))
+
+
+def test_batched_forward_stacks_offsets_without_calling_the_maps():
+    calls = []
+    matrix = random_monotone_matrix(H, np.random.default_rng(32))
+    offset = np.arange(float(H))
+
+    def fn(z):
+        calls.append(1)
+        return matrix @ z + offset
+
+    forwards = [ForwardOperator(fn, 1.0, matrix, offset)] * N
+    z = rows(33)
+    out = batched_forward(forwards, H)(z)
+    assert calls == []
+    assert np.abs(out - (z @ matrix.T + offset)).max() <= 1e-14
+    # tau folded into the stack: (tau J) z + tau F(0)
+    scaled = batched_forward(forwards, H, scale=TAU)(z)
+    assert np.abs(scaled - TAU * out).max() <= 1e-14 * np.abs(out).max()
+
+
+def test_all_zero_offsets_are_not_added():
+    rng = np.random.default_rng(34)
+    forwards = [linear_forward(random_monotone_matrix(H, rng)) for _ in range(3)]
+    jac, offset = _affine_rows(forwards, H)
+    assert offset is None
+    z = rows(35, n=3)
+    assert_array_equal(batched_forward(forwards, H)(z), np.matmul(jac, z[:, :, None])[:, :, 0])
+
+
+def test_jacobianless_forwards_are_scaled_per_row():
+    forwards = [CountingForward() for _ in range(3)]
+    z = rows(36, n=3)
+    assert_array_equal(batched_forward(forwards, H, scale=TAU)(z), TAU * (0.5 * z))
+
+
+def test_agents_sharing_their_proxes_share_one_product_resolvent():
+    problems = random_saddle_problems(8, 2, 3, seed=37)
+    agents = stack_agents(problems)
+    assert len({id(a.resolvent) for a in agents}) == 1
+    other = AgentSaddleProblem(l1_prox(0.2), problems[0].prox_max, problems[0].coupling)
+    assert len({id(a.resolvent) for a in stack_agents(problems + [other])}) == 2
+
+
+def test_clip_columns_are_derived_once_per_distinct_prox(monkeypatch):
+    from saddlenet import operators
+
+    seen = []
+    clip_columns = operators._clip_columns
+
+    def counting(prox, h):
+        seen.append(prox)
+        return clip_columns(prox, h)
+
+    monkeypatch.setattr(operators, "_clip_columns", counting)
+    shared = product_resolvent(l1_prox(0.1), box_prox(-1.0, 1.0), split=2)
+    proxes = [shared] * 20 + [l1_prox(0.3)] * 5
+    u = rows(38, n=25)
+    out = batched_resolvent(proxes, H)(TAU, u)
+    assert [p.kind for p in seen].count("product") == 1
+    assert [p.kind for p in seen].count("l1") == 2  # the product's factor and the other prox
+    assert_array_equal(out, per_agent(proxes, TAU, u))

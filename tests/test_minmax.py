@@ -155,7 +155,8 @@ def test_stacked_inclusion_reproduces_minmax_bitwise():
             view = stack_state(mm)
             assert_array_equal(view.x, inc.x)
             assert_array_equal(view.u, inc.u)
-            assert_array_equal(view.v, inc.v)
+            assert_array_equal(view.g, inc.g)
+            assert_array_equal(view.e, inc.e)
             mm = minmax_step(problems, mixing, mm, tau)
             inc = inclusion_step(agents, stacked_mix, inc, tau)
 

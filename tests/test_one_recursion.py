@@ -181,11 +181,11 @@ def test_pg_extra_state_is_a_stacked_iterate():
     tau = 0.5 * (1.0 + mixing.lambda_min) / max(a.lipschitz for a in agents)
     state = pg_extra_init(agents, mixing, np.ones((4, 2)), tau)
     assert isinstance(state, StackedIterate)
-    # the plain gradient difference: v is B(x) itself
-    assert_array_equal(state.v, state.bx)
+    # the plain gradient difference: e is g - b, without the reflection's b_prev
+    assert_array_equal(state.e, state.g - state.b)
     state = pg_extra_step(agents, mixing, state, tau)
     assert isinstance(state, StackedIterate)
-    assert_array_equal(state.v, state.bx)
+    assert_array_equal(state.e, state.g - state.b)
 
 
 # ---------------------------------------------------------------------------
