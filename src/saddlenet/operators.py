@@ -9,6 +9,12 @@ a declared constant, evaluated explicitly by the solvers.
 The decentralized solvers keep one row per agent in an ``n x h`` array;
 :func:`batched_resolvent` and :func:`batched_forward` evaluate a whole list
 of per-agent operators on such an array at once.
+
+One point and a stack of rows are evaluated alike: a library prox (zero,
+zero-set indicator, l1, box, quadratic and products of these) runs the row
+kernel its ``kind`` and ``params`` select, a point as a stack of one row,
+and a forward map with a ``jacobian`` is ``jacobian @ z + offset``.  Only
+custom proxes and maps without a Jacobian call their own callables.
 """
 
 from __future__ import annotations
@@ -55,54 +61,61 @@ class Prox:
     ``kind``/``params`` identify library members so that sums of identical
     families can be formed for centralized reference runs.  ``dim`` is the
     expected input length when the map is dimension-specific, else None.
+    A library kind runs as one row of its batched kernel, built once per
+    point length; any other kind calls ``fn(tau, point)``.
     """
 
-    def __init__(self, fn, kind="custom", params=None, dim=None):
+    def __init__(self, fn=None, kind="custom", params=None, dim=None):
         self._fn = fn
         self.kind = kind
         self.params = dict(params or {})
         self.dim = dim
+        self._rows = {}
 
     def __call__(self, tau, point):
-        if tau <= 0:
-            raise ValueError("tau must be positive")
+        tau = _positive_step(tau)
         point = np.asarray(point, dtype=float)
-        if self.dim is not None and point.shape != (self.dim,):
-            raise ValueError(f"{self.kind} prox expects shape ({self.dim},), got {point.shape}")
-        return self._fn(float(tau), point)
+        if self.kind not in _LIBRARY_KINDS:
+            if self.dim is not None and point.shape != (self.dim,):
+                raise ValueError(f"{self.kind} prox expects shape ({self.dim},), got {point.shape}")
+            return self._fn(tau, point)
+        if point.ndim != 1:
+            raise ValueError(f"{self.kind} prox expects a 1-D point, got shape {point.shape}")
+        h = len(point)
+        if h not in self._rows:
+            self._rows[h] = _prox_rows([self], h)
+        return self._rows[h](point[None], tau)[0]
 
     def __repr__(self):
         return f"Prox(kind={self.kind!r}, params={self.params!r})"
 
 
+def _positive_step(tau):
+    """``tau`` as a float; raises unless it is positive (NaN included)."""
+    if not tau > 0:
+        raise ValueError("tau must be positive")
+    return float(tau)
+
+
 def zero_prox():
     """Prox of the zero function: the identity."""
-    return Prox(lambda t, v: v.copy(), kind="zero")
+    return Prox(kind="zero")
 
 
 def l1_prox(weight):
     """Soft thresholding, the prox of ``weight * ||.||_1``: ``v - clip(v, -t w, t w)``.
 
     This is ``sign(v) max(|v| - t w, 0)`` with one clip; the dead zone is
-    ``+0.0``.  The clip is ``np.maximum`` then ``np.minimum``, as in the
-    batched kernel, so the two agree bit for bit.
+    ``+0.0``.
     """
     weight = float(weight)
     if weight < 0:
         raise ValueError("l1 weight must be nonnegative")
-
-    def fn(t, v):
-        return v - np.minimum(np.maximum(v, -t * weight), t * weight)
-
-    return Prox(fn, kind="l1", params={"weight": weight})
+    return Prox(kind="l1", params={"weight": weight})
 
 
 def box_prox(lo, hi):
-    """Projection onto the box ``[lo, hi]`` (the step size is irrelevant).
-
-    The clip is ``np.maximum`` then ``np.minimum``, as in the batched kernel,
-    so the two agree bit for bit, the sign of a zero bound included.
-    """
+    """Projection onto the box ``[lo, hi]`` (the step size is irrelevant)."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if np.any(lo > hi):
@@ -110,14 +123,13 @@ def box_prox(lo, hi):
     dim = None
     if lo.ndim > 0 or hi.ndim > 0:
         dim = int(np.broadcast(lo, hi).shape[0])
-    return Prox(lambda t, v: np.minimum(np.maximum(v, lo), hi), kind="box_indicator",
-                params={"lo": lo, "hi": hi}, dim=dim)
+    return Prox(kind="box_indicator", params={"lo": lo, "hi": hi}, dim=dim)
 
 
 def quadratic_prox(q_matrix, q_vec=None):
     """Prox of ``v -> v' Q v / 2 + q' v`` for symmetric PSD ``Q``: a stack of one.
 
-    Evaluates by solving ``(I + tau Q) out = point - tau q``.
+    Evaluates ``(I + tau Q)^{-1} (point - tau q)``, the inverse kept per ``tau``.
     """
     q_matrix = np.asarray(q_matrix, dtype=float)
     q_vec = np.zeros(q_matrix.shape[:1]) if q_vec is None else np.asarray(q_vec, dtype=float)
@@ -137,13 +149,8 @@ def quadratic_proxes(q_matrix, q_vec):
     q_vec = np.asarray(q_vec, dtype=float)
     if q_vec.shape != (n, h):
         raise ValueError("q has the wrong length")
-    eye = np.eye(h)
-
-    def one(q, qv):
-        return Prox(lambda t, v: np.linalg.solve(eye + t * q, v - t * qv), kind="quadratic",
-                    params={"q_matrix": q, "q_vec": qv}, dim=h)
-
-    return [one(q_matrix[i], q_vec[i]) for i in range(n)]
+    return [Prox(kind="quadratic", params={"q_matrix": q_matrix[i], "q_vec": q_vec[i]}, dim=h)
+            for i in range(n)]
 
 
 def _symmetric_psd_fault(stack):
@@ -164,7 +171,7 @@ def _symmetric_psd_fault(stack):
 
 def zero_point_prox():
     """Prox of the indicator of the origin: the zero map."""
-    return Prox(lambda t, v: np.zeros_like(v), kind="zero_set_indicator")
+    return Prox(kind="zero_set_indicator")
 
 
 _PROX_FACTORIES = {
@@ -189,7 +196,7 @@ def product_resolvent(first, second, split=None):
     """Blockwise prox on a product space: ``first`` on ``z[:split]``, ``second`` after.
 
     When both factors carry a ``dim`` the split is inferred; otherwise it
-    must be given.  The total length is checked at call time.
+    must be given.  Lengths are checked when the kernel for one is built.
     """
     if split is None:
         if first.dim is None or second.dim is None:
@@ -200,15 +207,7 @@ def product_resolvent(first, second, split=None):
         if first.dim != split:
             raise ValueError("split disagrees with the first factor's dim")
         total = first.dim + second.dim
-
-    def fn(t, z):
-        if total is not None and z.shape != (total,):
-            raise ValueError(f"product prox expects shape ({total},), got {z.shape}")
-        if z.shape[0] < split:
-            raise ValueError("point is shorter than the first block")
-        return np.concatenate([first(t, z[:split]), second(t, z[split:])])
-
-    return Prox(fn, kind="product", params={"first": first, "second": second, "split": split},
+    return Prox(kind="product", params={"first": first, "second": second, "split": split},
                 dim=total)
 
 
@@ -248,10 +247,11 @@ class ForwardOperator:
     ``lipschitz`` is a declared upper bound (any valid bound is fine, it
     only enters step-size rules).  ``jacobian`` is the constant Jacobian
     matrix when the map is affine: setting it promises
-    ``F(z) = jacobian @ z + F(0)``, and the solvers evaluate the map through
-    it (see :func:`batched_forward`) instead of calling ``fn``.  Leave it
-    None for genuinely nonlinear maps.  ``offset`` is ``F(0)`` of an affine
-    map; when it is None the solvers call the map once at 0 instead.
+    ``F(z) = jacobian @ z + F(0)``, and the map is evaluated through it,
+    here and in :func:`batched_forward`, instead of calling ``fn`` (which
+    may then be None).  Leave it None for genuinely nonlinear maps.
+    ``offset`` is ``F(0)`` of an affine map; when it is None, ``fn`` is
+    called once at 0 to set it.
     """
 
     fn: callable
@@ -259,15 +259,18 @@ class ForwardOperator:
     jacobian: np.ndarray | None = None
     offset: np.ndarray | None = None
 
+    def __post_init__(self):
+        if self.jacobian is not None and self.offset is None:
+            object.__setattr__(self, "offset", self.fn(np.zeros(len(self.jacobian))))
+
     def __call__(self, z):
-        return self.fn(np.asarray(z, dtype=float))
+        if self.jacobian is None:
+            return self.fn(np.asarray(z, dtype=float))
+        return self.jacobian @ z + self.offset
 
 
 def linear_forward(matrix, lipschitz=None):
-    matrix = np.asarray(matrix, dtype=float)
-    if lipschitz is None:
-        lipschitz = estimate_operator_norm(matrix)
-    return ForwardOperator(lambda z: matrix @ z, float(lipschitz), matrix, np.zeros(len(matrix)))
+    return affine_forward(matrix, 0.0, lipschitz)
 
 
 def affine_forward(matrix, offset, lipschitz=None):
@@ -275,8 +278,7 @@ def affine_forward(matrix, offset, lipschitz=None):
     offset = np.asarray(offset, dtype=float)
     if lipschitz is None:
         lipschitz = estimate_operator_norm(matrix)
-    return ForwardOperator(lambda z: matrix @ z + offset, float(lipschitz), matrix,
-                           np.zeros(len(matrix)) + offset)
+    return ForwardOperator(None, float(lipschitz), matrix, np.zeros(len(matrix)) + offset)
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +451,12 @@ def saddle_forward(coupling):
 
     This is the operator the splitting methods evaluate on the product
     space; it carries the coupling's constant Jacobian and offset when it
-    has them, so the solvers evaluate it batched and diagnostics can batch
-    differences.
+    has them, and then evaluates through them, so the solvers evaluate it
+    batched and diagnostics can batch differences.  A coupling that lacks
+    either is evaluated through its gradients.
     """
+    if coupling.jacobian is not None and coupling.offset is not None:
+        return ForwardOperator(None, coupling.lipschitz, coupling.jacobian, coupling.offset)
     p = coupling.p
 
     def fn(z):
@@ -476,10 +481,8 @@ def combine_proxes(proxes):
     if len(kinds) != 1:
         raise ValueError(f"cannot combine mixed prox kinds {sorted(kinds)}")
     kind = kinds.pop()
-    if kind == "zero":
-        return zero_prox()
-    if kind == "zero_set_indicator":
-        return zero_point_prox()
+    if kind in ("zero", "zero_set_indicator"):
+        return Prox(kind=kind)
     if kind == "l1":
         return l1_prox(sum(p.params["weight"] for p in proxes))
     if kind == "box_indicator":
@@ -573,6 +576,9 @@ class _QuadraticRows:
             self.tau = t
         return np.matmul(self.inverse, (u - t * self.q_vec)[:, :, None])[:, :, 0]
 
+
+# the kinds evaluated from ``kind``/``params`` by a row kernel
+_LIBRARY_KINDS = ("zero", "zero_set_indicator", "l1", "box_indicator", "quadratic", "product")
 
 # the kinds whose prox is a clip: l1 (``u - clip(u, -t w, t w)``), the box and the identity
 _CLIP_KINDS = ("zero", "l1", "box_indicator")
@@ -689,28 +695,20 @@ def batched_resolvent(proxes, h):
     against the row length ``h`` here, ``tau`` on every call.
     """
     rows = _prox_rows(proxes, h)
-
-    def fn(tau, u):
-        if tau <= 0:
-            raise ValueError("tau must be positive")
-        return rows(u, float(tau))
-
-    return fn
+    return lambda tau, u: rows(u, _positive_step(tau))
 
 
 def _affine_rows(forwards, h, scale=1.0):
     """``(scale J, scale F(0))`` of affine maps, stacked: ``(n, h, h)`` and ``(n, h)``.
 
-    Every map must carry a ``jacobian``.  ``F(0)`` is the map's ``offset``,
-    or one call of the map at 0 when it has none.  The offset stack is None
-    when every offset is zero.
+    Every map must carry a ``jacobian`` and its ``offset`` ``F(0)``, as a
+    :class:`ForwardOperator` does.  The offset stack is None when every
+    offset is zero.
     """
     jac = [np.asarray(f.jacobian, dtype=float) for f in forwards]
     if any(j.shape != (h, h) for j in jac):
         raise ValueError(f"forward jacobians must be ({h}, {h})")
-    zero = np.zeros(h)
-    offset = [np.asarray(f(zero) if getattr(f, "offset", None) is None else f.offset, dtype=float)
-              for f in forwards]
+    offset = [np.asarray(f.offset, dtype=float) for f in forwards]
     if any(o.shape != (h,) for o in offset):
         raise ValueError(f"forward offsets must be ({h},)")
     jac, offset = np.stack(jac), np.stack(offset)
@@ -725,9 +723,9 @@ def batched_forward(forwards, h, scale=1.0):
 
     A map with a ``jacobian`` is affine by that field's contract and is
     evaluated as ``(scale J_i) z_i + scale F_i(0)`` with one ``matmul`` over
-    the stacked Jacobians (:func:`_affine_rows`, which takes ``F_i(0)`` once,
-    here); the add is skipped when every offset is zero.  Maps without one
-    are called once per row.
+    the stacked Jacobians and offsets (:func:`_affine_rows`); the add is
+    skipped when every offset is zero.  Maps without one are called once
+    per row.
     """
 
     def build(affine, members):

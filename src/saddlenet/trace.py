@@ -25,7 +25,7 @@ class StoppingRule:
     max_iters: int = 1_000_000
 
     def __post_init__(self):
-        if self.tol < 0:
+        if not self.tol >= 0:
             raise ValueError("tol must be nonnegative")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")

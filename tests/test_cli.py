@@ -219,6 +219,15 @@ def test_forb_uses_its_own_auto_step(tmp_path):
     assert "summed objective" in (out / "summary.txt").read_text()
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_a_tolerance_override_that_is_not_nonnegative_is_a_usage_error(tmp_path, capsys, tol):
+    cfg = write(tmp_path, FAST_MINMAX)
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out), "--tol", tol]) == 2
+    assert "tol must be nonnegative" in capsys.readouterr().err
+    assert not (out / "summary.txt").exists()
+
+
 def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.ini"),
                  "--out", str(tmp_path / "o")]) == 2

@@ -1,9 +1,11 @@
 """Row-batched operator kernels and the one-exchange-per-block round.
 
-Every batched kind is held to the per-agent callables it replaces: bitwise
-where the arithmetic is unchanged (zero, l1, box), and within 1e-14 where
-the kernel reorders it (a cached inverse instead of a solve, a stacked
-``matmul`` instead of each map's own expression).
+A library prox evaluates one point as one row of its batched kernel, so
+batched and per-point results agree bit for bit; both are held to the
+textbook formulas (``np.clip``, soft thresholding, ``np.linalg.solve``,
+``J z + F(0)``), bitwise where the arithmetic is the same and within 1e-14
+where the kernel reorders it (a cached inverse instead of a solve, a
+stacked ``matmul`` instead of a matrix-vector product).
 """
 
 import dataclasses
@@ -176,6 +178,17 @@ def test_the_l1_dead_zone_is_positive_zero():
         assert got.tobytes() == want.tobytes()
 
 
+def test_per_point_quadratic_prox_is_the_textbook_solve():
+    rng = np.random.default_rng(39)
+    for _ in range(N):
+        prox = random_quadratic(rng)
+        q, qv = prox.params["q_matrix"], prox.params["q_vec"]
+        for tau in (TAU, 2.5, TAU):
+            v = rng.standard_normal(H) * 2.0
+            want = np.linalg.solve(np.eye(H) + tau * q, v - tau * qv)
+            assert np.abs(prox(tau, v) - want).max() <= 1e-14
+
+
 def test_batched_quadratic_matches_per_agent_solves():
     rng = np.random.default_rng(3)
     proxes = [random_quadratic(rng) for _ in range(N)]
@@ -221,9 +234,65 @@ class CountingProx(Prox):
 def test_batched_resolvent_checks_tau_on_every_call():
     fn = batched_resolvent([l1_prox(0.1), zero_prox()], H)
     fn(TAU, rows(n=2))
-    for tau in (0.0, -1.0):
+    for tau in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError, match="tau must be positive"):
             fn(tau, rows(n=2))
+
+
+LIBRARY_KINDS = {**BITWISE_KINDS, "quadratic": random_quadratic,
+                 "product of quadratic and l1": lambda rng: product_resolvent(
+                     random_quadratic(rng, 3), l1_prox(0.2), split=3)}
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_KINDS))
+def test_a_library_prox_rejects_a_nan_or_nonpositive_step(name):
+    prox = LIBRARY_KINDS[name](np.random.default_rng(40))
+    for tau in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            prox(tau, rows()[0])
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_KINDS))
+def test_a_library_prox_rejects_a_point_that_is_not_1d(name):
+    prox = LIBRARY_KINDS[name](np.random.default_rng(41))
+    for point in (rows(n=2), rows(n=1), np.float64(0.5), np.ones((H, 1))):
+        with pytest.raises(ValueError, match="expects a 1-D point"):
+            prox(TAU, point)
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_KINDS))
+def test_a_library_prox_is_one_row_of_its_kernel_built_once_per_length(name, monkeypatch):
+    from saddlenet import operators
+
+    built = []
+    prox_rows = operators._prox_rows
+
+    def counting(proxes, h):
+        built.append(h)
+        return prox_rows(proxes, h)
+
+    monkeypatch.setattr(operators, "_prox_rows", counting)
+    prox = LIBRARY_KINDS[name](np.random.default_rng(42))
+    u = rows(43, n=3)
+    for tau in (TAU, 2.5):
+        got = np.stack([prox(tau, row) for row in u])
+        assert got.tobytes() == batched_resolvent([prox] * 3, H)(tau, u).tobytes()
+    assert built.count(H) == 3  # the per-point kernel once, then one per batched build
+    if name in ("zero", "zero_set_indicator", "l1", "scalar box"):  # any length is legal
+        prox(TAU, np.ones(H + 3))
+        assert built.count(H + 3) == 1
+
+
+def test_library_factories_define_no_callables():
+    rng = np.random.default_rng(44)
+    for make in LIBRARY_KINDS.values():
+        assert make(rng)._fn is None
+    matrix = random_monotone_matrix(H, rng)
+    forwards = [linear_forward(matrix), affine_forward(matrix, rng.standard_normal(H))]
+    for kind in ("bilinear", "quadratic"):
+        forwards += [saddle_forward(prob.coupling)
+                     for prob in random_saddle_problems(2, 3, H - 3, seed=45, coupling_kind=kind)]
+    assert all(f.fn is None for f in forwards)
 
 
 @pytest.mark.parametrize("prox", [
@@ -268,6 +337,21 @@ def test_batched_saddle_forward(kind):
     assert np.abs(batched_forward(forwards, p + d)(z) - ref).max() <= 1e-14
 
 
+def test_per_point_affine_forwards_are_the_textbook_formula():
+    rng = np.random.default_rng(46)
+    matrix = random_monotone_matrix(H, rng)
+    cases = [(linear_forward(matrix), matrix, np.zeros(H))]
+    offset = rng.standard_normal(H)
+    cases.append((affine_forward(matrix, offset), matrix, offset))
+    for prob in random_saddle_problems(3, 2, H - 2, seed=47, coupling_kind="quadratic"):
+        c = prob.coupling
+        pm, m, rm, a, b = (c.params[k] for k in ("p_matrix", "m", "r_matrix", "a", "b"))
+        cases.append((saddle_forward(c), np.block([[pm, m], [-m.T, rm]]), np.concatenate([a, b])))
+    for forward, jac, f0 in cases:
+        for z in rows(48):
+            assert np.abs(forward(z) - (jac @ z + f0)).max() <= 1e-14
+
+
 def test_affine_forward_is_evaluated_through_its_jacobian():
     calls = []
     matrix = random_monotone_matrix(H, np.random.default_rng(13))
@@ -277,13 +361,16 @@ def test_affine_forward_is_evaluated_through_its_jacobian():
         calls.append(1)
         return matrix @ z + offset
 
-    batched = batched_forward([ForwardOperator(fn, 1.0, matrix)] * N, H)
-    assert len(calls) == N  # F(0), once per agent at build
+    forward = ForwardOperator(fn, 1.0, matrix)
+    assert len(calls) == 1  # F(0), once, when the map is built
+    batched = batched_forward([forward] * N, H)
     z = rows(14)
     for _ in range(3):
         out = batched(z)
-    assert len(calls) == N
+        point = forward(z[0])
+    assert len(calls) == 1
     assert np.abs(out - (z @ matrix.T + offset)).max() <= 1e-14
+    assert np.abs(point - (matrix @ z[0] + offset)).max() <= 1e-14
 
 
 class CountingForward:

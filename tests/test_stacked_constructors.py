@@ -171,8 +171,11 @@ def test_inclusion_agents_are_bitwise_the_per_agent_construction(n, h, seed, poo
         for key, value in params.items():
             assert_bitwise(agent.resolvent.params[key], value)
         if kind == "quadratic":
+            # bit for bit the per-agent construction's prox; the textbook solve within 1e-14
+            got = agent.resolvent(0.7, v)
+            assert_bitwise(got, quadratic_prox(params["q_matrix"], params["q_vec"])(0.7, v))
             expected = np.linalg.solve(np.eye(h) + 0.7 * params["q_matrix"], v - 0.7 * params["q_vec"])
-            assert_bitwise(agent.resolvent(0.7, v), expected)
+            assert np.abs(got - expected).max() <= 1e-14
         assert_bitwise(agent.forward.jacobian, forward)
         assert_bitwise(agent.forward(v), forward @ v)
         assert type(agent.lipschitz) is float and agent.lipschitz == lip

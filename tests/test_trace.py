@@ -15,8 +15,9 @@ def test_stopping_rule_defaults_and_validation():
     rule = StoppingRule()
     assert rule.tol == 1e-10
     assert rule.max_iters == 1_000_000
-    with pytest.raises(ValueError):
-        StoppingRule(tol=-1e-3)
+    for tol in (-1e-3, np.nan):
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            StoppingRule(tol=tol)
     with pytest.raises(ValueError):
         StoppingRule(max_iters=-1)
     StoppingRule(tol=0.0)  # exact fixed points are a legitimate target
