@@ -134,7 +134,8 @@ def _vanishes(forward, h):
 def _reference_point(central, h, tol=1e-12, max_iters=2_000_000):
     """High-accuracy reflected run of the summed problem's agent from the origin of R^h.
 
-    Returns the stacked point ``(x, y)`` and whether the run converged.
+    Returns the stacked point ``(x, y)`` and whether the run converged.  The
+    commands cap ``max_iters`` at 100 times the run's budget.
     """
     lip = central.lipschitz
     tau = 0.45 / lip if lip > 0 else 1.0
@@ -165,8 +166,9 @@ class _Setup:
         for name in names:
             _check_algorithm(name, self)
         self.reference, self.reference_converged = (
-            _reference_point(self.central, self.z0.shape[1]) if cfg.run.reference and names
-            else (None, True))
+            _reference_point(self.central, self.z0.shape[1],
+                             max_iters=min(2_000_000, 100 * self.stop.max_iters))
+            if cfg.run.reference and names else (None, True))
 
     @cached_property
     def central(self):

@@ -75,14 +75,14 @@ class Graph:
             raise ValueError(f"edge {tuple(pairs[bad[0]].tolist())} out of range for n={self.n}")
         pairs = pairs[np.argsort(i * self.n + j)]
         pairs.flags.writeable = False
-        # in sorted order, each vertex meets its smaller neighbors, then its larger ones,
-        # each in increasing order: the lists come out sorted
-        adjacent = [[] for _ in range(self.n)]
-        for i, j in zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()):
-            adjacent[i].append(j)
-            adjacent[j].append(i)
+        # both directions of every edge, sorted by (tail, head): the heads of each
+        # tail are its neighbors in increasing order
+        tail, head = np.concatenate([pairs, pairs[:, ::-1]]).T
+        heads = head[np.argsort(tail * self.n + head)].tolist()
+        ends = np.cumsum(np.bincount(tail, minlength=self.n)).tolist()
         object.__setattr__(self, "edge_array", pairs)
-        object.__setattr__(self, "_adjacent", tuple(map(tuple, adjacent)))
+        object.__setattr__(self, "_adjacent",
+                           tuple(tuple(heads[a:b]) for a, b in zip([0] + ends, ends)))
 
     @classmethod
     def from_edges(cls, n, edges):
@@ -213,7 +213,10 @@ def random_connected_graph(n, density=0.3, seed=0):
     Vertices are attached in a random order, each to a uniformly chosen
     earlier vertex (guaranteeing connectivity); every remaining pair is then
     added independently with probability ``density``.  Fully reproducible
-    from ``seed`` (PCG64).
+    from ``seed`` (PCG64).  Draw order: the vertex permutation, one anchor
+    per vertex, one coin per non-tree pair.  The order has not changed since
+    the draws were made one vertex at a time, so every seeded graph is the
+    same; the edges are pairs of Python ints.
     """
     if n < 1:
         raise ValueError("graph needs at least one vertex")
@@ -221,19 +224,20 @@ def random_connected_graph(n, density=0.3, seed=0):
         raise ValueError("density must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
-    edges = set()
-    for k in range(1, n):
-        anchor = order[int(rng.integers(0, k))]
-        edges.add((min(anchor, order[k]), max(anchor, order[k])))
-    # one coin per non-tree pair, drawn at once; the (i < j) row-major order of
-    # the pairs is the order seeded graphs were always drawn in
-    free = np.triu(np.ones((n, n), dtype=bool), 1)
-    tree = np.array(list(edges), dtype=int).reshape(-1, 2)
-    free[tree[:, 0], tree[:, 1]] = False
-    i, j = np.nonzero(free)
-    keep = rng.random(i.size) < density
-    edges.update(zip(i[keep].tolist(), j[keep].tolist()))
-    return Graph.from_edges(n, edges)
+    # vertex order[k] joins order[u_k], u_k uniform in [0, k): one call draws
+    # every u_k in turn, the stream of one call per vertex
+    anchor = order[rng.integers(0, np.arange(1, n))]
+    tree = np.sort(np.stack([anchor, order[1:]], axis=1), axis=1)
+    # one coin per non-tree pair in (i < j) row-major order; pair (i, j) has
+    # index start[i] + j - i - 1 in that order, and a kept coin's index among
+    # the free pairs is shifted past the tree pairs before it
+    start = np.arange(n) * (2 * n - 1 - np.arange(n)) // 2
+    taken = np.sort(start[tree[:, 0]] + tree[:, 1] - tree[:, 0] - 1)
+    kept = np.flatnonzero(rng.random(n * (n - 1) // 2 - len(taken)) < density)
+    kept += np.searchsorted(taken - np.arange(len(taken)), kept, side="right")
+    i = np.searchsorted(start, kept, side="right") - 1
+    pairs = np.concatenate([tree, np.stack([i, kept - start[i] + i + 1], axis=1)])
+    return Graph(n, frozenset(zip(*pairs.T.tolist())))
 
 
 _TOPOLOGIES = {
@@ -318,7 +322,8 @@ class MixingMatrix:
         w.flags.writeable = False
         object.__setattr__(self, "w", w)
         n = len(w)
-        rows, cols = np.nonzero(w)
+        # below the size rule the product is dense however sparse w is: no scan
+        rows, cols = np.nonzero(w) if n >= _GATHER_MIN_N else (np.arange(0),) * 2
         counts = np.bincount(rows, minlength=n)
         k = int(counts.max(initial=0))
         if n < _GATHER_MIN_N or _GATHER_MIN_N_OVER_K * k > n:
@@ -454,6 +459,11 @@ def certify_mixing(w, graph, tol=1e-9):
     Eigenvalues come from a symmetric eigenvalue solver, so symmetry is
     checked first; if it fails, the spectral properties are reported as
     failed too.
+
+    When ``tol >= 0`` and every nonzero of ``w`` (NaN included) lies on the
+    diagonal or on an edge, one count of nonzeros shows ``w`` decentralized
+    and symmetry is read off the diagonal and the edges alone; the dense
+    support and ``w - w.T`` passes are skipped.  Any other input takes them.
     """
     w = np.asarray(w, dtype=float)
     n = graph.n
@@ -461,14 +471,20 @@ def certify_mixing(w, graph, tol=1e-9):
         raise ValueError(f"matrix shape {w.shape} does not match n={n}")
 
     notes = []
-    allowed = graph.adjacency().astype(bool) | np.eye(n, dtype=bool)
-    off_support = np.abs(np.where(allowed, 0.0, w))
-    decentralized = bool(off_support.max(initial=0.0) <= tol)
-    if not decentralized:
-        i, j = np.unravel_index(np.argmax(off_support), w.shape)
-        notes.append(f"nonzero weight {w[i, j]!r} on non-edge ({i}, {j})")
-
-    symmetric = bool(np.abs(w - w.T).max(initial=0.0) <= tol)
+    i, j = graph.edge_array.T
+    diag, upper, lower = np.diagonal(w), w[i, j], w[j, i]
+    if 0.0 <= tol and np.count_nonzero(w) == sum(map(np.count_nonzero, (diag, upper, lower))):
+        # every nonzero is on the support, so only the diagonal and the edges can be asymmetric
+        decentralized = True
+        symmetric = bool(np.abs(np.concatenate([diag - diag, upper - lower])).max(initial=0.0) <= tol)
+    else:
+        allowed = graph.adjacency().astype(bool) | np.eye(n, dtype=bool)
+        off_support = np.abs(np.where(allowed, 0.0, w))
+        decentralized = bool(off_support.max(initial=0.0) <= tol)
+        if not decentralized:
+            i, j = np.unravel_index(np.argmax(off_support), w.shape)
+            notes.append(f"nonzero weight {w[i, j]!r} on non-edge ({i}, {j})")
+        symmetric = bool(np.abs(w - w.T).max(initial=0.0) <= tol)
 
     if symmetric:
         vals = np.linalg.eigvalsh((w + w.T) / 2.0)
@@ -507,8 +523,8 @@ def certify_mixing(w, graph, tol=1e-9):
 
 def _certified(w, graph, origin):
     cert = certify_mixing(w, graph)
-    if not cert.passed:  # pragma: no cover - construction guarantees the properties
-        raise RuntimeError(f"{origin} produced an invalid mixing matrix:\n{cert.summary()}")
+    if not cert.passed:
+        raise ValueError(f"{origin} gives a mixing matrix that fails its certificate:\n{cert.summary()}")
     return MixingMatrix(w, graph, cert.lambda_min)
 
 
@@ -516,7 +532,9 @@ def mixing_from_laplacian(g, alpha):
     """Laplacian mixing ``W = I - L / alpha`` for ``alpha > lambda_max(L) / 2``.
 
     The bound on ``alpha`` is what keeps the spectrum above ``-1``; it is
-    checked against an eigendecomposition of ``L`` and violations raise.
+    checked against an eigendecomposition of ``L`` and violations raise.  So
+    does an ``alpha`` within rounding of the bound, whose ``W`` has
+    ``lambda_min = -1`` to the certificate's tolerance.
     """
     if not is_connected(g):
         raise ValueError("graph must be connected")
@@ -526,7 +544,7 @@ def mixing_from_laplacian(g, alpha):
         raise ValueError(
             f"alpha={alpha!r} must exceed half the largest Laplacian eigenvalue ({lam_max / 2.0!r})"
         )
-    return _certified(_laplacian_weights(lap, alpha), g, "mixing_from_laplacian")
+    return _certified(_laplacian_weights(lap, alpha), g, f"alpha={alpha!r}")
 
 
 def metropolis_mixing(g):

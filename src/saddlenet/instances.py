@@ -12,8 +12,8 @@ import numpy as np
 from .inclusion import AgentInclusion
 from .minmax import AgentSaddleProblem
 from .operators import (
+    ForwardOperator,
     bilinear_couplings,
-    linear_forward,
     make_prox,
     operator_norms,
     quadratic_couplings,
@@ -35,10 +35,14 @@ def random_monotone_matrix(h, rng, skew_scale=1.0, sym_scale=0.3):
     the PSD part.  ``S + P`` is monotone because ``z'(S + P)z = z'Pz >= 0``.
     """
     a = rng.standard_normal((h, h))
-    skew = 0.5 * (a - a.T) * skew_scale
     g = rng.standard_normal((h, h))
-    psd = (g @ g.T) / h * sym_scale
-    return skew + psd
+    return _monotone_matrices(a[None], g[None], skew_scale, sym_scale)[0]
+
+
+def _monotone_matrices(a, g, skew_scale=1.0, sym_scale=0.3):
+    """:func:`random_monotone_matrix` of every row of the normal stacks ``a`` and ``g``."""
+    gt = np.swapaxes(g, 1, 2)
+    return 0.5 * (a - np.swapaxes(a, 1, 2)) * skew_scale + (g @ gt) / g.shape[-1] * sym_scale
 
 
 _PROX_POOL = ("zero", "l1", "box_indicator", "quadratic")
@@ -67,12 +71,12 @@ def random_inclusion_agents(n, h, seed, pool=_PROX_POOL):
 
     Per agent in order: prox draws, then the forward-matrix draws of
     :func:`random_monotone_matrix`.  The draws fill ``(n, ...)`` stacks;
-    the forward norms and the quadratic proxes' checks then take one
-    batched call each.
+    the forward matrices, their norms and the quadratic proxes' checks
+    then take one batched pass each.
     """
     rng = np.random.default_rng(seed)
     proxes = [None] * n
-    forward = np.empty((n, h, h))
+    a, g = np.empty((n, h, h)), np.empty((n, h, h))
     q_matrix, q_vec = np.empty((n, h, h)), np.empty((n, h))
     quadratic = []  # the agents with a quadratic prox, in order
     for i in range(n):
@@ -82,13 +86,17 @@ def random_inclusion_agents(n, h, seed, pool=_PROX_POOL):
             quadratic.append(i)
         else:
             proxes[i] = make_prox(kind, **params)
-        forward[i] = random_monotone_matrix(h, rng)
+        a[i] = rng.standard_normal((h, h))
+        g[i] = rng.standard_normal((h, h))
     k = len(quadratic)
     for i, prox in zip(quadratic, quadratic_proxes(q_matrix[:k], q_vec[:k])):
         proxes[i] = prox
-    lipschitz = operator_norms(forward)
-    return [AgentInclusion(resolvent=prox, forward=linear_forward(forward[i], lipschitz=lipschitz[i]))
-            for i, prox in enumerate(proxes)]
+    forward = _monotone_matrices(a, g)
+    lipschitz = operator_norms(forward).tolist()
+    # linear forwards built as linear_forward builds them, without its per-agent array work
+    offset = np.zeros((n, h))
+    return [AgentInclusion(resolvent=prox, forward=ForwardOperator(None, lip, f, b))
+            for prox, lip, f, b in zip(proxes, lipschitz, forward, offset)]
 
 
 def seeded_couplings(n, p, d, seed, kind="bilinear", scale=1.0):

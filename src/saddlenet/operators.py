@@ -196,17 +196,16 @@ def product_resolvent(first, second, split=None):
     """Blockwise prox on a product space: ``first`` on ``z[:split]``, ``second`` after.
 
     When both factors carry a ``dim`` the split is inferred; otherwise it
-    must be given.  Lengths are checked when the kernel for one is built.
+    must be given, and must equal the first factor's ``dim`` if it has one.
+    Other lengths are checked when the kernel for one is built.
     """
     if split is None:
         if first.dim is None or second.dim is None:
             raise ValueError("split must be given when the factors have no declared dim")
         split = first.dim
-    total = None
-    if first.dim is not None and second.dim is not None:
-        if first.dim != split:
-            raise ValueError("split disagrees with the first factor's dim")
-        total = first.dim + second.dim
+    if first.dim is not None and first.dim != split:
+        raise ValueError("split disagrees with the first factor's dim")
+    total = None if None in (first.dim, second.dim) else first.dim + second.dim
     return Prox(kind="product", params={"first": first, "second": second, "split": split},
                 dim=total)
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line front end (exit codes and artifacts)."""
 
+import time
 import warnings
 
 import numpy as np
@@ -189,6 +190,28 @@ def test_run_reference_distance_in_summary(tmp_path):
     assert "final distance to reference = " in summary
     dist = float(summary.split("final distance to reference = ")[1].splitlines()[0])
     assert dist < 1e-6
+
+
+def test_a_laplacian_alpha_that_fails_the_certificate_is_a_usage_error(tmp_path, capsys):
+    text = swap(FAST_MINMAX, "n = 3", "n = 6")
+    text = swap(text, "topology = ring", "topology = ring\n\n[mixing]\nscheme = laplacian\nalpha = 2.0")
+    out = tmp_path / "out"
+    assert main(["run", "--config", write(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: alpha=2.0 gives a mixing matrix that fails its certificate" in err
+    assert "overall: FAIL" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_the_reference_run_is_budgeted_by_the_config(tmp_path):
+    """``max_iters = 0`` leaves the reference no rounds: it ends at once, with its warning."""
+    text = swap(README_MINMAX, "name = alg2", "name = forb")
+    text = swap(text, "max_iters = 100000", "max_iters = 0")
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main(["run", "--config", write(tmp_path, text), "--out", str(out)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "warning: reference run hit its iteration budget" in (out / "summary.txt").read_text()
 
 
 def test_seed_override_changes_the_instance(tmp_path):

@@ -16,9 +16,11 @@ from saddlenet.graphs import (
     star_graph,
 )
 
-GRAPHS = ([Graph(1, frozenset()), path_graph(2), ring_graph(7), star_graph(9), complete_graph(12)]
+GRAPHS = ([Graph(1, frozenset()), path_graph(2), ring_graph(7), star_graph(9), complete_graph(12),
+           Graph.from_edges(5, [(4, 0), (3, 1), (1, 0), (2, 4)])]
           + [random_connected_graph(n, density, seed)
-             for n in (5, 40, 120) for density in (0.02, 0.3) for seed in range(3)])
+             for n in (2, 5, 40, 120) for density in (0.0, 0.02, 0.3) for seed in range(3)]
+          + [random_connected_graph(300, 0.02, seed) for seed in range(3)])
 
 
 def scanned_neighbors(g, i):
@@ -31,7 +33,14 @@ def test_neighbors_and_degrees_equal_the_edge_scan(g):
     for i in range(g.n):
         assert g.neighbors(i) == scanned_neighbors(g, i)
         assert g.degree(i) == len(scanned_neighbors(g, i))
+        assert all(type(j) is int for j in g.neighbors(i))
     assert is_connected(g)
+
+
+@pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}-e{len(g.edges)}")
+def test_edges_are_pairs_of_python_ints(g):
+    assert all(type(i) is int and type(j) is int and i < j for i, j in g.edges)
+    assert "int64" not in repr(g)
 
 
 @pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.n}-e{len(g.edges)}")

@@ -123,12 +123,15 @@ def looped_random_connected_graph(n, density, seed):
 
 
 @pytest.mark.parametrize("n, density, seed", [
-    (1, 0.3, 0), (2, 0.5, 1), (2, 1.0, 2), (3, 0.0, 3), (6, 1.0, 4), (9, 0.3, 5),
-    (40, 0.1, 6), (50, 0.1, 7), (120, 0.02, 11), (200, 0.6, 12),
+    (1, 0.3, 0), (2, 0.5, 1), (2, 1.0, 2), (3, 0.0, 3), (3, 1.0, 11), (6, 1.0, 4), (9, 0.3, 5),
+    (40, 0.1, 6), (50, 0.0, 1), (50, 0.1, 7), (120, 0.02, 11), (200, 0.6, 12),
+    (500, 0.02, 11), (500, 0.3, 2),
 ])
 def test_random_connected_graph_draws_the_looped_graph(n, density, seed):
     g = random_connected_graph(n, density=density, seed=seed)
-    assert g.sorted_edges == looped_random_connected_graph(n, density, seed).sorted_edges
+    ref = looped_random_connected_graph(n, density, seed)
+    assert g == ref and g.sorted_edges == ref.sorted_edges
+    assert all(g.neighbors(i) == ref.neighbors(i) for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +166,18 @@ def test_laplacian_mixing_boundary_alpha_rejected():
     # alpha = lambda_max(L)/2 puts -1 in the spectrum, violating W > -I
     with pytest.raises(ValueError):
         mixing_from_laplacian(path_graph(2), 1.0)
+
+
+def test_laplacian_mixing_rejects_an_alpha_whose_matrix_fails_its_certificate():
+    """On a 6-ring, alpha = 2 passes ``alpha > lambda_max(L) / 2`` by rounding, but
+    ``lambda_min(W)`` is -1 to the certificate's tolerance."""
+    g = ring_graph(6)
+    assert 2.0 > float(np.linalg.eigvalsh(laplacian(g))[-1]) / 2.0
+    with pytest.raises(ValueError, match="alpha=2.0 gives a mixing matrix that fails its certificate") as err:
+        mixing_from_laplacian(g, 2.0)
+    assert "spectrum in (-1, 1]:                 FAIL" in str(err.value)
+    assert str(err.value).endswith("overall: FAIL")
+    assert mixing_from_laplacian(g, 2.0 + 1e-6).lambda_min > -1.0
 
 
 def test_laplacian_mixing_triangle_spectrum():

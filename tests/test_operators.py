@@ -127,6 +127,17 @@ def test_product_resolvent_requires_split_info():
         product_resolvent(zero_prox(), zero_prox())
 
 
+@pytest.mark.parametrize("second", [l1_prox(0.1), quadratic_prox(np.eye(2))], ids=["no-dim", "dim"])
+def test_product_resolvent_checks_the_split_against_the_first_factors_dim(second):
+    """A first factor that declares its length fixes the split, at construction."""
+    with pytest.raises(ValueError, match="split disagrees with the first factor's dim"):
+        product_resolvent(quadratic_prox(np.eye(3)), second, split=2)
+    prox = product_resolvent(quadratic_prox(np.eye(3)), second, split=3)
+    assert_allclose(prox(1.0, np.full(3 + 2, 2.0))[:3], [1.0, 1.0, 1.0])
+    # a first factor without a dim takes the split as given
+    assert product_resolvent(l1_prox(0.1), second, split=2).params["split"] == 2
+
+
 # ---------------------------------------------------------------------------
 # operator norm
 # ---------------------------------------------------------------------------

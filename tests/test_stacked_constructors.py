@@ -160,6 +160,8 @@ def looped_inclusion_agents(n, h, seed, pool):
     (500, 8, 11, ("zero", "quadratic")),  # the benchmark's random500-inclusion agents
     (200, 3, 5, ("zero", "l1", "box_indicator", "quadratic")),
     (40, 1, 2, ("zero", "l1", "box_indicator", "quadratic")),
+    (30, 4, 3, ("l1", "box_indicator")),
+    (1, 4, 0, ("quadratic",)),
 ])
 def test_inclusion_agents_are_bitwise_the_per_agent_construction(n, h, seed, pool):
     agents = random_inclusion_agents(n, h, seed, pool=pool)
@@ -177,6 +179,8 @@ def test_inclusion_agents_are_bitwise_the_per_agent_construction(n, h, seed, poo
             expected = np.linalg.solve(np.eye(h) + 0.7 * params["q_matrix"], v - 0.7 * params["q_vec"])
             assert np.abs(got - expected).max() <= 1e-14
         assert_bitwise(agent.forward.jacobian, forward)
+        assert_bitwise(agent.forward.offset, np.zeros(h))
+        assert agent.forward.fn is None
         assert_bitwise(agent.forward(v), forward @ v)
         assert type(agent.lipschitz) is float and agent.lipschitz == lip
 
