@@ -464,7 +464,11 @@ def certify_mixing(w, graph, tol=1e-9):
     diagonal or on an edge, one count of nonzeros shows ``w`` decentralized
     and symmetry is read off the diagonal and the edges alone; the dense
     support and ``w - w.T`` passes are skipped.  Any other input takes them.
+    A NaN or infinite ``tol`` raises ``ValueError``: an infinite one would
+    pass any matrix as symmetric and hand its entries to the eigensolver.
     """
+    if not np.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol!r}")
     w = np.asarray(w, dtype=float)
     n = graph.n
     if w.shape != (n, n):

@@ -13,13 +13,17 @@ of per-agent operators on such an array at once.
 One point and a stack of rows are evaluated alike: a library prox (zero,
 zero-set indicator, l1, box, quadratic and products of these) runs the row
 kernel its ``kind`` and ``params`` select, a point as a stack of one row,
-and a forward map with a ``jacobian`` is ``jacobian @ z + offset``.  Only
-custom proxes and maps without a Jacobian call their own callables.
+and a forward map with a ``jacobian`` is ``jacobian @ z + offset``.  A
+library coupling (bilinear, quadratic) carries data and no callables: its
+gradients are the two blocks of its saddle map ``jacobian @ z + offset``,
+and sums of couplings sum that data.  Only custom proxes, custom couplings
+and maps without a Jacobian call their own callables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -286,14 +290,18 @@ def affine_forward(matrix, offset, lipschitz=None):
 
 @dataclass(frozen=True, eq=False)
 class SmoothCoupling:
-    """A convex-concave coupling ``phi(x, y)`` with Lipschitz gradients.
+    """A convex-concave coupling ``phi(x, y)``, ``x`` of length ``p`` and ``y`` of length ``d``.
 
-    ``grad_x``/``grad_y`` take (x, y) with ``x`` of length ``p`` and ``y``
-    of length ``d`` (``d = 0`` is allowed for pure minimization).  ``value``
-    is optional and used only by finite-difference diagnostics.  The affine
-    families carry the constant Jacobian of their saddle map in
-    ``jacobian`` and its value at 0, ``(a, b)``, in ``offset`` (see
-    :func:`saddle_forward`); both are None for custom couplings.
+    ``d = 0`` is allowed for pure minimization.  A library coupling
+    (``bilinear`` or ``quadratic``) carries data and no callables of its
+    own: its blocks in ``params``, the constant Jacobian
+    ``[[P, M], [-M', R]]`` of its saddle map in ``jacobian`` and the map at
+    0, ``(a, b)``, in ``offset``.  Its ``grad_x`` and ``-grad_y`` are the
+    two blocks of that map (:func:`saddle_forward`) and its ``value`` reads
+    ``params``: one shared evaluation each, bound to the data whenever the
+    coupling is made (``dataclasses.replace`` too).  A custom coupling
+    brings ``grad_x(x, y)`` and ``grad_y(x, y)``, and optionally ``value``,
+    which only finite-difference diagnostics use.
     """
 
     p: int
@@ -306,6 +314,31 @@ class SmoothCoupling:
     params: dict = field(default_factory=dict)
     jacobian: np.ndarray | None = None
     offset: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.kind != "custom":
+            data = (self.jacobian, self.offset, self.p)
+            object.__setattr__(self, "grad_x", partial(_saddle_block, *data, False))
+            object.__setattr__(self, "grad_y", partial(_saddle_block, *data, True))
+            object.__setattr__(self, "value", partial(_coupling_value, self.params))
+
+
+def _saddle_block(jacobian, offset, p, tail, x, y):
+    """``grad_x`` (the head) or ``grad_y`` (the tail, negated) of the saddle map at ``(x, y)``.
+
+    The map is the expression :class:`ForwardOperator` evaluates, so the
+    blocks are bitwise those of :func:`saddle_forward`.
+    """
+    out = jacobian @ np.concatenate([x, y]) + offset
+    return -out[p:] if tail else out[:p]
+
+
+def _coupling_value(params, x, y):
+    """``phi(x, y)`` from a library coupling's blocks; ``P`` and ``R`` absent when bilinear."""
+    value = float(x @ params["m"] @ y) + float(params["a"] @ x) - float(params["b"] @ y)
+    if "p_matrix" in params:
+        value += 0.5 * float(x @ params["p_matrix"] @ x) - 0.5 * float(y @ params["r_matrix"] @ y)
+    return value
 
 
 def bilinear_coupling(m=None, a=None, b=None, p=None, d=None):
@@ -348,63 +381,17 @@ def quadratic_coupling(p_matrix, m, r_matrix, a=None, b=None):
     return quadratic_couplings(p_matrix[None], m[None], r_matrix[None], a[None], b[None])[0]
 
 
-def _coupling_stacks(m, a, b):
-    """``M (n, p, d)``, ``a (n, p)``, ``b (n, d)`` as float arrays, their shapes checked."""
-    m, a, b = (np.asarray(v, dtype=float) for v in (m, a, b))
-    if m.ndim != 3 or a.shape != m.shape[:2] or b.shape != m.shape[:1] + m.shape[2:]:
-        raise ValueError("inconsistent coupling dimensions")
-    return m, a, b
-
-
-def _saddle_jacobians(m, p_matrix=None, r_matrix=None):
-    """The stack ``[[P, M], [-M', R]]`` (zero blocks where ``P``/``R`` are None), by slices."""
-    n, p, d = m.shape
-    jac = np.zeros((n, p + d, p + d))
-    jac[:, :p, p:] = m
-    jac[:, p:, :p] = -np.swapaxes(m, 1, 2)
-    if p_matrix is not None:
-        jac[:, :p, :p] = p_matrix
-        jac[:, p:, p:] = r_matrix
-    return jac
-
-
 def bilinear_couplings(m, a, b):
-    """One :func:`bilinear_coupling` per row of the stacks ``M (n, p, d)``, ``a (n, p)``, ``b (n, d)``.
-
-    The norms come from one batched SVD of the ``M`` stack and the Jacobians
-    from one ``(n, p + d, p + d)`` array.
-    """
-    m, a, b = _coupling_stacks(m, a, b)
-    n, p, d = m.shape
-    jac = _saddle_jacobians(m)
-    offset = np.concatenate([a, b], axis=1)
-    lip = operator_norms(m).tolist()
-
-    def one(i):
-        mi, ai, bi = m[i], a[i], b[i]
-        return SmoothCoupling(
-            p=p,
-            d=d,
-            grad_x=lambda x, y: mi @ y + ai,
-            grad_y=lambda x, y: mi.T @ x - bi,
-            lipschitz=lip[i],
-            value=lambda x, y: float(x @ mi @ y) + float(ai @ x) - float(bi @ y),
-            kind="bilinear",
-            params={"m": mi, "a": ai, "b": bi},
-            jacobian=jac[i],
-            offset=offset[i],
-        )
-
-    return [one(i) for i in range(n)]
+    """One :func:`bilinear_coupling` per row of the stacks ``M (n, p, d)``, ``a (n, p)``, ``b (n, d)``."""
+    return _library_couplings("bilinear", m, a, b)
 
 
 def quadratic_couplings(p_matrix, m, r_matrix, a, b):
     """One :func:`quadratic_coupling` per row of the stacks ``P (n, p, p)``, ``M (n, p, d)``,
     ``R (n, d, d)``, ``a (n, p)`` and ``b (n, d)``.
 
-    ``P`` and ``R`` are checked over the whole stack (one batched ``eigvalsh``
-    each); ``L`` is the norm of the Jacobian ``[[P, M], [-M', R]]``, all
-    taken in one batched SVD.
+    ``P`` and ``R`` are checked over the whole stack, one batched
+    ``eigvalsh`` each.
     """
     p_matrix = np.asarray(p_matrix, dtype=float)
     r_matrix = np.asarray(r_matrix, dtype=float)
@@ -414,45 +401,48 @@ def quadratic_couplings(p_matrix, m, r_matrix, a, b):
             raise ValueError(f"{name} must be positive semidefinite")
         if fault:
             raise ValueError(f"{name} must be square symmetric")
-    m, a, b = _coupling_stacks(m, a, b)
-    n, p, d = m.shape
-    if p_matrix.shape != (n, p, p) or r_matrix.shape != (n, d, d):
+    return _library_couplings("quadratic", m, a, b, p_matrix, r_matrix)
+
+
+def _library_couplings(kind, m, a, b, p_matrix=None, r_matrix=None):
+    """The couplings of the stacks, their shapes checked; bilinear when ``p_matrix`` is None.
+
+    The Jacobians ``[[P, M], [-M', R]]`` (zero ``P`` and ``R`` blocks when
+    bilinear) fill one ``(n, p + d, p + d)`` array by slice assignment, and
+    the Lipschitz constants come from one batched norm: ``||M||`` when
+    bilinear, else ``||J||``.
+    """
+    m, a, b = (np.asarray(v, dtype=float) for v in (m, a, b))
+    if m.ndim != 3 or a.shape != m.shape[:2] or b.shape != m.shape[:1] + m.shape[2:]:
         raise ValueError("inconsistent coupling dimensions")
-    jac = _saddle_jacobians(m, p_matrix, r_matrix)
+    n, p, d = m.shape
+    jac = np.zeros((n, p + d, p + d))
+    jac[:, :p, p:] = m
+    jac[:, p:, :p] = -np.swapaxes(m, 1, 2)
+    if p_matrix is None:
+        blocks = {"m": m, "a": a, "b": b}
+        lip = operator_norms(m).tolist()
+    else:
+        if p_matrix.shape != (n, p, p) or r_matrix.shape != (n, d, d):
+            raise ValueError("inconsistent coupling dimensions")
+        jac[:, :p, :p] = p_matrix
+        jac[:, p:, p:] = r_matrix
+        blocks = {"p_matrix": p_matrix, "m": m, "r_matrix": r_matrix, "a": a, "b": b}
+        lip = operator_norms(jac).tolist()
     offset = np.concatenate([a, b], axis=1)
-    lip = operator_norms(jac).tolist()
-
-    def one(i):
-        pm, mi, rm, ai, bi = p_matrix[i], m[i], r_matrix[i], a[i], b[i]
-
-        def value(x, y):
-            return (0.5 * float(x @ pm @ x) + float(x @ mi @ y)
-                    - 0.5 * float(y @ rm @ y) + float(ai @ x) - float(bi @ y))
-
-        return SmoothCoupling(
-            p=p,
-            d=d,
-            grad_x=lambda x, y: pm @ x + mi @ y + ai,
-            grad_y=lambda x, y: mi.T @ x - rm @ y - bi,
-            lipschitz=lip[i],
-            value=value,
-            kind="quadratic",
-            params={"p_matrix": pm, "m": mi, "r_matrix": rm, "a": ai, "b": bi},
-            jacobian=jac[i],
-            offset=offset[i],
-        )
-
-    return [one(i) for i in range(n)]
+    return [SmoothCoupling(p, d, None, None, lip[i], kind=kind,
+                           params={key: stack[i] for key, stack in blocks.items()},
+                           jacobian=jac[i], offset=offset[i])
+            for i in range(n)]
 
 
 def saddle_forward(coupling):
     """Monotone forward map ``z = (x, y) -> (grad_x phi, -grad_y phi)``.
 
     This is the operator the splitting methods evaluate on the product
-    space; it carries the coupling's constant Jacobian and offset when it
-    has them, and then evaluates through them, so the solvers evaluate it
-    batched and diagnostics can batch differences.  A coupling that lacks
-    either is evaluated through its gradients.
+    space.  A coupling with a ``jacobian`` and ``offset`` gives the affine
+    map of that data, which the solvers evaluate batched and diagnostics
+    can difference; a custom coupling is evaluated through its gradients.
     """
     if coupling.jacobian is not None and coupling.offset is not None:
         return ForwardOperator(None, coupling.lipschitz, coupling.jacobian, coupling.offset)
@@ -462,7 +452,7 @@ def saddle_forward(coupling):
         x, y = z[:p], z[p:]
         return np.concatenate([coupling.grad_x(x, y), -coupling.grad_y(x, y)])
 
-    return ForwardOperator(fn, coupling.lipschitz, coupling.jacobian, coupling.offset)
+    return ForwardOperator(fn, coupling.lipschitz)
 
 
 # ---------------------------------------------------------------------------
@@ -499,26 +489,24 @@ def combine_proxes(proxes):
 
 
 def combine_couplings(couplings):
-    """Coupling whose value and gradients are the sum of the given ones."""
-    kinds = {c.kind for c in couplings}
-    if len(kinds) != 1:
-        raise ValueError(f"cannot combine mixed coupling kinds {sorted(kinds)}")
-    kind = kinds.pop()
-    if kind == "bilinear":
-        return bilinear_coupling(
-            m=sum(c.params["m"] for c in couplings),
-            a=sum(c.params["a"] for c in couplings),
-            b=sum(c.params["b"] for c in couplings),
-        )
-    if kind == "quadratic":
-        return quadratic_coupling(
-            sum(c.params["p_matrix"] for c in couplings),
-            sum(c.params["m"] for c in couplings),
-            sum(c.params["r_matrix"] for c in couplings),
-            a=sum(c.params["a"] for c in couplings),
-            b=sum(c.params["b"] for c in couplings),
-        )
-    raise ValueError(f"coupling kind {kind!r} has no summation rule")
+    """Coupling whose value and gradients are the sum of the given ones.
+
+    Both library kinds are affine in their blocks, so the sum's ``jacobian``
+    and ``offset`` are the sums of the terms' and its blocks are read back
+    from them.  The sum is bilinear when every term is (``L = ||M||``) and
+    quadratic otherwise; a custom coupling has no summation rule.
+    """
+    for c in couplings:
+        if c.kind not in ("bilinear", "quadratic"):
+            raise ValueError(f"coupling kind {c.kind!r} has no summation rule")
+    if len({(c.p, c.d) for c in couplings}) != 1:
+        raise ValueError("couplings to combine must share one (p, d)")
+    p = couplings[0].p
+    jac = sum(c.jacobian for c in couplings)
+    offset = sum(c.offset for c in couplings)
+    if all(c.kind == "bilinear" for c in couplings):
+        return bilinear_coupling(jac[:p, p:], offset[:p], offset[p:])
+    return quadratic_coupling(jac[:p, :p], jac[:p, p:], jac[p:, p:], offset[:p], offset[p:])
 
 
 # ---------------------------------------------------------------------------

@@ -306,6 +306,19 @@ def test_check_mixing_identity_fails_kernel(tmp_path, capsys):
     assert "overall: FAIL" in out
 
 
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan"])
+def test_check_mixing_a_non_finite_tolerance_is_a_usage_error(tmp_path, capsys, tol):
+    # an infinite tol used to pass any matrix as symmetric; this one is 3-path with an inf entry
+    path = tmp_path / "path.edges"
+    path.write_text("n 3\n0 1\n1 2\n", encoding="utf-8")
+    mf = tmp_path / "w.csv"
+    mf.write_text("0.5,0.5,0\n0.5,0,0.5\ninf,0.5,0.5\n", encoding="utf-8")
+    assert main(["check-mixing", str(path), "--matrix-file", str(mf), f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert "tol must be finite" in captured.err
+    assert captured.out == ""
+
+
 def test_check_mixing_disconnected_graph(tmp_path, capsys):
     path = tmp_path / "disc.edges"
     path.write_text("n 4\n0 1\n", encoding="utf-8")
