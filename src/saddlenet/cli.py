@@ -88,11 +88,12 @@ EXIT_NO_CONVERGENCE = 3
 
 
 def _write_atomic(path, text):
+    """Write ``text``, a string or an iterable of strings, to ``path`` through a temporary file."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -246,7 +247,9 @@ def _execute(name, cfg, setup):
     round_mixing = _round_mixing(name, setup)
     if round_mixing is not None:
         per_round = sum(2 * len(m.graph.edges) for _, m, _ in mixing_blocks(round_mixing, z0.shape[1]))
-        trace.set_column("messages_cum", [k * per_round for k in trace.column("iteration")])
+        # the rows are rounds 1, 2, ..., so the counts are one arithmetic run (a range step is not 0)
+        trace.set_column("messages_cum", range(per_round, (trace.iterations + 1) * per_round, per_round)
+                         if per_round else [0] * trace.iterations)
     info["messages_per_round"] = per_round
     return AlgoResult(name, trace, point[:p], point[p:], info)
 
@@ -272,8 +275,9 @@ def _summary_text(cfg, result, stop, extra_lines=()):
         f"stopped on = {trace.status}",
         f"final fp residual = {trace.final_residual!r}",
     ]
+    final = trace.rows[-1] if trace.iterations else None
     for name in ("consensus_gap_x", "consensus_gap_y", "distance_to_reference"):
-        last = trace.column(name)[-1] if trace.iterations else None
+        last = getattr(final, name, None)
         if last is not None:
             lines.append(f"final {name.replace('_', ' ')} = {last!r}")
     if result.info.get("messages_per_round") is not None:
@@ -325,7 +329,7 @@ def cmd_run(args):
         else:
             extra.append("audit: not applicable to centralized algorithms")
     _write_atomic(outdir / "trace.csv",
-                  "\n".join(result.trace.csv_lines(cfg.run.trace_every)) + "\n")
+                  (line + "\n" for line in result.trace.iter_csv_lines(cfg.run.trace_every)))
     _write_atomic(outdir / "solution.csv", _solution_csv(result))
     summary = _summary_text(cfg, result, setup.stop, extra)
     _write_atomic(outdir / "summary.txt", summary)

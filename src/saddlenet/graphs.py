@@ -464,6 +464,8 @@ def certify_mixing(w, graph, tol=1e-9):
     diagonal or on an edge, one count of nonzeros shows ``w`` decentralized
     and symmetry is read off the diagonal and the edges alone; the dense
     support and ``w - w.T`` passes are skipped.  Any other input takes them.
+    When the edges then read bitwise the same both ways, ``w`` goes to the
+    eigensolver as it is; otherwise its symmetric part ``(w + w.T) / 2`` does.
     A NaN or infinite ``tol`` raises ``ValueError``: an infinite one would
     pass any matrix as symmetric and hand its entries to the eigensolver.
     """
@@ -477,10 +479,12 @@ def certify_mixing(w, graph, tol=1e-9):
     notes = []
     i, j = graph.edge_array.T
     diag, upper, lower = np.diagonal(w), w[i, j], w[j, i]
+    exact = False  # the edges read bitwise the same both ways: w is its own symmetric part
     if 0.0 <= tol and np.count_nonzero(w) == sum(map(np.count_nonzero, (diag, upper, lower))):
         # every nonzero is on the support, so only the diagonal and the edges can be asymmetric
         decentralized = True
         symmetric = bool(np.abs(np.concatenate([diag - diag, upper - lower])).max(initial=0.0) <= tol)
+        exact = upper.tobytes() == lower.tobytes()
     else:
         allowed = graph.adjacency().astype(bool) | np.eye(n, dtype=bool)
         off_support = np.abs(np.where(allowed, 0.0, w))
@@ -491,7 +495,7 @@ def certify_mixing(w, graph, tol=1e-9):
         symmetric = bool(np.abs(w - w.T).max(initial=0.0) <= tol)
 
     if symmetric:
-        vals = np.linalg.eigvalsh((w + w.T) / 2.0)
+        vals = np.linalg.eigvalsh(w if exact else (w + w.T) / 2.0)
         lam_min, lam_max = float(vals[0]), float(vals[-1])
         multiplicity = int((np.abs(vals - 1.0) <= tol).sum())
         kernel = multiplicity == 1

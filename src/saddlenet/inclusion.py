@@ -335,9 +335,10 @@ def _stacked_columns(reference, split=None):
     """Trace columns of stacks of rows: consensus gaps and the distance to ``reference``.
 
     The observer takes a list of ``(n, h)`` row arrays and returns a dict of
-    columns, each a list with one value per array.  With ``split`` the
-    consensus gaps are reported per block: ``x`` on the first ``split``
-    columns, ``y`` on the rest.  One pass over the ``(K, n, h)`` stack forms
+    columns, each with one value per array; the gaps are float arrays, which
+    the trace stores as they are.  With ``split`` the consensus gaps are
+    reported per block: ``x`` on the first ``split`` columns, ``y`` on the
+    rest.  One pass over the ``(K, n, h)`` stack forms
     the row means and the squared deviations; each block's gap is the square
     root of its largest row sum.
     Every reduction runs along the same axis, in the same order, as on one
@@ -352,7 +353,7 @@ def _stacked_columns(reference, split=None):
         mean = np.add.reduce(stack, 1) / stack.shape[1]
         dev = stack - mean[:, None]
         sq = dev * dev
-        out = {name: np.sqrt(np.add.reduce(sq[:, :, cols], 2).max(axis=1, initial=0.0)).tolist()
+        out = {name: np.sqrt(np.add.reduce(sq[:, :, cols], 2).max(axis=1, initial=0.0))
                for name, cols in blocks.items()}
         if reference is not None:
             out["distance_to_reference"] = [_norm(m - reference) for m in mean]

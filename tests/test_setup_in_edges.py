@@ -188,3 +188,19 @@ def test_a_matrix_on_its_support_is_certified_without_the_dense_support(monkeypa
     w[0, g.n - 1] = w[g.n - 1, 0] = 1e-12  # off the support (not an edge of this graph)
     with pytest.raises(AssertionError, match="dense adjacency"):
         certify_mixing(w, g)
+
+
+def test_a_bitwise_symmetric_matrix_goes_to_the_eigensolver_as_it_is(monkeypatch):
+    """Without the symmetrising average, and with every field still the dense certificate's."""
+    g = random_connected_graph(500, 0.02, 11)
+    w = _metropolis_weights(g)
+    i, j = g.edge_array[0]
+    nudged = w.copy()
+    nudged[i, j] += 1e-12  # symmetric to tol, not bitwise
+    expected = [fields(dense_certificate, m, g, 1e-9) for m in (w, nudged)]
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a) or eigvalsh(a))
+    assert [fields(certify_mixing, m, g, 1e-9) for m in (w, nudged)] == expected
+    assert seen[0] is w
+    assert seen[1] is not nudged and np.array_equal(seen[1], (nudged + nudged.T) / 2.0)
