@@ -188,11 +188,7 @@ class _OneProduct:
         self.layout = layout
         self.resolvent = batched_resolvent([a.resolvent for a in agents], h)
         jac, self.offset = _affine_rows([a.forward for a in agents], h, tau)
-        mix = np.zeros((n * h, n * h))
-        for _, m, cols in layout:
-            mask = np.zeros(h)
-            mask[cols] = 1.0
-            mix += np.kron(m.w, np.diag(mask))
+        mix = _block_kron(layout, n, h, lambda w: w)
         forms = np.zeros((3, n * h, n * h))
         forms[0] = mix
         forms[1] = 0.5 * (mix - np.eye(n * h))
@@ -222,6 +218,20 @@ class _OneProduct:
         g = state.g + half_gap
         return StackedIterate(u=u, x=x, g=g, b=b, e=_dual_step(g, b, state.b, reflect),
                               tau=state.tau, kernels=self, mixed=mixed)
+
+
+def _block_kron(layout, n, h, f):
+    """The ``(n h, n h)`` sum over the blocks of ``layout`` of ``kron(f(w), diag(mask))``.
+
+    ``layout`` is :func:`~saddlenet.graphs.mixing_blocks` of the rows; each
+    block's ``n x n`` matrix ``f(w)`` acts on its own columns (``mask``).
+    """
+    out = np.zeros((n * h, n * h))
+    for _, m, cols in layout:
+        mask = np.zeros(h)
+        mask[cols] = 1.0
+        out += np.kron(f(m.w), np.diag(mask))
+    return out
 
 
 def _kernels(agents, mixing, h, tau):
@@ -420,11 +430,7 @@ def _product_space_problem(agents, mixing, h):
     coupling would cost O((n h)^3).
     """
     n = len(agents)
-    k = np.zeros((n * h, n * h))
-    for _, m, cols in mixing_blocks(mixing, h):
-        mask = np.zeros(h)
-        mask[cols] = 1.0
-        k += np.kron(_psd_sqrt((np.eye(n) - m.w) / 2.0), np.diag(mask))
+    k = _block_kron(mixing_blocks(mixing, h), n, h, lambda w: _psd_sqrt((np.eye(n) - w) / 2.0))
     resolvent = batched_resolvent([a.resolvent for a in agents], h)
     forward = batched_forward([a.forward for a in agents], h)
 

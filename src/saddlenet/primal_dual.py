@@ -308,7 +308,9 @@ def condat_vu_run(problem, init, steps, stop=None, observe=None):
 def forb_run(resolvent, forward, x0, tau, stop=None, observe=None):
     """Reflected forward-backward iteration; needs ``tau < 1 / (2 L)``.
 
-    ``observe(state)``, when given, returns the other trace columns of one state.
+    ``observe(state)``, when given, returns the other trace columns of one
+    state as a dict of numbers, with the same columns for every state and
+    every chunk of the run (:func:`~saddlenet.trace.per_state`).
     """
     if forward.lipschitz > 0 and not tau < 1.0 / (2.0 * forward.lipschitz):
         raise StepSizeError(

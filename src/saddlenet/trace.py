@@ -47,159 +47,44 @@ class TraceRow:
 _COLUMNS = tuple(f.name for f in fields(TraceRow))
 _OPTIONAL = _COLUMNS[2:]
 
-# the mask byte of a cell without a value, and of an int held by a float array
-_NONE, _INT = 1, 2
 
+def _cells(name, values):
+    """The cells of column ``name`` from a list, a 1-d numpy array or any iterable of numbers.
 
-def _kind(cls):
-    """The kind of a cell of type ``cls``: ``int``, ``float`` or None."""
-    if cls is type(None):
-        return None
-    if issubclass(cls, (int, np.integer)):
-        return int
-    if issubclass(cls, (float, np.floating)):
-        return float
-    raise ValueError(f"trace cells are numbers or None, not {cls.__name__}")
-
-
-def _exact_float(value):
-    held = float(value)
-    if held != value:
-        raise ValueError(f"the int {value!r} is in a column of floats and is not exact as one")
-    return held
-
-
-def _read(value, mark):
-    return value if not mark else None if mark == _NONE else int(value)
-
-
-class _Column(Sequence):
-    """One trace column at 8 bytes a cell, with a mask of cell kinds once one is needed.
-
-    The cells are a ``range`` while they are an arithmetic run of ints, an
-    ``array('q')`` while every value is an int and an ``array('d')``
-    otherwise.  ``mask`` is None until a cell has no value or an int joins
-    a float array; from then on it holds one byte per cell: ``_NONE`` (the
-    cell reads as None), ``_INT`` (an int, exact in the float array) or 0
-    (the value as held).  Cells read as Python ``int``, ``float`` or None.
+    ``messages_cum`` is an ``array('q')`` of ints; every other column is an
+    ``array('d')``, which reads its cells back as Python floats.
     """
-
-    __slots__ = ("cells", "mask")
-
-    def __init__(self, cells=range(0), mask=None):
-        self.cells, self.mask = cells, mask
-
-    @classmethod
-    def missing(cls, count):
-        """``count`` cells without a value."""
-        return cls(array("q", bytes(8 * count)), bytearray([_NONE]) * count) if count else cls()
-
-    def __len__(self):
-        return len(self.cells)
-
-    def __getitem__(self, idx):
-        if isinstance(idx, slice):
-            return [self[k] for k in range(*idx.indices(len(self)))]
-        value = self.cells[idx]
-        return value if self.mask is None else _read(value, self.mask[idx])
-
-    def __iter__(self):
-        return iter(self.cells) if self.mask is None else map(_read, self.cells, self.mask)
-
-    def has_value(self):
-        return len(self.cells) > (0 if self.mask is None else self.mask.count(_NONE))
-
-    def _as_array(self):
-        if isinstance(self.cells, range):
-            self.cells = array("q", self.cells)
-
-    def _as_float(self):
-        """Hold the cells in a float array; the ints held so far are marked and must be exact."""
-        self._as_array()
-        if self.cells.typecode == "d":
-            return
-        if not self.has_value():  # only zeros under the mask, which are the bytes of 0.0 too
-            self.cells = array("d", self.cells.tobytes())
-            return
-        mask = self.mask if self.mask is not None else bytearray(len(self.cells))
-        self.cells, self.mask = array("d", map(_exact_float, self.cells)), mask.replace(b"\0", bytes([_INT]))
-
-    def extend(self, other):
-        """Append the cells of the column ``other``, which is not used afterwards."""
-        if not other:
-            return
-        if not self:
-            self.cells, self.mask = other.cells, other.mask
-            return
-        head, tail = self.cells, other.cells
-        if (isinstance(head, range) and isinstance(tail, range)
-                and tail.step == head.step and tail.start == head[-1] + head.step):
-            self.cells = range(head.start, tail.stop, head.step)
-            return
-        self._as_array()
-        other._as_array()
-        if self.cells.typecode != other.cells.typecode:
-            self._as_float()
-            other._as_float()
-        if self.mask is None and other.mask is not None:
-            self.mask = bytearray(len(self.cells))
-        if self.mask is not None:
-            self.mask += other.mask if other.mask is not None else bytes(len(other))
-        self.cells += other.cells
-
-
-def _column(values):
-    """A new column of ``values``: a ``range`` as it is, or numbers (Python or numpy) and None."""
-    if isinstance(values, range):
-        return _Column(values)
-    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "fiub":
-        code = "d" if values.dtype.kind == "f" else "q"
-        return _Column(array(code, np.ascontiguousarray(values, dtype=code).tobytes()))
-    kinds = {_kind(cls) for cls in set(map(type, values))}
-    if kinds == {float}:
-        return _Column(array("d", values))
-    if kinds <= {int}:
-        return _Column(array("q", values))
-    code = "d" if float in kinds else "q"
-    cells, mask = array(code), bytearray()
-    for value in values:
-        if value is None:
-            cells.append(0)
-            mask.append(_NONE)
-        elif code == "d" and _kind(type(value)) is int:
-            cells.append(_exact_float(value))
-            mask.append(_INT)
-        else:
-            cells.append(value)
-            mask.append(0)
-    return _Column(cells, mask)
+    code = "q" if name == "messages_cum" else "d"
+    try:
+        return array(code, values.tolist() if isinstance(values, np.ndarray) else values)
+    except TypeError:
+        raise ValueError(f"the cells of column {name!r} are {'ints' if code == 'q' else 'numbers'}") from None
 
 
 class ConvergenceTrace:
     """Append-only record of one solver run, kept as one column per field.
 
-    Iteration numbers must increase strictly and residuals are nonnegative;
-    optional columns are per-row and simply left blank in the CSV when
-    absent.  ``status`` says why the run stopped: ``"converged"`` (the
-    residual met the tolerance), ``"budget"`` (the iteration budget ran out)
-    or ``"diverged"`` (a residual was not finite; that round is not
-    recorded).  It is None until :func:`run_loop` sets it.
+    Row ``k`` is iteration ``k + 1``, and residuals are nonnegative.  An
+    optional column has a value in every row or is absent: the first rows
+    decide which columns a trace has, every later row brings the same ones,
+    and the CSV leaves an absent column out.  ``status`` says why the run
+    stopped: ``"converged"`` (the residual met the tolerance), ``"budget"``
+    (the iteration budget ran out) or ``"diverged"`` (a residual was not
+    finite; that round is not recorded).  It is None until :func:`run_loop`
+    sets it.
 
-    A column takes 8 bytes a cell, or none: the iterations are a ``range``
-    while they are consecutive, the residuals and the optional columns are
-    ``array('d')``, or ``array('q')`` while a column holds only ints, and
-    :meth:`set_column` keeps a ``range`` as it is.  An optional column
-    exists once a row has a value in it.  A cell without a value reads as
-    None and a NaN as NaN: the first gap in a column allocates a mask of
-    one byte a cell that tells them apart.  Cells read back as the Python
-    ``float``, ``int`` or None written, never as numpy scalars.
-    :attr:`rows` is a read-only view that builds the :class:`TraceRow` of a
-    row when it is read and keeps none.
+    Each column has one type, fixed by its name, at 8 bytes a cell or none:
+    the iterations are not stored (:meth:`column` returns a ``range``),
+    ``messages_cum`` is ``array('q')`` or the ``range`` handed to
+    :meth:`set_column`, and the residuals and every other column are
+    ``array('d')``.  A None, a non-number, or a float in ``messages_cum``
+    raises ``ValueError``.  :attr:`rows` is a read-only view that builds the
+    :class:`TraceRow` of a row when it is read and keeps none.
     """
 
     def __init__(self):
         self.status = None
-        self._iteration, self._residual = _Column(), _Column()
+        self._residual = array("d")
         self._optional = {}
 
     @property
@@ -209,57 +94,64 @@ class ConvergenceTrace:
     def append(self, row):
         if row.fp_residual < 0 or math.isnan(row.fp_residual):
             raise ValueError("fp_residual must be a nonnegative number")
-        if self._residual and row.iteration <= self._iteration[-1]:
-            raise ValueError("iterations must be strictly increasing")
         self._extend(row.iteration, [row.fp_residual],
                      {name: [v] for name in _OPTIONAL if (v := getattr(row, name)) is not None})
 
     def _extend(self, first, residuals, columns):
-        """Append rows ``first, first + 1, ...``, one per residual.
+        """Append rows ``first, first + 1, ...``, one per residual; ``first`` is ``iterations + 1``.
 
-        ``columns`` holds one value per residual for each optional column the
-        rows have (a list, a numpy array or a ``range``); the other columns
-        get None.  The caller checks the residuals and that ``first``
-        follows the last iteration.
+        ``columns`` holds one value per residual (a list, a numpy array or a
+        ``range``) for each optional column the rows have, which are the
+        columns of the rows already recorded.  The caller checks the
+        residuals.
         """
-        count, size = len(residuals), len(self._residual)
+        count = len(residuals)
+        if first != self.iterations + 1:
+            raise ValueError(f"rows from iteration {first} do not follow iteration {self.iterations}")
         for name, values in columns.items():
             if name not in _OPTIONAL:
                 raise ValueError(f"unknown trace column {name!r}")
             if len(values) != count:
                 raise ValueError(f"column {name!r} has {len(values)} values for {count} rows")
-        # convert the values, which checks their types, before any column grows
-        new = {name: _column(values) for name, values in columns.items()}
-        residuals = _column(residuals)
-        self._iteration.extend(_column(range(first, first + count) if type(first) is int
-                                       else [first + k for k in range(count)]))
+        if self._residual and columns.keys() != self._optional.keys():
+            raise ValueError(f"rows with the columns {sorted(columns)} in a trace "
+                             f"with the columns {sorted(self._optional)}")
+        # convert the values, which checks them, before any column grows
+        new = {name: _cells(name, values) for name, values in columns.items()}
+        residuals = _cells("fp_residual", residuals)
+        if not self._residual:
+            self._optional = new
+        else:
+            for name, cells in new.items():
+                if isinstance(self._optional[name], range):  # a range set_column kept
+                    self._optional[name] = array("q", self._optional[name])
+                self._optional[name].extend(cells)
         self._residual.extend(residuals)
-        for name, column in self._optional.items():
-            column.extend(new.pop(name) if name in new else _Column.missing(count))
-        for name, column in new.items():
-            self._optional[name] = _Column.missing(size)
-            self._optional[name].extend(column)
 
     def column(self, name):
-        """The values of column ``name``, one per row (None where a row has none)."""
+        """The values of column ``name``, one per row (None in every row of an absent column)."""
         if name == "iteration":
-            return self._iteration
+            return range(1, len(self._residual) + 1)
         if name == "fp_residual":
             return self._residual
         if name not in _OPTIONAL:
             raise ValueError(f"unknown trace column {name!r}")
-        column = self._optional.get(name)
-        return [None] * len(self._residual) if column is None else column
+        return self._optional[name] if name in self._optional else [None] * len(self._residual)
 
     def set_column(self, name, values):
-        """Replace the optional column ``name`` with ``values``, one per row; a ``range`` stays one."""
+        """Replace the optional column ``name`` with ``values``, one per row.
+
+        A ``range`` of ``messages_cum`` stays a ``range``.  A trace without
+        rows keeps no column: its first rows decide its columns.
+        """
         if name not in _OPTIONAL:
             raise ValueError(f"not an optional trace column: {name!r}")
-        column = _column(values if hasattr(values, "__len__") else list(values))
-        if len(column) != len(self._residual):
-            raise ValueError(f"column {name!r} has {len(column)} values "
+        cells = values if name == "messages_cum" and isinstance(values, range) else _cells(name, values)
+        if len(cells) != len(self._residual):
+            raise ValueError(f"column {name!r} has {len(cells)} values "
                              f"for {len(self._residual)} rows")
-        self._optional[name] = column
+        if self._residual:
+            self._optional[name] = cells
 
     @property
     def rows(self):
@@ -268,19 +160,18 @@ class ConvergenceTrace:
 
     def _fields(self):
         """The columns in :class:`TraceRow` field order, None for an absent one."""
-        return [self._iteration, self._residual] + [self._optional.get(name) for name in _OPTIONAL]
+        return [self.column("iteration"), self._residual] + [self._optional.get(name) for name in _OPTIONAL]
 
     @property
     def iterations(self):
-        return self._iteration[-1] if self._residual else 0
+        return len(self._residual)
 
     @property
     def final_residual(self):
         return self._residual[-1] if self._residual else float("inf")
 
     def active_columns(self):
-        return ["iteration", "fp_residual"] + [
-            name for name in _OPTIONAL if name in self._optional and self._optional[name].has_value()]
+        return ["iteration", "fp_residual"] + [name for name in _OPTIONAL if name in self._optional]
 
     def csv_lines(self, every=1):
         """CSV serialization of the rows :func:`kept_rows` keeps, as a list of lines.
@@ -290,7 +181,11 @@ class ConvergenceTrace:
         return list(self.iter_csv_lines(every))
 
     def iter_csv_lines(self, every=1):
-        """The lines of :meth:`csv_lines`, each made when it is read."""
+        """The lines of :meth:`csv_lines`, each made when it is read.
+
+        A cell is ``str`` of its value: an int's digits, or a float's
+        shortest repr, which reads back exactly.
+        """
         if every < 1:
             raise ValueError("every must be at least 1")
         cols = self.active_columns()
@@ -299,7 +194,7 @@ class ConvergenceTrace:
         # rows 0, every, 2 every, ... before the last one, then the last one
         kept = islice(zip(*data), 0, max(count - 1, 0), every)
         last = [[col[-1] for col in data]] if count else []
-        return chain([",".join(cols)], (",".join(map(_cell, cells)) for cells in chain(kept, last)))
+        return chain([",".join(cols)], (",".join(map(str, cells)) for cells in chain(kept, last)))
 
 
 class _Rows(Sequence):
@@ -341,11 +236,6 @@ def _same_row(a, b):
         u == v or u != u and v != v for u, v in zip(*([getattr(r, name) for name in _COLUMNS] for r in (a, b))))
 
 
-def _cell(v):
-    """One CSV cell: blank for None, ``str`` of an int, ``repr`` of a float (an exact round trip)."""
-    return "" if v is None else str(v) if isinstance(v, int) else repr(float(v))
-
-
 def kept_rows(count, every):
     """Indices of ``count`` rows subsampled to every ``every``-th one.
 
@@ -365,14 +255,21 @@ CHUNK_BYTES = 128 * 1024
 
 
 def per_state(observe):
-    """A :func:`run_loop` observer from ``observe(state)``, the dict of columns of one state."""
+    """A :func:`run_loop` observer from ``observe(state)``, the dict of columns of one state.
+
+    ``observe`` returns the same columns, each with a number, for every
+    state of a run; a chunk whose states return different columns raises
+    ``ValueError``.
+    """
     if observe is None:
         return None
 
     def columns(states):
         rows = [observe(s) for s in states]
-        names = {name for row in rows for name in row}
-        return {name: [row.get(name) for row in rows] for name in names}
+        names = rows[0].keys()
+        if any(row.keys() != names for row in rows):
+            raise ValueError("an observer must return the same columns for every state")
+        return {name: [row[name] for row in rows] for name in names}
 
     return columns
 
@@ -388,8 +285,9 @@ def run_loop(step, state, stop, residual, observe=None):
     step's fixed-point residual; it is computed and tested against ``stop``
     every round.  ``observe(states)`` maps a list of new states of
     consecutive rounds to a dict of the other trace columns, each a list or
-    a 1-d numpy array with one value per state (:func:`per_state` adapts a
-    per-state observer).
+    a 1-d numpy array with one number per state (:func:`per_state` adapts a
+    per-state observer).  It returns the same columns for every chunk of a
+    run, since a trace column has a value in every row or is absent.
     The loop holds the new states (each has its iterate as ``x``) and
     observes them in chunks (:data:`CHUNK_ROWS`, :data:`CHUNK_BYTES`) and
     once more when the run ends; it never observes an empty list.  A

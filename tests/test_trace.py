@@ -49,6 +49,8 @@ def test_active_columns_tracks_what_was_recorded():
     trace = ConvergenceTrace()
     trace.append(TraceRow(iteration=1, fp_residual=1.0))
     assert trace.active_columns() == ["iteration", "fp_residual"]
+    trace = ConvergenceTrace()
+    trace.append(TraceRow(iteration=1, fp_residual=1.0, consensus_gap_x=0.2))
     trace.append(TraceRow(iteration=2, fp_residual=0.5, consensus_gap_x=0.1))
     assert trace.active_columns() == ["iteration", "fp_residual", "consensus_gap_x"]
 
@@ -76,13 +78,11 @@ def test_csv_subsampling_keeps_first_and_final_rows():
         trace.csv_lines(every=0)
 
 
-def test_csv_blank_cells_for_missing_optionals():
+def test_csv_leaves_absent_optionals_out():
     trace = ConvergenceTrace()
     trace.append(TraceRow(iteration=1, fp_residual=1.0, consensus_gap_x=0.5))
-    trace.append(TraceRow(iteration=2, fp_residual=0.5))
-    lines = trace.csv_lines()
-    assert lines[1] == "1,1.0,0.5"
-    assert lines[2] == "2,0.5,"
+    trace.append(TraceRow(iteration=2, fp_residual=0.5, consensus_gap_x=0.25))
+    assert trace.csv_lines() == ["iteration,fp_residual,consensus_gap_x", "1,1.0,0.5", "2,0.5,0.25"]
 
 
 def rebuilt(trace):
@@ -151,11 +151,73 @@ def test_append_to_a_run_trace_validates_and_extends_the_columns():
         trace.append(replace(last, fp_residual=0.1))  # not increasing
     for bad in (-0.1, float("nan")):
         with pytest.raises(ValueError):
-            trace.append(TraceRow(iteration=last.iteration + 1, fp_residual=bad))
+            trace.append(replace(last, iteration=last.iteration + 1, fp_residual=bad))
     assert trace.rows[-1] == last
-    # a gap in the iterations and a row without the optional columns
-    trace.append(TraceRow(iteration=last.iteration + 5, fp_residual=0.0))
-    assert trace.iterations == last.iteration + 5 and trace.final_residual == 0.0
-    assert trace.rows[-2] == last and trace.rows[-1].consensus_gap_x is None
-    assert trace.csv_lines()[-1] == f"{last.iteration + 5},0.0,,,"
+    # the next iteration, with the trace's optional columns
+    row = replace(last, iteration=last.iteration + 1, fp_residual=0.0, consensus_gap_x=0.5)
+    trace.append(row)
+    assert trace.iterations == last.iteration + 1 and trace.final_residual == 0.0
+    assert trace.rows[-2] == last and trace.rows[-1] == row
+    assert trace.csv_lines()[-1] == (f"{last.iteration + 1},0.0,0.5,"
+                                     f"{last.consensus_gap_y!r},{last.distance_to_reference!r}")
     assert trace.csv_lines(7) == rebuilt(trace).csv_lines(7)
+
+
+# ---------------------------------------------------------------------------
+# what a trace refuses
+# ---------------------------------------------------------------------------
+
+def test_rows_bring_the_columns_of_the_trace():
+    trace = ConvergenceTrace()
+    trace.append(TraceRow(1, 1.0, consensus_gap_x=0.5))
+    for row in (TraceRow(2, 0.5), TraceRow(2, 0.5, consensus_gap_x=0.25, consensus_gap_y=0.1)):
+        with pytest.raises(ValueError, match="columns"):
+            trace.append(row)
+    for columns in ({}, {"consensus_gap_y": [0.1, 0.2]}):
+        with pytest.raises(ValueError, match="columns"):
+            trace._extend(2, [0.5, 0.25], columns)
+    assert trace.rows == [TraceRow(1, 1.0, consensus_gap_x=0.5)]
+
+
+def test_append_takes_the_next_iteration_only():
+    trace = ConvergenceTrace()
+    for iteration in (0, 2):
+        with pytest.raises(ValueError, match="do not follow iteration 0"):
+            trace.append(TraceRow(iteration, 0.5))
+    trace.append(TraceRow(1, 0.5))
+    for iteration in (1, 3, 7):
+        with pytest.raises(ValueError, match="do not follow iteration 1"):
+            trace.append(TraceRow(iteration, 0.25))
+    with pytest.raises(ValueError, match="do not follow iteration 1"):
+        trace._extend(3, [0.25], {})
+    assert trace.column("iteration") == range(1, 2)
+
+
+def test_cells_are_numbers_and_message_counts_ints():
+    trace = ConvergenceTrace()
+    for bad in (None, "x"):
+        with pytest.raises(ValueError, match="'consensus_gap_x' are numbers"):
+            trace._extend(1, [0.5, 0.25], {"consensus_gap_x": [0.1, bad]})
+        with pytest.raises(ValueError, match="'fp_residual' are numbers"):
+            trace._extend(1, [0.5, bad], {})
+    for bad in ([4, 2.5], np.array([4.0, 8.0]), [4, None]):
+        with pytest.raises(ValueError, match="'messages_cum' are ints"):
+            trace._extend(1, [0.5, 0.25], {"messages_cum": bad})
+    assert trace.iterations == 0
+    trace._extend(1, [0.5, 0.25], {"messages_cum": [4, 8]})
+    with pytest.raises(ValueError, match="'messages_cum' are ints"):
+        trace.set_column("messages_cum", [4.0, 8.0])
+    with pytest.raises(ValueError, match="'distance_to_reference' are numbers"):
+        trace.set_column("distance_to_reference", [None, None])
+    assert trace.active_columns() == ["iteration", "fp_residual", "messages_cum"]
+
+
+def test_a_per_state_observer_returns_the_same_columns_for_every_state():
+    def observe(state):  # drops its column once the iterate is near 0
+        dist = float(np.linalg.norm(state.x))
+        return {"distance_to_reference": dist} if dist > 1.0 else {}
+
+    forward = linear_forward(np.array([[0.5, 1.0], [-1.0, 0.5]]))
+    with pytest.raises(ValueError, match="same columns for every state"):
+        forb_run(zero_prox(), forward, np.array([1.0, -2.0]), 0.05,
+                 StoppingRule(tol=0.0, max_iters=CHUNK_ROWS), observe=observe)

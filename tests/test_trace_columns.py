@@ -1,4 +1,4 @@
-"""Trace storage: columns at 8 bytes a cell, read back as written, and a rows view that keeps nothing."""
+"""Trace storage: columns of one type at 8 bytes a cell, and a rows view that keeps nothing."""
 
 import tracemalloc
 from types import SimpleNamespace
@@ -78,61 +78,58 @@ def test_a_range_column_is_kept_as_a_range():
 # round trips
 # ---------------------------------------------------------------------------
 
-def test_append_round_trips_nan_none_int_and_float_cells():
+def test_append_round_trips_nan_int_and_float_cells():
     trace = ConvergenceTrace()
-    trace.append(TraceRow(1, 0.5, consensus_gap_x=NAN, messages_cum=4))
-    trace.append(TraceRow(2, 0.25))
-    trace.append(TraceRow(3, 1, consensus_gap_x=2, consensus_gap_y=np.float64(0.125), messages_cum=12))
+    trace.append(TraceRow(1, 0.5, consensus_gap_x=NAN, consensus_gap_y=np.float64(0.125), messages_cum=4))
+    trace.append(TraceRow(2, 0.25, consensus_gap_x=0.0, consensus_gap_y=0.5, messages_cum=np.int64(8)))
+    trace.append(TraceRow(3, 1, consensus_gap_x=2, consensus_gap_y=np.float32(0.25), messages_cum=12))
     assert cells(trace.column("iteration")) == cells([1, 2, 3])
-    assert cells(trace.column("fp_residual")) == cells([0.5, 0.25, 1])
-    assert cells(trace.column("consensus_gap_x")) == cells([NAN, None, 2])
-    assert cells(trace.column("consensus_gap_y")) == cells([None, None, 0.125])  # starts mid-trace
+    assert cells(trace.column("fp_residual")) == cells([0.5, 0.25, 1.0])  # a float column reads floats
+    assert cells(trace.column("consensus_gap_x")) == cells([NAN, 0.0, 2.0])
+    assert cells(trace.column("consensus_gap_y")) == cells([0.125, 0.5, 0.25])
     assert cells(trace.column("distance_to_reference")) == cells([None] * 3)
-    assert cells(trace.column("messages_cum")) == cells([4, None, 12])
+    assert cells(trace.column("messages_cum")) == cells([4, 8, 12])
     assert trace.csv_lines() == ["iteration,fp_residual,consensus_gap_x,consensus_gap_y,messages_cum",
-                                 "1,0.5,nan,,4", "2,0.25,,,", "3,1,2,0.125,12"]
+                                 "1,0.5,nan,0.125,4", "2,0.25,0.0,0.5,8", "3,1.0,2.0,0.25,12"]
 
 
 def chunked_trace():
-    """Three chunks: numpy and list columns, one starting mid-trace, one missing from a later chunk."""
+    """Three chunks of the same columns, handed over as numpy arrays, lists and a range."""
     trace = ConvergenceTrace()
-    trace._extend(1, [1.0, 0.5], {"consensus_gap_x": np.array([NAN, 0.1])})
-    trace._extend(3, [0.25, 0.125], {"consensus_gap_y": [None, 0.5], "messages_cum": np.array([6, 8])})
-    trace._extend(5, [0.0], {"consensus_gap_x": [3], "messages_cum": [2.5]})
+    trace._extend(1, [1.0, 0.5], {"consensus_gap_x": np.array([NAN, 0.1]), "messages_cum": np.array([2, 4])})
+    trace._extend(3, [0.25, 0.125], {"consensus_gap_x": [0.0, 3], "messages_cum": range(6, 10, 2)})
+    trace._extend(5, [0.0], {"consensus_gap_x": np.array([0.5], dtype=np.float32),
+                             "messages_cum": [np.int64(10)]})
     return trace
 
 
-def test_extend_round_trips_nan_none_int_and_float_cells():
+def test_extend_round_trips_nan_int_and_float_cells():
     trace = chunked_trace()
     assert cells(trace.column("iteration")) == cells([1, 2, 3, 4, 5])
     assert cells(trace.column("fp_residual")) == cells([1.0, 0.5, 0.25, 0.125, 0.0])
-    assert cells(trace.column("consensus_gap_x")) == cells([NAN, 0.1, None, None, 3])
-    assert cells(trace.column("consensus_gap_y")) == cells([None, None, None, 0.5, None])
-    assert cells(trace.column("messages_cum")) == cells([None, None, 6, 8, 2.5])
-    assert trace.active_columns() == ["iteration", "fp_residual", "consensus_gap_x",
-                                      "consensus_gap_y", "messages_cum"]
-    assert trace.csv_lines(2) == ["iteration,fp_residual,consensus_gap_x,consensus_gap_y,messages_cum",
-                                  "1,1.0,nan,,", "3,0.25,,,6", "5,0.0,3,,2.5"]
-    # a gap in the iterations turns them from a range into stored ints
-    trace.append(TraceRow(9, 0.0, distance_to_reference=0.75))
-    assert cells(trace.column("iteration")) == cells([1, 2, 3, 4, 5, 9])
-    assert cells(trace.column("distance_to_reference")) == cells([None] * 5 + [0.75])
+    assert cells(trace.column("consensus_gap_x")) == cells([NAN, 0.1, 0.0, 3.0, 0.5])
+    assert cells(trace.column("consensus_gap_y")) == cells([None] * 5)
+    assert cells(trace.column("messages_cum")) == cells([2, 4, 6, 8, 10])
+    assert trace.active_columns() == ["iteration", "fp_residual", "consensus_gap_x", "messages_cum"]
+    assert trace.csv_lines(2) == ["iteration,fp_residual,consensus_gap_x,messages_cum",
+                                  "1,1.0,nan,2", "3,0.25,0.0,6", "5,0.0,0.5,10"]
+    trace.append(TraceRow(6, 0.0, consensus_gap_x=0.25, messages_cum=12))
+    assert trace.column("iteration") == range(1, 7)
+    assert cells(trace.column("messages_cum")) == cells([2, 4, 6, 8, 10, 12])
 
 
-def test_set_column_round_trips_nan_none_int_and_float_cells():
+def test_set_column_round_trips_nan_int_and_float_cells():
     trace = chunked_trace()
-    trace.set_column("distance_to_reference", [None, NAN, 3, 0.5, np.float32(0.25)])
-    assert cells(trace.column("distance_to_reference")) == cells([None, NAN, 3, 0.5, 0.25])
+    trace.set_column("distance_to_reference", [NAN, 3, 0.5, np.float32(0.25), np.int64(1)])
+    assert cells(trace.column("distance_to_reference")) == cells([NAN, 3.0, 0.5, 0.25, 1.0])
     trace.set_column("consensus_gap_x", np.arange(5.0))
     trace.set_column("messages_cum", (k * k for k in range(5)))
     assert cells(trace.column("consensus_gap_x")) == cells([0.0, 1.0, 2.0, 3.0, 4.0])
     assert cells(trace.column("messages_cum")) == cells([0, 1, 4, 9, 16])
     assert [type(r.consensus_gap_x) for r in trace.rows] == [float] * 5
-    trace.set_column("consensus_gap_y", [None] * 5)
-    assert "consensus_gap_y" not in trace.active_columns()
-    with pytest.raises(ValueError, match="not exact"):
+    with pytest.raises(ValueError, match="'messages_cum' are ints"):
         trace.set_column("messages_cum", [2 ** 53 + 1, 0.5, 0, 0, 0])
-    with pytest.raises(ValueError, match="numbers or None"):
+    with pytest.raises(ValueError, match="'messages_cum' are ints"):
         trace.set_column("messages_cum", ["1", 2, 3, 4, 5])
     with pytest.raises(ValueError, match="has 2 values for 5 rows"):
         trace.set_column("messages_cum", range(2))
@@ -141,13 +138,17 @@ def test_set_column_round_trips_nan_none_int_and_float_cells():
 
 def test_extend_keeps_its_checks():
     trace = chunked_trace()
+    row = {"consensus_gap_x": [1.0], "messages_cum": [12]}
     with pytest.raises(ValueError, match="unknown trace column 'gap'"):
-        trace._extend(6, [0.0], {"gap": [1.0]})
+        trace._extend(6, [0.0], {**row, "gap": [1.0]})
     with pytest.raises(ValueError, match="has 2 values for 1 rows"):
-        trace._extend(6, [0.0], {"consensus_gap_x": [1.0, 2.0]})
-    with pytest.raises(ValueError, match="numbers or None"):
-        trace._extend(6, [0.0], {"consensus_gap_x": ["x"]})
+        trace._extend(6, [0.0], {**row, "consensus_gap_x": [1.0, 2.0]})
+    with pytest.raises(ValueError, match="'consensus_gap_x' are numbers"):
+        trace._extend(6, [0.0], {**row, "consensus_gap_x": ["x"]})
+    with pytest.raises(ValueError, match="'messages_cum' are ints"):  # after a good column
+        trace._extend(6, [0.0], {**row, "messages_cum": [2.5]})
     assert trace.iterations == 5 and len(trace.rows) == 5
+    assert len(trace.column("consensus_gap_x")) == len(trace.column("messages_cum")) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +161,7 @@ def test_rows_is_a_read_only_view_of_the_columns():
     expected = [TraceRow(*cells) for cells in zip(*(trace.column(name) for name in COLUMNS))]
     assert len(rows) == 5
     assert all(type(row) is TraceRow for row in rows)
-    assert rows[-1] == rows[4] == TraceRow(5, 0.0, 3, None, None, 2.5)
+    assert rows[-1] == rows[4] == TraceRow(5, 0.0, 0.5, None, None, 10)
     assert type(rows[1:4]) is list and rows[7:] == []
     for part in (slice(1, 4), slice(None, None, -2)):
         assert list(map(repr, rows[part])) == list(map(repr, expected[part]))
@@ -174,8 +175,9 @@ def test_rows_is_a_read_only_view_of_the_columns():
             rows[idx]
     with pytest.raises(TypeError):
         rows[0] = rows[1]
-    trace.append(TraceRow(6, 0.0))  # the view reads the trace as it is now
-    assert len(rows) == 6 and rows[-1] == TraceRow(6, 0.0)
+    # the view reads the trace as it is now
+    trace.append(TraceRow(6, 0.0, consensus_gap_x=0.25, messages_cum=12))
+    assert len(rows) == 6 and rows[-1] == TraceRow(6, 0.0, 0.25, messages_cum=12)
 
 
 def test_an_empty_trace_has_no_rows():
