@@ -221,11 +221,7 @@ class _OneProduct:
 
 
 def _block_kron(layout, n, h, f):
-    """The ``(n h, n h)`` sum over the blocks of ``layout`` of ``kron(f(w), diag(mask))``.
-
-    ``layout`` is :func:`~saddlenet.graphs.mixing_blocks` of the rows; each
-    block's ``n x n`` matrix ``f(w)`` acts on its own columns (``mask``).
-    """
+    """The sum of ``kron(f(w), diag(mask))`` over a ``mixing_blocks`` layout, ``mask`` a block's columns."""
     out = np.zeros((n * h, n * h))
     for _, m, cols in layout:
         mask = np.zeros(h)

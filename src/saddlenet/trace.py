@@ -129,7 +129,10 @@ class ConvergenceTrace:
         self._residual.extend(residuals)
 
     def column(self, name):
-        """The values of column ``name``, one per row (None in every row of an absent column)."""
+        """The values of column ``name``, one per row (None in every row of an absent column).
+
+        A stored column is returned as it is, not copied: read it, do not write to it.
+        """
         if name == "iteration":
             return range(1, len(self._residual) + 1)
         if name == "fp_residual":

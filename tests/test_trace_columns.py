@@ -113,6 +113,7 @@ def test_extend_round_trips_nan_int_and_float_cells():
     assert trace.active_columns() == ["iteration", "fp_residual", "consensus_gap_x", "messages_cum"]
     assert trace.csv_lines(2) == ["iteration,fp_residual,consensus_gap_x,messages_cum",
                                   "1,1.0,nan,2", "3,0.25,0.0,6", "5,0.0,0.5,10"]
+    trace.set_column("messages_cum", range(2, 12, 2))  # a kept range grows as ints
     trace.append(TraceRow(6, 0.0, consensus_gap_x=0.25, messages_cum=12))
     assert trace.column("iteration") == range(1, 7)
     assert cells(trace.column("messages_cum")) == cells([2, 4, 6, 8, 10, 12])
