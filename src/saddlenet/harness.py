@@ -15,9 +15,10 @@ final states, which is what "the order agents compute in cannot matter"
 means operationally.
 
 One agent-local program at the bottom runs the decentralized solvers of
-this package through the harness: each agent applies the dense stacked
-step's update to its own row, so its per-agent state matches the dense
-iterate row for row, which the tests pin down numerically.
+this package through the harness: each agent runs the stacked solvers' one
+round (:func:`saddlenet.inclusion._round`) on its own row, with the
+exchange it receives, so its per-agent state matches the dense iterate row
+for row, which the tests pin down numerically.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import mixing_blocks
-from .inclusion import StackedIterate, _advance, _check_setup
+from .inclusion import StackedIterate, _check_setup, _round
 from .minmax import _stacked_setup
 
 __all__ = [
@@ -195,15 +196,19 @@ _KEYS = {"u": "u", "x": "z", "g": "g", "b": "b", "e": "e"}
 
 
 class _AgentOps:
-    """One agent's own resolvent, and its forward map scaled by ``tau``, on its row."""
+    """One agent's own resolvent, and its forward map scaled by ``tau``, on its row.
+
+    The exchange of a new row arrives only in the next round's inboxes, so
+    :meth:`images` leaves it out.
+    """
 
     def __init__(self, agent, tau):
         self.resolvent = agent.resolvent
         self._forward = agent.forward
         self._tau = tau
 
-    def forward(self, x):
-        return self._tau * self._forward(x)
+    def images(self, x):
+        return None, None, self._tau * self._forward(x)
 
 
 class _RecursionProgram:
@@ -211,11 +216,12 @@ class _RecursionProgram:
 
     Every block that a round sends (:func:`~saddlenet.graphs.mixing_blocks`)
     publishes the agent's columns of that block on its own graph once per
-    round.  Every round applies the dense step's update to the agent's row
-    with its own resolvent and forward map, given the neighbourhood average
-    ``(W x)_i`` it computes from the delivered values.  Without premixing,
-    round 1 first completes the start's dual sum ``g = x^0 - (W x^0)_i``
-    from that average: the agent learns it in the first exchange.
+    round.  Every round, the agent forms the neighbourhood average
+    ``w = (W x)_i`` from the delivered values and ``half = (w - x) / 2``,
+    then runs the stacked solvers' round on its row with its own resolvent
+    and forward map.  Without premixing, round 1 first completes the start's
+    dual sum ``g = x^0 - (W x^0)_i`` from that average: the agent learns it
+    in the first exchange.
     """
 
     def __init__(self, agents, mixing, x0, tau, premix, reflect):
@@ -237,7 +243,7 @@ class _RecursionProgram:
 
     def initial_state(self, i):
         z = self.x0[i].copy()
-        b = self._ops[i].forward(z)
+        _, _, b = self._ops[i].images(z)
         g = np.zeros_like(z)
         return self._with_blocks({"u": z, "z": z, "g": g, "b": b, "e": g - b})
 
@@ -247,11 +253,12 @@ class _RecursionProgram:
     def compute(self, i, state, inboxes, round_index):
         mix = np.concatenate([_local_mix(i, weights[i], state[name], inboxes[name])
                               for name, weights, _ in self._layout])
-        row = StackedIterate(**{f: state[k] for f, k in _KEYS.items()}, tau=self.tau)
+        row = StackedIterate(**{f: state[k] for f, k in _KEYS.items()}, tau=self.tau,
+                             w=mix, half=(mix - state["z"]) * 0.5)
         if round_index == 1 and not self.premix:
             row.g = row.x - mix
             row.e = row.g - row.b
-        it = _advance(self._ops[i], mix, row, self.reflect)
+        it = _round(self._ops[i], row, self.reflect)
         return self._with_blocks({k: getattr(it, f) for f, k in _KEYS.items()})
 
 

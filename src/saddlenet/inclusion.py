@@ -14,26 +14,30 @@ mixing is requested).  Admissible steps satisfy
 ``0 < tau < (1 + lambda_min(W)) / (4 L)`` with ``L = max_i L_i``.
 
 It runs in its dual form, where the eliminated dual block is a running sum
-``g`` (as in PG-EXTRA and NIDS).  With ``b = tau B(x)``, every round,
-the first included, is
+``g`` (as in PG-EXTRA and NIDS).  Each new ``x`` comes with its images
+``w = W x``, ``half = (W x - x) / 2`` and ``b = tau B(x)``, formed at once
+(the round's one exchange and one forward).  Every round, the first
+included, is
 
-    w = W x                                  (the round's one exchange)
     u = w + e
-    g <- g + (w - x) / 2                     (with the old x)
+    g <- g + half                            (the images of the old x)
     x <- J_{tau A}(u)
-    b <- tau B(x),   e <- g - (2 b - b_prev)
+    w, half, b <- the images of the new x
+    e <- g - (2 b - b_prev)
 
-from ``g = x^0 - W x^0`` (0 when premixing), ``b = tau B(x^0)`` and
+from the images of ``x^0``, ``g = x^0 - W x^0`` (0 when premixing) and
 ``e = g - b``.  Summing the recursion above telescopes to ``u^{k+1} = W x^k
 + g^k - tau v^k``, which is this form.  Every column of ``g`` sums to zero
 over the agents, because ``1' (W - I) = 0``.
 
 The same recursion with the plain gradient, ``e = g - b``, for a smooth
 ``B_i = grad h_i`` is the PG-EXTRA baseline, ``0 < tau < (1 + lambda_min(W)) / L``;
-one implementation below runs both, and the reflection is all that differs.
-On a small stack whose forwards are all affine and whose blocks mix over
-dense matrices, a round's whole linear part is one matrix product
-(:class:`_OneProduct`).
+one round, :func:`_round`, runs both, and the reflection is all that
+differs.  The stacked kernels form the images with ``mixing.apply`` and the
+batched forward; on a small stack whose forwards are all affine and whose
+blocks mix over dense matrices, they are one matrix product
+(:class:`_OneProduct`).  The harness's agents run the same round on their
+own rows, with the exchange they receive.
 :func:`product_space_reference` runs the underlying primal-dual iteration
 (``pdtr`` with the explicit square-root coupling matrix); it exists to check
 that the communication-friendly recursion above is the same method.
@@ -108,19 +112,18 @@ class StackedIterate:
     """Stacked per-agent state of the decentralized iteration, in dual form.
 
     ``x = J_{tau A}(u)`` holds the agents' rows and ``u`` the point they were
-    resolved from.  ``g`` is the dual running sum that replaces the
-    eliminated dual block: it starts at ``x_0 - W x_0`` (at 0 when
-    premixing), and every round adds ``(W x - x) / 2`` of the ``x`` it
-    mixed, so each column of ``g`` sums to zero over the agents.
-    ``b = tau B(x)`` is the scaled forward at ``x``, and ``e = g - (2 b -
-    b_prev)`` (``g - b`` for PG-EXTRA) is what the next round adds to its
-    exchange: ``u_next = W x + e``.
+    resolved from.  ``w = W x`` and ``half = (W x - x) / 2`` are the exchange
+    of this ``x``, formed with ``b = tau B(x)`` as soon as ``x`` was made.
+    ``g`` is the dual running sum that replaces the eliminated dual block: it
+    starts at ``x_0 - W x_0`` (at 0 when premixing), and every round adds the
+    ``half`` of the ``x`` it steps from, so each column of ``g`` sums to zero
+    over the agents.  ``e = g - (2 b - b_prev)`` (``g - b`` for PG-EXTRA) is
+    what the next round adds to the exchange: ``u_next = w + e``.
 
     ``tau`` is the run's step; it is fixed, because the kernels fold it into
     the forward stack.  ``kernels`` holds the agents' row-batched operators,
-    built once per run.  ``mixed``, when set, is the ``(2, n, h)`` pair
-    ``W x`` and ``(W x - x) / 2`` that the one-product kernel formed with
-    ``b`` in the round that made ``x``; a round without it mixes ``x``.
+    built once per run.  A step from a state without ``w`` or ``kernels``
+    forms them anew.
 
     Round 0 holds ``u = x = x0`` and the ``g``, ``b`` and ``e`` of the start.
     Steps build a new iterate and never write to the one they step from.
@@ -132,8 +135,9 @@ class StackedIterate:
     b: np.ndarray
     e: np.ndarray
     tau: float
+    w: np.ndarray | None = field(default=None, repr=False)
+    half: np.ndarray | None = field(default=None, repr=False)
     kernels: object = field(default=None, repr=False)
-    mixed: np.ndarray | None = field(default=None, repr=False)
 
 
 # The one-product kernel is picked while n h is at most this; above it
@@ -147,30 +151,31 @@ _ONE_PRODUCT_MAX_NH = 80
 
 
 class _Kernels:
-    """Row-batched resolvent and ``tau B`` of the agent list ``source``.
+    """Row-batched resolvent and ``tau B`` of the agent list ``source``, on ``mixing``.
 
-    A round mixes ``x`` with ``mixing.apply`` and evaluates the forward of
-    the new rows with the batched forward (:func:`_advance`).
+    :meth:`images` forms the exchange of a new iterate with ``mixing.apply``
+    and its ``b`` with the batched forward.
     """
 
-    def __init__(self, agents, h, tau):
-        self.source = agents
+    def __init__(self, agents, mixing, h, tau, layout):
+        self.source, self.mixing, self.layout, self.h = agents, mixing, layout, h
         self.resolvent = batched_resolvent([a.resolvent for a in agents], h)
         self.forward = batched_forward([a.forward for a in agents], h, scale=tau)
 
     def serves(self, agents, mixing):
-        return self.source is agents
+        """Built from ``agents``, on ``mixing`` or on one with the same blocks."""
+        return self.source is agents and (
+            mixing is self.mixing or mixing_blocks(mixing, self.h) == self.layout)
 
-    def start(self, mixing, x0, tau, premix):
-        b = self.forward(x0)
-        g = np.zeros_like(x0) if premix else x0 - mixing.apply(x0)
-        return StackedIterate(u=x0, x=x0, g=g, b=b, e=g - b, tau=tau, kernels=self)
+    def images(self, x):
+        """``W x``, ``(W x - x) / 2`` and ``b = tau B(x)`` of the rows ``x``."""
+        w = self.mixing.apply(x)
+        half = w - x
+        half *= 0.5
+        return w, half, self.forward(x)
 
-    def round(self, mixing, state, reflect):
-        return _advance(self, mixing.apply(state.x), state, reflect)
 
-
-class _OneProduct:
+class _OneProduct(_Kernels):
     """The kernels of a small stack whose forwards are all affine and whose
     blocks mix over dense matrices.
 
@@ -183,9 +188,7 @@ class _OneProduct:
 
     def __init__(self, agents, mixing, h, tau, layout):
         n = len(agents)
-        self.source = agents
-        self.mixing = mixing
-        self.layout = layout
+        self.source, self.mixing, self.layout, self.h = agents, mixing, layout, h
         self.resolvent = batched_resolvent([a.resolvent for a in agents], h)
         jac, self.offset = _affine_rows([a.forward for a in agents], h, tau)
         mix = _block_kron(layout, n, h, lambda w: w)
@@ -196,28 +199,9 @@ class _OneProduct:
         self.forms = forms.reshape(3 * n * h, n * h)
         self.shape = (3, n, h)
 
-    def serves(self, agents, mixing):
-        return self.source is agents and (
-            mixing is self.mixing or mixing_blocks(mixing, self.shape[2]) == self.layout)
-
-    def _products(self, x):
-        """``(W x, (W x - x) / 2)`` and ``b = tau B(x)`` of the rows ``x``."""
+    def images(self, x):
         out = self.forms.dot(x.ravel()).reshape(self.shape)
-        return out[:2], (out[2] if self.offset is None else out[2] + self.offset)
-
-    def start(self, mixing, x0, tau, premix):
-        mixed, b = self._products(x0)
-        g = np.zeros_like(x0) if premix else x0 - mixed[0]
-        return StackedIterate(u=x0, x=x0, g=g, b=b, e=g - b, tau=tau, kernels=self, mixed=mixed)
-
-    def round(self, mixing, state, reflect):
-        w, half_gap = state.mixed if state.mixed is not None else self._products(state.x)[0]
-        u = w + state.e
-        x = self.resolvent(state.tau, u)
-        mixed, b = self._products(x)
-        g = state.g + half_gap
-        return StackedIterate(u=u, x=x, g=g, b=b, e=_dual_step(g, b, state.b, reflect),
-                              tau=state.tau, kernels=self, mixed=mixed)
+        return out[0], out[1], (out[2] if self.offset is None else out[2] + self.offset)
 
 
 def _block_kron(layout, n, h, f):
@@ -237,11 +221,11 @@ def _kernels(agents, mixing, h, tau):
     ``w``, so a mixing or a forward wrapped in a delegating proxy takes the
     same path as the bare one.
     """
-    if len(agents) * h <= _ONE_PRODUCT_MAX_NH and all(a.forward.jacobian is not None for a in agents):
-        layout = mixing_blocks(mixing, h)
-        if all(getattr(m, "w", None) is not None for _, m, _ in layout):
-            return _OneProduct(agents, mixing, h, tau, layout)
-    return _Kernels(agents, h, tau)
+    layout = mixing_blocks(mixing, h)
+    if (len(agents) * h <= _ONE_PRODUCT_MAX_NH and all(a.forward.jacobian is not None for a in agents)
+            and all(getattr(m, "w", None) is not None for _, m, _ in layout)):
+        return _OneProduct(agents, mixing, h, tau, layout)
+    return _Kernels(agents, mixing, h, tau, layout)
 
 
 def _pg_extra_bound(mixing, lipschitz):
@@ -276,26 +260,28 @@ def _dual_step(g, b, b_prev, reflect):
     return np.subtract(g, v, out=v)
 
 
-def _advance(ops, w, state, reflect):
-    """One round of the dual recursion given this round's exchange ``w = W x``.
+def _round(ops, state, reflect):
+    """One round of the dual recursion from ``state``, which carries the exchange of its ``x``.
 
-    ``ops`` supplies ``resolvent`` and ``forward`` (``tau B``): the batched
-    kernels on stacked rows, or one agent's own operators on its row.
+    ``ops`` supplies ``resolvent`` and ``images`` (the exchange and ``b =
+    tau B`` of a new ``x``): the stacked kernels, or one agent's own
+    operators on its row, whose exchange the harness delivers.
     """
-    u = w + state.e
+    u = state.w + state.e
     x = ops.resolvent(state.tau, u)
-    g = w - state.x
-    g *= 0.5
-    g += state.g
-    b = ops.forward(x)
+    w, half, b = ops.images(x)
+    g = state.g + state.half
     return StackedIterate(u=u, x=x, g=g, b=b, e=_dual_step(g, b, state.b, reflect),
-                          tau=state.tau, kernels=state.kernels)
+                          tau=state.tau, w=w, half=half, kernels=state.kernels)
 
 
 def _start(agents, mixing, x0, tau, premix, reflect):
     """The round-0 iterate after :func:`_check_setup`; builds the agents' kernels."""
     x0 = _check_setup(agents, mixing, x0, tau, reflect)
-    return _kernels(agents, mixing, x0.shape[1], tau).start(mixing, x0, tau, premix)
+    kernels = _kernels(agents, mixing, x0.shape[1], tau)
+    w, half, b = kernels.images(x0)
+    g = np.zeros_like(x0) if premix else x0 - w
+    return StackedIterate(u=x0, x=x0, g=g, b=b, e=g - b, tau=tau, w=w, half=half, kernels=kernels)
 
 
 def _step(agents, mixing, state, tau, reflect):
@@ -303,22 +289,22 @@ def _step(agents, mixing, state, tau, reflect):
     if tau != state.tau:
         raise ValueError(f"this run steps with tau={state.tau!r}, not {tau!r}; start a new run")
     kernels = state.kernels
-    if kernels is None or not kernels.serves(agents, mixing):
+    if kernels is None or state.w is None or not kernels.serves(agents, mixing):
         kernels = _kernels(agents, mixing, state.x.shape[1], tau)
-        state = replace(state, kernels=kernels, mixed=None)
-    return kernels.round(mixing, state, reflect)
+        w, half, _ = kernels.images(state.x)
+        state = replace(state, w=w, half=half, kernels=kernels)
+    return _round(kernels, state, reflect)
 
 
 def inclusion_init(agents, mixing, x0, tau, premix=False):
     """Start from ``x0`` (one row per agent) and run round 1.
 
     With ``premix=False`` the first point is ``u^1 = x^0 - tau B(x^0)``: the
-    dual sum starts at ``x^0 - W x^0``, which costs one product before the
-    first round.  With ``premix=True`` the first point is averaged once,
-    ``u^1 = W x^0 - tau B(x^0)``, which corresponds to starting the
-    underlying primal-dual method from a nonzero dual point; both variants
-    converge to the same solution set.  ``tau`` is fixed for the run: a step
-    with another ``tau`` raises ``ValueError``.
+    dual sum starts at ``x^0 - W x^0``.  With ``premix=True`` the first
+    point is averaged once, ``u^1 = W x^0 - tau B(x^0)``, which corresponds
+    to starting the underlying primal-dual method from a nonzero dual point;
+    both variants converge to the same solution set.  ``tau`` is fixed for
+    the run: a step with another ``tau`` raises ``ValueError``.
     """
     return _step(agents, mixing, _start(agents, mixing, x0, tau, premix, True), tau, reflect=True)
 

@@ -161,7 +161,8 @@ def minmax_init(problems, mixing, x0, y0, tau):
 
 def minmax_step(problems, mixing, state, tau):
     """Advance both blocks by one communication round (one exchange per block)."""
-    agents = state.stacked.kernels.source if state.problems is problems else stack_agents(problems)
+    kernels = state.stacked.kernels
+    agents = kernels.source if kernels is not None and state.problems is problems else stack_agents(problems)
     stacked = _step(agents, stacked_block_mixing(mixing, problems), state.stacked, tau, reflect=True)
     return MinMaxState(stacked, state.p, problems)
 

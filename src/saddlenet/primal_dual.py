@@ -265,34 +265,33 @@ _METHODS = {"pdtr": (pdtr_step, _pdtr_gate), "pdhg": (pdhg_step, _pdhg_gate),
             "condat_vu": (condat_vu_step, None)}
 
 
-def _run_primal_dual(name, problem, init, steps, stop, observe, unsafe=False):
-    """Gate the steps of method ``name`` (unless ``unsafe``) and iterate it from ``init``.
+def _run_primal_dual(name, problem, init, steps, stop, observe):
+    """Gate the steps of method ``name`` and iterate it from ``init``.
 
     ``init`` is a ``(x0, y0)`` pair or a prepared state; ``observe`` is a
     batched :func:`~saddlenet.trace.run_loop` observer.
     """
     step, gate = _METHODS[name]
-    if gate is not None and not unsafe:
+    if gate is not None:
         gate(problem, steps)
     state = init if isinstance(init, PdtrState) else PdtrState.start(problem, *init)
     return run_loop(lambda s: step(problem, s, steps), state, stop, _pair_residual, observe)
 
 
-def pdtr_run(problem, init, steps, stop=None, unsafe=False, observe=None):
+def pdtr_run(problem, init, steps, stop=None, *, observe=None):
     """Iterate :func:`pdtr_step` until the sup-norm residual meets the rule.
 
     ``init`` is a ``(x0, y0)`` pair or a prepared state, and ``observe`` is
     as in :func:`forb_run`.  Inadmissible steps
-    (``2 tau L + tau sigma ||K||^2 >= 1``) raise unless ``unsafe=True``
-    (useful only for divergence demos).  Returns the final state and the
-    :class:`ConvergenceTrace`.
+    (``2 tau L + tau sigma ||K||^2 >= 1``) raise :class:`StepSizeError`.
+    Returns the final state and the :class:`ConvergenceTrace`.
     """
-    return _run_primal_dual("pdtr", problem, init, steps, stop, per_state(observe), unsafe)
+    return _run_primal_dual("pdtr", problem, init, steps, stop, per_state(observe))
 
 
-def pdhg_run(problem, init, steps, stop=None, unsafe=False, observe=None):
+def pdhg_run(problem, init, steps, stop=None, *, observe=None):
     """Iterate :func:`pdhg_step`; requires ``tau sigma ||K||^2 < 1``."""
-    return _run_primal_dual("pdhg", problem, init, steps, stop, per_state(observe), unsafe)
+    return _run_primal_dual("pdhg", problem, init, steps, stop, per_state(observe))
 
 
 def condat_vu_run(problem, init, steps, stop=None, observe=None):

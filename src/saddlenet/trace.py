@@ -6,7 +6,7 @@ import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -189,15 +189,10 @@ class ConvergenceTrace:
         A cell is ``str`` of its value: an int's digits, or a float's
         shortest repr, which reads back exactly.
         """
-        if every < 1:
-            raise ValueError("every must be at least 1")
+        kept = kept_rows(len(self._residual), every)
         cols = self.active_columns()
         data = [self.column(name) for name in cols]
-        count = len(self._residual)
-        # rows 0, every, 2 every, ... before the last one, then the last one
-        kept = islice(zip(*data), 0, max(count - 1, 0), every)
-        last = [[col[-1] for col in data]] if count else []
-        return chain([",".join(cols)], (",".join(map(str, cells)) for cells in chain(kept, last)))
+        return chain([",".join(cols)], (",".join([str(col[k]) for col in data]) for k in kept))
 
 
 class _Rows(Sequence):
@@ -242,11 +237,12 @@ def _same_row(a, b):
 def kept_rows(count, every):
     """Indices of ``count`` rows subsampled to every ``every``-th one.
 
-    The final row is always kept so the terminal state is never lost.
+    Rows ``0, every, 2 every, ...`` before the last one, then the last one:
+    the final row is always kept so the terminal state is never lost.
     """
     if every < 1:
         raise ValueError("every must be at least 1")
-    return [idx for idx in range(count) if idx % every == 0 or idx == count - 1]
+    return [*range(0, count - 1, every), count - 1] if count else []
 
 
 # run_loop observes the rows of consecutive rounds in one call.  A chunk of

@@ -95,8 +95,8 @@ def test_every_round_mixes_once_round_1_included(method):
     x0 = np.random.default_rng(3).standard_normal((n, h))
     run(agents, mixing, x0, tau, StoppingRule(tol=0.0, max_iters=0), premix=premix)
     start = mixing.calls
-    # the start's dual sum x0 - W x0 is one product; premixed, g starts at 0
-    assert start == (0 if premix else 1)
+    # the start forms W x0 once, premixed or not; each round then mixes its new x
+    assert start == 1
     state = init(agents, mixing, x0, tau, premix=premix)
     assert mixing.calls == 2 * start + 1
     for _ in range(20):
@@ -317,17 +317,33 @@ def test_random500_instance_runs_on_the_structured_path_whatever_its_mixing():
     assert_array_equal(bare.x, duck.x)
 
 
-def test_a_state_keeps_its_products_only_on_the_one_product_path():
+def test_every_state_keeps_the_exchange_of_its_own_x_on_both_paths():
     n, h = 4, 3
     agents = affine_agents(n, h, seed=16)
     mixing = metropolis_mixing(ring_graph(n))
     tau = step_size(mixing, agents, 0.9)
-    state = inclusion_init(agents, mixing, np.ones((n, h)), tau)
-    w, half_gap = state.mixed
-    assert np.abs(w - mixing.apply(state.x)).max() <= 1e-15
-    assert np.abs(half_gap - 0.5 * (w - state.x)).max() <= 1e-15
-    structured = inclusion_init(agents, CountingMixing(mixing), np.ones((n, h)), tau)
-    assert structured.mixed is None
-    # a new agent list rebuilds the kernels and drops the products
-    again = inclusion_step(list(agents), mixing, dataclasses.replace(state), tau)
+    x0 = np.random.default_rng(16).standard_normal((n, h))
+    for kernels, mixed in ((inclusion._OneProduct, mixing), (inclusion._Kernels, CountingMixing(mixing))):
+        start, _ = inclusion_run(agents, mixed, x0, tau, StoppingRule(tol=0.0, max_iters=0))
+        state = inclusion_init(agents, mixed, x0, tau)
+        assert type(state.kernels) is kernels
+        for s in (start, state, inclusion_step(agents, mixed, state, tau)):
+            w = mixing.apply(s.x)
+            assert np.abs(s.w - w).max() <= 1e-15
+            assert np.abs(s.half - 0.5 * (w - s.x)).max() <= 1e-15
+    # a new agent list rebuilds the kernels
+    again = inclusion_step(list(agents), mixed, dataclasses.replace(state), tau)
     assert again.kernels is not state.kernels
+
+
+@pytest.mark.parametrize("n, kernels", [(6, inclusion._OneProduct), (40, inclusion._Kernels)])
+def test_a_step_with_another_mixing_mixes_with_it(n, kernels):
+    """A state made on a ring and stepped on a path mixes over the path, not with a stale ``W x``."""
+    h = 3
+    agents = affine_agents(n, h, seed=17)
+    ring, path = metropolis_mixing(ring_graph(n)), metropolis_mixing(path_graph(n))
+    tau = min(step_size(m, agents, 0.5) for m in (ring, path))
+    state = inclusion_init(agents, ring, np.random.default_rng(17).standard_normal((n, h)), tau)
+    assert type(state.kernels) is kernels
+    stepped = inclusion_step(agents, path, state, tau)
+    assert np.abs(stepped.u - (path.apply(state.x) + state.e)).max() <= 1e-14

@@ -463,8 +463,8 @@ def test_stacked_runs_exchange_once_per_round(run, premix):
     _, trace = run(agents, mixing, rows(18, n=n, h=3), 0.2,
                    StoppingRule(tol=1e-9, max_iters=5000), premix=premix)
     assert trace.converged and trace.iterations > 10
-    # without premixing, the start's dual sum x0 - W x0 takes one more product
-    assert mixing.calls == trace.iterations + (0 if premix else 1)
+    # the start forms W x0 once, premixed or not; each round then mixes its new x
+    assert mixing.calls == trace.iterations + 1
 
 
 def test_minmax_run_exchanges_once_per_block_per_round():
@@ -485,16 +485,16 @@ def test_minmax_run_exchanges_once_per_block_per_round():
 
 def test_a_state_without_its_cached_products_steps_the_same():
     n = 5
-    mixing = metropolis_mixing(ring_graph(n))
     agents = shifted_agents(n, 3, seed=5)
     tau = 0.15
-    state = inclusion_step(agents, mixing, inclusion_init(agents, mixing, rows(21, n=n, h=3), tau), tau)
-    assert state.mixed is not None  # the one-product kernel formed W x with b
-    for bare in (dataclasses.replace(state, mixed=None),
-                 dataclasses.replace(state, kernels=None, mixed=None)):
-        assert_array_equal(inclusion_step(agents, mixing, bare, tau).x,
-                           inclusion_step(agents, mixing, state, tau).x)
-
+    for mixing in (metropolis_mixing(ring_graph(n)), CountingMixing(metropolis_mixing(ring_graph(n)))):
+        state = inclusion_step(agents, mixing, inclusion_init(agents, mixing, rows(21, n=n, h=3), tau), tau)
+        assert state.w is not None  # the kernels formed W x with b
+        kept = inclusion_step(agents, mixing, state, tau)
+        for bare in (dataclasses.replace(state, w=None), dataclasses.replace(state, kernels=None)):
+            stepped = inclusion_step(agents, mixing, bare, tau)
+            for name in ("u", "x", "g", "b", "e", "w", "half"):
+                assert_array_equal(getattr(stepped, name), getattr(kept, name))
 
 
 # ---------------------------------------------------------------------------

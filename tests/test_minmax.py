@@ -161,6 +161,19 @@ def test_stacked_inclusion_reproduces_minmax_bitwise():
             inc = inclusion_step(agents, stacked_mix, inc, tau)
 
 
+def test_minmax_step_rebuilds_a_state_without_kernels():
+    n, p, d = 4, 2, 3
+    problems = random_saddle_problems(n, p, d, seed=8)
+    mixing = pair_mixing(n)
+    tau = 0.45 * stepsize_bound_pair(mixing, max(prob.lipschitz for prob in problems))
+    rng = np.random.default_rng(8)
+    state = minmax_init(problems, mixing, rng.standard_normal((n, p)), rng.standard_normal((n, d)), tau)
+    bare = dataclasses.replace(state, stacked=dataclasses.replace(state.stacked, kernels=None))
+    kept, rebuilt = (minmax_step(problems, mixing, s, tau) for s in (state, bare))
+    for name in ("u", "x", "g", "b", "e"):
+        assert_array_equal(getattr(rebuilt.stacked, name), getattr(kept.stacked, name))
+
+
 def test_distinct_block_graphs_change_the_iterates():
     # sanity guard: the second mixing matrix really is applied to y
     n = 4
@@ -270,7 +283,7 @@ def test_centralized_run_on_product_space_matches_decentralized():
     z0 = np.concatenate([x0, y0], axis=1).reshape(-1)
     state, _ = pdtr_run(prob, (z0, np.zeros(prob.dual_dim)),
                         StepSizes(tau, 1.0 / tau),
-                        stop=StoppingRule(tol=0.0, max_iters=iters), unsafe=True)
+                        stop=StoppingRule(tol=0.0, max_iters=iters))
     for _ in range(iters - 1):
         mm = minmax_step(problems, mixing, mm, tau)
     stacked = np.concatenate([mm.x, mm.y], axis=1).reshape(-1)

@@ -236,10 +236,6 @@ def test_pdtr_rejects_inadmissible_steps():
     problem = identity_problem(np.array([[1.0]]), linear_forward(np.eye(1)))
     with pytest.raises(StepSizeError):
         pdtr_run(problem, (np.zeros(1), np.zeros(1)), StepSizes(0.5, 1.0))
-    # unsafe mode runs anyway
-    state, trace = pdtr_run(problem, (np.ones(1), np.ones(1)), StepSizes(0.5, 1.0),
-                            stop=StoppingRule(tol=0.0, max_iters=3), unsafe=True)
-    assert trace.rows[-1].iteration == 3
 
 
 def test_pdhg_gate():
