@@ -362,6 +362,7 @@ class BlockMixing:
 
     ``split`` is only needed when the pair is used as a single operator on
     stacked ``(x, y)`` rows; the min-max functions set it to ``p`` themselves.
+    It is None or a nonnegative int, and rows narrower than it are rejected.
     """
 
     w1: object
@@ -371,6 +372,10 @@ class BlockMixing:
     def __post_init__(self):
         if self.w1.n != self.w2.n:
             raise ValueError("both mixing matrices must have the same number of agents")
+        split = self.split
+        if split is not None and (isinstance(split, bool) or not isinstance(split, (int, np.integer))
+                                  or split < 0):
+            raise ValueError(f"split must be None or a nonnegative int, got {self.split!r}")
 
     @property
     def n(self):
@@ -385,15 +390,33 @@ class BlockMixing:
 
         When both blocks share one matrix (``w1 is w2``) a single product
         covers all columns; each block still counts as its own exchange.
+        Otherwise both products are written into one output array: a block
+        whose matrix mixes by the dense product (a ``product`` of
+        ``"dense"``, read through a delegating proxy as on the bare matrix)
+        is ``matmul`` of its ``w`` with the column view, and any other block
+        is its own ``apply`` of that view.  Rows that are not C-contiguous
+        are copied once first.  The result is bitwise each block's product
+        of its contiguous columns.
         """
         if self.split is None:
             raise ValueError("split must be set to apply a block mixing to stacked rows")
+        z = np.asarray(z, dtype=float)
+        _check_split(self.split, z.shape[1])
         if self.w1 is self.w2:
             return self.w1.apply(z)
-        z = np.asarray(z, dtype=float)
-        left = self.w1.apply(np.ascontiguousarray(z[:, : self.split]))
-        right = self.w2.apply(np.ascontiguousarray(z[:, self.split :]))
-        return np.concatenate([left, right], axis=1)
+        z = np.ascontiguousarray(z)
+        out = np.empty(z.shape)
+        for m, cols in ((self.w1, slice(0, self.split)), (self.w2, slice(self.split, None))):
+            if getattr(m, "product", None) == "dense":
+                np.matmul(m.w, z[:, cols], out=out[:, cols])
+            else:
+                out[:, cols] = m.apply(z[:, cols])
+        return out
+
+
+def _check_split(split, h):
+    if split > h:
+        raise ValueError(f"split {split} is wider than rows of width {h}")
 
 
 def mixing_blocks(mixing, h):
@@ -403,11 +426,13 @@ def mixing_blocks(mixing, h):
     delegates to one) is block ``"x"`` on ``w1`` over columns ``[0, split)``
     and block ``"y"`` on ``w2`` over the rest; any other mixing is the
     single block ``"x"`` over all columns.  A block without columns (``"y"``
-    when ``split = h``) sends nothing and is left out.
+    when ``split = h``) sends nothing and is left out.  A ``split`` wider
+    than ``h`` raises ``ValueError``.
     """
     if hasattr(mixing, "w1"):
         if mixing.split is None:
             raise ValueError("split must be set to lay out a block mixing")
+        _check_split(mixing.split, h)
         blocks = (("x", mixing.w1, slice(0, mixing.split)), ("y", mixing.w2, slice(mixing.split, h)))
     else:
         blocks = (("x", mixing, slice(0, h)),)

@@ -265,14 +265,16 @@ def _round(ops, state, reflect):
 
     ``ops`` supplies ``resolvent`` and ``images`` (the exchange and ``b =
     tau B`` of a new ``x``): the stacked kernels, or one agent's own
-    operators on its row, whose exchange the harness delivers.
+    operators on its row, whose exchange the harness delivers.  Nothing is
+    checked: the caller has matched ``ops`` to ``state``.  The new iterate
+    is built positionally, in the field order of :class:`StackedIterate`.
     """
     u = state.w + state.e
     x = ops.resolvent(state.tau, u)
     w, half, b = ops.images(x)
     g = state.g + state.half
-    return StackedIterate(u=u, x=x, g=g, b=b, e=_dual_step(g, b, state.b, reflect),
-                          tau=state.tau, w=w, half=half, kernels=state.kernels)
+    return StackedIterate(u, x, g, b, _dual_step(g, b, state.b, reflect), state.tau, w, half,
+                          state.kernels)
 
 
 def _start(agents, mixing, x0, tau, premix, reflect):
@@ -285,7 +287,12 @@ def _start(agents, mixing, x0, tau, premix, reflect):
 
 
 def _step(agents, mixing, state, tau, reflect):
-    """One round: one exchange, one resolvent and one forward of every agent."""
+    """One checked round: one exchange, one resolvent and one forward of every agent.
+
+    The public one-step functions come here: ``tau`` must be the run's, and
+    kernels that do not serve ``agents`` and ``mixing`` are built anew.  A
+    run, which fixed all three, calls :func:`_round` itself.
+    """
     if tau != state.tau:
         raise ValueError(f"this run steps with tau={state.tau!r}, not {tau!r}; start a new run")
     kernels = state.kernels
@@ -363,12 +370,16 @@ def _norm(d):
 def _run_stacked(agents, mixing, x0, tau, stop, premix, reference, reflect, split=None):
     """:func:`~saddlenet.trace.run_loop` over the recursion from round 0.
 
+    Every round is :func:`_round` on the kernels that :func:`_start` built
+    for this run: the run fixed ``tau``, the agents and the mixing, so the
+    checks of :func:`_step` are left to the public one-step functions.
     The residual is ``||x_new - x_old||_F`` and the other columns are
     :func:`_stacked_columns`.
     """
     columns = _stacked_columns(reference, split)
-    return run_loop(lambda s: _step(agents, mixing, s, tau, reflect),
-                    _start(agents, mixing, x0, tau, premix, reflect), stop,
+    start = _start(agents, mixing, x0, tau, premix, reflect)
+    kernels = start.kernels
+    return run_loop(lambda s: _round(kernels, s, reflect), start, stop,
                     lambda old, new: _norm(new.x - old.x),
                     lambda states: columns([s.x for s in states]))
 

@@ -355,6 +355,28 @@ def test_verify_other_seed(tmp_path, capsys):
     assert "verify: PASS" in capsys.readouterr().out
 
 
+def harness_row(out):
+    return next(line for line in out.splitlines() if line.startswith("message harness vs stacked recursion"))
+
+
+def test_verify_holds_the_message_harness_to_the_stacked_recursion(tmp_path, capsys):
+    assert main(["verify", "--config", write(tmp_path, README_MINMAX)]) == 0
+    row = harness_row(capsys.readouterr().out)
+    assert row.endswith("pass") and "tolerance 1e-12" in row
+
+
+def test_verify_fails_when_the_harness_mixes_wrongly(tmp_path, capsys, monkeypatch):
+    """The row can fail: an exchange off by 1e-9 in every round is caught."""
+    from saddlenet import harness
+
+    local_mix = harness._local_mix
+    monkeypatch.setattr(harness, "_local_mix", lambda *args: local_mix(*args) + 1e-9)
+    assert main(["verify", "--config", write(tmp_path, README_MINMAX)]) == cli.EXIT_CHECK_FAILED
+    out = capsys.readouterr().out
+    assert harness_row(out).endswith("FAIL")
+    assert "verify: FAIL" in out
+
+
 # ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------

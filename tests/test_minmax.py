@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from saddlenet.graphs import metropolis_mixing, path_graph, random_connected_graph, ring_graph
+from saddlenet.graphs import metropolis_mixing, mixing_blocks, path_graph, random_connected_graph, ring_graph
 from saddlenet.inclusion import inclusion_init, inclusion_step
 from saddlenet.instances import random_saddle_problems, seeded_couplings
 from saddlenet.minmax import (
@@ -67,6 +67,27 @@ def test_block_mixing_apply_is_columnwise():
 def test_block_mixing_apply_needs_split():
     with pytest.raises(ValueError):
         pair_mixing(3).apply(np.ones((3, 2)))
+
+
+@pytest.mark.parametrize("split", [-1, 1.5, "2", True])
+def test_block_mixing_rejects_a_split_that_is_not_a_nonnegative_int(split):
+    """``split = -1`` used to mix columns 0-1 over W1 and column 2 over W2."""
+    with pytest.raises(ValueError, match="split must be None or a nonnegative int"):
+        BlockMixing(metropolis_mixing(ring_graph(4)), metropolis_mixing(path_graph(4)), split=split)
+
+
+def test_block_mixing_rejects_a_split_wider_than_the_rows():
+    """``split = 5`` on rows of width 3 used to never apply W2."""
+    w1, w2 = metropolis_mixing(ring_graph(4)), metropolis_mixing(path_graph(4))
+    for mixing in (BlockMixing(w1, w2, split=5), BlockMixing(w1, w1, split=5)):
+        with pytest.raises(ValueError, match="wider than rows of width 3"):
+            mixing.apply(np.ones((4, 3)))
+        with pytest.raises(ValueError, match="wider than rows of width 3"):
+            mixing_blocks(mixing, 3)
+    # a split at the row width is one block; numpy integers are ints
+    mixing = BlockMixing(w1, w2, split=np.int64(3))
+    assert [name for name, _, _ in mixing_blocks(mixing, 3)] == ["x"]
+    assert_allclose(mixing.apply(np.ones((4, 3))), np.ones((4, 3)))
 
 
 def test_stepsize_bound_pair():
