@@ -375,7 +375,7 @@ class BlockMixing:
         split = self.split
         if split is not None and (isinstance(split, bool) or not isinstance(split, (int, np.integer))
                                   or split < 0):
-            raise ValueError(f"split must be None or a nonnegative int, got {self.split!r}")
+            raise ValueError(f"split must be None or a nonnegative int, got {split!r}")
 
     @property
     def n(self):
@@ -395,7 +395,8 @@ class BlockMixing:
         ``"dense"``, read through a delegating proxy as on the bare matrix)
         is ``matmul`` of its ``w`` with the column view, and any other block
         is its own ``apply`` of that view.  Rows that are not C-contiguous
-        are copied once first.  The result is bitwise each block's product
+        are copied once first, since ``matmul`` sums a view that BLAS cannot
+        take in another order.  The result is bitwise each block's product
         of its contiguous columns.
         """
         if self.split is None:

@@ -88,25 +88,34 @@ def test_a_shared_matrix_is_one_product(pairs, pair):
 @pytest.mark.parametrize("pair", ["dense, dense", "dense, gather"])
 def test_rows_that_are_not_c_contiguous_mix_as_their_copy(pairs, pair):
     w1, w2 = pairs[pair]
-    mixing = BlockMixing(w1, w2, split=2)
-    wide = np.random.default_rng(2).standard_normal((w1.n, 9))
-    for z in (np.asfortranarray(wide[:, :5]), wide[:, 1:6], wide[::-1, :5]):
+    wide = np.random.default_rng(2).standard_normal((w1.n, 10))
+    for z in (np.asfortranarray(wide[:, :5]), wide[:, 1:6], wide[::-1, :5], wide[::-1, ::2]):
         assert not z.flags.c_contiguous
-        assert same_bytes(mixing.apply(z), blockwise(w1, w2, 2, np.ascontiguousarray(z)))
+        for split in range(6):
+            assert same_bytes(BlockMixing(w1, w2, split=split).apply(z),
+                              blockwise(w1, w2, split, np.ascontiguousarray(z)))
 
 
 def test_a_delegating_proxy_mixes_as_the_bare_matrix(pairs):
+    """A dense block's ``w`` is read through the proxy, whose ``apply`` is not
+    called; a gather block is its own ``apply``."""
     class Delegating:
         def __init__(self, inner):
             self._inner = inner
+            self.calls = 0
 
         def __getattr__(self, name):
             return getattr(self._inner, name)
 
+        def apply(self, x):
+            self.calls += 1
+            return self._inner.apply(x)
+
     for w1, w2 in pairs.values():
         z = np.random.default_rng(3).standard_normal((w1.n, 6))
-        assert same_bytes(BlockMixing(Delegating(w1), Delegating(w2), split=4).apply(z),
-                          BlockMixing(w1, w2, split=4).apply(z))
+        p1, p2 = Delegating(w1), Delegating(w2)
+        assert same_bytes(BlockMixing(p1, p2, split=4).apply(z), BlockMixing(w1, w2, split=4).apply(z))
+        assert (p1.calls, p2.calls) == (w1.product == "gather", w2.product == "gather")
 
 
 # ---------------------------------------------------------------------------
