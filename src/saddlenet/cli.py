@@ -3,7 +3,7 @@
 Four commands, all driven by an INI experiment config:
 
 * ``run``: execute one algorithm, write ``trace.csv``, ``summary.txt`` and
-  ``solution.csv`` (plus ``audit.csv`` with ``--audit``).
+  ``solution.csv`` (plus ``audit.csv``, the harness check, with ``--audit``).
 * ``check-mixing``: build or load a candidate mixing matrix for a graph and
   print the property-by-property certificate.
 * ``verify``: run the internal equivalence suite (communication-friendly
@@ -12,9 +12,9 @@ Four commands, all driven by an INI experiment config:
 * ``compare``: run several algorithms on the same instance with the same
   resolved steps and write an aligned residual table.
 
-Exit codes: 0 success, 1 a check or comparison failed its criterion,
-2 invalid configuration or usage, 3 the run did not converge in budget
-(outputs are still written).
+Exit codes: 0 success, 1 a check, comparison or ``--audit`` failed its
+criterion, 2 invalid configuration or usage, 3 the run did not converge in
+budget (a run writes its outputs on 1 and 3 too).
 """
 
 from __future__ import annotations
@@ -51,7 +51,9 @@ from .graphs import (
 from .harness import InclusionProgram, PgExtraProgram, run_synchronous
 from .inclusion import (
     _product_space_problem,
+    _round,
     _run_stacked,
+    _start,
     _stacked_columns,
     inclusion_init,
     inclusion_step,
@@ -286,20 +288,24 @@ def _summary_text(cfg, result, stop, extra_lines=()):
     return "\n".join(lines) + "\n"
 
 
-_AUDIT_CAP = 2000
+# the harness check's rounds (at most, in run --audit) and relative bound: rounding only
+HARNESS_ROUNDS = 50
+HARNESS_TOL = 1e-12
 
 
-def _audit_run(name, setup, rounds):
-    """Re-execute a decentralized run through the message-passing harness."""
-    rounds = min(rounds, _AUDIT_CAP)
-    program_type = InclusionProgram if _DECENTRALIZED[name] else PgExtraProgram
-    program = program_type(setup.agents, _round_mixing(name, setup), setup.z0, setup.tau)
-    _, audits = run_synchronous(program, rounds, audit=True)
-    lines = ["round,messages,bytes,illegal_attempts"]
-    for a in audits:
-        lines.append(f"{a.round_index},{a.messages},{a.bytes},{a.illegal_attempts}")
-    total_illegal = sum(a.illegal_attempts for a in audits)
-    return "\n".join(lines) + "\n", rounds, total_illegal
+def _harness_check(name, setup, rounds):
+    """The round audits of ``name``'s agent-local program and, after ``rounds`` rounds,
+    ``max|harness - stacked| / max(1, max|stacked|)``; the stacked rounds step
+    one start's kernels as a run does, so they are bitwise the reported run's."""
+    reflect = _DECENTRALIZED[name]
+    program = (InclusionProgram if reflect else PgExtraProgram)(setup.agents, _round_mixing(name, setup),
+                                                                setup.z0, setup.tau)
+    states, audits = run_synchronous(program, rounds, audit=True)
+    stacked = _start(setup.agents, setup.block_mixing, setup.z0, setup.tau, False, reflect)
+    for _ in range(rounds):
+        stacked = _round(stacked.kernels, stacked, reflect)
+    gap = np.abs(np.array([s["z"] for s in states]) - stacked.x).max(initial=0.0)
+    return audits, float(gap) / max(1.0, float(np.abs(stacked.x).max(initial=0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +323,17 @@ def cmd_run(args):
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     extra = [] if setup.reference_converged else ["warning: reference run hit its iteration budget"]
-    audit_text = None
+    audit_text, audit_ok = None, True
     if args.audit:
         if name in _DECENTRALIZED:
-            audit_text, rounds, illegal = _audit_run(name, setup, result.trace.iterations)
-            extra.append(f"audit: {rounds} rounds re-executed on the message harness, "
-                         f"{illegal} illegal reads")
+            audits, deviation = _harness_check(name, setup, min(result.trace.iterations, HARNESS_ROUNDS))
+            audit_text = "round,messages,bytes,illegal_attempts\n" + "".join(
+                f"{a.round_index},{a.messages},{a.bytes},{a.illegal_attempts}\n" for a in audits)
+            audit_ok = deviation <= HARNESS_TOL
+            extra.append(f"audit: {len(audits)} rounds on the message harness, "
+                         f"{sum(a.illegal_attempts for a in audits)} illegal reads, max deviation from "
+                         f"the run {deviation:.3e} (tolerance {HARNESS_TOL:.0e}) "
+                         f"{'pass' if audit_ok else 'FAIL'}")
         else:
             extra.append("audit: not applicable to centralized algorithms")
     _write_atomic(outdir / "trace.csv",
@@ -334,6 +345,8 @@ def cmd_run(args):
         _write_atomic(outdir / "audit.csv", audit_text)
 
     print(summary, end="")
+    if not audit_ok:
+        return EXIT_CHECK_FAILED
     return EXIT_OK if result.trace.converged else EXIT_NO_CONVERGENCE
 
 
@@ -385,23 +398,18 @@ def _verify_rows(setup):
     tau, z0, h = setup.tau, setup.z0, setup.z0.shape[1]
     rows = []
 
-    def inclusion(state):
-        return inclusion_step(agents, bm, state, tau)
-
     # decentralized recursion against the explicit product-space iteration
     iters = 200
     seq = product_space_reference(agents, bm, z0, tau, iters)
-    states = _iterates(inclusion, inclusion_init(agents, bm, z0, tau), iters - 1)
+    states = _iterates(lambda s: inclusion_step(agents, bm, s, tau), inclusion_init(agents, bm, z0, tau),
+                       iters - 1)
     rows.append(("recursion vs explicit coupled form",
                  _max_gap((s.x, x) for s, x in zip(states, seq)), 1e-10))
 
-    # agent-local rounds on the message harness against the stacked recursion;
-    # not bitwise, because each agent sums its neighbours in index order
-    rounds = 50
-    states, _ = run_synchronous(InclusionProgram(agents, bm, z0, tau), rounds)
-    *_, stacked = _iterates(inclusion, inclusion_init(agents, bm, z0, tau), rounds - 1)
+    # agent-local rounds on the message harness against the stacked recursion,
+    # x and y exchanged apart (as alg2 sends them)
     rows.append(("message harness vs stacked recursion",
-                 _max_gap([(np.array([s["z"] for s in states]), stacked.x)]), 1e-12))
+                 _harness_check("alg2", setup, HARNESS_ROUNDS)[1], HARNESS_TOL))
 
     # reduction: no forward term -> plain primal-dual (PDHG)
     base = setup.product_space

@@ -277,7 +277,8 @@ class InclusionProgram(_RecursionProgram):
 
 
 class PgExtraProgram(_RecursionProgram):
-    """Agent-local PG-EXTRA (plain gradient difference, same exchange pattern)."""
+    """Agent-local PG-EXTRA (plain gradient difference, same exchange pattern); its gate
+    assumes gradient forward maps, unchecked (see :func:`~saddlenet.inclusion.pg_extra_run`)."""
 
     def __init__(self, agents, mixing, x0, tau, premix=False):
         super().__init__(agents, mixing, x0, tau, premix, reflect=False)

@@ -106,11 +106,9 @@ def _block_columns(name, block):
 class MinMaxState:
     """Two-block view of a stacked iterate: columns ``:p`` are x, the rest y.
 
-    ``x``/``y`` are the agents' rows, ``ux``/``uy`` the points they were
-    resolved from, ``gx``/``gy`` the dual sums, ``bx``/``by`` the scaled
-    forward ``tau (grad_x phi, -grad_y phi)`` at ``(x, y)`` and ``ex``/``ey``
-    what the next round adds to its exchange (see
-    :class:`~saddlenet.inclusion.StackedIterate`).
+    ``x``/``y`` are the agents' rows and ``ux``/``uy`` the points they were
+    resolved from; the dual sums and the forward images stay on ``stacked``
+    (see :class:`~saddlenet.inclusion.StackedIterate`).
     ``problems`` is the agent list the stacked agents (the kernels'
     ``source``) were built from; steps on the same list reuse them.
     """
@@ -123,12 +121,6 @@ class MinMaxState:
     y = _block_columns("x", "y")
     ux = _block_columns("u", "x")
     uy = _block_columns("u", "y")
-    gx = _block_columns("g", "x")
-    gy = _block_columns("g", "y")
-    bx = _block_columns("b", "x")
-    by = _block_columns("b", "y")
-    ex = _block_columns("e", "x")
-    ey = _block_columns("e", "y")
 
 
 def _stacked_setup(problems, mixing, x0, y0):
@@ -255,15 +247,15 @@ def sum_saddle_problem(problems):
     )
 
 
-def saddle_residual(problems, x, y, tau=None):
+def saddle_residual(problems, x, y):
     """Fixed-point residual of one centralized reflected step at ``(x, y)``.
 
-    Zero exactly at saddle points of the summed problem; used as a
-    solution certificate for decentralized output.
+    The step is ``0.25 / L`` for the summed problem's ``L``.  Zero exactly at
+    saddle points of the summed problem; used as a solution certificate for
+    decentralized output.
     """
     central = stack_agents([sum_saddle_problem(problems)])[0]
-    if tau is None:
-        tau = 0.25 / max(central.lipschitz, 1e-12)
+    tau = 0.25 / max(central.lipschitz, 1e-12)
     z = np.concatenate([np.asarray(x, dtype=float), np.asarray(y, dtype=float)])
     new = forb_step(central.resolvent, central.forward, ForbState.start(central.forward, z), tau)
     return float(np.abs(new.x - z).max(initial=0.0))
