@@ -11,12 +11,16 @@ mixing, a second certificate of that matrix, and ``n`` inclusion agents with
 mixing at ``alpha = max degree + 1``, which exceeds ``lambda_max(L) / 2``
 because ``lambda_max(L) <= 2 * max degree``; its certificate is its one
 eigensolve.  Each step reports its best wall time over three runs, with one
-BLAS thread.  The line is for information; nothing is checked.
+BLAS thread.  The graph and the Metropolis mixing also report the memory they
+retain: what one more build leaves allocated under ``tracemalloc`` (which sees
+numpy's arrays), after the timed builds have warmed every cache.  The line is
+for information; nothing is checked.
 """
 
 import argparse
 import os
 import time
+import tracemalloc
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -42,6 +46,16 @@ def best_ms(fn):
     return 1e3 * min(times), out
 
 
+def retained_mb(fn):
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    kept = fn()  # alive while the memory is read
+    after = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    del kept
+    return (after - before) / 1e6
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--n", type=int, default=2000)
@@ -52,8 +66,12 @@ def main(argv=None):
     laplacian_ms, _ = best_ms(lambda: mixing_from_laplacian(g, alpha))
     cert_ms, _ = best_ms(lambda: certify_mixing(mixing.w, g))
     agents_ms, _ = best_ms(lambda: random_inclusion_agents(n, 8, 11, pool=("zero", "quadratic")))
-    print(f"set-up at n = {n} ({len(g.edges)} edges), best of {REPEAT}: graph {graph_ms:.1f} ms, "
-          f"Metropolis mixing {mixing_ms:.1f} ms, Laplacian mixing {laplacian_ms:.1f} ms, "
+    graph_mb = retained_mb(lambda: random_connected_graph(n, 0.02, seed=11))
+    mixing_mb = retained_mb(lambda: metropolis_mixing(g))
+    print(f"set-up at n = {n} ({len(g.edge_array)} edges), best of {REPEAT}: "
+          f"graph {graph_ms:.1f} ms ({graph_mb:.1f} MB retained), "
+          f"Metropolis mixing {mixing_ms:.1f} ms ({mixing_mb:.1f} MB retained), "
+          f"Laplacian mixing {laplacian_ms:.1f} ms, "
           f"certificate {cert_ms:.1f} ms, instances {agents_ms:.1f} ms")
 
 

@@ -183,15 +183,17 @@ def _round_mixing(name, setup):
     """The mixing whose blocks a decentralized run exchanges over; None if centralized.
 
     alg2 sends an x and a y vector; the stacked alg1/pg_extra rows travel as
-    one vector when both blocks mix alike, and as an x and a y vector when
+    one vector when both blocks mix alike (one matrix, or equal graphs and
+    weights), and as an x and a y vector when
     they do not.  Without a y block only the x block travels
     (:func:`~saddlenet.graphs.mixing_blocks`).
     """
     if name not in _DECENTRALIZED:
         return None
-    mixing = setup.mixing
-    if name != "alg2" and np.array_equal(mixing.w1.w, mixing.w2.w):
-        return mixing.w1
+    w1, w2 = setup.mixing.w1, setup.mixing.w2
+    # identity, then graphs, then weights: a gather matrix rebuilds its dense w on each read
+    if name != "alg2" and (w1 is w2 or (w1.graph == w2.graph and np.array_equal(w1.w, w2.w))):
+        return w1
     return setup.block_mixing
 
 
@@ -245,7 +247,7 @@ def _execute(name, cfg, setup):
     per_round = None
     round_mixing = _round_mixing(name, setup)
     if round_mixing is not None:
-        per_round = sum(2 * len(m.graph.edges) for _, m, _ in mixing_blocks(round_mixing, z0.shape[1]))
+        per_round = sum(2 * len(m.graph.edge_array) for _, m, _ in mixing_blocks(round_mixing, z0.shape[1]))
         # the rows are rounds 1, 2, ..., so the counts are one arithmetic run (a range step is not 0)
         trace.set_column("messages_cum", range(per_round, (trace.iterations + 1) * per_round, per_round)
                          if per_round else [0] * trace.iterations)
