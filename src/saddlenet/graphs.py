@@ -374,7 +374,7 @@ class MixingMatrix:
     _wp: np.ndarray | None = field(repr=False)
 
     def __init__(self, w, graph, lambda_min):
-        w = np.array(w, dtype=float)
+        w = np.asarray(w, dtype=float)  # copied below only if kept
         n = graph.n
         if w.shape != (n, n):
             raise ValueError(f"matrix shape {w.shape} does not match n={n}")
@@ -384,6 +384,7 @@ class MixingMatrix:
         k = int(counts.max(initial=0))
         nbr = wp = None
         if n < _GATHER_MIN_N or _GATHER_MIN_N_OVER_K * k > n:
+            w = np.array(w)
             w.flags.writeable = False
         else:
             # slot of each nonzero within its row (np.nonzero walks w row by row)
