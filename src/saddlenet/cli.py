@@ -184,9 +184,8 @@ def _round_mixing(name, setup):
 
     alg2 sends an x and a y vector; the stacked alg1/pg_extra rows travel as
     one vector when both blocks mix alike (one matrix, or equal graphs and
-    weights), and as an x and a y vector when
-    they do not.  Without a y block only the x block travels
-    (:func:`~saddlenet.graphs.mixing_blocks`).
+    weights), and as an x and a y vector when they do not.  Without a y
+    block only the x block travels (:func:`~saddlenet.graphs.mixing_blocks`).
     """
     if name not in _DECENTRALIZED:
         return None

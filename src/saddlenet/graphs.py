@@ -59,7 +59,7 @@ class Graph:
     ``_heads[_indptr[i]:_indptr[i + 1]]``, in increasing order.  That is
     ``32 |E| + 8 n`` bytes: 1.4 MB for the 42179 edges of
     ``random_connected_graph(2000, 0.02, 11)``, where a frozenset of tuples
-    beside the array and per-vertex neighbour tuples took 10.1 MB.  ``edges``
+    beside the array and per-vertex neighbour tuples took 10.5 MB.  ``edges``
     builds the frozenset of Python-int pairs on each read; equality, hashing,
     ``repr`` and pickling go by ``n`` and the edges.
     """
@@ -335,9 +335,10 @@ class MixingMatrix:
       are all it keeps: O(n K) memory, 2.1 MB for the Metropolis weights of
       ``random_connected_graph(2000, 0.02, 11)`` (``K = 66``) where the dense
       ``w`` took 32 MB.  Each read of ``w`` rebuilds the dense read-only
-      matrix from the tables, one O(n^2) pass (0.36 ms at n = 500, 8.5 ms at
-      n = 2000), and nothing keeps it; it is bitwise the constructed ``w``,
-      except that a ``-0.0`` entry reads back as ``0.0``.
+      matrix from the tables, one O(n^2) pass (0.36 ms at n = 500 and 8.5 ms
+      at n = 2000 in a warm loop, one thread), and nothing keeps it; it is
+      bitwise the constructed ``w``, except that a ``-0.0`` entry reads back
+      as ``0.0``.
 
     The gather is picked when ``n >= 450`` and ``12 K <= n``.  It sums each
     row in another order, so it matches ``w @ x`` to rounding, not bitwise.

@@ -58,15 +58,17 @@ def test_a_graph_and_its_mixing_at_two_thousand_agents_keep_o_of_e_memory():
     assert retained_mb(lambda: metropolis_mixing(g)) <= 4.0
 
 
+def alpha(g):
+    """A Laplacian step that certifies: ``max degree + 1 > lambda_max(L) / 2``."""
+    return max((g.degree(i) for i in range(g.n)), default=0) + 1.0
+
+
 def weight_matrices(g):
-    """Metropolis weights and Laplacian weights at ``alpha = max degree + 1``."""
-    alpha = max((g.degree(i) for i in range(g.n)), default=0) + 1.0
-    return {"metropolis": _metropolis_weights(g), "laplacian": _laplacian_weights(laplacian(g), alpha)}
+    return {"metropolis": _metropolis_weights(g), "laplacian": _laplacian_weights(laplacian(g), alpha(g))}
 
 
-@pytest.mark.parametrize("g, product", [(g, "dense") for g in DENSE_GRAPHS]
-                         + [(g, "gather") for g in GATHER_GRAPHS], ids=lambda v: graph_id(v) if
-                         isinstance(v, Graph) else v)
+@pytest.mark.parametrize("g, product", [pytest.param(g, "dense", id=graph_id(g)) for g in DENSE_GRAPHS]
+                         + [pytest.param(g, "gather", id=graph_id(g)) for g in GATHER_GRAPHS])
 def test_w_is_bitwise_the_constructed_weights_and_read_only(g, product):
     for name, w in weight_matrices(g).items():
         m = MixingMatrix(w, g, 0.0)
@@ -84,9 +86,9 @@ def test_w_is_bitwise_the_constructed_weights_and_read_only(g, product):
 
 @pytest.mark.parametrize("g", GATHER_GRAPHS, ids=graph_id)
 def test_certified_gather_matrices_read_back_their_weights(g):
-    alpha = max(g.degree(i) for i in range(g.n)) + 1.0
-    for m, w in ((metropolis_mixing(g), _metropolis_weights(g)),
-                 (mixing_from_laplacian(g, alpha), _laplacian_weights(laplacian(g), alpha))):
+    weights = weight_matrices(g)
+    for m, w in ((metropolis_mixing(g), weights["metropolis"]),
+                 (mixing_from_laplacian(g, alpha(g)), weights["laplacian"])):
         assert m.product == "gather" and m.w.tobytes() == w.tobytes()
 
 
@@ -111,8 +113,9 @@ def test_a_graph_keeps_one_read_only_edge_array_and_csr_neighbour_lists():
     g = random_connected_graph(120, 0.1, 3)
     assert not g.edge_array.flags.writeable
     assert not g._indptr.flags.writeable and not g._heads.flags.writeable
-    assert g._indptr.tolist() == np.cumsum([0] + [g.degree(i) for i in range(g.n)]).tolist()
-    assert g._heads.tolist() == [j for i in range(g.n) for j in g.neighbors(i)]
+    scanned = [sorted(b if a == i else a for a, b in g.edges if i in (a, b)) for i in range(g.n)]
+    assert g._indptr.tolist() == np.cumsum([0] + [len(heads) for heads in scanned]).tolist()
+    assert g._heads.tolist() == [j for heads in scanned for j in heads]
     with pytest.raises(AttributeError):
         g.n = 3
     with pytest.raises(AttributeError):
