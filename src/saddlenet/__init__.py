@@ -31,6 +31,7 @@ from .graphs import (
     graph_to_edge_list,
     is_connected,
     laplacian,
+    lazy_metropolis_mixing,
     metropolis_mixing,
     mixing_blocks,
     mixing_from_laplacian,

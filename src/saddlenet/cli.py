@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
+    _SCHEMES,
     ConfigError,
     build_block_mixing,
     build_problems,
@@ -41,6 +42,7 @@ from .config import (
 )
 from .graphs import (
     _laplacian_weights,
+    _lazy_metropolis_weights,
     _metropolis_weights,
     certify_mixing,
     is_connected,
@@ -263,13 +265,16 @@ def _solution_csv(result):
     return "\n".join(lines) + "\n"
 
 
-def _summary_text(cfg, result, stop, extra_lines=()):
-    trace = result.trace
+def _summary_text(cfg, result, setup, extra_lines=()):
+    trace, stop = result.trace, setup.stop
+    blocks = mixing_blocks(setup.mixing, setup.z0.shape[1])
+    lambdas = ", ".join(f"{name}: {m.lambda_min!r}" for name, m, _ in blocks)
     lines = [
         f"algorithm = {result.name}",
         f"n = {cfg.problem.n}, p = {cfg.problem.p}, d = {cfg.problem.d}",
         f"tau = {result.info['tau']!r}",
         f"sigma = {result.info.get('sigma')!r}",
+        f"lambda_min(W) = {lambdas}",
         f"iterations = {trace.iterations}",
         f"converged = {'yes' if trace.converged else 'no'} (tol = {stop.tol!r})",
         f"stopped on = {trace.status}",
@@ -340,7 +345,7 @@ def cmd_run(args):
     _write_atomic(outdir / "trace.csv",
                   (line + "\n" for line in result.trace.iter_csv_lines(cfg.run.trace_every)))
     _write_atomic(outdir / "solution.csv", _solution_csv(result))
-    summary = _summary_text(cfg, result, setup.stop, extra)
+    summary = _summary_text(cfg, result, setup, extra)
     _write_atomic(outdir / "summary.txt", summary)
     if audit_text is not None:
         _write_atomic(outdir / "audit.csv", audit_text)
@@ -364,6 +369,8 @@ def cmd_check_mixing(args):
 
     if args.matrix_file is not None:
         w = np.loadtxt(args.matrix_file, delimiter=",", ndmin=2)
+    elif args.scheme == "lazy_metropolis":
+        w = _lazy_metropolis_weights(g)
     elif args.scheme == "metropolis":
         w = _metropolis_weights(g)
     elif args.scheme == "laplacian":
@@ -520,7 +527,7 @@ def main(argv=None):
 
     p_chk = sub.add_parser("check-mixing", help="certify a mixing matrix for a graph")
     p_chk.add_argument("graph", help="edge-list file")
-    p_chk.add_argument("--scheme", choices=("metropolis", "laplacian"), default=None)
+    p_chk.add_argument("--scheme", choices=_SCHEMES, default=None)
     p_chk.add_argument("--alpha", type=float, default=None)
     p_chk.add_argument("--matrix-file", default=None)
     p_chk.add_argument("--tol", type=float, default=1e-9)

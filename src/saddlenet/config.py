@@ -21,7 +21,13 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .graphs import metropolis_mixing, mixing_from_laplacian, named_topology, parse_edge_list
+from .graphs import (
+    lazy_metropolis_mixing,
+    metropolis_mixing,
+    mixing_from_laplacian,
+    named_topology,
+    parse_edge_list,
+)
 from .minmax import AgentSaddleProblem, BlockMixing
 from .operators import bilinear_coupling, make_prox
 from .instances import seeded_couplings
@@ -44,7 +50,7 @@ ALGORITHMS = ("alg1", "alg2", "pdtr", "pdhg", "forb", "condat_vu", "pg_extra")
 _PROX_KINDS = ("zero", "l1", "box_indicator", "zero_set_indicator")
 _COUPLINGS = ("bilinear", "quadratic", "zero")
 _TOPOLOGIES = ("path", "ring", "star", "complete", "random")
-_SCHEMES = ("metropolis", "laplacian")
+_SCHEMES = ("lazy_metropolis", "metropolis", "laplacian")
 
 
 class ConfigError(ValueError):
@@ -178,7 +184,7 @@ class GraphConfig:
 
 @dataclass(frozen=True)
 class MixingConfig:
-    scheme: str = _key(_choice(_SCHEMES), "metropolis")
+    scheme: str = _key(_choice(_SCHEMES), "lazy_metropolis")
     alpha: float | None = _key(_as_float)
     scheme_y: str | None = _key(_choice(_SCHEMES))
     alpha_y: float | None = _key(_as_float)
@@ -346,7 +352,9 @@ def _build_graph(n, topology, density, seed, edges, edges_file, where):
 
 
 def _build_mixing(g, scheme, alpha):
-    return metropolis_mixing(g) if scheme == "metropolis" else mixing_from_laplacian(g, alpha)
+    if scheme == "laplacian":
+        return mixing_from_laplacian(g, alpha)
+    return lazy_metropolis_mixing(g) if scheme == "lazy_metropolis" else metropolis_mixing(g)
 
 
 def build_block_mixing(cfg):

@@ -9,8 +9,9 @@ is admissible when
 * ``1`` is a simple eigenvalue with the all-ones eigenvector,
 * every eigenvalue lies in ``(-1, 1]``.
 
-Two standard constructions are provided (Laplacian-based and Metropolis
-weights) together with a numerical certificate for arbitrary matrices.
+Three standard constructions are provided (Laplacian-based, Metropolis and
+lazy Metropolis weights) together with a numerical certificate for arbitrary
+matrices.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "graph_to_edge_list",
     "is_connected",
     "laplacian",
+    "lazy_metropolis_mixing",
     "metropolis_mixing",
     "mixing_blocks",
     "mixing_from_laplacian",
@@ -661,6 +663,43 @@ def _metropolis_weights(g):
     deg = np.bincount(g.edge_array.ravel(), minlength=g.n)
     w[i, j] = w[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    return w
+
+
+def lazy_metropolis_mixing(g):
+    """The least lazy shift ``(1 - c) I + c W`` of the Metropolis weights ``W`` that is PSD.
+
+    ``c = 1 / (1 - lambda_min(W))`` when ``lambda_min(W) < 0``, which moves
+    ``lambda_min`` to 0; otherwise ``W`` is kept as it is (stars, the 3-ring and
+    complete graphs, whose ``lambda_min`` is 0).  A ``lambda_min`` within the
+    eigensolver's rounding of 0, ``n`` machine epsilons (``||W|| = 1``), counts
+    as 0, so those graphs keep their weights bitwise.  The shift has ``W``'s support, so a round sends the same
+    messages, and it stays inside the theory: ``(I - W_c) / 2 = c (I - W) / 2``.
+    It raises the step gate ``(1 + lambda_min) / (4 L)``, so runs take fewer
+    rounds: 24130 -> 15590 on the README's 5-ring alg2 example.  PG-EXTRA's
+    lazy ``(I + W) / 2`` is the shift with ``c = 1/2``.
+    """
+    return _certified(_lazy_metropolis_weights(g), g, "lazy_metropolis_mixing")
+
+
+def _lazy_metropolis_weights(g):
+    """The lazy Metropolis weight matrix of ``g``, not certified; ``c`` from one ``eigvalsh``.
+
+    The edges take ``c w_ij`` and the diagonal the complement, so each row
+    sums to one as in :func:`_metropolis_weights`; in exact arithmetic that
+    is ``(1 - c) I + c W``.  A diagonal formed as ``(1 - c) + c w_ii`` would
+    leave rows about an ulp off one, and the dual sum would drift by that
+    much a round: on the README 5-ring the one-product and the structured
+    paths then end 2.5e-12 apart after 15603 rounds, against 1.9e-14 with
+    the complement.
+    """
+    w = _metropolis_weights(g)
+    lam = float(np.linalg.eigvalsh(w)[0])
+    if lam < -g.n * np.finfo(float).eps:
+        c = 1.0 / (1.0 - lam)
+        np.fill_diagonal(w, 0.0)
+        w *= c
+        np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return w
 
 
