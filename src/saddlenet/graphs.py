@@ -670,11 +670,12 @@ def lazy_metropolis_mixing(g):
     """The least lazy shift ``(1 - c) I + c W`` of the Metropolis weights ``W`` that is PSD.
 
     ``c = 1 / (1 - lambda_min(W))`` when ``lambda_min(W) < 0``, which moves
-    ``lambda_min`` to 0; otherwise ``W`` is kept as it is (stars, the 3-ring and
-    complete graphs, whose ``lambda_min`` is 0).  A ``lambda_min`` within the
-    eigensolver's rounding of 0, ``n`` machine epsilons (``||W|| = 1``), counts
-    as 0, so those graphs keep their weights bitwise.  The shift has ``W``'s support, so a round sends the same
-    messages, and it stays inside the theory: ``(I - W_c) / 2 = c (I - W) / 2``.
+    ``lambda_min`` to 0; otherwise ``W`` is kept as it is (stars, the 3-ring
+    and complete graphs, whose ``lambda_min`` is 0).  A ``lambda_min`` within
+    the eigensolver's rounding of 0, ``n`` machine epsilons (``||W|| = 1``),
+    counts as 0, so those graphs keep their weights bitwise.  The shift has
+    ``W``'s support, so a round sends the same messages, and it stays inside
+    the theory: ``(I - W_c) / 2 = c (I - W) / 2``.
     It raises the step gate ``(1 + lambda_min) / (4 L)``, so runs take fewer
     rounds: 24130 -> 15590 on the README's 5-ring alg2 example.  PG-EXTRA's
     lazy ``(I + W) / 2`` is the shift with ``c = 1/2``.

@@ -179,7 +179,6 @@ def run_summary(tmp_path, text, name):
 
 def test_the_default_scheme_is_lazy_metropolis():
     assert MixingConfig().scheme == "lazy_metropolis"
-    assert _SCHEMES[0] == "lazy_metropolis"
 
 
 def test_the_readme_config_converges_in_fewer_rounds_than_with_metropolis(tmp_path):
