@@ -8,9 +8,12 @@ The script puts ``ROOT/src`` and ``ROOT/bench`` first on ``sys.path`` and
 runs every workload of ``ROOT/bench/workloads.py`` untraced on seeds 1-3,
 without writing anything.  Each line holds the iterations and SHA-256
 prefixes of the final point and of every trace column; a workload that
-audits also gets one of the harness states after its audit rounds.  Two
-trees that print the same lines ran the same arithmetic.  Nothing is
-checked: ``diff`` the output of two trees to compare them.
+audits also gets one of the harness states after its audit rounds.  A
+workload with a reference adds one ``reference`` line after its seeds: the
+iterations of its centralized forb run and a prefix of the point it
+returns, which do not depend on the seed.  Two trees that print the same
+lines ran the same arithmetic.  Nothing is checked: ``diff`` the output of
+two trees to compare them.
 """
 
 import argparse
@@ -60,6 +63,9 @@ def main(argv=None):
                 audit = wl.audit(setup, min(solve.iterations, AUDIT_CAP), tracer)
                 cells.append(f"harness={digest(s[k] for s in audit.states for k in sorted(s))}")
             print(" ".join(cells), flush=True)
+        if wl.has_reference:
+            point, trace = wl.reference(setup, tracer)
+            print(f"{name} reference iterations={trace.iterations} point={digest([point])}", flush=True)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ Layout:
 * :mod:`saddlenet.graphs` -- topologies, mixing matrices, certification
 * :mod:`saddlenet.operators` -- prox library, forward maps, couplings
 * :mod:`saddlenet.primal_dual` -- centralized reflected primal-dual core
-* :mod:`saddlenet.inclusion` -- decentralized inclusion iteration, PG-EXTRA
+* :mod:`saddlenet.inclusion` -- decentralized inclusion iteration, PG-EXTRA, forb (one agent)
 * :mod:`saddlenet.minmax` -- decentralized min-max iteration and reductions
 * :mod:`saddlenet.harness` -- simulated message-passing execution, auditing
 * :mod:`saddlenet.instances` -- seeded random test instances

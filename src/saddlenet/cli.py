@@ -62,6 +62,7 @@ from .inclusion import (
     product_space_reference,
 )
 from .minmax import (
+    saddle_residual,
     stack_agents,
     stacked_block_mixing,
     sum_saddle_problem,
@@ -265,6 +266,16 @@ def _solution_csv(result):
     return "\n".join(lines) + "\n"
 
 
+def _answer_residual(setup, result, spec):
+    """:func:`~saddlenet.minmax.saddle_residual` at ``result``'s answer, formatted by ``spec``,
+    or why the summed problem cannot be formed; a diverged answer may overflow to inf or nan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return spec.format(saddle_residual(setup.problems, result.x_star, result.y_star))
+        except ValueError as exc:  # no summation rule for the agents' kinds
+            return f"not available ({exc})"
+
+
 def _summary_text(cfg, result, setup, extra_lines=()):
     trace, stop = result.trace, setup.stop
     blocks = mixing_blocks(setup.mixing, setup.z0.shape[1])
@@ -279,6 +290,7 @@ def _summary_text(cfg, result, setup, extra_lines=()):
         f"converged = {'yes' if trace.converged else 'no'} (tol = {stop.tol!r})",
         f"stopped on = {trace.status}",
         f"final fp residual = {trace.final_residual!r}",
+        f"saddle residual of the answer = {_answer_residual(setup, result, '{!r}')}",
     ]
     final = trace.rows[-1] if trace.iterations else None
     for name in ("consensus_gap_x", "consensus_gap_y", "distance_to_reference"):
@@ -503,7 +515,8 @@ def cmd_compare(args):
         status = "converged" if r.trace.converged else f"NOT CONVERGED ({r.trace.status})"
         table.append(
             f"{r.name:<{width}}  iterations {r.trace.iterations:>8}  "
-            f"final residual {r.trace.final_residual:.3e}  {status}"
+            f"final residual {r.trace.final_residual:.3e}  "
+            f"saddle residual {_answer_residual(setup, r, '{:.3e}')}  {status}"
         )
     text = "\n".join(table) + "\n"
     _write_atomic(outdir / "summary.txt", text)

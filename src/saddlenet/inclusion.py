@@ -50,7 +50,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .graphs import mixing_blocks
+from .graphs import Graph, metropolis_mixing, mixing_blocks
 from .operators import (
     ForwardOperator,
     Prox,
@@ -60,7 +60,7 @@ from .operators import (
     zero_prox,
 )
 from .primal_dual import PdtrState, PrimalDualProblem, StepSizeError, StepSizes, pdtr_step
-from .trace import run_loop
+from .trace import per_state, run_loop
 
 __all__ = [
     "AgentInclusion",
@@ -280,7 +280,11 @@ def _round(ops, state, reflect):
 def _start(agents, mixing, x0, tau, premix, reflect):
     """The round-0 iterate after :func:`_check_setup`; builds the agents' kernels."""
     x0 = _check_setup(agents, mixing, x0, tau, reflect)
-    kernels = _kernels(agents, mixing, x0.shape[1], tau)
+    return _round_zero(_kernels(agents, mixing, x0.shape[1], tau), x0, tau, premix)
+
+
+def _round_zero(kernels, x0, tau, premix=False):
+    """The round-0 iterate of the rows ``x0`` on ``kernels``, unchecked."""
     w, half, b = kernels.images(x0)
     g = np.zeros_like(x0) if premix else x0 - w
     return StackedIterate(u=x0, x=x0, g=g, b=b, e=g - b, tau=tau, w=w, half=half, kernels=kernels)
@@ -393,6 +397,79 @@ def inclusion_run(agents, mixing, x0, tau, stop=None, premix=False, reference=No
     a run that takes no step returns the round-0 iterate).
     """
     return _run_stacked(agents, mixing, x0, tau, stop, premix, reference, reflect=True)
+
+
+# ---------------------------------------------------------------------------
+# forb: the round of one agent
+# ---------------------------------------------------------------------------
+
+# One agent on the one-vertex mixing W = [[1]] runs the reflected
+# forward-backward method (Malitsky & Tam 2020): w = x and half = 0, so g
+# stays 0, and the gate (1 + 1) / (4 L) is its 1 / (2 L).
+_ONE_VERTEX = metropolis_mixing(Graph.from_edges(1, []))
+
+
+@dataclass(frozen=True, eq=False)
+class ForbState:
+    """A view of forb's one-row :class:`StackedIterate`, with ``x`` its row.
+
+    :meth:`start` holds the 1-D ``x0`` alone; the first :func:`forb_step`
+    forms the round-0 iterate and the kernels at its ``tau``.
+    """
+
+    stacked: StackedIterate
+
+    @property
+    def x(self):
+        return self.stacked.x[0]
+
+    @classmethod
+    def start(cls, forward, x0):
+        """The start at ``x0``; the first step evaluates ``forward`` there, at its ``tau``."""
+        row = np.asarray(x0, dtype=float)[None]
+        return cls(StackedIterate(row, row, None, None, None, None))
+
+
+def _forb_start(resolvent, forward, row, tau):
+    """forb's round-0 iterate at the ``(1, h)`` ``row``, unchecked: forb gates ``tau`` itself."""
+    return _round_zero(_kernels([AgentInclusion(resolvent, forward)], _ONE_VERTEX, row.shape[1], tau), row, tau)
+
+
+def forb_step(resolvent, forward, state, tau):
+    """Reflected forward-backward step ``x+ = J(x - 2 tau B(x) + tau B(x-))``, ``x- = x0`` at the start.
+
+    It is one round of one agent on ``W = [[1]]``.  The first step fixes
+    ``tau`` (another raises ``ValueError``); steps with its ``resolvent`` and
+    ``forward`` reuse its kernels.
+    """
+    s = state.stacked
+    if s.tau is None:
+        s = _forb_start(resolvent, forward, s.x, tau)
+    agents = s.kernels.source
+    if agents[0].resolvent is not resolvent or agents[0].forward is not forward:
+        agents = [AgentInclusion(resolvent, forward)]
+    return ForbState(_step(agents, _ONE_VERTEX, s, tau, reflect=True))
+
+
+def forb_run(resolvent, forward, x0, tau, stop=None, observe=None):
+    """Reflected forward-backward iteration; needs ``tau < 1 / (2 L)``, or any ``tau`` when ``L = 0``.
+
+    It runs the round of one agent on ``W = [[1]]``, and its residual is
+    that of the stacked runs, ``||x_new - x_old||_F``.  ``observe(state)``,
+    when given, returns the other trace columns of one state as a dict of
+    numbers, with the same columns for every state and every chunk of the
+    run (:func:`~saddlenet.trace.per_state`).
+    """
+    if forward.lipschitz > 0 and not tau < 1.0 / (2.0 * forward.lipschitz):
+        raise StepSizeError(
+            f"tau={tau!r} must be below 1/(2L)={1.0 / (2.0 * forward.lipschitz)!r}"
+        )
+    start = _forb_start(resolvent, forward, np.asarray(x0, dtype=float)[None], tau)
+    kernels, columns = start.kernels, per_state(observe)
+    state, trace = run_loop(lambda s: _round(kernels, s, True), start, stop,
+                            lambda old, new: _norm(new.x - old.x),
+                            columns and (lambda states: columns([ForbState(s) for s in states])))
+    return ForbState(state), trace
 
 
 # ---------------------------------------------------------------------------

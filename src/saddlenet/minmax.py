@@ -248,11 +248,11 @@ def sum_saddle_problem(problems):
 
 
 def saddle_residual(problems, x, y):
-    """Fixed-point residual of one centralized reflected step at ``(x, y)``.
+    """Sup norm of one forb step at ``(x, y)``: the round of one agent on the summed problem.
 
     The step is ``0.25 / L`` for the summed problem's ``L``.  Zero exactly at
     saddle points of the summed problem; used as a solution certificate for
-    decentralized output.
+    the output of every method.
     """
     central = stack_agents([sum_saddle_problem(problems)])[0]
     tau = 0.25 / max(central.lipschitz, 1e-12)

@@ -18,6 +18,12 @@ steps in ``y``; ``K = Id`` matches a three-line reflected Douglas-Rachford
 iteration with ``gamma = 1/sigma``.  The Condat-Vu baseline (single forward
 evaluation, no reflection) is included for comparisons; it requires a
 cocoercive ``B`` and is expected to fail on skew couplings.
+
+The reflected forward-backward method (forb: :class:`ForbState`,
+:func:`forb_step`, :func:`forb_run`) is the decentralized round of
+:mod:`saddlenet.inclusion` with one agent on ``W = [[1]]``.  It is defined
+there, next to that round, and read from there on first use here, because
+that module imports this one.
 """
 
 from __future__ import annotations
@@ -213,37 +219,12 @@ def frdr_step(problem, state, gamma, tau):
     return PdtrState(x_new, y_new, bx)
 
 
-@dataclass(frozen=True, eq=False)
-class ForbState:
-    """Iterate plus cached forward value for the reflected forward-backward method."""
-
-    x: np.ndarray
-    prev_bx: np.ndarray
-
-    @classmethod
-    def start(cls, forward, x0):
-        x0 = np.asarray(x0, dtype=float)
-        return cls(x0, forward(x0))
-
-
-def forb_step(resolvent, forward, state, tau):
-    """Reflected forward-backward step ``x+ = J(x - 2 tau B(x) + tau B(x-))``."""
-    bx = forward(state.x)
-    x_new = resolvent(tau, state.x - (2.0 * tau) * bx + tau * state.prev_bx)
-    return ForbState(x_new, bx)
-
-
 # ---------------------------------------------------------------------------
 # runners
 # ---------------------------------------------------------------------------
 
-def _sup_diff(a, b):
-    d = np.abs(np.asarray(a) - np.asarray(b))
-    return float(d.max(initial=0.0))
-
-
 def _pair_residual(old, new):
-    return max(_sup_diff(old.x, new.x), _sup_diff(old.y, new.y))
+    return max(float(np.abs(old.x - new.x).max(initial=0.0)), float(np.abs(old.y - new.y).max(initial=0.0)))
 
 
 def _pdtr_gate(problem, steps):
@@ -304,19 +285,13 @@ def condat_vu_run(problem, init, steps, stop=None, observe=None):
     return _run_primal_dual("condat_vu", problem, init, steps, stop, per_state(observe))
 
 
-def forb_run(resolvent, forward, x0, tau, stop=None, observe=None):
-    """Reflected forward-backward iteration; needs ``tau < 1 / (2 L)``.
+def __getattr__(name):
+    """The forb names, from :mod:`saddlenet.inclusion` (see the module docstring)."""
+    if name in ("ForbState", "forb_run", "forb_step"):
+        from . import inclusion
 
-    ``observe(state)``, when given, returns the other trace columns of one
-    state as a dict of numbers, with the same columns for every state and
-    every chunk of the run (:func:`~saddlenet.trace.per_state`).
-    """
-    if forward.lipschitz > 0 and not tau < 1.0 / (2.0 * forward.lipschitz):
-        raise StepSizeError(
-            f"tau={tau!r} must be below 1/(2L)={1.0 / (2.0 * forward.lipschitz)!r}"
-        )
-    return run_loop(lambda s: forb_step(resolvent, forward, s, tau), ForbState.start(forward, x0),
-                    stop, lambda old, new: _sup_diff(old.x, new.x), per_state(observe))
+        return getattr(inclusion, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------

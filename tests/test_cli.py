@@ -2,14 +2,18 @@
 
 import time
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from saddlenet import cli
 from saddlenet.cli import main
+from saddlenet.config import build_problems, parse_config
 from saddlenet.graphs import mixing_from_laplacian, random_connected_graph, ring_graph
 from saddlenet.instances import seeded_couplings
+from saddlenet.minmax import AgentSaddleProblem, saddle_residual
+from saddlenet.operators import bilinear_coupling, l1_prox, zero_prox
 
 FAST_MINMAX = """
 [problem]
@@ -512,6 +516,44 @@ def test_verify_runs_at_the_configured_step(tmp_path, capsys):
     cfg = write(tmp_path, swap(FAST_MINMAX, "name = alg2", "name = alg2\ntau = 1.0"))
     assert main(["verify", "--config", cfg]) == 2
     assert "step size exceeds its bound" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the saddle residual of the answer
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name, edits", [
+    ("alg1", []), ("alg2", []), ("forb", []), ("pdtr", []), ("condat_vu", []),
+    ("pdhg", [("coupling = quadratic", "coupling = zero\nx0 = 1.0\ny0 = -0.5")]),
+    ("pg_extra", [("d = 1", "d = 0")]),
+])
+def test_the_summary_gives_the_saddle_residual_of_the_answer(tmp_path, name, edits):
+    text = swap(FAST_MINMAX, "name = alg2", f"name = {name}")
+    for old, new in edits:
+        text = swap(text, old, new)
+    out = tmp_path / "out"
+    assert main(["run", "--config", write(tmp_path, text), "--out", str(out), "--max-iters", "300"]) in (0, 3)
+    summary = (out / "summary.txt").read_text()
+    value = float(summary.split("saddle residual of the answer = ")[1].splitlines()[0])
+    rows = [line.split(",") for line in (out / "solution.csv").read_text().splitlines()[1:]]
+    x, y = ([float(v) for b, _, v in rows if b == block] for block in "xy")
+    assert value == saddle_residual(build_problems(parse_config(text)), np.array(x), np.array(y))
+
+
+def test_compare_gives_alg1_and_alg2_one_saddle_residual_on_the_readme_config(tmp_path):
+    text = swap(README_MINMAX, "name = alg2", "name = alg1, alg2")
+    assert main(["compare", "--config", write(tmp_path, text), "--out", str(tmp_path / "o")]) == 0
+    lines = (tmp_path / "o" / "summary.txt").read_text().splitlines()
+    alg1, alg2 = (line.split("saddle residual ")[1].split()[0] for line in lines[2:])
+    assert alg1 == alg2 and float(alg1) < 1e-9
+
+
+def test_the_saddle_residual_line_says_when_the_summed_problem_cannot_be_formed():
+    mixed = [AgentSaddleProblem(prox, zero_prox(), bilinear_coupling(m=np.ones((1, 1))))
+             for prox in (l1_prox(0.1), zero_prox())]
+    answer = SimpleNamespace(x_star=np.zeros(1), y_star=np.zeros(1))
+    assert cli._answer_residual(SimpleNamespace(problems=mixed), answer, "{!r}") == \
+        "not available (cannot combine mixed prox kinds ['l1', 'zero'])"
 
 
 # ---------------------------------------------------------------------------

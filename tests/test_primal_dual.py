@@ -166,8 +166,16 @@ def test_zero_coupling_decouples_into_forb_and_dual_proximal_steps():
     stop = StoppingRule(tol=0.0, max_iters=60)
     state, _ = pdtr_run(problem, (x0, y0), steps, stop=stop)
 
-    forb_state, _ = forb_run(problem.resolvent, problem.forward, x0, steps.tau, stop=stop)
-    assert_array_equal(state.x, forb_state.x)
+    # the reflected forward-backward formula x+ = J(x - 2 tau B(x) + tau B(x-)),
+    # x- = x0 at the start, which pdtr with K = 0 computes exactly; forb, the
+    # round of one agent, forms 2 tau B(x) - tau B(x-) first, so it agrees to rounding
+    tau, x, bx_prev = steps.tau, x0, problem.forward(x0)
+    for _ in range(60):
+        bx = problem.forward(x)
+        x, bx_prev = problem.resolvent(tau, x - 2.0 * tau * bx + tau * bx_prev), bx
+    assert_array_equal(state.x, x)
+    forb_state, _ = forb_run(problem.resolvent, problem.forward, x0, tau, stop=stop)
+    assert np.max(np.abs(forb_state.x - x)) <= 1e-14
     y = y0
     for _ in range(60):
         y = problem.dual_resolvent(steps.sigma, y)
