@@ -548,12 +548,15 @@ def test_compare_gives_alg1_and_alg2_one_saddle_residual_on_the_readme_config(tm
     assert alg1 == alg2 and float(alg1) < 1e-9
 
 
-def test_the_saddle_residual_line_says_when_the_summed_problem_cannot_be_formed():
-    mixed = [AgentSaddleProblem(prox, zero_prox(), bilinear_coupling(m=np.ones((1, 1))))
-             for prox in (l1_prox(0.1), zero_prox())]
+def test_the_saddle_residual_line_reports_what_it_cannot_compute():
+    agents = [AgentSaddleProblem(prox, zero_prox(), bilinear_coupling(m=np.ones((1, 1))))
+              for prox in (l1_prox(0.1), zero_prox())]
     answer = SimpleNamespace(x_star=np.zeros(1), y_star=np.zeros(1))
-    assert cli._answer_residual(SimpleNamespace(problems=mixed), answer, "{!r}") == \
+    assert cli._answer_residual(SimpleNamespace(problems=agents), answer, "{!r}") == \
         "not available (cannot combine mixed prox kinds ['l1', 'zero'])"
+    # a diverged run's answer can be inf (its row mean overflows): nan, without a numpy warning
+    inf = SimpleNamespace(x_star=np.full(1, np.inf), y_star=np.full(1, 1.0))
+    assert cli._answer_residual(SimpleNamespace(problems=agents[:1] * 2), inf, "{!r}") == "nan"
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ from saddlenet.config import build_problems, parse_config
 from saddlenet.graphs import Graph, metropolis_mixing
 from saddlenet.inclusion import AgentInclusion, inclusion_run
 from saddlenet.minmax import stack_agents, sum_saddle_problem
-from saddlenet.operators import ForwardOperator, l1_prox, linear_forward, zero_prox
-from saddlenet.primal_dual import ForbState, StepSizeError, forb_run, forb_step
+from saddlenet.operators import ForwardOperator, l1_prox, linear_forward
+from saddlenet.primal_dual import ForbState, forb_run, forb_step
 from saddlenet.trace import StoppingRule
 
 README_PROBLEM = """
@@ -117,15 +117,12 @@ def test_state_and_observers_see_a_1d_x_and_the_trace_keeps_its_columns():
     assert forb_step(resolvent, forward, ForbState.start(forward, np.zeros(6)), tau).x.shape == (6,)
 
 
-def test_zero_lipschitz_runs_at_tau_one_and_the_gate_is_one_over_2l():
+def test_zero_lipschitz_runs_at_tau_one():
+    # the gate tau < 1 / (2 L) itself is held in test_primal_dual.py and test_step_gates.py
     flat = linear_forward(np.zeros((2, 2)), lipschitz=0.0)
     state, trace = forb_run(l1_prox(0.5), flat, np.array([2.0, -0.25]), 1.0, StoppingRule(tol=1e-12))
     assert trace.converged
     assert_array_equal(state.x, [0.0, 0.0])
-
-    forward = linear_forward(np.array([[0.0, 2.0], [-2.0, 0.0]]))
-    with pytest.raises(StepSizeError):
-        forb_run(zero_prox(), forward, np.ones(2), 1.0 / (2.0 * forward.lipschitz))
 
 
 def test_steps_keep_their_kernels_and_their_tau():
