@@ -31,7 +31,6 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
-    _SCHEMES,
     ConfigError,
     build_block_mixing,
     build_problems,
@@ -41,12 +40,9 @@ from .config import (
     resolve_steps,
 )
 from .graphs import (
-    _laplacian_weights,
-    _lazy_metropolis_weights,
-    _metropolis_weights,
+    _SCHEMES,
     certify_mixing,
     is_connected,
-    laplacian,
     mixing_blocks,
     parse_edge_list,
 )
@@ -219,7 +215,6 @@ def _execute(name, cfg, setup):
         # never premixed: the config's start rows are all equal, so W z0 = z0
         state, trace = _run_stacked(setup.agents, setup.block_mixing, z0, tau, stop, False,
                                     ref, _DECENTRALIZED[name], split)
-        point = state.x.mean(axis=0)
     elif name == "forb":
         central = setup.central
         lip = central.lipschitz
@@ -236,14 +231,14 @@ def _execute(name, cfg, setup):
 
         state, trace = forb_run(central.resolvent, central.forward, z0[0], tau_f, stop,
                                 observe=observe)
-        point = state.x
     else:  # the centralized primal-dual methods on the product-space problem
         problem = setup.product_space
         columns = _stacked_columns(ref, split)
         state, trace = _run_primal_dual(name, problem, (z0.reshape(-1), np.zeros(problem.dual_dim)),
                                         StepSizes(tau, setup.sigma), stop,
                                         lambda states: columns([s.x.reshape(z0.shape) for s in states]))
-        point = state.x.reshape(z0.shape).mean(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # the mean of a diverged run's rows is inf or nan
+        point = state.x.reshape(-1, z0.shape[1]).mean(axis=0)
 
     info["wall_time"] = time.perf_counter() - t0
     per_round = None
@@ -380,21 +375,16 @@ def cmd_check_mixing(args):
         return EXIT_CONFIG
 
     if args.matrix_file is not None:
-        w = np.loadtxt(args.matrix_file, delimiter=",", ndmin=2)
-    elif args.scheme == "lazy_metropolis":
-        w = _lazy_metropolis_weights(g)
-    elif args.scheme == "metropolis":
-        w = _metropolis_weights(g)
-    elif args.scheme == "laplacian":
-        if args.alpha is None:
-            print("laplacian scheme needs --alpha", file=sys.stderr)
-            return EXIT_CONFIG
-        w = _laplacian_weights(laplacian(g), args.alpha)
-    else:
+        cert = certify_mixing(np.loadtxt(args.matrix_file, delimiter=",", ndmin=2), g, tol=args.tol)
+    elif args.scheme is None:
         print("give either --scheme or --matrix-file", file=sys.stderr)
         return EXIT_CONFIG
+    elif args.scheme == "laplacian" and args.alpha is None:
+        print("laplacian scheme needs --alpha", file=sys.stderr)
+        return EXIT_CONFIG
+    else:
+        _, cert = _SCHEMES[args.scheme](g, args.alpha, args.tol)
 
-    cert = certify_mixing(w, g, tol=args.tol)
     print(cert.summary())
     return EXIT_OK if cert.passed else EXIT_CHECK_FAILED
 
@@ -543,7 +533,7 @@ def main(argv=None):
     p_chk.add_argument("--scheme", choices=_SCHEMES, default=None)
     p_chk.add_argument("--alpha", type=float, default=None)
     p_chk.add_argument("--matrix-file", default=None)
-    p_chk.add_argument("--tol", type=float, default=1e-9)
+    p_chk.add_argument("--tol", type=float, default=1e-9, help="certificate tolerance, also for --scheme")
     p_chk.set_defaults(fn=cmd_check_mixing)
 
     p_ver = sub.add_parser("verify", help="equivalence suite on the configured instance")

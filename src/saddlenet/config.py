@@ -22,9 +22,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .graphs import (
-    lazy_metropolis_mixing,
-    metropolis_mixing,
-    mixing_from_laplacian,
+    _SCHEMES as _MIXINGS,
+    _certified,
     named_topology,
     parse_edge_list,
 )
@@ -50,7 +49,7 @@ ALGORITHMS = ("alg1", "alg2", "pdtr", "pdhg", "forb", "condat_vu", "pg_extra")
 _PROX_KINDS = ("zero", "l1", "box_indicator", "zero_set_indicator")
 _COUPLINGS = ("bilinear", "quadratic", "zero")
 _TOPOLOGIES = ("path", "ring", "star", "complete", "random")
-_SCHEMES = ("lazy_metropolis", "metropolis", "laplacian")
+_SCHEMES = tuple(_MIXINGS)
 
 
 class ConfigError(ValueError):
@@ -351,12 +350,6 @@ def _build_graph(n, topology, density, seed, edges, edges_file, where):
     return g
 
 
-def _build_mixing(g, scheme, alpha):
-    if scheme == "laplacian":
-        return mixing_from_laplacian(g, alpha)
-    return lazy_metropolis_mixing(g) if scheme == "lazy_metropolis" else metropolis_mixing(g)
-
-
 def build_block_mixing(cfg):
     """Certified mixing matrices for both blocks (y defaults to the x setup)."""
     n = cfg.problem.n
@@ -379,9 +372,9 @@ def build_block_mixing(cfg):
     else:
         gy = gx
     m = cfg.mixing
-    w1 = _build_mixing(gx, m.scheme, m.alpha)
+    w1 = _certified(gx, m.scheme, m.alpha)
     if has_y or m.scheme_y is not None or m.alpha_y is not None:
-        w2 = _build_mixing(gy, m.scheme_y or m.scheme, m.alpha if m.alpha_y is None else m.alpha_y)
+        w2 = _certified(gy, m.scheme_y or m.scheme, m.alpha if m.alpha_y is None else m.alpha_y)
     else:
         w2 = w1
     return BlockMixing(w1, w2, split=cfg.problem.p)

@@ -17,7 +17,7 @@ matrices.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -629,11 +629,12 @@ def certify_mixing(w, graph, tol=1e-9):
     )
 
 
-def _certified(w, graph, origin):
-    cert = certify_mixing(w, graph)
+def _certified(g, scheme, alpha=None):
+    w, cert = _SCHEMES[scheme](g, alpha, 1e-9)
     if not cert.passed:
+        origin = f"alpha={alpha!r}" if scheme == "laplacian" else f"{scheme}_mixing"
         raise ValueError(f"{origin} gives a mixing matrix that fails its certificate:\n{cert.summary()}")
-    return MixingMatrix(w, graph, cert.lambda_min)
+    return MixingMatrix(w, g, cert.lambda_min)
 
 
 def mixing_from_laplacian(g, alpha):
@@ -644,7 +645,7 @@ def mixing_from_laplacian(g, alpha):
     ``alpha`` within rounding of the bound or a disconnected graph (whose
     ``W`` has the eigenvalue 1 once per component).
     """
-    return _certified(_laplacian_weights(laplacian(g), alpha), g, f"alpha={alpha!r}")
+    return _certified(g, "laplacian", alpha)
 
 
 def metropolis_mixing(g):
@@ -653,7 +654,7 @@ def metropolis_mixing(g):
     Diagonal entries take the complement so each row sums to one; the result
     is symmetric, doubly stochastic and admissible for any connected graph.
     """
-    return _certified(_metropolis_weights(g), g, "metropolis_mixing")
+    return _certified(g, "metropolis")
 
 
 def _metropolis_weights(g):
@@ -678,13 +679,18 @@ def lazy_metropolis_mixing(g):
     the theory: ``(I - W_c) / 2 = c (I - W) / 2``.
     It raises the step gate ``(1 + lambda_min) / (4 L)``, so runs take fewer
     rounds: 24130 -> 15590 on the README's 5-ring alg2 example.  PG-EXTRA's
-    lazy ``(I + W) / 2`` is the shift with ``c = 1/2``.
+    lazy ``(I + W) / 2`` is the shift with ``c = 1/2``.  Its one eigensolve certifies ``W``.
     """
-    return _certified(_lazy_metropolis_weights(g), g, "lazy_metropolis_mixing")
+    return _certified(g, "lazy_metropolis")
 
 
 def _lazy_metropolis_weights(g):
-    """The lazy Metropolis weight matrix of ``g``, not certified; ``c`` from one ``eigvalsh``.
+    """The lazy Metropolis weight matrix of ``g``: the weights of :func:`_lazy_metropolis`."""
+    return _lazy_metropolis(g, None, 1e-9)[0]
+
+
+def _lazy_metropolis(g, alpha, tol):
+    """The lazy Metropolis weights and their certificate; ``c`` from ``W``'s, the one ``eigvalsh``.
 
     The edges take ``c w_ij`` and the diagonal the complement, so each row
     sums to one as in :func:`_metropolis_weights`; in exact arithmetic that
@@ -692,16 +698,21 @@ def _lazy_metropolis_weights(g):
     leave rows about an ulp off one, and the dual sum would drift by that
     much a round: on the README 5-ring the one-product and the structured
     paths then end 2.5e-12 apart after 15603 rounds, against 1.9e-14 with
-    the complement.
+    the complement.  The certificate is ``W``'s mapped by ``lambda -> 1 - c (1 - lambda)``.
     """
-    w = _metropolis_weights(g)
-    lam = float(np.linalg.eigvalsh(w)[0])
+    w, cert = _certify(_metropolis_weights(g), g, tol)
+    lam = cert.lambda_min
     if lam < -g.n * np.finfo(float).eps:
         c = 1.0 / (1.0 - lam)
         np.fill_diagonal(w, 0.0)
         w *= c
         np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-    return w
+        cert = replace(cert, lambda_min=1.0 - c * (1.0 - lam), lambda_max=1.0 - c * (1.0 - cert.lambda_max))
+    return w, cert
+
+
+def _certify(w, g, tol):
+    return w, certify_mixing(w, g, tol)
 
 
 def _laplacian_weights(lap, alpha):
@@ -709,3 +720,9 @@ def _laplacian_weights(lap, alpha):
     if not alpha > 0:
         raise ValueError(f"alpha={alpha!r} must be positive")
     return np.eye(len(lap)) - lap / alpha
+
+
+# each scheme's weights and their certificate at ``tol``, as ``(graph, alpha, tol) -> (w, cert)``
+_SCHEMES = {"lazy_metropolis": _lazy_metropolis,
+            "metropolis": lambda g, alpha, tol: _certify(_metropolis_weights(g), g, tol),
+            "laplacian": lambda g, alpha, tol: _certify(_laplacian_weights(laplacian(g), alpha), g, tol)}

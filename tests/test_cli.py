@@ -419,6 +419,21 @@ def test_compare_exit_three_when_nothing_converges(tmp_path):
                  "--max-iters", "50"]) == 3
 
 
+@pytest.mark.parametrize("name, start", [("condat_vu", "1e300"), ("alg2", "1e308")])
+def test_a_diverged_answer_is_inf_or_nan_without_a_numpy_warning(tmp_path, name, start):
+    # the mean of rows near the largest float overflows; the answer and the verdict say so quietly
+    text = swap(SKEW_COMPARE, "name = pdtr, condat_vu", f"name = {name}")
+    text = swap(swap(text, "x0 = 1.0", f"x0 = {start}"), "y0 = 1.0", f"y0 = {start}")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", write(tmp_path, text), "--out", str(out)]) == 3
+    summary = (out / "summary.txt").read_text()
+    assert "stopped on = diverged" in summary
+    values = [float(line.rsplit(",", 1)[1]) for line in (out / "solution.csv").read_text().splitlines()[1:]]
+    assert not np.isfinite(values).all()
+
+
 # ---------------------------------------------------------------------------
 # one set-up per config
 # ---------------------------------------------------------------------------

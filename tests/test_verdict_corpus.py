@@ -76,8 +76,9 @@ BY_KEY = {
     "graph.edges_y": lambda rng, keys: _edge_list(rng, keys["n"]),
     "graph.edges_file": lambda rng, keys: "FILE",
     "graph.edges_file_y": lambda rng, keys: "FILE",
-    "mixing.scheme": lambda rng, keys: rng.choice(["metropolis", "laplacian"], p=[.7, .3]),
-    "mixing.scheme_y": lambda rng, keys: rng.choice(["metropolis", "laplacian"], p=[.7, .3]),
+    # every config scheme, so a y block can be lazy under an x block that is not, and the reverse
+    "mixing.scheme": lambda rng, keys: rng.choice(config._SCHEMES, p=[.35, .35, .3]),
+    "mixing.scheme_y": lambda rng, keys: rng.choice(config._SCHEMES, p=[.35, .35, .3]),
     "mixing.alpha": lambda rng, keys: rng.choice(["0.5", "1.0", "2.0", "10.0"]),
     "mixing.alpha_y": lambda rng, keys: rng.choice(["0.5", "2.0", "10.0"]),
     "algorithm.name": _algorithms,
