@@ -11,7 +11,7 @@ mixing, a second certificate of that matrix, and ``n`` inclusion agents with
 mixing, the config default, and the certified Laplacian mixing at ``alpha =
 max degree + 1``, which exceeds ``lambda_max(L) / 2`` because ``lambda_max(L)
 <= 2 * max degree``.  Each of the three mixings runs one eigensolve: the lazy
-one certifies the Metropolis matrix and maps its spectrum to the shift's.
+one solves the Metropolis matrix and certifies the shift on the mapped spectrum.
 Each step reports its best wall time over three runs, with one BLAS thread.
 The graph and the Metropolis mixing also report the memory they
 retain: what one more build leaves allocated under ``tracemalloc`` (which sees

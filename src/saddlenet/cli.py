@@ -374,11 +374,11 @@ def cmd_check_mixing(args):
         print("graph is not connected", file=sys.stderr)
         return EXIT_CONFIG
 
-    if args.matrix_file is not None:
-        cert = certify_mixing(np.loadtxt(args.matrix_file, delimiter=",", ndmin=2), g, tol=args.tol)
-    elif args.scheme is None:
+    if (args.scheme is None) == (args.matrix_file is None):
         print("give either --scheme or --matrix-file", file=sys.stderr)
         return EXIT_CONFIG
+    if args.matrix_file is not None:
+        cert = certify_mixing(np.loadtxt(args.matrix_file, delimiter=",", ndmin=2), g, tol=args.tol)
     elif args.scheme == "laplacian" and args.alpha is None:
         print("laplacian scheme needs --alpha", file=sys.stderr)
         return EXIT_CONFIG

@@ -17,7 +17,7 @@ matrices.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -569,6 +569,12 @@ def certify_mixing(w, graph, tol=1e-9):
     A NaN or infinite ``tol`` raises ``ValueError``: an infinite one would
     pass any matrix as symmetric and hand its entries to the eigensolver.
     """
+    return _certificate(w, graph, tol)[1]
+
+
+def _certificate(w, graph, tol, vals=None):
+    """``w`` as floats and its :func:`certify_mixing` certificate at ``tol``; ``vals``, the
+    ascending eigenvalues of ``w`` when the caller has them, stand in for the eigensolve."""
     if not np.isfinite(tol):
         raise ValueError(f"tol must be finite, got {tol!r}")
     w = np.asarray(w, dtype=float)
@@ -595,7 +601,7 @@ def certify_mixing(w, graph, tol=1e-9):
         symmetric = bool(np.abs(w - w.T).max(initial=0.0) <= tol)
 
     if symmetric:
-        vals = np.linalg.eigvalsh(w if exact else (w + w.T) / 2.0)
+        vals = np.linalg.eigvalsh(w if exact else (w + w.T) / 2.0) if vals is None else vals
         lam_min, lam_max = float(vals[0]), float(vals[-1])
         multiplicity = int((np.abs(vals - 1.0) <= tol).sum())
         kernel = multiplicity == 1
@@ -616,7 +622,7 @@ def certify_mixing(w, graph, tol=1e-9):
         multiplicity = 0
         kernel = spectral = False
 
-    return MixingCertificate(
+    return w, MixingCertificate(
         decentralized=decentralized,
         symmetric=symmetric,
         kernel=kernel,
@@ -679,18 +685,13 @@ def lazy_metropolis_mixing(g):
     the theory: ``(I - W_c) / 2 = c (I - W) / 2``.
     It raises the step gate ``(1 + lambda_min) / (4 L)``, so runs take fewer
     rounds: 24130 -> 15590 on the README's 5-ring alg2 example.  PG-EXTRA's
-    lazy ``(I + W) / 2`` is the shift with ``c = 1/2``.  Its one eigensolve certifies ``W``.
+    lazy ``(I + W) / 2`` is the shift with ``c = 1/2``.  Its one eigensolve, of ``W``, certifies ``W_c``.
     """
     return _certified(g, "lazy_metropolis")
 
 
-def _lazy_metropolis_weights(g):
-    """The lazy Metropolis weight matrix of ``g``: the weights of :func:`_lazy_metropolis`."""
-    return _lazy_metropolis(g, None, 1e-9)[0]
-
-
 def _lazy_metropolis(g, alpha, tol):
-    """The lazy Metropolis weights and their certificate; ``c`` from ``W``'s, the one ``eigvalsh``.
+    """The lazy Metropolis weights and their certificate; ``c`` and the spectrum from one ``eigvalsh``.
 
     The edges take ``c w_ij`` and the diagonal the complement, so each row
     sums to one as in :func:`_metropolis_weights`; in exact arithmetic that
@@ -698,21 +699,18 @@ def _lazy_metropolis(g, alpha, tol):
     leave rows about an ulp off one, and the dual sum would drift by that
     much a round: on the README 5-ring the one-product and the structured
     paths then end 2.5e-12 apart after 15603 rounds, against 1.9e-14 with
-    the complement.  The certificate is ``W``'s mapped by ``lambda -> 1 - c (1 - lambda)``.
+    the complement.  ``W``'s eigenvalues mapped by ``lambda -> 1 - c (1 - lambda)`` are
+    ``W_c``'s, and :func:`certify_mixing`'s checks judge ``W_c`` itself on them.
     """
-    w, cert = _certify(_metropolis_weights(g), g, tol)
-    lam = cert.lambda_min
-    if lam < -g.n * np.finfo(float).eps:
-        c = 1.0 / (1.0 - lam)
+    w = _metropolis_weights(g)
+    vals = np.linalg.eigvalsh(w)
+    if vals[0] < -g.n * np.finfo(float).eps:
+        c = 1.0 / (1.0 - vals[0])
         np.fill_diagonal(w, 0.0)
         w *= c
         np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-        cert = replace(cert, lambda_min=1.0 - c * (1.0 - lam), lambda_max=1.0 - c * (1.0 - cert.lambda_max))
-    return w, cert
-
-
-def _certify(w, g, tol):
-    return w, certify_mixing(w, g, tol)
+        vals = 1.0 - c * (1.0 - vals)
+    return _certificate(w, g, tol, vals)
 
 
 def _laplacian_weights(lap, alpha):
@@ -724,5 +722,5 @@ def _laplacian_weights(lap, alpha):
 
 # each scheme's weights and their certificate at ``tol``, as ``(graph, alpha, tol) -> (w, cert)``
 _SCHEMES = {"lazy_metropolis": _lazy_metropolis,
-            "metropolis": lambda g, alpha, tol: _certify(_metropolis_weights(g), g, tol),
-            "laplacian": lambda g, alpha, tol: _certify(_laplacian_weights(laplacian(g), alpha), g, tol)}
+            "metropolis": lambda g, alpha, tol: _certificate(_metropolis_weights(g), g, tol),
+            "laplacian": lambda g, alpha, tol: _certificate(_laplacian_weights(laplacian(g), alpha), g, tol)}

@@ -205,13 +205,18 @@ class _OneProduct(_Kernels):
 
 
 def _block_kron(layout, n, h, f):
-    """The sum of ``kron(f(w), diag(mask))`` over a ``mixing_blocks`` layout, ``mask`` a block's columns."""
-    out = np.zeros((n * h, n * h))
+    """The sum of ``kron(f(w), diag(mask))`` over a ``mixing_blocks`` layout, ``mask`` a block's columns.
+
+    Each block adds ``f(w)`` to the ``(i, c, j, c)`` entries of an ``(n, h, n, h)``
+    view, ``c`` one of its columns, with no ``(n h, n h)`` temporary; the sum
+    is the kron sum bitwise (adding to zeros turns a ``-0.0`` into ``0.0``).
+    """
+    out = np.zeros((n, h, n, h))
     for _, m, cols in layout:
-        mask = np.zeros(h)
-        mask[cols] = 1.0
-        out += np.kron(f(m.w), np.diag(mask))
-    return out
+        block = f(m.w)
+        for c in range(h)[cols]:
+            out[:, c, :, c] += block
+    return out.reshape(n * h, n * h)
 
 
 def _kernels(agents, mixing, h, tau):

@@ -341,6 +341,18 @@ def test_check_mixing_needs_a_source(tmp_path, capsys):
     assert "--scheme" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", [[], ["--scheme", "metropolis", "--matrix-file", "identity.csv"]],
+                         ids=["neither", "both"])
+def test_check_mixing_takes_exactly_one_source(tmp_path, capsys, source):
+    # with both, the file used to be certified and the scheme silently ignored
+    (tmp_path / "identity.csv").write_text("1,0,0\n0,1,0\n0,0,1\n", encoding="utf-8")
+    source = [str(tmp_path / s) if s.endswith(".csv") else s for s in source]
+    assert main(["check-mixing", triangle(tmp_path), *source]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "give either --scheme or --matrix-file\n"
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

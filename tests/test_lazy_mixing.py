@@ -7,10 +7,10 @@ tolerance.  Run through the CLI, it takes fewer rounds than Metropolis."""
 import numpy as np
 import pytest
 
+from saddlenet import graphs
 from saddlenet.cli import main
 from saddlenet.config import _SCHEMES, MixingConfig
 from saddlenet.graphs import (
-    _lazy_metropolis_weights,
     certify_mixing,
     complete_graph,
     lazy_metropolis_mixing,
@@ -93,7 +93,7 @@ def test_at_n_500_the_lazy_matrix_keeps_the_gather_and_reads_back_bitwise():
     lazy = lazy_metropolis_mixing(g)
     assert lazy.product == "gather"
     assert lazy.lambda_min > -1e-12
-    assert lazy.w.tobytes() == _lazy_metropolis_weights(g).tobytes()
+    assert lazy.w.tobytes() == graphs._SCHEMES["lazy_metropolis"](g, None, 1e-9)[0].tobytes()
 
 
 def test_the_network_recursion_matches_the_product_space_oracle():
