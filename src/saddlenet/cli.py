@@ -53,6 +53,7 @@ from .inclusion import (
     _run_stacked,
     _start,
     _stacked_columns,
+    _step_gate,
     inclusion_init,
     inclusion_step,
     product_space_reference,
@@ -212,6 +213,7 @@ def _execute(name, cfg, setup):
     info = {"tau": tau, "sigma": setup.sigma}
 
     if name in _DECENTRALIZED:
+        info["gate"] = _step_gate(setup.block_mixing, setup.lip, _DECENTRALIZED[name])
         # never premixed: the config's start rows are all equal, so W z0 = z0
         state, trace = _run_stacked(setup.agents, setup.block_mixing, z0, tau, stop, False,
                                     ref, _DECENTRALIZED[name], split)
@@ -219,6 +221,7 @@ def _execute(name, cfg, setup):
         central = setup.central
         lip = central.lipschitz
         tau_f = tau
+        info["gate"] = 1.0 / (2.0 * lip) if lip > 0 else float("inf")
         if cfg.algorithm.tau == "auto" and lip > 0:
             tau_f = cfg.algorithm.safety / (2.0 * lip)
             info["tau"] = tau_f
@@ -280,6 +283,11 @@ def _summary_text(cfg, result, setup, extra_lines=()):
         f"n = {cfg.problem.n}, p = {cfg.problem.p}, d = {cfg.problem.d}",
         f"tau = {result.info['tau']!r}",
         f"sigma = {result.info.get('sigma')!r}",
+    ]
+    if "gate" in result.info:  # the bound tau is checked against; pdtr, pdhg and condat_vu have none
+        lines += [f"step gate = {result.info['gate']!r}",
+                  f"tau / gate = {result.info['tau'] / result.info['gate']!r}"]
+    lines += [
         f"lambda_min(W) = {lambdas}",
         f"iterations = {trace.iterations}",
         f"converged = {'yes' if trace.converged else 'no'} (tol = {stop.tol!r})",

@@ -194,7 +194,7 @@ class AlgorithmConfig:
     names: tuple = _key(_names, ("alg2",), name="name")
     tau: float | str = _key(_as_tau, "auto")
     sigma: float | str = _key(_as_tau, "auto")
-    safety: float = _key(_as_float, 0.9)
+    safety: float = _key(_as_float, 0.99)
 
 
 @dataclass(frozen=True)

@@ -233,24 +233,23 @@ def _kernels(agents, mixing, h, tau):
     return _Kernels(agents, mixing, h, tau, layout)
 
 
-def _pg_extra_bound(mixing, lipschitz):
+def _step_gate(mixing, lipschitz, reflect):
+    """The open bound on ``tau`` of the method ``reflect`` selects: ``(1 + lambda_min) /
+    (4 L)`` for the reflected recursion, ``(1 + lambda_min) / L`` for PG-EXTRA."""
+    if reflect:
+        return stepsize_bound(mixing, lipschitz)
     return (1.0 + mixing.lambda_min) / lipschitz if lipschitz > 0 else float("inf")
 
 
 def _check_setup(agents, mixing, x0, tau, reflect):
-    """``x0`` as float rows after the shape checks and the step gate.
-
-    ``reflect`` selects the method, and with it the gate: ``(1 + lambda_min) /
-    (4 L)`` for the reflected recursion, ``(1 + lambda_min) / L`` for PG-EXTRA.
-    """
+    """``x0`` as float rows after the shape checks and :func:`_step_gate`."""
     x0 = np.asarray(x0, dtype=float)
     n = len(agents)
     if mixing.n != n:
         raise ValueError(f"mixing operates on {mixing.n} agents, got {n}")
     if x0.ndim != 2 or x0.shape[0] != n:
         raise ValueError(f"x0 must be (n, h) with n={n}, got {x0.shape}")
-    lip = uniform_lipschitz(agents)
-    bound = stepsize_bound(mixing, lip) if reflect else _pg_extra_bound(mixing, lip)
+    bound = _step_gate(mixing, uniform_lipschitz(agents), reflect)
     if not 0.0 < tau < bound:
         raise StepSizeError(f"step size exceeds its bound: tau={tau!r} not in (0, {bound!r})")
     return x0

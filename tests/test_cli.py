@@ -9,7 +9,7 @@ import pytest
 
 from saddlenet import cli
 from saddlenet.cli import main
-from saddlenet.config import build_problems, parse_config
+from saddlenet.config import AlgorithmConfig, build_problems, parse_config
 from saddlenet.graphs import mixing_from_laplacian, random_connected_graph, ring_graph
 from saddlenet.instances import seeded_couplings
 from saddlenet.minmax import AgentSaddleProblem, saddle_residual
@@ -592,7 +592,8 @@ def test_the_saddle_residual_line_reports_what_it_cannot_compute():
 
 def _laplacian_tau():
     lip = max(c.lipschitz for c in seeded_couplings(3, 1, 1, 0, kind="quadratic"))
-    return 0.9 * (1.0 + mixing_from_laplacian(ring_graph(3), 4.0).lambda_min) / (4.0 * lip)
+    lam = mixing_from_laplacian(ring_graph(3), 4.0).lambda_min
+    return AlgorithmConfig().safety * (1.0 + lam) / (4.0 * lip)
 
 
 # alg2 sends an x and a y vector on every edge in both directions
