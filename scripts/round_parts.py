@@ -16,7 +16,8 @@ rounds, and then times, on that state, each part of a round:
   and ``tau B``; on the one-product kernel one matrix product);
 * ``resolvent``: the batched resolvent;
 * ``dual``: the dual update ``e = g - (2 b - b_prev)``;
-* ``residual``: ``||x_new - x_old||_F``;
+* ``residual``: the run's stopping residual, ``||(x_new - x_old, half_old)||_F``
+  (a round adds the old ``half`` to the dual sum ``g``);
 * ``row``: one observed trace row, in a chunk of the size a run observes;
 * ``round``: one whole ``inclusion._round``.
 
@@ -95,7 +96,7 @@ def main(argv=None):
             "images": lambda: kernels.images(x),
             "resolvent": lambda: kernels.resolvent(tau, u),
             "dual": lambda: inclusion._dual_step(new.g, new.b, state.b, True),
-            "residual": lambda: inclusion._norm(new.x - state.x),
+            "residual": lambda: trace._norm(new.x - state.x, state.half),
             "row": lambda: columns(chunk),
             "round": lambda: inclusion._round(kernels, state, True),
         })

@@ -78,7 +78,7 @@ from .primal_dual import (
     pdhg_step,
     pdtr_step,
 )
-from .trace import StoppingRule, kept_rows
+from .trace import StoppingRule, _norm, kept_rows
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -227,13 +227,9 @@ def _execute(name, cfg, setup):
             info["tau"] = tau_f
             info["note"] = "forb acts on the summed objective; auto tau uses its constant"
 
-        def observe(state):
-            if ref is None:
-                return {}
-            return {"distance_to_reference": float(np.linalg.norm(state.x - ref))}
-
         state, trace = forb_run(central.resolvent, central.forward, z0[0], tau_f, stop,
-                                observe=observe)
+                                observe=None if ref is None else
+                                lambda state: {"distance_to_reference": _norm(state.x - ref)})
     else:  # the centralized primal-dual methods on the product-space problem
         problem = setup.product_space
         columns = _stacked_columns(ref, split)
@@ -372,6 +368,8 @@ def cmd_run(args):
 
 
 def cmd_check_mixing(args):
+    if -np.inf < args.tol < 0:  # a non-finite tol is the certificate's to refuse
+        raise ValueError("tol must be nonnegative")
     try:
         with open(args.graph, "r", encoding="utf-8") as fh:
             g = parse_edge_list(fh.read())

@@ -128,9 +128,11 @@ def _names(raw):
     names = tuple(t.strip() for t in str(raw).split(",") if t.strip())
     if not names:
         raise ValueError("no algorithm names")
-    for name in names:
+    for k, name in enumerate(names):
         if name not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {name!r}; known: {', '.join(ALGORITHMS)}")
+        if name in names[:k]:
+            raise ValueError(f"algorithm {name!r} is named twice")
     return names
 
 

@@ -684,7 +684,7 @@ def lazy_metropolis_mixing(g):
     ``W``'s support, so a round sends the same messages, and it stays inside
     the theory: ``(I - W_c) / 2 = c (I - W) / 2``.
     It raises the step gate ``(1 + lambda_min) / (4 L)``, so runs take fewer
-    rounds: 20102 -> 13011 on the README's 5-ring alg2 example at the config's
+    rounds: 20103 -> 13012 on the README's 5-ring alg2 example at the config's
     default ``safety = 0.99``.  PG-EXTRA's lazy ``(I + W) / 2`` is the shift
     with ``c = 1/2``.  Its one eigensolve, of ``W``, certifies ``W_c``.
     """

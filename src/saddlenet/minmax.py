@@ -49,6 +49,7 @@ from .inclusion import (
 )
 from .operators import combine_couplings, combine_proxes, product_resolvent, saddle_forward
 from .primal_dual import ForbState, forb_step
+from .trace import _norm
 
 __all__ = [
     "AgentSaddleProblem",
@@ -165,7 +166,7 @@ def minmax_run(problems, mixing, x0, y0, tau, stop=None, reference=None):
     ``x*``/``y*`` are the row averages of the final stacked iterate (the
     consensus point).  ``reference`` is an optional ``(x_ref, y_ref)`` pair
     for the distance column.  The trace also carries per-block consensus
-    gaps; the Frobenius residual covers both blocks.
+    gaps; the residual covers both blocks and their dual sums.
     """
     agents, stacked_mixing, z0 = _stacked_setup(problems, mixing, x0, y0)
     p = problems[0].p
@@ -248,7 +249,7 @@ def sum_saddle_problem(problems):
 
 
 def saddle_residual(problems, x, y):
-    """Sup norm of one forb step at ``(x, y)``: the round of one agent on the summed problem.
+    """Norm of one forb step at ``(x, y)``: the round of one agent on the summed problem.
 
     The step is ``0.25 / L`` for the summed problem's ``L``.  Zero exactly at
     saddle points of the summed problem; used as a solution certificate for
@@ -258,4 +259,4 @@ def saddle_residual(problems, x, y):
     tau = 0.25 / max(central.lipschitz, 1e-12)
     z = np.concatenate([np.asarray(x, dtype=float), np.asarray(y, dtype=float)])
     new = forb_step(central.resolvent, central.forward, ForbState.start(central.forward, z), tau)
-    return float(np.abs(new.x - z).max(initial=0.0))
+    return _norm(new.x - z)

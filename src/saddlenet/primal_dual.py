@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import estimate_operator_norm
-from .trace import per_state, run_loop
+from .trace import _norm, per_state, run_loop
 
 __all__ = [
     "ForbState",
@@ -223,10 +223,6 @@ def frdr_step(problem, state, gamma, tau):
 # runners
 # ---------------------------------------------------------------------------
 
-def _pair_residual(old, new):
-    return max(float(np.abs(old.x - new.x).max(initial=0.0)), float(np.abs(old.y - new.y).max(initial=0.0)))
-
-
 def _pdtr_gate(problem, steps):
     if not steps.admissible(problem.lipschitz, problem.k_norm):
         raise StepSizeError(
@@ -256,11 +252,12 @@ def _run_primal_dual(name, problem, init, steps, stop, observe):
     if gate is not None:
         gate(problem, steps)
     state = init if isinstance(init, PdtrState) else PdtrState.start(problem, *init)
-    return run_loop(lambda s: step(problem, s, steps), state, stop, _pair_residual, observe)
+    return run_loop(lambda s: step(problem, s, steps), state, stop,
+                    lambda old, new: _norm(new.x - old.x, new.y - old.y), observe)
 
 
 def pdtr_run(problem, init, steps, stop=None, *, observe=None):
-    """Iterate :func:`pdtr_step` until the sup-norm residual meets the rule.
+    """Iterate :func:`pdtr_step` until the norm of a step's change of ``(x, y)`` meets the rule.
 
     ``init`` is a ``(x0, y0)`` pair or a prepared state, and ``observe`` is
     as in :func:`forb_run`.  Inadmissible steps

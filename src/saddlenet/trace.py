@@ -277,12 +277,21 @@ def _no_columns(states):
     return {}
 
 
+def _norm(*parts):
+    """The Frobenius norm of ``parts`` together; of one part, ``np.linalg.norm`` bitwise."""
+    total = 0.0
+    for d in parts:
+        d = d.ravel()
+        total += d.dot(d)
+    return math.sqrt(total)
+
+
 def run_loop(step, state, stop, residual, observe=None):
     """Step ``state`` until ``stop`` (default :class:`StoppingRule`) ends the run.
 
-    Returns the last state and its trace.  ``residual(old, new)`` is one
-    step's fixed-point residual; it is computed and tested against ``stop``
-    every round.  ``observe(states)`` maps a list of new states of
+    Returns the last state and its trace.  ``residual(old, new)``, one
+    step's :func:`_norm` of its primal and dual change, is tested against
+    ``stop`` every round.  ``observe(states)`` maps a list of new states of
     consecutive rounds to a dict of the other trace columns, each a list or
     a 1-d numpy array with one number per state (:func:`per_state` adapts a
     per-state observer).  It returns the same columns for every chunk of a

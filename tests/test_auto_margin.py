@@ -75,7 +75,7 @@ def test_the_default_margin_is_099_and_round_trips():
 
 @pytest.mark.parametrize("scheme", ["lazy_metropolis", "metropolis"])
 def test_the_default_margin_takes_fewer_rounds_on_the_readme_ring(scheme):
-    # lazy_metropolis: 15590 rounds at 0.9, 13011 at 0.99; metropolis: 24130 and 20102
+    # lazy_metropolis: 15591 rounds at 0.9, 13012 at 0.99; metropolis: 24132 and 20103
     text = _edit(README, "topology = ring", f"topology = ring\n\n[mixing]\nscheme = {scheme}")
     setup, at_default = _solve(text)
     _, at_09 = _solve(_edit(text, "name = alg2", "name = alg2\nsafety = 0.9"))

@@ -424,26 +424,41 @@ def test_compare_needs_at_least_two_algorithms(tmp_path, capsys):
 
 
 def test_compare_exit_three_when_nothing_converges(tmp_path):
-    cfg = write(tmp_path, swap(SKEW_COMPARE, "name = pdtr, condat_vu",
-                               "name = condat_vu, condat_vu"))
+    # pdtr needs 397 rounds and condat_vu does not converge on the skew coupling
+    cfg = write(tmp_path, SKEW_COMPARE)
     out = tmp_path / "o"
     assert main(["compare", "--config", cfg, "--out", str(out),
                  "--max-iters", "50"]) == 3
 
 
-@pytest.mark.parametrize("name, start", [("condat_vu", "1e300"), ("alg2", "1e308")])
-def test_a_diverged_answer_is_inf_or_nan_without_a_numpy_warning(tmp_path, name, start):
-    # the mean of rows near the largest float overflows; the answer and the verdict say so quietly
+def run_diverging(tmp_path, name, start):
+    """``run`` of ``name`` on the skew problem from ``start``, with numpy warnings as errors:
+    its exit code, summary and answer."""
     text = swap(SKEW_COMPARE, "name = pdtr, condat_vu", f"name = {name}")
     text = swap(swap(text, "x0 = 1.0", f"x0 = {start}"), "y0 = 1.0", f"y0 = {start}")
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["run", "--config", write(tmp_path, text), "--out", str(out)]) == 3
-    summary = (out / "summary.txt").read_text()
-    assert "stopped on = diverged" in summary
+        code = main(["run", "--config", write(tmp_path, text), "--out", str(out)])
     values = [float(line.rsplit(",", 1)[1]) for line in (out / "solution.csv").read_text().splitlines()[1:]]
+    return code, (out / "summary.txt").read_text(), values
+
+
+@pytest.mark.parametrize("name, start", [("condat_vu", "1e308"), ("alg2", "1e308")])
+def test_a_diverged_answer_is_inf_or_nan_without_a_numpy_warning(tmp_path, name, start):
+    # the mean of rows near the largest float overflows; the answer and the verdict say so quietly
+    code, summary, values = run_diverging(tmp_path, name, start)
+    assert code == 3
+    assert "stopped on = diverged" in summary
     assert not np.isfinite(values).all()
+
+
+def test_a_run_whose_first_step_overflows_answers_its_start_without_a_numpy_warning(tmp_path):
+    # the square of condat_vu's first step from 1e300 overflows: the run ends in round 1
+    code, summary, values = run_diverging(tmp_path, "condat_vu", "1e300")
+    assert code == 3
+    assert "iterations = 0\n" in summary and "stopped on = diverged\n" in summary
+    assert values == [1e300, 1e300]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ run equals the ``*_init`` + ``*_step`` loop that the public functions make.
 import numpy as np
 import pytest
 
-from saddlenet import inclusion
+from saddlenet import inclusion, minmax
 from saddlenet.graphs import BlockMixing, metropolis_mixing, path_graph, random_connected_graph
 from saddlenet.graphs import ring_graph
 from saddlenet.inclusion import (
@@ -25,7 +25,7 @@ from saddlenet.inclusion import (
 )
 from saddlenet.instances import random_inclusion_agents, random_saddle_problems
 from saddlenet.minmax import minmax_init, minmax_run, minmax_step, stepsize_bound_pair
-from saddlenet.trace import StoppingRule
+from saddlenet.trace import StoppingRule, _norm
 
 FIELDS = ("u", "x", "g", "b", "e", "w", "half")
 
@@ -122,14 +122,18 @@ def test_a_delegating_proxy_mixes_as_the_bare_matrix(pairs):
 # runs against the public one-step loop
 # ---------------------------------------------------------------------------
 
-def manual_loop(first, next_state, x0, rounds, reference=None, split=None):
-    """``rounds`` states from ``first()`` and ``next_state``, with the run's trace columns."""
-    states, residuals, old = [], [], x0
+def manual_loop(first, next_state, start, rounds, reference=None, split=None):
+    """``rounds`` states from ``first()`` and ``next_state``, with the run's trace columns.
+
+    ``start`` is the round-0 iterate; a round's residual is the norm of its
+    change of ``x`` and of ``g``, which grows by the ``half`` of the old ``x``.
+    """
+    states, residuals, old = [], [], start
     for k in range(rounds):
         state = first() if k == 0 else next_state(states[-1])
-        residuals.append(inclusion._norm(stacked(state).x - old))
+        residuals.append(_norm(stacked(state).x - old.x, old.half))
         states.append(state)
-        old = stacked(state).x
+        old = stacked(state)
     columns = inclusion._stacked_columns(reference, split)([stacked(s).x for s in states])
     return states[-1], {"fp_residual": residuals, **columns}
 
@@ -163,8 +167,9 @@ def test_a_run_is_bitwise_its_init_and_step_loop(method, premix, n, h):
     for stop in (StoppingRule(tol=0.0, max_iters=150), StoppingRule(tol=1e-6, max_iters=100_000)):
         state, trace = run(agents, mixing, x0, tau, stop, premix=premix, reference=reference)
         assert trace.iterations > 20
+        start = inclusion._start(agents, mixing, x0, tau, premix, reflect=method == "inclusion")
         last, columns = manual_loop(lambda: init(agents, mixing, x0, tau, premix=premix),
-                                    lambda s: step(agents, mixing, s, tau), x0, trace.iterations,
+                                    lambda s: step(agents, mixing, s, tau), start, trace.iterations,
                                     reference)
         assert type(state.kernels) is type(last.kernels)
         for name in FIELDS:
@@ -187,10 +192,10 @@ def test_a_two_graph_minmax_run_is_bitwise_its_init_and_step_loop(n):
     for stop in (StoppingRule(tol=0.0, max_iters=150), StoppingRule(tol=1e-8, max_iters=100_000)):
         x, y, trace = minmax_run(problems, mixing, x0, y0, tau, stop, reference=(ref_x, ref_y))
         assert trace.iterations > 20
+        start = inclusion._start(*minmax._stacked_setup(problems, mixing, x0, y0), tau, False, True)
         last, columns = manual_loop(lambda: minmax_init(problems, mixing, x0, y0, tau),
-                                    lambda s: minmax_step(problems, mixing, s, tau),
-                                    np.concatenate([x0, y0], axis=1), trace.iterations,
-                                    np.zeros(p + d), split=p)
+                                    lambda s: minmax_step(problems, mixing, s, tau), start,
+                                    trace.iterations, np.zeros(p + d), split=p)
         mean = last.stacked.x.mean(axis=0)
         assert same_bytes(x, mean[:p]) and same_bytes(y, mean[p:])
         assert_same_trace(trace, columns)

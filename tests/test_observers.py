@@ -4,10 +4,10 @@ The run loop holds the states of consecutive rounds and observes them in
 chunks; one observer pass forms the row means and the squared deviations of
 a whole chunk.  Each column it reports must equal, bit for bit, what the
 public references compute on the same rows: :func:`consensus_gap` per block,
-``np.linalg.norm`` of the mean's distance to the reference, and
-``np.linalg.norm`` of the step for the residual.  However the rounds fall
-into chunks, every recorded row is observed once, in order, and a run that
-ends mid-chunk keeps its last rows.
+``np.linalg.norm`` of the mean's distance to the reference, and the norm of
+the step of the rows and of the dual sum for the residual.  However the
+rounds fall into chunks, every recorded row is observed once, in order, and
+a run that ends mid-chunk keeps its last rows.
 """
 
 import math
@@ -21,6 +21,7 @@ from saddlenet.graphs import BlockMixing, metropolis_mixing, random_connected_gr
 from saddlenet.inclusion import (
     AgentInclusion,
     _stacked_columns,
+    _start,
     consensus_gap,
     inclusion_init,
     inclusion_run,
@@ -30,6 +31,7 @@ from saddlenet.inclusion import (
 )
 from saddlenet.instances import random_inclusion_agents, random_saddle_problems
 from saddlenet.minmax import (
+    _stacked_setup,
     minmax_init,
     minmax_run,
     minmax_step,
@@ -40,7 +42,7 @@ from saddlenet.minmax import (
 )
 from saddlenet.operators import linear_forward, zero_prox
 from saddlenet.primal_dual import ForbState, PdtrState, StepSizes, forb_run, forb_step, pdtr_run, pdtr_step
-from saddlenet.trace import CHUNK_BYTES, CHUNK_ROWS, StoppingRule, run_loop
+from saddlenet.trace import CHUNK_BYTES, CHUNK_ROWS, StoppingRule, _norm, run_loop
 
 # several full chunks and a remainder
 ROUNDS = 2 * CHUNK_ROWS + 17
@@ -91,26 +93,33 @@ def test_stacked_columns_are_bitwise_the_references(n, p, d, blocked, with_refer
                            reference_columns(x, reference, split))
 
 
-def manual_rows(init, step, xs_of, count):
-    """The stacked ``x`` after each of ``count`` rounds, the round-0 rows first."""
+def manual_rows(init, step, stacked_of, count):
+    """The stacked iterate after each of ``count`` rounds, round 1 first."""
     state = init()
-    xs = [xs_of(state)]
+    states = [stacked_of(state)]
     for _ in range(count - 1):
         state = step(state)
-        xs.append(xs_of(state))
-    return xs
+        states.append(stacked_of(state))
+    return states
 
 
-def assert_trace_matches(trace, x0, xs, reference, split):
-    assert trace.status == "budget" and len(trace.rows) == len(xs) == ROUNDS
-    prev = x0
-    for k, (row, x) in enumerate(zip(trace.rows, xs), start=1):
+def assert_residuals_match(trace, start, states):
+    """Row ``k``'s residual is the norm of round ``k``'s step of ``x`` and of the dual
+    sum ``g``, which grows by the ``half`` of the old ``x``; ``start`` is round 0."""
+    prev = start
+    for row, state in zip(trace.rows, states, strict=True):
+        assert_bitwise({"r": row.fp_residual}, {"r": _norm(state.x - prev.x, prev.half)})
+        prev = state
+
+
+def assert_trace_matches(trace, start, states, reference, split):
+    assert trace.status == "budget" and len(trace.rows) == len(states) == ROUNDS
+    for k, (row, state) in enumerate(zip(trace.rows, states), start=1):
         assert row.iteration == k
-        want = reference_columns(x, reference, split)
+        want = reference_columns(state.x, reference, split)
         got = {name: getattr(row, name) for name in want}
         assert_bitwise(got, want)
-        assert_bitwise({"r": row.fp_residual}, {"r": float(np.linalg.norm(x - prev))})
-        prev = x
+    assert_residuals_match(trace, start, states)
 
 
 @pytest.mark.parametrize("premix", [False, True])
@@ -125,9 +134,9 @@ def test_inclusion_run_rows_are_the_references_of_a_manual_loop(premix):
     reference = np.random.default_rng(5).standard_normal(h)
     _, trace = inclusion_run(agents, mixing, x0, tau, StoppingRule(tol=0.0, max_iters=ROUNDS),
                              premix=premix, reference=reference)
-    xs = manual_rows(lambda: inclusion_init(agents, mixing, x0, tau, premix=premix),
-                     lambda s: inclusion_step(agents, mixing, s, tau), lambda s: s.x, ROUNDS)
-    assert_trace_matches(trace, x0, xs, reference, None)
+    states = manual_rows(lambda: inclusion_init(agents, mixing, x0, tau, premix=premix),
+                         lambda s: inclusion_step(agents, mixing, s, tau), lambda s: s, ROUNDS)
+    assert_trace_matches(trace, _start(agents, mixing, x0, tau, premix, True), states, reference, None)
 
 
 @pytest.mark.parametrize("shared", [False, True])
@@ -143,9 +152,10 @@ def test_minmax_run_rows_are_the_references_of_a_manual_loop(shared):
     reference = (rng.standard_normal(p), rng.standard_normal(d))
     _, _, trace = minmax_run(problems, mixing, x0, y0, tau, StoppingRule(tol=0.0, max_iters=ROUNDS),
                              reference=reference)
-    xs = manual_rows(lambda: minmax_init(problems, mixing, x0, y0, tau),
-                     lambda s: minmax_step(problems, mixing, s, tau), lambda s: s.stacked.x, ROUNDS)
-    assert_trace_matches(trace, np.concatenate([x0, y0], axis=1), xs, np.concatenate(reference), p)
+    states = manual_rows(lambda: minmax_init(problems, mixing, x0, y0, tau),
+                         lambda s: minmax_step(problems, mixing, s, tau), lambda s: s.stacked, ROUNDS)
+    start = _start(*_stacked_setup(problems, mixing, x0, y0), tau, False, True)
+    assert_trace_matches(trace, start, states, np.concatenate(reference), p)
 
 
 @dataclass(frozen=True)
@@ -202,19 +212,18 @@ def test_a_run_diverging_mid_chunk_keeps_the_rows_up_to_the_last_finite_one():
     with np.errstate(over="ignore", invalid="ignore"):
         state, trace = inclusion_run(agents, mixing, x0, tau,
                                      StoppingRule(tol=0.0, max_iters=ROUNDS), reference=reference)
-        xs = manual_rows(lambda: inclusion_init(agents, mixing, x0, tau),
-                         lambda s: inclusion_step(agents, mixing, s, tau), lambda s: s.x,
-                         trace.iterations)
+        states = manual_rows(lambda: inclusion_init(agents, mixing, x0, tau),
+                             lambda s: inclusion_step(agents, mixing, s, tau), lambda s: s,
+                             trace.iterations)
+        start = _start(agents, mixing, x0, tau, False, True)
     assert trace.status == "diverged"
     assert CHUNK_ROWS < trace.iterations < ROUNDS and trace.iterations % CHUNK_ROWS
-    assert len(trace.rows) == trace.iterations and np.array_equal(state.x, xs[-1])
-    prev = x0
-    for k, (row, x) in enumerate(zip(trace.rows, xs), start=1):
+    assert len(trace.rows) == trace.iterations and np.array_equal(state.x, states[-1].x)
+    for k, (row, s) in enumerate(zip(trace.rows, states), start=1):
         assert row.iteration == k
-        want = reference_columns(x, reference, None)
+        want = reference_columns(s.x, reference, None)
         assert_bitwise({name: getattr(row, name) for name in want}, want)
-        assert_bitwise({"r": row.fp_residual}, {"r": float(np.linalg.norm(x - prev))})
-        prev = x
+    assert_residuals_match(trace, start, states)
 
 
 def test_a_per_state_observer_sees_each_recorded_state_once_in_order():

@@ -15,6 +15,7 @@ from numpy.testing import assert_array_equal
 from saddlenet.cli import main
 from saddlenet.graphs import metropolis_mixing, ring_graph
 from saddlenet.inclusion import (
+    _start,
     inclusion_init,
     inclusion_run,
     pg_extra_run,
@@ -31,7 +32,7 @@ from saddlenet.minmax import (
     sum_saddle_problem,
 )
 from saddlenet.primal_dual import StepSizes, condat_vu_run, forb_run, pdhg_run, pdtr_run
-from saddlenet.trace import StoppingRule
+from saddlenet.trace import StoppingRule, _norm
 
 N, P, D = 4, 2, 2
 
@@ -134,7 +135,9 @@ def test_the_first_decentralized_row_is_the_bootstrap():
                                      premix=premix)
         first = inclusion_init(agents, mixing, x0, tau, premix=premix)
         assert_array_equal(state.x, first.x)
-        assert trace.rows[0].fp_residual == float(np.linalg.norm(first.x - x0))
+        # round 1 adds the half of x0 to the dual sum
+        half = _start(agents, mixing, x0, tau, premix, reflect=True).half
+        assert trace.rows[0].fp_residual == _norm(first.x - x0, half)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Input from outside the program is refused with its own message.
 
-Config values, edge lists, graph sizes, a matrix file, a residual function
-and a failing output stream: each check below is reached by one input, and
+Config values, edge lists, graph sizes, check-mixing's matrix file and
+tolerance, a residual function and a failing output stream: each check below is reached by one input, and
 the test asserts the message it raises or prints.
 """
 
@@ -27,13 +27,15 @@ from saddlenet.trace import StoppingRule, run_loop
     ("problem", "coupling_m", "1, 2; 3", "problem.coupling_m: cannot parse '1, 2; 3' (ragged matrix rows)"),
     ("problem", "coupling_a", "1; 2", "problem.coupling_a: cannot parse '1; 2' (expected a single row)"),
     ("algorithm", "name", ", ,", "algorithm.name: cannot parse ', ,' (no algorithm names)"),
+    ("algorithm", "name", "pdtr, alg2, pdtr",
+     "algorithm.name: cannot parse 'pdtr, alg2, pdtr' (algorithm 'pdtr' is named twice)"),
     ("problem", "p", "0", "problem.p: must be at least 1"),
     ("problem", "d", "-1", "problem.d: must be nonnegative"),
     ("algorithm", "sigma", "0", "algorithm.sigma: must be positive or 'auto'"),
     ("algorithm", "sigma", "-2.5", "algorithm.sigma: must be positive or 'auto'"),
     ("run", "max_iters", "-1", "run.max_iters: must be nonnegative"),
     ("run", "tol", "-1e-9", "run.tol: must be nonnegative"),
-], ids=["ragged-matrix", "vector-rows", "no-names", "p", "d", "sigma-zero", "sigma-negative",
+], ids=["ragged-matrix", "vector-rows", "no-names", "repeated-name", "p", "d", "sigma-zero", "sigma-negative",
         "max-iters", "tol"])
 def test_a_config_value_is_refused_with_its_message(section, key, value, message):
     with pytest.raises(ConfigError) as info:
@@ -90,7 +92,7 @@ def test_a_graph_builder_refuses_its_input_with_its_message(build, message):
 
 
 # ---------------------------------------------------------------------------
-# check-mixing matrix file
+# check-mixing: a matrix file and a tolerance
 # ---------------------------------------------------------------------------
 
 
@@ -102,6 +104,15 @@ def test_check_mixing_refuses_a_matrix_file_of_the_wrong_shape(tmp_path, capsys)
     assert main(["check-mixing", str(edges), "--matrix-file", str(matrix)]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: matrix shape (2, 2) does not match n=3\n"
+    assert captured.out == ""
+
+
+def test_check_mixing_refuses_a_negative_tolerance(tmp_path, capsys):
+    edges = tmp_path / "triangle.edges"
+    edges.write_text("0 1\n1 2\n0 2\n", encoding="utf-8")
+    assert main(["check-mixing", str(edges), "--scheme", "metropolis", "--tol", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: tol must be nonnegative\n"
     assert captured.out == ""
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -302,14 +304,15 @@ def test_condat_vu_diverges_on_skew_coupling_where_pdtr_converges():
     assert np.linalg.norm(bad.x) > 1e3  # the unreflected iteration spirals out
 
 
-def test_trace_residual_is_sup_norm_of_pair_difference():
+def test_trace_residual_is_the_frobenius_norm_of_the_pair_difference():
     problem = identity_problem(np.array([[1.0]]), linear_forward(np.eye(1)))
     state = PdtrState.start(problem, np.array([1.0]), np.array([0.0]))
     new = pdtr_step(problem, state, StepSizes(0.2, 0.2))
     _, trace = pdtr_run(problem, state, StepSizes(0.2, 0.2),
                         stop=StoppingRule(tol=0.0, max_iters=1))
-    expected = max(abs(new.x - state.x).max(), abs(new.y - state.y).max())
-    assert trace.rows[0].fp_residual == expected
+    dx, dy = float(new.x[0] - state.x[0]), float(new.y[0] - state.y[0])
+    assert dx != 0.0 and dy != 0.0  # both blocks move, so the sup norm would differ
+    assert trace.rows[0].fp_residual == math.sqrt(dx * dx + dy * dy)
 
 
 # ---------------------------------------------------------------------------
