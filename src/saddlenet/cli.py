@@ -9,8 +9,8 @@ Four commands, all driven by an INI experiment config:
 * ``verify``: run the internal equivalence suite (communication-friendly
   recursions against their explicit primal-dual forms, and the published
   reductions) on the configured instance and report the deviations.
-* ``compare``: run several algorithms on the same instance with the same
-  resolved steps and write an aligned residual table.
+* ``compare``: run several algorithms on the same instance, each at the step
+  ``run`` would take, and write an aligned residual table.
 
 Exit codes: 0 success, 1 a check, comparison or ``--audit`` failed its
 criterion, 2 invalid configuration or usage, 3 the run did not converge in
@@ -48,6 +48,7 @@ from .graphs import (
 )
 from .harness import InclusionProgram, PgExtraProgram, run_synchronous
 from .inclusion import (
+    _ONE_VERTEX,
     _product_space_problem,
     _round,
     _run_stacked,
@@ -111,9 +112,10 @@ def _apply_overrides(cfg, args):
     return replace(cfg, run=run)
 
 
-# The decentralized algorithms all run the stacked recursion; per algorithm,
-# whether the forward difference is reflected
-_DECENTRALIZED = {"alg1": True, "alg2": True, "pg_extra": False}
+# Every method: how it runs (stacked rows, forb's one agent on the summed problem, or the
+# product space) and whether its round is reflected, which picks its gate (None: no gate)
+_METHODS = {"alg1": ("stacked", True), "alg2": ("stacked", True), "pg_extra": ("stacked", False),
+            "forb": ("forb", True), **dict.fromkeys(("pdtr", "pdhg", "condat_vu"), ("product", None))}
 
 
 def _check_algorithm(name, setup):
@@ -138,7 +140,7 @@ def _reference_point(central, h, tol=1e-12, max_iters=2_000_000):
     commands cap ``max_iters`` at 100 times the run's budget.
     """
     lip = central.lipschitz
-    tau = 0.45 / lip if lip > 0 else 1.0
+    tau = _step_gate(_ONE_VERTEX, lip, True, 0.9) if lip > 0 else 1.0
     state, trace = forb_run(central.resolvent, central.forward, np.zeros(h), tau,
                             StoppingRule(tol=tol, max_iters=max_iters))
     return state.x, trace.converged
@@ -159,6 +161,7 @@ class _Setup:
         self.mixing = build_block_mixing(cfg)
         self.lip = declared_lipschitz(cfg, self.problems)
         self.tau, self.sigma = resolve_steps(cfg, self.mixing, self.lip)
+        self.safety = cfg.algorithm.safety if cfg.algorithm.tau == "auto" else None
         self.stop = StoppingRule(tol=cfg.run.tol, max_iters=cfg.run.max_iters)
         self.z0 = np.concatenate(build_start(cfg), axis=1)
         self.agents = stack_agents(self.problems, lipschitz=self.lip)
@@ -178,6 +181,16 @@ class _Setup:
     def product_space(self):
         return _product_space_problem(self.agents, self.block_mixing, self.z0.shape[1])
 
+    def step(self, name):
+        """``name``'s ``tau`` and gate (None: no gate), for every command: ``tau = auto`` is
+        ``safety`` times a finite gate, else the resolved :attr:`tau`."""
+        kind, reflect = _METHODS[name]
+        on = (_ONE_VERTEX, self.central.lipschitz) if kind == "forb" else (self.block_mixing, self.lip)
+        gate = None if reflect is None else _step_gate(*on, reflect)
+        if self.safety is None or gate in (None, np.inf):
+            return self.tau, gate
+        return _step_gate(*on, reflect, self.safety), gate
+
 
 def _round_mixing(name, setup):
     """The mixing whose blocks a decentralized run exchanges over; None if centralized.
@@ -187,7 +200,7 @@ def _round_mixing(name, setup):
     weights), and as an x and a y vector when they do not.  Without a y
     block only the x block travels (:func:`~saddlenet.graphs.mixing_blocks`).
     """
-    if name not in _DECENTRALIZED:
+    if _METHODS[name][0] != "stacked":
         return None
     w1, w2 = setup.mixing.w1, setup.mixing.w2
     # identity, then graphs, then weights: a gather matrix rebuilds its dense w on each read
@@ -205,29 +218,21 @@ class AlgoResult:
         self.info = info
 
 
-def _execute(name, cfg, setup):
-    tau, stop, z0, ref = setup.tau, setup.stop, setup.z0, setup.reference
+def _execute(name, setup):
+    stop, z0, ref = setup.stop, setup.z0, setup.reference
     p = setup.problems[0].p
     split = p if z0.shape[1] > p else None
+    (kind, reflect), (tau, gate) = _METHODS[name], setup.step(name)
     t0 = time.perf_counter()
-    info = {"tau": tau, "sigma": setup.sigma}
+    info = {"tau": tau, "sigma": setup.sigma, "gate": gate}
 
-    if name in _DECENTRALIZED:
-        info["gate"] = _step_gate(setup.block_mixing, setup.lip, _DECENTRALIZED[name])
+    if kind == "stacked":
         # never premixed: the config's start rows are all equal, so W z0 = z0
         state, trace = _run_stacked(setup.agents, setup.block_mixing, z0, tau, stop, False,
-                                    ref, _DECENTRALIZED[name], split)
-    elif name == "forb":
-        central = setup.central
-        lip = central.lipschitz
-        tau_f = tau
-        info["gate"] = 1.0 / (2.0 * lip) if lip > 0 else float("inf")
-        if cfg.algorithm.tau == "auto" and lip > 0:
-            tau_f = cfg.algorithm.safety / (2.0 * lip)
-            info["tau"] = tau_f
-            info["note"] = "forb acts on the summed objective; auto tau uses its constant"
-
-        state, trace = forb_run(central.resolvent, central.forward, z0[0], tau_f, stop,
+                                    ref, reflect, split)
+    elif kind == "forb":
+        info["note"] = "forb acts on the summed objective; its gate uses that objective's constant"
+        state, trace = forb_run(setup.central.resolvent, setup.central.forward, z0[0], tau, stop,
                                 observe=None if ref is None else
                                 lambda state: {"distance_to_reference": _norm(state.x - ref)})
     else:  # the centralized primal-dual methods on the product-space problem
@@ -280,7 +285,7 @@ def _summary_text(cfg, result, setup, extra_lines=()):
         f"tau = {result.info['tau']!r}",
         f"sigma = {result.info.get('sigma')!r}",
     ]
-    if "gate" in result.info:  # the bound tau is checked against; pdtr, pdhg and condat_vu have none
+    if result.info["gate"] is not None:  # the bound tau is checked against; product-space methods have none
         lines += [f"step gate = {result.info['gate']!r}",
                   f"tau / gate = {result.info['tau'] / result.info['gate']!r}"]
     lines += [
@@ -313,12 +318,12 @@ HARNESS_TOL = 1e-12
 def _harness_check(name, setup, rounds):
     """The round audits of ``name``'s agent-local program and, after ``rounds`` rounds,
     ``max|harness - stacked| / max(1, max|stacked|)``; the stacked rounds step
-    one start's kernels as a run does, so they are bitwise the reported run's."""
-    reflect = _DECENTRALIZED[name]
+    one start's kernels at ``name``'s step as a run does, so they are bitwise the reported run's."""
+    reflect, (tau, _) = _METHODS[name][1], setup.step(name)
     program = (InclusionProgram if reflect else PgExtraProgram)(setup.agents, _round_mixing(name, setup),
-                                                                setup.z0, setup.tau)
+                                                                setup.z0, tau)
     states, audits = run_synchronous(program, rounds, audit=True)
-    stacked = _start(setup.agents, setup.block_mixing, setup.z0, setup.tau, False, reflect)
+    stacked = _start(setup.agents, setup.block_mixing, setup.z0, tau, False, reflect)
     for _ in range(rounds):
         stacked = _round(stacked.kernels, stacked, reflect)
     gap = np.abs(np.array([s["z"] for s in states]) - stacked.x).max(initial=0.0)
@@ -335,14 +340,14 @@ def cmd_run(args):
         raise ConfigError("algorithm.name: run needs exactly one algorithm")
     name = cfg.algorithm.names[0]
     setup = _Setup(cfg, (name,))
-    result = _execute(name, cfg, setup)
+    result = _execute(name, setup)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     extra = [] if setup.reference_converged else ["warning: reference run hit its iteration budget"]
     audit_text, audit_ok = None, True
     if args.audit:
-        if name in _DECENTRALIZED:
+        if _METHODS[name][0] == "stacked":
             audits, deviation = _harness_check(name, setup, min(result.trace.iterations, HARNESS_ROUNDS))
             audit_text = "round,messages,bytes,illegal_attempts\n" + "".join(
                 f"{a.round_index},{a.messages},{a.bytes},{a.illegal_attempts}\n" for a in audits)
@@ -447,7 +452,7 @@ def _verify_rows(setup):
         k=np.zeros((h, h)),
         k_norm=0.0,
     )
-    tau_c = 0.9 / (2.0 * lip_s)
+    tau_c = _step_gate(_ONE_VERTEX, lip_s, True, 0.9)
     steps_c = StepSizes(tau_c, 1.0)
     z_start, y_start = z0[0], np.linspace(-1.0, 1.0, h)
     pd = _iterates(lambda s: pdtr_step(free, s, steps_c), PdtrState.start(free, z_start, y_start), 100)
@@ -491,7 +496,7 @@ def cmd_compare(args):
     if len(names) < 2:
         raise ConfigError("algorithm.name: compare needs at least two algorithms")
     setup = _Setup(cfg, names)
-    results = [_execute(name, cfg, setup) for name in names]
+    results = [_execute(name, setup) for name in names]
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -505,14 +510,16 @@ def cmd_compare(args):
     _write_atomic(outdir / "compare.csv", "\n".join(lines) + "\n")
 
     width = max(len(r.name) for r in results)
-    table = [f"shared steps: tau = {setup.tau!r}, sigma = {setup.sigma!r}",
+    shared = ", ".join(r.name for r in results if r.info["tau"] == setup.tau) or "no method here"
+    table = [f"shared steps: tau = {setup.tau!r}, sigma = {setup.sigma!r} (the step of {shared}; "
+             "each row gives its tau)",
              f"budget: tol = {setup.stop.tol!r}, max_iters = {setup.stop.max_iters}"]
     for r in results:
         status = "converged" if r.trace.converged else f"NOT CONVERGED ({r.trace.status})"
         table.append(
             f"{r.name:<{width}}  iterations {r.trace.iterations:>8}  "
             f"final residual {r.trace.final_residual:.3e}  "
-            f"saddle residual {_answer_residual(setup, r, '{:.3e}')}  {status}"
+            f"saddle residual {_answer_residual(setup, r, '{:.3e}')}  tau {r.info['tau']!r}  {status}"
         )
     text = "\n".join(table) + "\n"
     _write_atomic(outdir / "summary.txt", text)

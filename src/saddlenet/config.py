@@ -27,6 +27,7 @@ from .graphs import (
     named_topology,
     parse_edge_list,
 )
+from .inclusion import _step_gate
 from .minmax import AgentSaddleProblem, BlockMixing
 from .operators import bilinear_coupling, make_prox
 from .instances import seeded_couplings
@@ -425,18 +426,15 @@ def declared_lipschitz(cfg, problems):
 
 
 def resolve_steps(cfg, mixing, lipschitz):
-    """Resolve ``tau`` (and ``sigma = 1/tau`` unless given) from the config.
+    """Resolve the shared ``tau`` (and ``sigma = 1/tau`` unless given) from the config.
 
-    ``auto`` picks ``safety * (1 + lambda_min) / (4 L)``, the decentralized
-    admissible range scaled inward; with ``sigma = 1/tau`` this same range
-    is exactly what the centralized product-space methods need, so one rule
-    serves every algorithm the CLI can run.
+    ``auto`` picks ``safety`` times the reflected gate ``(1 + lambda_min) / (4 L)``
+    (:func:`~saddlenet.inclusion._step_gate`), which with ``sigma = 1/tau`` the
+    product-space methods need too.  In the CLI every method with a gate (pg_extra
+    and forb too) takes ``safety`` times its own.
     """
     a = cfg.algorithm
-    if a.tau == "auto":
-        tau = a.safety * (1.0 + mixing.lambda_min) / (4.0 * lipschitz)
-    else:
-        tau = float(a.tau)
+    tau = _step_gate(mixing, lipschitz, True, a.safety) if a.tau == "auto" else float(a.tau)
     sigma = 1.0 / tau if a.sigma == "auto" else float(a.sigma)
     return tau, sigma
 

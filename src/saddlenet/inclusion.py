@@ -94,6 +94,18 @@ def uniform_lipschitz(agents):
     return max(a.lipschitz for a in agents)
 
 
+def _step_gate(mixing, lipschitz, reflect, share=1.0):
+    """``share`` of the open bound on ``tau``, ``(1 + lambda_min) / (c L)``: ``c = 4`` for the
+    reflected recursion (forb's, on :data:`_ONE_VERTEX`, is ``1 / (2 L)``), 1 for PG-EXTRA.
+    Every gate and auto step (``share = safety``) is evaluated here.  At ``L = 0`` it is inf
+    (``B`` constant: PDHG with ``tau sigma ||K||^2 = (1 - lambda_min) / 2 < 1``)."""
+    if lipschitz < 0:
+        raise ValueError(f"lipschitz must be nonnegative, got {lipschitz!r}")
+    if lipschitz == 0:
+        return float("inf")
+    return share * (1.0 + mixing.lambda_min) / ((4.0 if reflect else 1.0) * lipschitz)
+
+
 def stepsize_bound(mixing, lipschitz):
     """Admissible step-size supremum ``(1 + lambda_min(W)) / (4 L)``.
 
@@ -103,7 +115,7 @@ def stepsize_bound(mixing, lipschitz):
     """
     if lipschitz <= 0:
         raise ValueError("lipschitz must be positive; declare an upper bound")
-    return (1.0 + mixing.lambda_min) / (4.0 * lipschitz)
+    return _step_gate(mixing, lipschitz, True)
 
 
 @dataclass(eq=False, slots=True)
@@ -232,14 +244,6 @@ def _kernels(agents, mixing, h, tau):
     return _Kernels(agents, mixing, h, tau, layout)
 
 
-def _step_gate(mixing, lipschitz, reflect):
-    """The open bound on ``tau`` of the method ``reflect`` selects: ``(1 + lambda_min) /
-    (4 L)`` for the reflected recursion, ``(1 + lambda_min) / L`` for PG-EXTRA."""
-    if reflect:
-        return stepsize_bound(mixing, lipschitz)
-    return (1.0 + mixing.lambda_min) / lipschitz if lipschitz > 0 else float("inf")
-
-
 def _check_setup(agents, mixing, x0, tau, reflect):
     """``x0`` as float rows after the shape checks and :func:`_step_gate`."""
     x0 = np.asarray(x0, dtype=float)
@@ -283,11 +287,7 @@ def _round(ops, state, reflect):
 def _start(agents, mixing, x0, tau, premix, reflect):
     """The round-0 iterate after :func:`_check_setup`; builds the agents' kernels."""
     x0 = _check_setup(agents, mixing, x0, tau, reflect)
-    return _round_zero(_kernels(agents, mixing, x0.shape[1], tau), x0, tau, premix)
-
-
-def _round_zero(kernels, x0, tau, premix=False):
-    """The round-0 iterate of the rows ``x0`` on ``kernels``, unchecked."""
+    kernels = _kernels(agents, mixing, x0.shape[1], tau)
     w, half, b = kernels.images(x0)
     g = np.zeros_like(x0) if premix else x0 - w
     return StackedIterate(u=x0, x=x0, g=g, b=b, e=g - b, tau=tau, w=w, half=half, kernels=kernels)
@@ -429,21 +429,16 @@ class ForbState:
         return cls(StackedIterate(row, row, None, None, None, None))
 
 
-def _forb_start(resolvent, forward, row, tau):
-    """forb's round-0 iterate at the ``(1, h)`` ``row``, unchecked: forb gates ``tau`` itself."""
-    return _round_zero(_kernels([AgentInclusion(resolvent, forward)], _ONE_VERTEX, row.shape[1], tau), row, tau)
-
-
 def forb_step(resolvent, forward, state, tau):
     """Reflected forward-backward step ``x+ = J(x - 2 tau B(x) + tau B(x-))``, ``x- = x0`` at the start.
 
-    It is one round of one agent on ``W = [[1]]``.  The first step fixes
-    ``tau`` (another raises ``ValueError``); steps with its ``resolvent`` and
-    ``forward`` reuse its kernels.
+    It is one round of one agent on ``W = [[1]]``, gated as :func:`forb_run` is.
+    The first step fixes ``tau`` (another raises ``ValueError``); steps with its
+    ``resolvent`` and ``forward`` reuse its kernels.
     """
     s = state.stacked
     if s.tau is None:
-        s = _forb_start(resolvent, forward, s.x, tau)
+        s = _start([AgentInclusion(resolvent, forward)], _ONE_VERTEX, s.x, tau, False, True)
     agents = s.kernels.source
     if agents[0].resolvent is not resolvent or agents[0].forward is not forward:
         agents = [AgentInclusion(resolvent, forward)]
@@ -451,19 +446,17 @@ def forb_step(resolvent, forward, state, tau):
 
 
 def forb_run(resolvent, forward, x0, tau, stop=None, observe=None):
-    """Reflected forward-backward iteration; needs ``tau < 1 / (2 L)``, or any ``tau`` when ``L = 0``.
+    """Reflected forward-backward iteration: the round of one agent on ``W = [[1]]``.
 
-    It runs the round of one agent on ``W = [[1]]``, whose ``g`` stays 0: its
-    residual is ``||x_new - x_old||``.  ``observe(state)``,
+    It is gated as that round (:func:`_step_gate` on :data:`_ONE_VERTEX`),
+    ``0 < tau < 1 / (2 L)``, any ``tau > 0`` when ``L = 0``.  Its ``g`` stays 0,
+    so its residual is ``||x_new - x_old||``.  ``observe(state)``,
     when given, returns the other trace columns of one state as a dict of
     numbers, with the same columns for every state and every chunk of the
     run (:func:`~saddlenet.trace.per_state`).
     """
-    if forward.lipschitz > 0 and not tau < 1.0 / (2.0 * forward.lipschitz):
-        raise StepSizeError(
-            f"tau={tau!r} must be below 1/(2L)={1.0 / (2.0 * forward.lipschitz)!r}"
-        )
-    start = _forb_start(resolvent, forward, np.asarray(x0, dtype=float)[None], tau)
+    start = _start([AgentInclusion(resolvent, forward)], _ONE_VERTEX, np.asarray(x0, dtype=float)[None],
+                   tau, False, True)
     kernels, columns = start.kernels, per_state(observe)
     state, trace = run_loop(lambda s: _round(kernels, s, True), start, stop, _residual,
                             columns and (lambda states: columns([ForbState(s) for s in states])))

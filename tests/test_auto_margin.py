@@ -1,10 +1,11 @@
-"""The auto step's margin: ``tau = auto`` sits at ``safety = 0.99`` of its gate by
-default, and ``run``'s summary names the gate and the step's share of it."""
+"""The auto step's margin: ``tau = auto`` sits at ``safety = 0.99`` of each method's own
+gate by default, and ``run``'s summary and ``compare``'s rows name the step."""
 
 import numpy as np
 import pytest
 
-from saddlenet.cli import _execute, _Setup, main
+from saddlenet import cli
+from saddlenet.cli import EXIT_NO_CONVERGENCE, _execute, _Setup, main
 from saddlenet.config import AlgorithmConfig, parse_config, serialize_config
 from saddlenet.inclusion import stepsize_bound
 
@@ -54,6 +55,29 @@ tol = 1e-10
 """
 
 
+# the minimization example: the 5-ring with d = 0, quadratic coupling of seed 3, l1 0.3
+MINIMIZATION = """
+[problem]
+n = 5
+p = 3
+d = 0
+prox_f = l1
+prox_f_weight = 0.3
+coupling = quadratic
+seed = 3
+
+[graph]
+topology = ring
+
+[algorithm]
+name = alg2
+
+[run]
+max_iters = 100000
+tol = 1e-10
+"""
+
+
 def _edit(text, old, new):
     assert old in text
     return text.replace(old, new)
@@ -62,7 +86,7 @@ def _edit(text, old, new):
 def _solve(text, name="alg2"):
     cfg = parse_config(_edit(text, "name = alg2", f"name = {name}"))
     setup = _Setup(cfg, (name,))
-    return setup, _execute(name, cfg, setup)
+    return setup, _execute(name, setup)
 
 
 def test_the_default_margin_is_099_and_round_trips():
@@ -110,10 +134,10 @@ def _expected_gate(name, setup):
             "pg_extra": (1.0 + lam) / lip, "forb": 1.0 / (2.0 * setup.central.lipschitz)}[name]
 
 
-@pytest.mark.parametrize("name, share", [("alg1", 0.99), ("alg2", 0.99), ("pg_extra", 0.2475),
+@pytest.mark.parametrize("name, share", [("alg1", 0.99), ("alg2", 0.99), ("pg_extra", 0.99),
                                          ("forb", 0.99)])
 def test_the_summary_names_the_gate_after_sigma(tmp_path, name, share):
-    # pg_extra's auto tau is the reflected gate's, a quarter of its own
+    # every method with a gate takes safety times its own gate, pg_extra's (1 + lambda_min) / L too
     text = _edit(SMALL, "d = 1", "d = 0") if name == "pg_extra" else SMALL
     summary = _summary(tmp_path, text, name)
     setup = _Setup(parse_config(text))
@@ -139,3 +163,52 @@ def test_the_centralized_primal_dual_summaries_name_no_gate(tmp_path, name, text
     summary = _summary(tmp_path, text, name)
     assert summary[0] == f"algorithm = {name}"
     assert _gate_lines(summary) == []
+
+
+def test_pg_extra_steps_at_its_own_gate_on_the_minimization_example():
+    # 173 rounds at 0.99 of (1 + lambda_min) / L; 687 at the shared step, 0.99 of the reflected gate
+    setup, own = _solve(MINIMIZATION, "pg_extra")
+    _, shared = _solve(_edit(MINIMIZATION, "name = alg2", f"name = alg2\ntau = {setup.tau!r}"), "pg_extra")
+    assert own.info["tau"] / own.info["gate"] == pytest.approx(0.99, rel=1e-14)
+    assert shared.info["tau"] / shared.info["gate"] == pytest.approx(0.2475, rel=1e-14)
+    assert own.trace.converged and shared.trace.converged
+    assert 3 * own.trace.iterations < shared.trace.iterations
+
+
+def test_run_audit_checks_the_run_it_reports(tmp_path, monkeypatch):
+    # the harness check steps at the run's own tau: its rows are the reported run's
+    runs, checks = [], []
+    for name, out in (("_run_stacked", runs), ("run_synchronous", checks)):
+        def recorded(*args, _fn=getattr(cli, name), _out=out, **kwargs):
+            _out.append(_fn(*args, **kwargs))
+            return _out[-1]
+        monkeypatch.setattr(cli, name, recorded)
+    path = tmp_path / "exp.ini"
+    path.write_text(_edit(MINIMIZATION, "name = alg2", "name = pg_extra"), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--audit", "--max-iters", "3", "--config", str(path), "--out", str(out)]) \
+        == EXIT_NO_CONVERGENCE
+    summary = (out / "summary.txt").read_text(encoding="utf-8").splitlines()
+    assert "tau / gate = 0.99" in summary
+    [(state, trace)], [(states, audits)] = runs, checks
+    assert trace.iterations == len(audits) == 3
+    rows = np.array([s["z"] for s in states])
+    assert np.abs(rows - state.x).max() <= 1e-12 * max(1.0, np.abs(state.x).max())
+
+
+def test_each_compare_row_names_the_step_run_takes(tmp_path):
+    names = ("alg1", "pg_extra", "pdtr", "forb")
+    path = tmp_path / "exp.ini"
+    path.write_text(_edit(MINIMIZATION, "name = alg2", "name = " + ", ".join(names)), encoding="utf-8")
+    assert main(["compare", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    table = (tmp_path / "out" / "summary.txt").read_text(encoding="utf-8").splitlines()
+    setup = _Setup(parse_config(MINIMIZATION))
+    assert table[0] == (f"shared steps: tau = {setup.tau!r}, sigma = {setup.sigma!r} "
+                        "(the step of alg1, pdtr; each row gives its tau)")
+    rows = {line.split()[0]: line for line in table[2:]}
+    assert list(rows) == list(names)
+    for name in names:
+        (tmp_path / name).mkdir()
+        tau = _summary(tmp_path / name, MINIMIZATION, name)[2].removeprefix("tau = ")
+        assert rows[name].split("  tau ")[1].split()[0] == tau
+        assert rows[name].endswith("  converged")

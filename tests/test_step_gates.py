@@ -3,7 +3,8 @@
 Each instance is built from powers of two (agent counts, mixing weights,
 ``lambda_min``, Lipschitz constants, ``sigma`` and ``||K||``), so every
 bound is exact in binary: a step one ulp below the bound must run one step,
-and a step at the bound must raise :class:`StepSizeError`.
+and a step at the bound must raise :class:`StepSizeError`.  At ``L = 0`` every
+gate is inf, and a negative ``L`` raises on every runner.
 """
 
 import dataclasses
@@ -11,6 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from saddlenet.config import build_problems, declared_lipschitz, parse_config
 from saddlenet.graphs import MixingMatrix, certify_mixing, complete_graph
 from saddlenet.inclusion import (
     AgentInclusion,
@@ -18,14 +20,17 @@ from saddlenet.inclusion import (
     inclusion_step,
     pg_extra_init,
     pg_extra_step,
+    stepsize_bound,
 )
-from saddlenet.minmax import AgentSaddleProblem, BlockMixing, minmax_init, minmax_step
-from saddlenet.operators import bilinear_coupling, linear_forward, zero_prox
+from saddlenet.minmax import AgentSaddleProblem, BlockMixing, minmax_init, minmax_step, stack_agents
+from saddlenet.operators import affine_forward, bilinear_coupling, linear_forward, zero_prox
 from saddlenet.primal_dual import (
+    ForbState,
     PrimalDualProblem,
     StepSizeError,
     StepSizes,
     forb_run,
+    forb_step,
     pdhg_run,
     pdtr_run,
 )
@@ -151,9 +156,74 @@ def test_pdhg_gate(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_forb_gate(seed):
+    # forb is the round of one agent on W = [[1]]: its gate (1 + 1) / (4 L) is 1 / (2 L),
+    # checked by forb_run and by the first forb_step alike
     problem, _, (x0, _) = centralized(seed)
     bound = 1.0 / (2.0 * problem.lipschitz)
     _, trace = forb_run(problem.resolvent, problem.forward, x0, below(bound), ONE_STEP)
     assert trace.iterations == 1
+    start = ForbState.start(problem.forward, x0)
+    assert np.all(np.isfinite(forb_step(problem.resolvent, problem.forward, start, below(bound)).x))
     with pytest.raises(StepSizeError):
         forb_run(problem.resolvent, problem.forward, x0, bound, ONE_STEP)
+    with pytest.raises(StepSizeError):
+        forb_step(problem.resolvent, problem.forward, start, bound)
+
+
+def forward_agents(rng, n, h, lip):
+    """Agents whose forward is constant (a zero Jacobian and a random offset), declaring ``lip``."""
+    return [AgentInclusion(zero_prox(), affine_forward(np.zeros((h, h)), rng.standard_normal(h), lip))
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_zero_curvature_admits_any_step_on_every_runner(seed):
+    # at L = 0 every gate is inf: B is constant and the recursion is PDHG with
+    # tau sigma ||K||^2 = (1 - lambda_min) / 2 < 1, so any tau is inside the theory
+    rng, n, h, _, mixing, _ = draw(seed)
+    agents = forward_agents(rng, n, h, 0.0)
+    x0 = rng.standard_normal((n, h))
+    for init in (inclusion_init, pg_extra_init):
+        assert np.all(np.isfinite(init(agents, mixing, x0, 1e6).x))
+    _, trace = forb_run(agents[0].resolvent, agents[0].forward, x0[0], 1e6, ONE_STEP)
+    assert trace.iterations == 1 and np.isfinite(trace.final_residual)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_a_negative_lipschitz_constant_raises_on_every_runner(seed):
+    rng, n, h, _, mixing, _ = draw(seed)
+    with pytest.raises(ValueError, match="must be positive"):
+        stepsize_bound(mixing, 0.0)
+    agents = forward_agents(rng, n, h, -1.0)
+    x0 = rng.standard_normal((n, h))
+    for init in (inclusion_init, pg_extra_init):
+        with pytest.raises(ValueError, match="nonnegative"):
+            init(agents, mixing, x0, 0.1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        forb_run(agents[0].resolvent, agents[0].forward, x0[0], 0.1, ONE_STEP)
+    with pytest.raises(ValueError, match="nonnegative"):
+        forb_step(agents[0].resolvent, agents[0].forward, ForbState.start(agents[0].forward, x0[0]), 0.1)
+
+
+# PG-EXTRA's gate (1 + lambda_min) / L assumes gradients: the CLI runs pg_extra only with
+# d = 0, so every agent a config builds there must have a symmetric forward Jacobian
+MINIMIZATION_COUPLINGS = {
+    "seeded-bilinear": "coupling = bilinear\nseed = {n}",
+    "inline-bilinear": "coupling_a = 0.5, -1.0, 2.0",
+    "quadratic": "coupling = quadratic\nseed = {n}\nscale = 3.0",
+    "zero": "coupling = zero",
+}
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("coupling", list(MINIMIZATION_COUPLINGS))
+def test_every_config_built_minimization_agent_has_a_symmetric_jacobian(n, coupling):
+    cfg = parse_config(f"[problem]\nn = {n}\np = 3\nd = 0\n"
+                       + MINIMIZATION_COUPLINGS[coupling].format(n=n) + "\n")
+    problems = build_problems(cfg)
+    agents = stack_agents(problems, lipschitz=declared_lipschitz(cfg, problems))
+    assert len(agents) == n
+    for agent in agents:
+        jac = agent.forward.jacobian
+        assert jac is not None and jac.shape == (3, 3)
+        assert np.abs(jac - jac.T).max() <= 1e-14 * max(1.0, np.abs(jac).max())

@@ -270,7 +270,7 @@ reference = on
 def ring5_trace():
     """The README alg2 instance through the CLI's path: the observer columns and messages_cum."""
     cfg = parse_config(RING5)
-    return _execute("alg2", cfg, _Setup(cfg, ("alg2",))).trace
+    return _execute("alg2", _Setup(cfg, ("alg2",))).trace
 
 
 def random500_trace():
@@ -316,7 +316,7 @@ def test_one_agent_without_edges_stamps_zero_messages():
     text = (RING5.replace("n = 5", "n = 1").replace("topology = ring", "topology = complete")
             .replace("max_iters = 700", "max_iters = 30"))
     cfg = parse_config(text)
-    result = _execute("alg2", cfg, _Setup(cfg, ("alg2",)))
+    result = _execute("alg2", _Setup(cfg, ("alg2",)))
     assert result.info["messages_per_round"] == 0
     assert cells(result.trace.column("messages_cum")) == cells([0] * 30)
     assert result.trace.csv_lines(7)[-1].endswith(",0")
