@@ -11,10 +11,10 @@ mixing and kernels as the workload's solve does, runs ``WARM_ROUNDS``
 rounds, and then times, on that state, each part of a round:
 
 * ``exchange``: ``mixing.apply`` of the rows (both blocks of a two-graph mixing);
-* ``forward``: the batched ``tau B`` of the rows;
-* ``images``: the kernels' images of the rows (the exchange, ``(W x - x) / 2``
+* ``forward``: the batched ``tau B`` of the rows (``tau_i B_i`` with per-agent steps);
+* ``images``: the kernels' images of the rows (the exchange, ``c (W x - x) / 2``
   and ``tau B``; on the one-product kernel one matrix product);
-* ``resolvent``: the batched resolvent;
+* ``resolvent``: the batched resolvent, built at the run's step;
 * ``dual``: the dual update ``e = g - (2 b - b_prev)``;
 * ``residual``: the run's stopping residual, ``||(x_new - x_old, half_old)||_F``
   (a round adds the old ``half`` to the dual sum ``g``);
@@ -80,9 +80,8 @@ def main(argv=None):
         else:
             agents, mixing, z0 = _stacked_setup(setup.problems, setup.mixing, setup.x0, setup.y0)
             split = setup.problems[0].p
-        tau, h = setup.tau, z0.shape[1]
-        state = inclusion._start(agents, mixing, z0, tau, premix=False, reflect=True)
-        kernels = state.kernels
+        state = inclusion._start(agents, mixing, z0, setup.tau, premix=False, reflect=True)
+        kernels, tau, h = state.kernels, state.tau, z0.shape[1]
         for _ in range(WARM_ROUNDS):
             state = inclusion._round(kernels, state, True)
         new = inclusion._round(kernels, state, True)
@@ -94,7 +93,7 @@ def main(argv=None):
             "exchange": lambda: mixing.apply(x),
             "forward": lambda: forward(x),
             "images": lambda: kernels.images(x),
-            "resolvent": lambda: kernels.resolvent(tau, u),
+            "resolvent": lambda: kernels.resolvent(u),
             "dual": lambda: inclusion._dual_step(new.g, new.b, state.b, True),
             "residual": lambda: trace._norm(new.x - state.x, state.half),
             "row": lambda: columns(chunk),

@@ -49,6 +49,7 @@ from .graphs import (
 from .harness import InclusionProgram, PgExtraProgram, run_synchronous
 from .inclusion import (
     _ONE_VERTEX,
+    _agent_gates,
     _product_space_problem,
     _round,
     _run_stacked,
@@ -113,7 +114,8 @@ def _apply_overrides(cfg, args):
 
 
 # Every method: how it runs (stacked rows, forb's one agent on the summed problem, or the
-# product space) and whether its round is reflected, which picks its gate (None: no gate)
+# product space) and whether its round is reflected, which picks its gate (None: no gate);
+# the reflected stacked rounds (alg1, alg2) step per agent, each at its own gate
 _METHODS = {"alg1": ("stacked", True), "alg2": ("stacked", True), "pg_extra": ("stacked", False),
             "forb": ("forb", True), **dict.fromkeys(("pdtr", "pdhg", "condat_vu"), ("product", None))}
 
@@ -146,12 +148,20 @@ def _reference_point(central, h, tol=1e-12, max_iters=2_000_000):
     return state.x, trace.converged
 
 
+def _one_or_each(values):
+    """One float when every entry of ``values`` is equal, else the tuple: how steps and gates are reported."""
+    return values[0] if len(set(values)) == 1 else tuple(values)
+
+
 class _Setup:
     """What the algorithms of one config run on, built once per command.
 
-    The summed problem's agent (forb, the reference) and the product-space
-    problem (pdtr, pdhg, condat_vu) are built on first use.  Every algorithm
-    in ``names`` is checked before anything runs; the reference (the stacked
+    ``lip`` holds each agent's declared constant and ``agent_tau`` the
+    resolved per-agent step (:func:`~saddlenet.config.resolve_steps`);
+    ``tau`` is the shared step ``min tau_i``, with ``sigma``.  The summed
+    problem's agent (forb, the reference) and the product-space problem
+    (pdtr, pdhg, condat_vu) are built on first use.  Every algorithm in
+    ``names`` is checked before anything runs; the reference (the stacked
     ``(x, y)`` point, or None) runs only if the config asks for it and an
     algorithm is named.
     """
@@ -160,7 +170,9 @@ class _Setup:
         self.problems = build_problems(cfg)
         self.mixing = build_block_mixing(cfg)
         self.lip = declared_lipschitz(cfg, self.problems)
-        self.tau, self.sigma = resolve_steps(cfg, self.mixing, self.lip)
+        self.agent_tau, self.sigma = resolve_steps(cfg, self.mixing, self.lip)
+        self.tau = min(self.agent_tau) if isinstance(self.agent_tau, tuple) else self.agent_tau
+        self.sigma_auto = cfg.algorithm.sigma == "auto"
         self.safety = cfg.algorithm.safety if cfg.algorithm.tau == "auto" else None
         self.stop = StoppingRule(tol=cfg.run.tol, max_iters=cfg.run.max_iters)
         self.z0 = np.concatenate(build_start(cfg), axis=1)
@@ -182,14 +194,27 @@ class _Setup:
         return _product_space_problem(self.agents, self.block_mixing, self.z0.shape[1])
 
     def step(self, name):
-        """``name``'s ``tau`` and gate (None: no gate), for every command: ``tau = auto`` is
-        ``safety`` times a finite gate, else the resolved :attr:`tau`."""
+        """``name``'s ``tau``, ``sigma`` and gate (None: no gate), for every command.
+
+        alg1 and alg2 step per agent: ``tau`` and the gate are each agent's
+        (:func:`_one_or_each`), ``tau = auto`` being :attr:`agent_tau`, and
+        ``sigma = auto`` is ``1 / max tau_i``.  pg_extra and forb take one
+        ``tau``, at ``tau = auto`` ``safety`` times their own finite gate;
+        pdtr, pdhg and condat_vu take the shared :attr:`tau`.  Every other
+        ``sigma`` is :attr:`sigma`.
+        """
         kind, reflect = _METHODS[name]
-        on = (_ONE_VERTEX, self.central.lipschitz) if kind == "forb" else (self.block_mixing, self.lip)
-        gate = None if reflect is None else _step_gate(*on, reflect)
-        if self.safety is None or gate in (None, np.inf):
-            return self.tau, gate
-        return _step_gate(*on, reflect, self.safety), gate
+        if kind == "stacked" and reflect:
+            steps = np.broadcast_to(self.agent_tau, len(self.agents)).tolist()
+            sigma = 1.0 / max(steps) if self.sigma_auto else self.sigma
+            return _one_or_each(steps), sigma, _one_or_each(_agent_gates(self.agents, self.block_mixing))
+        if reflect is None:
+            return self.tau, self.sigma, None
+        on = (_ONE_VERTEX, self.central.lipschitz) if kind == "forb" else (self.block_mixing, max(self.lip))
+        gate = _step_gate(*on, reflect)
+        if self.safety is None or gate == np.inf:
+            return self.tau, self.sigma, gate
+        return _step_gate(*on, reflect, self.safety), self.sigma, gate
 
 
 def _round_mixing(name, setup):
@@ -222,9 +247,9 @@ def _execute(name, setup):
     stop, z0, ref = setup.stop, setup.z0, setup.reference
     p = setup.problems[0].p
     split = p if z0.shape[1] > p else None
-    (kind, reflect), (tau, gate) = _METHODS[name], setup.step(name)
+    (kind, reflect), (tau, sigma, gate) = _METHODS[name], setup.step(name)
     t0 = time.perf_counter()
-    info = {"tau": tau, "sigma": setup.sigma, "gate": gate}
+    info = {"tau": tau, "sigma": sigma, "gate": gate}
 
     if kind == "stacked":
         # never premixed: the config's start rows are all equal, so W z0 = z0
@@ -239,7 +264,7 @@ def _execute(name, setup):
         problem = setup.product_space
         columns = _stacked_columns(ref, split)
         state, trace = _run_primal_dual(name, problem, (z0.reshape(-1), np.zeros(problem.dual_dim)),
-                                        StepSizes(tau, setup.sigma), stop,
+                                        StepSizes(tau, sigma), stop,
                                         lambda states: columns([s.x.reshape(z0.shape) for s in states]))
     with np.errstate(over="ignore", invalid="ignore"):  # the mean of a diverged run's rows is inf or nan
         point = state.x.reshape(-1, z0.shape[1]).mean(axis=0)
@@ -285,9 +310,11 @@ def _summary_text(cfg, result, setup, extra_lines=()):
         f"tau = {result.info['tau']!r}",
         f"sigma = {result.info.get('sigma')!r}",
     ]
-    if result.info["gate"] is not None:  # the bound tau is checked against; product-space methods have none
-        lines += [f"step gate = {result.info['gate']!r}",
-                  f"tau / gate = {result.info['tau'] / result.info['gate']!r}"]
+    gate = result.info["gate"]
+    # the bound tau is checked against, per agent for alg1 and alg2; none on the product space
+    if gate is not None:
+        share = max(np.atleast_1d(np.divide(result.info["tau"], gate)).tolist())
+        lines += [f"step gate = {gate!r}", f"tau / gate = {share!r}"]
     lines += [
         f"lambda_min(W) = {lambdas}",
         f"iterations = {trace.iterations}",
@@ -319,7 +346,7 @@ def _harness_check(name, setup, rounds):
     """The round audits of ``name``'s agent-local program and, after ``rounds`` rounds,
     ``max|harness - stacked| / max(1, max|stacked|)``; the stacked rounds step
     one start's kernels at ``name``'s step as a run does, so they are bitwise the reported run's."""
-    reflect, (tau, _) = _METHODS[name][1], setup.step(name)
+    reflect, (tau, _, _) = _METHODS[name][1], setup.step(name)
     program = (InclusionProgram if reflect else PgExtraProgram)(setup.agents, _round_mixing(name, setup),
                                                                 setup.z0, tau)
     states, audits = run_synchronous(program, rounds, audit=True)
@@ -414,15 +441,17 @@ def _max_gap(pairs):
 
 
 def _verify_rows(setup):
-    """The equivalence corpus on the configured instance, at the configured step."""
+    """The equivalence corpus on the configured instance, at the configured steps: alg1's for the
+    recursion (per agent at ``tau = auto``: the oracle takes ``T = diag(tau_i)``), the shared
+    :attr:`_Setup.tau` for the product-space reductions."""
     agents, bm = setup.agents, setup.block_mixing
     tau, z0, h = setup.tau, setup.z0, setup.z0.shape[1]
     rows = []
 
     # decentralized recursion against the explicit product-space iteration
-    iters = 200
-    seq = product_space_reference(agents, bm, z0, tau, iters)
-    states = _iterates(lambda s: inclusion_step(agents, bm, s, tau), inclusion_init(agents, bm, z0, tau),
+    iters, steps = 200, setup.step("alg1")[0]
+    seq = product_space_reference(agents, bm, z0, steps, iters)
+    states = _iterates(lambda s: inclusion_step(agents, bm, s, steps), inclusion_init(agents, bm, z0, steps),
                        iters - 1)
     rows.append(("recursion vs explicit coupled form",
                  _max_gap((s.x, x) for s, x in zip(states, seq)), 1e-10))

@@ -416,26 +416,44 @@ def build_problems(cfg):
 
 
 def declared_lipschitz(cfg, problems):
-    """Declared network constant: config override, else the worst coupling."""
+    """Each agent's declared constant ``L_i``, a tuple of floats: its coupling's.
+
+    The ``problem.lipschitz`` override gives its one constant to every agent,
+    and when no coupling has curvature every agent declares 1.
+    """
     if cfg.problem.lipschitz is not None:
         if cfg.problem.lipschitz <= 0:
             _fail("problem.lipschitz", "must be positive")
-        return cfg.problem.lipschitz
-    lip = max(prob.lipschitz for prob in problems)
-    return lip if lip > 0 else 1.0
+        return (cfg.problem.lipschitz,) * len(problems)
+    lips = tuple(float(prob.lipschitz) for prob in problems)
+    return lips if max(lips) > 0 else (1.0,) * len(lips)
 
 
 def resolve_steps(cfg, mixing, lipschitz):
-    """Resolve the shared ``tau`` (and ``sigma = 1/tau`` unless given) from the config.
+    """Resolve ``tau`` (and ``sigma`` unless given) from the config and the declared constants.
 
-    ``auto`` picks ``safety`` times the reflected gate ``(1 + lambda_min) / (4 L)``
-    (:func:`~saddlenet.inclusion._step_gate`), which with ``sigma = 1/tau`` the
-    product-space methods need too.  In the CLI every method with a gate (pg_extra
-    and forb too) takes ``safety`` times its own.
+    ``lipschitz`` is one constant or one per agent (:func:`declared_lipschitz`).
+    ``auto`` gives each agent ``safety`` times its own reflected gate
+    ``(1 + lambda_min) / (4 L_i)`` (:func:`~saddlenet.inclusion._step_gate`), as a
+    tuple of floats (one float for one constant); an agent with ``L_i = 0``, whose
+    gate is infinite, takes the largest finite step of the others, so it scales its
+    exchange by ``c_i = 1``.  An explicit ``tau`` is one float for every agent.
+    ``sigma = auto`` is ``1 / min tau_i``: the shared step ``min tau_i``, the gate's
+    step at ``max L_i``, is what the product-space methods take, with that ``sigma``.
+    In the CLI every method with a gate (pg_extra and forb too) takes ``safety``
+    times its own.
     """
     a = cfg.algorithm
-    tau = _step_gate(mixing, lipschitz, True, a.safety) if a.tau == "auto" else float(a.tau)
-    sigma = 1.0 / tau if a.sigma == "auto" else float(a.sigma)
+    if a.tau != "auto":
+        tau = float(a.tau)
+    elif np.ndim(lipschitz) == 0:
+        tau = _step_gate(mixing, lipschitz, True, a.safety)
+    else:
+        steps = [_step_gate(mixing, lip, True, a.safety) for lip in lipschitz]
+        top = max((step for step in steps if step != math.inf), default=math.inf)
+        tau = tuple(top if step == math.inf else step for step in steps)
+    shared = min(tau) if isinstance(tau, tuple) else tau
+    sigma = 1.0 / shared if a.sigma == "auto" else float(a.sigma)
     return tau, sigma
 
 

@@ -30,6 +30,7 @@ import numpy as np
 from .graphs import mixing_blocks
 from .inclusion import StackedIterate, _check_setup, _round
 from .minmax import _stacked_setup
+from .operators import _prox_rows
 
 __all__ = [
     "InclusionProgram",
@@ -196,14 +197,16 @@ _KEYS = {"u": "u", "x": "z", "g": "g", "b": "b", "e": "e"}
 
 
 class _AgentOps:
-    """One agent's own resolvent, and its forward map scaled by ``tau``, on its row.
+    """One agent's own resolvent and forward map on its row of length ``h``, at its step ``tau``.
 
-    The exchange of a new row arrives only in the next round's inboxes, so
-    :meth:`images` leaves it out.
+    The resolvent is the agent's row of the stacked kernel, bitwise its own
+    ``resolvent(tau, row)``.  The exchange of a new row arrives only in the
+    next round's inboxes, so :meth:`images` leaves it out.
     """
 
-    def __init__(self, agent, tau):
-        self.resolvent = agent.resolvent
+    def __init__(self, agent, tau, h):
+        rows = _prox_rows([agent.resolvent], h, tau)
+        self.resolvent = lambda u: rows(u[None])[0]
         self._forward = agent.forward
         self._tau = tau
 
@@ -217,21 +220,24 @@ class _RecursionProgram:
     Every block that a round sends (:func:`~saddlenet.graphs.mixing_blocks`)
     publishes the agent's columns of that block on its own graph once per
     round.  Every round, the agent forms the neighbourhood average
-    ``w = (W x)_i`` from the delivered values and ``half = (w - x) / 2``,
-    then runs the stacked solvers' round on its row with its own resolvent
-    and forward map.  Without premixing, round 1 first completes the start's
-    dual sum ``g = x^0 - (W x^0)_i`` from that average: the agent learns it
-    in the first exchange.
+    ``(W x)_i`` from the delivered values, its ``half = c_i ((W x)_i - x) / 2``
+    and ``w = x + 2 half`` (``c_i = 1`` and ``w = (W x)_i`` at one step), then
+    runs the stacked solvers' round on its row with its own resolvent and
+    forward map at its own step ``tau_i``.  Without premixing, round 1 first
+    completes the start's dual sum ``g = x^0 - w`` from that exchange: the
+    agent learns it in the first exchange.  ``c_i = tau_i / max tau`` is
+    fixed before the run, as ``tau`` is.
     """
 
     def __init__(self, agents, mixing, x0, tau, premix, reflect):
         self.agents = agents
         self.n = len(agents)
-        self.x0 = _check_setup(agents, mixing, x0, tau, reflect)
-        self.tau = tau
+        self.x0, self.tau = _check_setup(agents, mixing, x0, tau, reflect)
         self.premix = premix
         self.reflect = reflect
-        self._ops = [_AgentOps(a, tau) for a in agents]
+        steps = np.broadcast_to(self.tau, self.n).tolist()
+        self._ops = [_AgentOps(a, t, self.x0.shape[1]) for a, t in zip(agents, steps)]
+        self._lazy = None if np.ndim(self.tau) == 0 else (self.tau / self.tau.max() * 0.5).tolist()
         layout = mixing_blocks(mixing, self.x0.shape[1])
         self.blocks = {name: m.graph for name, m, _ in layout}
         self._layout = [(name, _weight_rows(m), cols) for name, m, cols in layout]
@@ -253,10 +259,15 @@ class _RecursionProgram:
     def compute(self, i, state, inboxes, round_index):
         mix = np.concatenate([_local_mix(i, weights[i], state[name], inboxes[name])
                               for name, weights, _ in self._layout])
-        row = StackedIterate(**{f: state[k] for f, k in _KEYS.items()}, tau=self.tau,
-                             w=mix, half=(mix - state["z"]) * 0.5)
+        z = state["z"]
+        if self._lazy is None:
+            w, half = mix, (mix - z) * 0.5
+        else:
+            half = (mix - z) * self._lazy[i]
+            w = z + (half + half)
+        row = StackedIterate(**{f: state[k] for f, k in _KEYS.items()}, tau=self.tau, w=w, half=half)
         if round_index == 1 and not self.premix:
-            row.g = row.x - mix
+            row.g = row.x - w
             row.e = row.g - row.b
         it = _round(self._ops[i], row, self.reflect)
         return self._with_blocks({k: getattr(it, f) for f, k in _KEYS.items()})

@@ -10,18 +10,26 @@ evaluation per round.  With ``v^k = 2 B(x^k) - B(x^{k-1})`` it is
     x^{k+1} = J_{tau A}(u^{k+1})                         (rows)
 
 with ``u^1 = x^0 - tau B(x^0)`` (or ``W x^0 - tau B(x^0)`` when initial
-mixing is requested).  Admissible steps satisfy
-``0 < tau < (1 + lambda_min(W)) / (4 L)`` with ``L = max_i L_i``.
+mixing is requested).  Each agent may step at its own ``tau_i``; admissible
+steps satisfy ``0 < tau_i < (1 + lambda_min(W)) / (4 L_i)``, each agent's own
+gate.  With one ``tau`` for every agent that is ``tau < (1 + lambda_min(W)) / (4 L)``
+with ``L = max_i L_i``.
 
 It runs in its dual form, where the eliminated dual block is a running sum
 ``g`` (as in PG-EXTRA and NIDS).  Each new ``x`` comes with its images
 ``w = W x``, ``half = (W x - x) / 2`` and ``b = tau B(x)``, formed at once
-(the round's one exchange and one forward).  Every round, the first
-included, is
+(the round's one exchange and one forward).  With per-agent steps, agent
+``i`` scales its exchange by ``c_i = tau_i / max tau``: ``half = c (W x - x) / 2``
+and ``w = x + 2 half``, the per-agent lazy mixing ``I - C (I - W)`` of NIDS,
+and ``b_i = tau_i B_i(x_i)``.  This is the primal-dual method below with the
+diagonal step ``T = diag(tau_i)`` and ``sigma = 1 / max tau`` (Pock &
+Chambolle 2011), admissible when ``2 max_i tau_i L_i + sigma
+lambda_max(T^{1/2} K'K T^{1/2}) < 1``, which the per-agent gates imply.
+Every round, the first included, is
 
     u = w + e
     g <- g + half                            (the images of the old x)
-    x <- J_{tau A}(u)
+    x <- J_{tau A}(u)                         (row i at tau_i)
     w, half, b <- the images of the new x
     e <- g - (2 b - b_prev)
 
@@ -31,16 +39,17 @@ from the images of ``x^0``, ``g = x^0 - W x^0`` (0 when premixing) and
 over the agents, because ``1' (W - I) = 0``.
 
 The same recursion with the plain gradient, ``e = g - b``, for a smooth
-``B_i = grad h_i`` is the PG-EXTRA baseline, ``0 < tau < (1 + lambda_min(W)) / L``;
-one round, :func:`_round`, runs both, and the reflection is all that
-differs.  The stacked kernels form the images with ``mixing.apply`` and the
+``B_i = grad h_i`` is the PG-EXTRA baseline, ``0 < tau < (1 + lambda_min(W)) / L``
+at one ``tau`` (its per-agent gate is not derived); one round, :func:`_round`,
+runs both, and the reflection is all that differs.  The stacked kernels form the images with ``mixing.apply`` and the
 batched forward; on a small stack whose forwards are all affine and whose
 blocks mix over dense matrices, they are one matrix product
 (:class:`_OneProduct`).  The harness's agents run the same round on their
 own rows, with the exchange they receive.
 :func:`product_space_reference` runs the underlying primal-dual iteration
-(``pdtr`` with the explicit square-root coupling matrix); it exists to check
-that the communication-friendly recursion above is the same method.
+(``pdtr`` with the explicit square-root coupling matrix and the diagonal
+step); it exists to check that the communication-friendly recursion above is
+the same method.
 """
 
 from __future__ import annotations
@@ -54,6 +63,7 @@ from .operators import (
     ForwardOperator,
     Prox,
     _affine_rows,
+    _prox_rows,
     batched_forward,
     batched_resolvent,
     zero_prox,
@@ -106,6 +116,27 @@ def _step_gate(mixing, lipschitz, reflect, share=1.0):
     return share * (1.0 + mixing.lambda_min) / ((4.0 if reflect else 1.0) * lipschitz)
 
 
+def _agent_steps(tau, n):
+    """``tau`` as one float when it is a number or its ``n`` entries are equal, else an ``(n,)`` array.
+
+    The two forms run the same method; the one-float form is the one-step arithmetic bitwise.
+    """
+    steps = np.array(tau, dtype=float)  # a copy: the run's steps are frozen below
+    if steps.ndim == 0:
+        return float(steps)
+    if steps.shape != (n,):
+        raise ValueError(f"tau must be a number or have one entry per agent ({n}), got shape {steps.shape}")
+    if (steps == steps[0]).all():
+        return float(steps[0])
+    steps.flags.writeable = False
+    return steps
+
+
+def _agent_gates(agents, mixing, reflect=True):
+    """Each agent's own open gate, :func:`_step_gate` at its declared ``L_i`` (inf at ``L_i = 0``)."""
+    return [_step_gate(mixing, a.lipschitz, reflect) for a in agents]
+
+
 def stepsize_bound(mixing, lipschitz):
     """Admissible step-size supremum ``(1 + lambda_min(W)) / (4 L)``.
 
@@ -131,10 +162,10 @@ class StackedIterate:
     over the agents.  ``e = g - (2 b - b_prev)`` (``g - b`` for PG-EXTRA) is
     what the next round adds to the exchange: ``u_next = w + e``.
 
-    ``tau`` is the run's step; it is fixed, because the kernels fold it into
-    the forward stack.  ``kernels`` holds the agents' row-batched operators,
-    built once per run.  A step from a state without ``w`` or ``kernels``
-    forms them anew.
+    ``tau`` is the run's step: one float, or an ``(n,)`` array of unequal
+    per-agent steps.  It is fixed, because the kernels are built for it.
+    ``kernels`` holds the agents' row-batched operators, built once per run.
+    A step from a state without ``w`` or ``kernels`` forms them anew.
 
     Round 0 holds ``u = x = x0`` and the ``g``, ``b`` and ``e`` of the start.
     Steps build a new iterate and never write to the one they step from.
@@ -145,7 +176,7 @@ class StackedIterate:
     g: np.ndarray
     b: np.ndarray
     e: np.ndarray
-    tau: float
+    tau: float | np.ndarray
     w: np.ndarray | None = field(default=None, repr=False)
     half: np.ndarray | None = field(default=None, repr=False)
     kernels: object = field(default=None, repr=False)
@@ -162,16 +193,18 @@ _ONE_PRODUCT_MAX_NH = 80
 
 
 class _Kernels:
-    """Row-batched resolvent and ``tau B`` of the agent list ``source``, on ``mixing``.
+    """Row-batched resolvent and ``tau B`` of the agent list ``source``, on ``mixing``, at the step ``tau``.
 
     :meth:`images` forms the exchange of a new iterate with ``mixing.apply``
-    and its ``b`` with the batched forward.
+    and its ``b`` with the batched forward.  With per-agent steps each row's
+    exchange is scaled by ``c_i = tau_i / max tau`` (``lazy`` holds ``c / 2``).
     """
 
     def __init__(self, agents, mixing, h, tau, layout):
         self.source, self.mixing, self.layout, self.h = agents, mixing, layout, h
-        self.resolvent = batched_resolvent([a.resolvent for a in agents], h)
+        self.resolvent = _prox_rows([a.resolvent for a in agents], h, tau)
         self.forward = batched_forward([a.forward for a in agents], h, scale=tau)
+        self.lazy = None if np.ndim(tau) == 0 else (tau / tau.max() * 0.5)[:, None]
 
     def serves(self, agents, mixing):
         """Built from ``agents``, on ``mixing`` or on one with the same blocks."""
@@ -179,10 +212,16 @@ class _Kernels:
             mixing is self.mixing or mixing_blocks(mixing, self.h) == self.layout)
 
     def images(self, x):
-        """``W x``, ``(W x - x) / 2`` and ``b = tau B(x)`` of the rows ``x``."""
+        """``w``, ``half = c (W x - x) / 2`` and ``b = tau B(x)`` of the rows ``x``; ``w = W x`` at one step,
+        else ``x + 2 half``."""
         w = self.mixing.apply(x)
         half = w - x
-        half *= 0.5
+        if self.lazy is None:
+            half *= 0.5
+            return w, half, self.forward(x)
+        half *= self.lazy
+        w = half + half
+        w += x
         return w, half, self.forward(x)
 
 
@@ -194,18 +233,24 @@ class _OneProduct(_Kernels):
     of a new iterate to ``W x``, ``(W x - x) / 2`` and ``tau J x`` at once
     (``J`` the block-diagonal Jacobian of the forwards), so a round's whole
     linear part is one matrix-vector product; ``b`` adds the forwards'
-    ``tau F(0)`` when one is nonzero.
+    ``tau F(0)`` when one is nonzero.  Per-agent steps fold in too: row ``i``
+    of the exchange becomes ``I + c_i (W - I)`` and of ``J`` ``tau_i J_i``.
     """
 
     def __init__(self, agents, mixing, h, tau, layout):
         n = len(agents)
         self.source, self.mixing, self.layout, self.h = agents, mixing, layout, h
-        self.resolvent = batched_resolvent([a.resolvent for a in agents], h)
+        self.resolvent = _prox_rows([a.resolvent for a in agents], h, tau)
         jac, self.offset = _affine_rows([a.forward for a in agents], h, tau)
         mix = _block_kron(layout, n, h, lambda w: w)
         forms = np.zeros((3, n * h, n * h))
-        forms[0] = mix
-        forms[1] = 0.5 * (mix - np.eye(n * h))
+        if np.ndim(tau) == 0:
+            forms[0] = mix
+            forms[1] = 0.5 * (mix - np.eye(n * h))
+        else:
+            lazy = np.repeat(tau / tau.max(), h)[:, None] * (mix - np.eye(n * h))
+            forms[0] = np.eye(n * h) + lazy
+            forms[1] = 0.5 * lazy
         forms[2].reshape(n, h, n, h)[np.arange(n), :, np.arange(n), :] = jac
         self.forms = forms.reshape(3 * n * h, n * h)
         self.shape = (3, n, h)
@@ -245,17 +290,30 @@ def _kernels(agents, mixing, h, tau):
 
 
 def _check_setup(agents, mixing, x0, tau, reflect):
-    """``x0`` as float rows after the shape checks and :func:`_step_gate`."""
+    """``x0`` as float rows and ``tau`` as :func:`_agent_steps` after the shape checks and the gate.
+
+    One ``tau`` is checked against :func:`_step_gate` at ``max_i L_i``; per-agent
+    steps each against the agent's own gate, which only the reflected recursion has.
+    """
     x0 = np.asarray(x0, dtype=float)
     n = len(agents)
     if mixing.n != n:
         raise ValueError(f"mixing operates on {mixing.n} agents, got {n}")
     if x0.ndim != 2 or x0.shape[0] != n:
         raise ValueError(f"x0 must be (n, h) with n={n}, got {x0.shape}")
-    bound = _step_gate(mixing, uniform_lipschitz(agents), reflect)
-    if not 0.0 < tau < bound:
-        raise StepSizeError(f"step size exceeds its bound: tau={tau!r} not in (0, {bound!r})")
-    return x0
+    tau = _agent_steps(tau, n)
+    if np.ndim(tau) == 0:
+        bound = _step_gate(mixing, uniform_lipschitz(agents), reflect)
+        if not 0.0 < tau < bound:
+            raise StepSizeError(f"step size exceeds its bound: tau={tau!r} not in (0, {bound!r})")
+        return x0, tau
+    if not reflect:
+        raise ValueError("PG-EXTRA steps at one tau: its per-agent gate is not derived")
+    for i, (step, gate) in enumerate(zip(tau.tolist(), _agent_gates(agents, mixing))):
+        if not 0.0 < step < gate:
+            raise StepSizeError(f"the step of agent {i} exceeds its own gate: "
+                                f"tau_{i}={step!r} not in (0, {gate!r})")
+    return x0, tau
 
 
 def _dual_step(g, b, b_prev, reflect):
@@ -270,14 +328,14 @@ def _dual_step(g, b, b_prev, reflect):
 def _round(ops, state, reflect):
     """One round of the dual recursion from ``state``, which carries the exchange of its ``x``.
 
-    ``ops`` supplies ``resolvent`` and ``images`` (the exchange and ``b =
-    tau B`` of a new ``x``): the stacked kernels, or one agent's own
-    operators on its row, whose exchange the harness delivers.  Nothing is
-    checked: the caller has matched ``ops`` to ``state``.  The new iterate
+    ``ops`` supplies ``resolvent`` (at the run's step) and ``images`` (the
+    exchange and ``b = tau B`` of a new ``x``): the stacked kernels, or one
+    agent's own operators on its row, whose exchange the harness delivers.
+    Nothing is checked: the caller has matched ``ops`` to ``state``.  The new iterate
     is built positionally, in the field order of :class:`StackedIterate`.
     """
     u = state.w + state.e
-    x = ops.resolvent(state.tau, u)
+    x = ops.resolvent(u)
     w, half, b = ops.images(x)
     g = state.g + state.half
     return StackedIterate(u, x, g, b, _dual_step(g, b, state.b, reflect), state.tau, w, half,
@@ -286,7 +344,7 @@ def _round(ops, state, reflect):
 
 def _start(agents, mixing, x0, tau, premix, reflect):
     """The round-0 iterate after :func:`_check_setup`; builds the agents' kernels."""
-    x0 = _check_setup(agents, mixing, x0, tau, reflect)
+    x0, tau = _check_setup(agents, mixing, x0, tau, reflect)
     kernels = _kernels(agents, mixing, x0.shape[1], tau)
     w, half, b = kernels.images(x0)
     g = np.zeros_like(x0) if premix else x0 - w
@@ -300,7 +358,9 @@ def _step(agents, mixing, state, tau, reflect):
     kernels that do not serve ``agents`` and ``mixing`` are built anew.  A
     run, which fixed all three, calls :func:`_round` itself.
     """
-    if tau != state.tau:
+    tau = _agent_steps(tau, len(agents))
+    same = tau == state.tau if np.ndim(tau) == np.ndim(state.tau) == 0 else np.array_equal(tau, state.tau)
+    if not same:
         raise ValueError(f"this run steps with tau={state.tau!r}, not {tau!r}; start a new run")
     kernels = state.kernels
     if kernels is None or state.w is None or not kernels.serves(agents, mixing):
@@ -513,27 +573,34 @@ def _product_space_problem(agents, mixing, h):
 def product_space_reference(agents, mixing, x0, tau, iterations, premix=False):
     """Iterate the underlying primal-dual method with its explicit coupling.
 
-    Runs :func:`~saddlenet.primal_dual.pdtr_step` with ``sigma = 1/tau`` on
-    the product-space problem.  It keeps the dual block ``y`` that the
+    Runs :func:`~saddlenet.primal_dual.pdtr_step` on the product-space
+    problem with the primal step ``T = diag(tau_i) (x) I_h`` (``tau`` one
+    number or one per agent, gated as :func:`inclusion_init` gates it) and
+    ``sigma = 1 / max tau``.  It keeps the dual block ``y`` that the
     communication-friendly recursion eliminates, and ``K`` is the square root
     of ``(I - W)/2``:
 
-        x^{k+1} = J_{tau A}(x^k - tau K y^k - tau v^k)
-        y^{k+1} = y^k + (1/tau) K (2 x^{k+1} - x^k)
+        x^{k+1} = J_{T A}(x^k - T K y^k - T v^k)
+        y^{k+1} = y^k + sigma K (2 x^{k+1} - x^k)
 
-    with ``y^0 = 0`` (or ``y^0 = (2/tau) K x^0`` for the premixed variant,
+    with ``y^0 = 0`` (or ``y^0 = 2 sigma K x^0`` for the premixed variant,
     which is the same dual shift as ``premix`` in :func:`inclusion_init`).
-    Returns the list of ``x`` arrays after each of ``iterations`` steps;
-    entry 0 therefore aligns with the state produced by
-    :func:`inclusion_init`.
+    Eliminating ``s = T K' y`` gives the recursion's exchange, scaled by
+    ``c = sigma T``.  Returns the list of ``x`` arrays after each of
+    ``iterations`` steps; entry 0 therefore aligns with the state produced
+    by :func:`inclusion_init`.
     """
-    x0 = _check_setup(agents, mixing, x0, tau, reflect=True)
+    x0, tau = _check_setup(agents, mixing, x0, tau, reflect=True)
     n, h = x0.shape
-    problem = _product_space_problem(agents, mixing, h)
+    # the resolvent of T A: each agent's rows at its own step
+    rows = _prox_rows([a.resolvent for a in agents], h, tau)
+    problem = replace(_product_space_problem(agents, mixing, h),
+                      resolvent=lambda _, z: rows(z.reshape(n, h)).reshape(-1))
     z0 = x0.reshape(-1)
-    y0 = (2.0 / tau) * (problem.k @ z0) if premix else np.zeros_like(z0)
+    top = float(np.max(tau))
+    y0 = (2.0 / top) * (problem.k @ z0) if premix else np.zeros_like(z0)
     state = PdtrState.start(problem, z0, y0)
-    steps = StepSizes(tau, 1.0 / tau)
+    steps = StepSizes(tau if np.ndim(tau) == 0 else np.repeat(tau, h), 1.0 / top)
     out = []
     for _ in range(iterations):
         state = pdtr_step(problem, state, steps)

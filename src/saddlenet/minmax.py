@@ -19,8 +19,11 @@ with ``bx = tau grad_x phi(x, y)`` and ``by = -tau grad_y phi(x, y)``:
 
 from ``gx = x^0 - W1 x^0``, ``gy = y^0 - W2 y^0`` and ``e = g - b``.  The
 dual sums ``gx``, ``gy`` stand for the eliminated dual block of each
-consensus constraint.  Steps must satisfy
-``0 < tau < (1 + min(lambda_min(W1), lambda_min(W2))) / (4 L)``.
+consensus constraint.  ``tau`` is one step or one per agent; agent ``i``'s
+must satisfy ``0 < tau_i < (1 + min(lambda_min(W1), lambda_min(W2))) / (4 L_i)``,
+its own gate, and with per-agent steps it scales both of its exchanges by
+``c_i = tau_i / max tau`` (see :mod:`saddlenet.inclusion`).  One ``tau``
+for every agent is gated at ``L = max_i L_i``.
 
 Stacking ``z_i = (x_i, y_i)`` with the blockwise mixing and the monotone map
 ``(grad_x phi_i, -grad_y phi_i)`` turns this into the decentralized
@@ -127,7 +130,9 @@ class MinMaxState:
 def _stacked_setup(problems, mixing, x0, y0):
     """Stacked agents, block mixing and start rows of the min-max problem.
 
-    Checks the per-block shapes; the stacked step gate is left to the caller.
+    Checks the per-block shapes and that every declared ``L`` is nonnegative;
+    the stacked step gate is left to the caller.  When no coupling has
+    curvature every stacked agent declares ``L = 1``.
     """
     n = len(problems)
     x0 = np.asarray(x0, dtype=float)
@@ -138,8 +143,11 @@ def _stacked_setup(problems, mixing, x0, y0):
             raise ValueError("all agents must share the same (p, d)")
     if x0.shape != (n, p) or y0.shape != (n, d):
         raise ValueError(f"expected x0 {(n, p)} and y0 {(n, d)}, got {x0.shape} and {y0.shape}")
+    lips = [prob.lipschitz for prob in problems]
+    if min(lips) < 0:
+        raise ValueError(f"lipschitz must be nonnegative, got {min(lips)!r}")
     # all-zero couplings carry no curvature; any positive declared bound works
-    declared = None if max(prob.lipschitz for prob in problems) > 0 else 1.0
+    declared = None if max(lips) > 0 else 1.0
     agents = stack_agents(problems, lipschitz=declared)
     return agents, stacked_block_mixing(mixing, problems), np.concatenate([x0, y0], axis=1)
 
@@ -186,18 +194,20 @@ def stack_agents(problems, lipschitz=None):
     the monotone coupling map.  Running the decentralized inclusion on these
     agents with :func:`stacked_block_mixing` reproduces the min-max method.
 
-    ``lipschitz`` replaces the declared constant of every stacked forward
-    map (needed when the couplings have vanishing curvature and the step
-    gate wants an explicit upper bound instead).  Agents that share their
+    ``lipschitz`` replaces the declared constant of the stacked forward
+    maps: one number for every agent or one per agent (needed when the
+    couplings have vanishing curvature and the step gate wants an explicit
+    upper bound instead).  Agents that share their
     two proxes (as the config's and ``random_saddle_problems``' agents do)
     share one product resolvent.
     """
     resolvents = {}
     out = []
-    for prob in problems:
+    lips = [None] * len(problems) if lipschitz is None else np.broadcast_to(lipschitz, len(problems)).tolist()
+    for prob, lip in zip(problems, lips):
         forward = saddle_forward(prob.coupling)
-        if lipschitz is not None:
-            forward = dataclasses.replace(forward, lipschitz=float(lipschitz))
+        if lip is not None:
+            forward = dataclasses.replace(forward, lipschitz=float(lip))
         pair = (id(prob.prox_min), id(prob.prox_max))
         if pair not in resolvents:
             resolvents[pair] = product_resolvent(prob.prox_min, prob.prox_max, split=prob.p)

@@ -65,8 +65,8 @@ class Prox:
     ``kind``/``params`` identify library members so that sums of identical
     families can be formed for centralized reference runs.  ``dim`` is the
     expected input length when the map is dimension-specific, else None.
-    A library kind runs as one row of its batched kernel, built once per
-    point length; any other kind calls ``fn(tau, point)``.
+    A library kind runs as one row of its batched kernel, kept per point
+    length for the last ``tau`` seen; any other kind calls ``fn(tau, point)``.
     """
 
     def __init__(self, fn=None, kind="custom", params=None, dim=None):
@@ -86,9 +86,10 @@ class Prox:
         if point.ndim != 1:
             raise ValueError(f"{self.kind} prox expects a 1-D point, got shape {point.shape}")
         h = len(point)
-        if h not in self._rows:
-            self._rows[h] = _prox_rows([self], h)
-        return self._rows[h](point[None], tau)[0]
+        kept = self._rows.get(h)
+        if kept is None or kept[0] != tau:
+            kept = self._rows[h] = (tau, _prox_rows([self], h, tau))
+        return kept[1](point[None])[0]
 
     def __repr__(self):
         return f"Prox(kind={self.kind!r}, params={self.params!r})"
@@ -513,10 +514,10 @@ def combine_couplings(couplings):
 # row-batched evaluation (one row per agent)
 # ---------------------------------------------------------------------------
 
-def _grouped(items, keys, build, identity=None):
-    """Row function over ``items`` built per group of equal ``keys``.
+def _grouped(keys, build, identity=None):
+    """Row function built per group of equal ``keys``.
 
-    ``build(key, members)`` returns ``part(rows, *args)`` for the rows of one
+    ``build(key, idx)`` returns ``part(rows)`` for the rows ``idx`` of one
     group; the groups' outputs are scattered back by row index.  Rows whose
     key is ``identity`` map to themselves: when there are other groups too,
     the output starts as a copy of the input and only those are scattered.
@@ -526,42 +527,44 @@ def _grouped(items, keys, build, identity=None):
         groups.setdefault(key, []).append(i)
     if len(groups) == 1:
         key, idx = groups.popitem()
-        return build(key, [items[i] for i in idx])
+        return build(key, idx)
     keep = identity in groups
-    parts = [(np.array(idx), build(key, [items[i] for i in idx]))
-             for key, idx in groups.items() if key != identity]
+    parts = [(np.array(idx), build(key, idx)) for key, idx in groups.items() if key != identity]
 
-    def rows(u, *args):
+    def rows(u):
         out = u.copy() if keep else np.empty_like(u)
         for idx, part in parts:
-            out[idx] = part(u[idx], *args)
+            out[idx] = part(u[idx])
         return out
 
     return rows
 
 
+def _rows_of(step, idx):
+    """The step of the rows ``idx``: one number for all, or the entries of a per-row array."""
+    return step if np.ndim(step) == 0 else step[idx]
+
+
+def _column(step, dims=1):
+    """A per-row step shaped to broadcast over each row's ``dims`` trailing axes; a number as it is."""
+    return step if np.ndim(step) == 0 else step.reshape(-1, *(1,) * dims)
+
+
 def _per_row(members):
     """The members' own callables, called once per row."""
-    return lambda u, *args: np.stack([m(*args, u[j]) for j, m in enumerate(members)])
+    return lambda u: np.stack([m(u[j]) for j, m in enumerate(members)])
 
 
-class _QuadraticRows:
-    """``(I + t Q_i)^{-1} (u_i - t q_i)`` for every row, one ``matmul`` per call.
+def _quadratic_rows(proxes, t):
+    """``(I + t_i Q_i)^{-1} (u_i - t_i q_i)`` for every row, one ``matmul`` per call.
 
     ``I + t Q_i`` has eigenvalues >= 1, so its explicit inverse is well
-    conditioned; the inverse stack is kept for the last ``t`` seen.
+    conditioned; the inverse stack and ``t q`` are formed once, at the step ``t``.
     """
-
-    def __init__(self, proxes):
-        self.q_matrix = np.stack([p.params["q_matrix"] for p in proxes])
-        self.q_vec = np.stack([p.params["q_vec"] for p in proxes])
-        self.tau = None
-
-    def __call__(self, u, t):
-        if t != self.tau:
-            self.inverse = np.linalg.inv(np.eye(self.q_matrix.shape[1]) + t * self.q_matrix)
-            self.tau = t
-        return np.matmul(self.inverse, (u - t * self.q_vec)[:, :, None])[:, :, 0]
+    q_matrix = np.stack([p.params["q_matrix"] for p in proxes])
+    inverse = np.linalg.inv(np.eye(q_matrix.shape[1]) + _column(t, 2) * q_matrix)
+    shift = _column(t) * np.stack([p.params["q_vec"] for p in proxes])
+    return lambda u: np.matmul(inverse, (u - shift)[:, :, None])[:, :, 0]
 
 
 # the kinds evaluated from ``kind``/``params`` by a row kernel
@@ -578,18 +581,26 @@ def _is_clip(prox):
     return prox.kind in _CLIP_KINDS
 
 
-def _clip_columns(prox, h):
-    """Per-column ``(lo, hi, weight, is_l1)`` of the clip-family ``prox`` on ``h`` columns.
-
-    A box column clips to ``[lo, hi]``, a zero column to ``[-inf, inf]``; an
-    l1 column carries its weight.  The dims are checked as on a whole row.
-    """
+def _check_dims(prox, h):
+    """Raise unless ``prox`` and, in a product, each factor fits its share of a row of length ``h``."""
     if prox.dim is not None and prox.dim != h:
         raise ValueError(f"{prox.kind} prox expects shape ({prox.dim},), got ({h},)")
     if prox.kind == "product":
         split = prox.params["split"]
         if split > h:
             raise ValueError("point is shorter than the first block")
+        _check_dims(prox.params["first"], split)
+        _check_dims(prox.params["second"], h - split)
+
+
+def _clip_columns(prox, h):
+    """Per-column ``(lo, hi, weight, is_l1)`` of the clip-family ``prox`` on ``h`` columns (dims checked).
+
+    A box column clips to ``[lo, hi]``, a zero column to ``[-inf, inf]``; an
+    l1 column carries its weight.
+    """
+    if prox.kind == "product":
+        split = prox.params["split"]
         first = _clip_columns(prox.params["first"], split)
         second = _clip_columns(prox.params["second"], h - split)
         return tuple(np.concatenate(pair) for pair in zip(first, second))
@@ -601,96 +612,116 @@ def _clip_columns(prox, h):
     return lo, hi, weight, np.full(h, prox.kind == "l1")
 
 
-class _ClipRows:
+def _clip_rows(proxes, h, t):
     """Rows of clip-family proxes: one clip of the whole row, then ``u - clip`` on the l1 columns.
 
     The l1 columns clip to ``[-t w, t w]`` (soft thresholding), the others to
     their box (infinite for zero).  Each distinct prox object's columns are
-    derived once; the ``(n, h)`` bounds are kept for the last ``t`` seen.
+    derived once, and the ``(n, h)`` bounds are formed at the step ``t``.
     """
+    columns = {}
+    for prox in proxes:
+        if id(prox) not in columns:
+            columns[id(prox)] = _clip_columns(prox, h)
+    box_lo, box_hi, weight, l1 = (np.stack(col) for col in zip(*(columns[id(p)] for p in proxes)))
+    threshold = _column(t) * weight
+    lo = np.where(l1, -threshold, box_lo)
+    hi = np.where(l1, threshold, box_hi)
+    # where= mask of the subtraction: all of the row, some columns or none
+    where = True if l1.all() else (l1 if l1.any() else None)
 
-    def __init__(self, proxes, h):
-        columns = {}
-        for prox in proxes:
-            if id(prox) not in columns:
-                columns[id(prox)] = _clip_columns(prox, h)
-        self.box_lo, self.box_hi, self.weight, l1 = (
-            np.stack(col) for col in zip(*(columns[id(p)] for p in proxes)))
-        self.l1 = l1
-        # where= mask of the subtraction: all of the row, some columns or none
-        self.where = True if l1.all() else (l1 if l1.any() else None)
-        self.tau = None
-
-    def __call__(self, u, t):
-        if t != self.tau:
-            threshold = t * self.weight
-            self.lo = np.where(self.l1, -threshold, self.box_lo)
-            self.hi = np.where(self.l1, threshold, self.box_hi)
-            self.tau = t
-        out = np.maximum(u, self.lo)
-        np.minimum(out, self.hi, out=out)
-        if self.where is not None:
-            np.subtract(u, out, out=out, where=self.where)
+    def rows(u):
+        out = np.maximum(u, lo)
+        np.minimum(out, hi, out=out)
+        if where is not None:
+            np.subtract(u, out, out=out, where=where)
         return out
 
+    return rows
 
-def _prox_rows(proxes, h):
-    """``part(u, t)`` evaluating ``proxes[i](t, u[i])`` on every row."""
+
+def _prox_rows(proxes, h, tau):
+    """``rows(u)`` evaluating ``proxes[i](tau_i, u[i])`` on every row.
+
+    ``tau`` is one positive number for every row or a float array with one
+    entry per row; the kernels are built for it, so a run's step is fixed.
+    Each distinct prox's dims are checked first.
+    """
     keys = []
+    for prox in {id(p): p for p in proxes}.values():
+        _check_dims(prox, h)
     for prox in proxes:
-        if prox.dim is not None and prox.dim != h:
-            raise ValueError(f"{prox.kind} prox expects shape ({prox.dim},), got ({h},)")
         if prox.kind != "zero" and _is_clip(prox):
             keys.append("clip")
         elif prox.kind == "product":
-            if prox.params["split"] > h:
-                raise ValueError("point is shorter than the first block")
             keys.append(("product", prox.params["split"]))
         else:
             keys.append(prox.kind)
-    return _grouped(proxes, keys, lambda key, members: _library_rows(key, members, h),
+    return _grouped(keys, lambda key, idx: _library_rows(key, [proxes[i] for i in idx], h,
+                                                          _rows_of(tau, idx)),
                     identity="zero")
 
 
-def _library_rows(key, proxes, h):
-    """Batched form of one library kind from its ``params``; other kinds run per row."""
+def _library_rows(key, proxes, h, t):
+    """Batched form of one library kind from its ``params`` at the step ``t``; other kinds run per row."""
     if key == "zero":
-        return lambda u, t: u.copy()
+        return lambda u: u.copy()
     if key == "zero_set_indicator":
-        return lambda u, t: np.zeros_like(u)
+        return np.zeros_like
     if key == "clip":
-        return _ClipRows(proxes, h)
+        return _clip_rows(proxes, h, t)
     if key == "quadratic":
-        return _QuadraticRows(proxes)
+        return _quadratic_rows(proxes, t)
     if isinstance(key, tuple):
         _, split = key
-        first = _prox_rows([p.params["first"] for p in proxes], split)
-        second = _prox_rows([p.params["second"] for p in proxes], h - split)
-        return lambda u, t: np.concatenate([first(u[:, :split], t), second(u[:, split:], t)], axis=1)
-    return _per_row(proxes)
+        first = _prox_rows([p.params["first"] for p in proxes], split, t)
+        second = _prox_rows([p.params["second"] for p in proxes], h - split, t)
+        return lambda u: np.concatenate([first(u[:, :split]), second(u[:, split:])], axis=1)
+    steps = np.broadcast_to(t, len(proxes))
+    return _per_row([partial(p, step) for p, step in zip(proxes, steps.tolist())])
+
+
+def _positive_steps(tau):
+    """``tau`` as one float or a tuple of floats, one per row; raises unless every entry is positive."""
+    steps = np.asarray(tau, dtype=float)
+    if not (steps > 0).all():
+        raise ValueError("tau must be positive")
+    return float(steps) if steps.ndim == 0 else tuple(steps.tolist())
 
 
 def batched_resolvent(proxes, h):
-    """All agents' resolvents at once: ``fn(tau, u)`` has rows ``proxes[i](tau, u[i])``.
+    """All agents' resolvents at once: ``fn(tau, u)`` has rows ``proxes[i](tau_i, u[i])``.
 
-    Library kinds (zero, zero-set indicator, l1, box, quadratic and products
-    of these) are evaluated from their ``kind``/``params`` on all their rows
-    together -- the same trust :func:`combine_proxes` places in those fields.
-    l1, box and products of zero, l1 and box share one clip kernel.
-    Agents of different kinds are grouped by row; any other kind keeps its
-    own callable, called once per row.  Each prox's ``dim`` is checked
-    against the row length ``h`` here, ``tau`` on every call.
+    ``tau`` is one step for every row or one per row.  Library kinds (zero,
+    zero-set indicator, l1, box, quadratic and products of these) are
+    evaluated from their ``kind``/``params`` on all their rows together --
+    the same trust :func:`combine_proxes` places in those fields.  l1, box
+    and products of zero, l1 and box share one clip kernel.  Agents of
+    different kinds are grouped by row; any other kind keeps its own
+    callable, called once per row.  Each prox's ``dim`` is checked against
+    the row length ``h`` here, ``tau`` on every call.  The kernels are built
+    on the first call and kept for the last ``tau`` seen (a run builds its
+    own at its step instead).
     """
-    rows = _prox_rows(proxes, h)
-    return lambda tau, u: rows(u, _positive_step(tau))
+    for prox in {id(p): p for p in proxes}.values():
+        _check_dims(prox, h)
+    kept = [None, None]
+
+    def fn(tau, u):
+        tau = _positive_steps(tau)
+        if tau != kept[0]:
+            kept[:] = tau, _prox_rows(proxes, h, tau if isinstance(tau, float) else np.array(tau))
+        return kept[1](u)
+
+    return fn
 
 
 def _affine_rows(forwards, h, scale=1.0):
     """``(scale J, scale F(0))`` of affine maps, stacked: ``(n, h, h)`` and ``(n, h)``.
 
-    Every map must carry a ``jacobian`` and its ``offset`` ``F(0)``, as a
-    :class:`ForwardOperator` does.  The offset stack is None when every
-    offset is zero.
+    ``scale`` is one number or one per map.  Every map must carry a
+    ``jacobian`` and its ``offset`` ``F(0)``, as a :class:`ForwardOperator`
+    does.  The offset stack is None when every offset is zero.
     """
     jac = [np.asarray(f.jacobian, dtype=float) for f in forwards]
     if any(j.shape != (h, h) for j in jac):
@@ -699,29 +730,33 @@ def _affine_rows(forwards, h, scale=1.0):
     if any(o.shape != (h,) for o in offset):
         raise ValueError(f"forward offsets must be ({h},)")
     jac, offset = np.stack(jac), np.stack(offset)
-    if scale != 1.0:
-        jac *= scale
-        offset *= scale
+    if np.ndim(scale) or scale != 1.0:
+        jac *= _column(scale, 2)
+        offset *= _column(scale)
     return jac, (offset if offset.any() else None)
 
 
 def batched_forward(forwards, h, scale=1.0):
-    """All agents' forward maps at once: ``fn(z)`` has rows ``scale * forwards[i](z[i])``.
+    """All agents' forward maps at once: ``fn(z)`` has rows ``scale_i * forwards[i](z[i])``.
 
-    A map with a ``jacobian`` is affine by that field's contract and is
-    evaluated as ``(scale J_i) z_i + scale F_i(0)`` with one ``matmul`` over
-    the stacked Jacobians and offsets (:func:`_affine_rows`); the add is
-    skipped when every offset is zero.  Maps without one are called once
-    per row.
+    ``scale`` is one number for every row or a float array with one entry
+    per row.  A map with a ``jacobian`` is affine by that field's contract
+    and is evaluated as ``(scale J_i) z_i + scale F_i(0)`` with one
+    ``matmul`` over the stacked Jacobians and offsets (:func:`_affine_rows`);
+    the add is skipped when every offset is zero.  Maps without one are
+    called once per row.
     """
 
-    def build(affine, members):
+    def build(affine, idx):
+        members, s = [forwards[i] for i in idx], _rows_of(scale, idx)
         if not affine:
             rows = _per_row(members)
-            return rows if scale == 1.0 else lambda z: scale * rows(z)
-        jac, offset = _affine_rows(members, h, scale)
+            if np.ndim(s) == 0 and s == 1.0:
+                return rows
+            return lambda z: _column(s) * rows(z)
+        jac, offset = _affine_rows(members, h, s)
         if offset is None:
             return lambda z: np.matmul(jac, z[:, :, None])[:, :, 0]
         return lambda z: np.matmul(jac, z[:, :, None])[:, :, 0] + offset
 
-    return _grouped(forwards, [f.jacobian is not None for f in forwards], build)
+    return _grouped([f.jacobian is not None for f in forwards], build)

@@ -66,13 +66,18 @@ class StepSizeError(ValueError):
 
 @dataclass(frozen=True)
 class StepSizes:
-    """Primal step ``tau`` and dual step ``sigma``."""
+    """Primal step ``tau`` and dual step ``sigma``.
 
-    tau: float
+    ``tau`` may be the diagonal of a diagonal primal step ``T`` (an array the
+    primal's length), which the steps apply entry by entry; the admissibility
+    rules below take one number.
+    """
+
+    tau: float | np.ndarray
     sigma: float
 
     def __post_init__(self):
-        if self.tau <= 0 or self.sigma <= 0:
+        if np.min(self.tau) <= 0 or self.sigma <= 0:
             raise StepSizeError("step sizes must be positive")
 
     def admissible(self, lipschitz, k_norm):

@@ -606,9 +606,10 @@ def test_the_saddle_residual_line_reports_what_it_cannot_compute():
 # ---------------------------------------------------------------------------
 
 def _laplacian_tau():
-    lip = max(c.lipschitz for c in seeded_couplings(3, 1, 1, 0, kind="quadratic"))
+    # each agent's own auto step
     lam = mixing_from_laplacian(ring_graph(3), 4.0).lambda_min
-    return AlgorithmConfig().safety * (1.0 + lam) / (4.0 * lip)
+    return tuple(AlgorithmConfig().safety * (1.0 + lam) / (4.0 * c.lipschitz)
+                 for c in seeded_couplings(3, 1, 1, 0, kind="quadratic"))
 
 
 # alg2 sends an x and a y vector on every edge in both directions

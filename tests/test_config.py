@@ -218,9 +218,9 @@ def test_inline_coupling_shape_checks():
 def test_declared_lipschitz_override_and_fallback():
     cfg = parse_config("[problem]\ncoupling = zero\nd = 0\np = 1\n")
     problems = build_problems(cfg)
-    assert declared_lipschitz(cfg, problems) == 1.0  # zero curvature falls back
+    assert declared_lipschitz(cfg, problems) == (1.0,) * 3  # zero curvature falls back
     cfg2 = parse_config("[problem]\nlipschitz = 7.5\n")
-    assert declared_lipschitz(cfg2, build_problems(cfg2)) == 7.5
+    assert declared_lipschitz(cfg2, build_problems(cfg2)) == (7.5,) * 3  # one constant for every agent
     cfg3 = parse_config("[problem]\nlipschitz = -1.0\n")
     with pytest.raises(ConfigError, match="lipschitz"):
         declared_lipschitz(cfg3, problems)
@@ -230,10 +230,23 @@ def test_resolve_steps_auto_rule():
     cfg = parse_config(FULL)
     mixing = build_block_mixing(cfg)
     problems = build_problems(cfg)
-    lip = declared_lipschitz(cfg, problems)
-    tau, sigma = resolve_steps(cfg, mixing, lip)
-    assert tau == pytest.approx(0.9 * (1.0 + mixing.lambda_min) / (4.0 * lip))
-    assert sigma == pytest.approx(1.0 / tau)
+    lips = declared_lipschitz(cfg, problems)
+    assert lips == tuple(prob.lipschitz for prob in problems) and len(set(lips)) == 5
+    tau, sigma = resolve_steps(cfg, mixing, lips)
+    # each agent at 0.9 of its own gate, as Python floats; sigma = 1 / min tau_i, the shared step's
+    assert type(tau) is tuple and all(type(t) is float for t in tau)
+    assert tau == pytest.approx([0.9 * (1.0 + mixing.lambda_min) / (4.0 * lip) for lip in lips])
+    assert sigma == pytest.approx(1.0 / min(tau))
+    # one constant, the worst agent's, is the one-tau rule: min tau_i bitwise
+    assert resolve_steps(cfg, mixing, max(lips)) == (min(tau), sigma)
+
+
+def test_resolve_steps_gives_a_zero_curvature_agent_the_largest_finite_step():
+    cfg = parse_config(FULL)
+    mixing = build_block_mixing(cfg)
+    tau, _ = resolve_steps(cfg, mixing, (0.0, 2.0, 1.0))
+    at = [0.9 * (1.0 + mixing.lambda_min) / (4.0 * lip) for lip in (2.0, 1.0)]
+    assert tau == pytest.approx((at[1], at[0], at[1]), rel=1e-15)
 
 
 def test_resolve_steps_explicit_values_pass_through():

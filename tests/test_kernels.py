@@ -267,9 +267,9 @@ def test_a_library_prox_is_one_row_of_its_kernel_built_once_per_length(name, mon
     built = []
     prox_rows = operators._prox_rows
 
-    def counting(proxes, h):
+    def counting(proxes, h, tau):
         built.append(h)
-        return prox_rows(proxes, h)
+        return prox_rows(proxes, h, tau)
 
     monkeypatch.setattr(operators, "_prox_rows", counting)
     prox = LIBRARY_KINDS[name](np.random.default_rng(42))
@@ -277,7 +277,7 @@ def test_a_library_prox_is_one_row_of_its_kernel_built_once_per_length(name, mon
     for tau in (TAU, 2.5):
         got = np.stack([prox(tau, row) for row in u])
         assert got.tobytes() == batched_resolvent([prox] * 3, H)(tau, u).tobytes()
-    assert built.count(H) == 3  # the per-point kernel once, then one per batched build
+    assert built.count(H) == 4  # the per-point kernel once per step, and one per batched build
     if name in ("zero", "zero_set_indicator", "l1", "scalar box"):  # any length is legal
         prox(TAU, np.ones(H + 3))
         assert built.count(H + 3) == 1

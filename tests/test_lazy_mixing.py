@@ -4,6 +4,8 @@ It certifies, keeps the graph support, and every equivalence of
 ``test_acceptance.py`` that runs on a mixing holds on it at the same
 tolerance.  Run through the CLI, it takes fewer rounds than Metropolis."""
 
+import ast
+
 import numpy as np
 import pytest
 
@@ -187,7 +189,9 @@ def test_the_readme_config_converges_in_fewer_rounds_than_with_metropolis(tmp_pa
     metro = run_summary(tmp_path, explicit, "metro")
     assert int(lazy["iterations"]) < int(metro["iterations"])
     assert lazy["messages per round"] == metro["messages per round"] == "20"
-    assert float(lazy["tau"]) > float(metro["tau"])
+    # every agent's step is larger (each at 0.99 of its own gate)
+    assert all(a > b for a, b in zip(ast.literal_eval(lazy["tau"]), ast.literal_eval(metro["tau"]),
+                                     strict=True))
     # the summary shows each block's lambda_min
     ring = ring_graph(5)
     assert metro["lambda_min(W)"] == f"x: {metropolis_mixing(ring).lambda_min!r}, " \

@@ -22,7 +22,14 @@ from saddlenet.inclusion import (
     pg_extra_step,
     stepsize_bound,
 )
-from saddlenet.minmax import AgentSaddleProblem, BlockMixing, minmax_init, minmax_step, stack_agents
+from saddlenet.minmax import (
+    AgentSaddleProblem,
+    BlockMixing,
+    minmax_init,
+    minmax_run,
+    minmax_step,
+    stack_agents,
+)
 from saddlenet.operators import affine_forward, bilinear_coupling, linear_forward, zero_prox
 from saddlenet.primal_dual import (
     ForbState,
@@ -203,6 +210,16 @@ def test_a_negative_lipschitz_constant_raises_on_every_runner(seed):
         forb_run(agents[0].resolvent, agents[0].forward, x0[0], 0.1, ONE_STEP)
     with pytest.raises(ValueError, match="nonnegative"):
         forb_step(agents[0].resolvent, agents[0].forward, ForbState.start(agents[0].forward, x0[0]), 0.1)
+    # the min-max runners too, whether every coupling or one declares a negative L
+    _, _, _, _, w1, w2 = draw(seed)
+    negative = dataclasses.replace(bilinear_coupling(m=np.ones((h, 1))), lipschitz=-1.0)
+    for others in (negative, bilinear_coupling(m=np.ones((h, 1)))):
+        problems = [AgentSaddleProblem(zero_prox(), zero_prox(), c) for c in [negative] + [others] * (n - 1)]
+        y0 = rng.standard_normal((n, 1))
+        with pytest.raises(ValueError, match="nonnegative"):
+            minmax_init(problems, BlockMixing(w1, w2), x0, y0, 0.1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            minmax_run(problems, BlockMixing(w1, w2), x0, y0, 0.1, ONE_STEP)
 
 
 # PG-EXTRA's gate (1 + lambda_min) / L assumes gradients: the CLI runs pg_extra only with
