@@ -709,6 +709,8 @@ def batched_resolvent(proxes, h):
 
     def fn(tau, u):
         tau = _positive_steps(tau)
+        if not isinstance(tau, float) and len(tau) != len(proxes):
+            raise ValueError(f"tau must be a number or have one entry per row ({len(proxes)})")
         if tau != kept[0]:
             kept[:] = tau, _prox_rows(proxes, h, tau if isinstance(tau, float) else np.array(tau))
         return kept[1](u)

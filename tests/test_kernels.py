@@ -234,9 +234,20 @@ class CountingProx(Prox):
 def test_batched_resolvent_checks_tau_on_every_call():
     fn = batched_resolvent([l1_prox(0.1), zero_prox()], H)
     fn(TAU, rows(n=2))
-    for tau in (0.0, -1.0, np.nan):
+    for tau in (0.0, -1.0, np.nan, [TAU, 0.0]):
         with pytest.raises(ValueError, match="tau must be positive"):
             fn(tau, rows(n=2))
+    with pytest.raises(ValueError, match="one entry per row"):
+        fn([TAU] * 3, rows(n=2))
+
+
+def test_batched_resolvent_steps_each_row_at_its_own_tau():
+    proxes = [l1_prox(0.1), random_quadratic(np.random.default_rng(46)),
+              product_resolvent(l1_prox(0.2), box_prox(-1.0, 1.0), split=2), zero_prox()]
+    steps = [0.3, 1.7, 0.05, 2.0]
+    u = rows(47, n=4)
+    assert_array_equal(batched_resolvent(proxes, H)(steps, u),
+                       np.stack([p(t, row) for p, t, row in zip(proxes, steps, u)]))
 
 
 LIBRARY_KINDS = {**BITWISE_KINDS, "quadratic": random_quadratic,
