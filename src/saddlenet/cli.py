@@ -157,21 +157,22 @@ class _Setup:
     """What the algorithms of one config run on, built once per command.
 
     ``lip`` holds each agent's declared constant and ``agent_tau`` the
-    resolved per-agent step (:func:`~saddlenet.config.resolve_steps`);
-    ``tau`` is the shared step ``min tau_i``, with ``sigma``.  The summed
-    problem's agent (forb, the reference) and the product-space problem
-    (pdtr, pdhg, condat_vu) are built on first use.  Every algorithm in
-    ``names`` is checked before anything runs; the reference (the stacked
-    ``(x, y)`` point, or None) runs only if the config asks for it and an
-    algorithm is named.
+    resolved steps (:func:`~saddlenet.config.resolve_steps`) as one tuple,
+    an entry per agent; ``tau`` is the shared step ``min tau_i``, with
+    ``sigma``.  The summed problem's agent (forb, the reference) and the
+    product-space problem (pdtr, pdhg, condat_vu) are built on first use.
+    Every algorithm in ``names`` is checked before anything runs; the
+    reference (the stacked ``(x, y)`` point, or None) runs only if the config
+    asks for it and an algorithm is named.
     """
 
     def __init__(self, cfg, names=()):
         self.problems = build_problems(cfg)
         self.mixing = build_block_mixing(cfg)
         self.lip = declared_lipschitz(cfg, self.problems)
-        self.agent_tau, self.sigma = resolve_steps(cfg, self.mixing, self.lip)
-        self.tau = min(self.agent_tau) if isinstance(self.agent_tau, tuple) else self.agent_tau
+        tau, self.sigma = resolve_steps(cfg, self.mixing, self.lip)
+        self.agent_tau = tuple(np.broadcast_to(tau, len(self.problems)).tolist())
+        self.tau = min(self.agent_tau)
         self.sigma_auto = cfg.algorithm.sigma == "auto"
         self.safety = cfg.algorithm.safety if cfg.algorithm.tau == "auto" else None
         self.stop = StoppingRule(tol=cfg.run.tol, max_iters=cfg.run.max_iters)
@@ -205,9 +206,9 @@ class _Setup:
         """
         kind, reflect = _METHODS[name]
         if kind == "stacked" and reflect:
-            steps = np.broadcast_to(self.agent_tau, len(self.agents)).tolist()
-            sigma = 1.0 / max(steps) if self.sigma_auto else self.sigma
-            return _one_or_each(steps), sigma, _one_or_each(_agent_gates(self.agents, self.block_mixing))
+            sigma = 1.0 / max(self.agent_tau) if self.sigma_auto else self.sigma
+            return (_one_or_each(self.agent_tau), sigma,
+                    _one_or_each(_agent_gates(self.agents, self.block_mixing)))
         if reflect is None:
             return self.tau, self.sigma, None
         on = (_ONE_VERTEX, self.central.lipschitz) if kind == "forb" else (self.block_mixing, max(self.lip))

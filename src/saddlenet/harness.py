@@ -197,7 +197,8 @@ _KEYS = {"u": "u", "x": "z", "g": "g", "b": "b", "e": "e"}
 
 
 class _AgentOps:
-    """One agent's own resolvent and forward map on its row of length ``h``, at its step ``tau``.
+    """One agent's own resolvent and forward map on its row of length ``h``, at its step ``tau``
+    (the agent's ``(1,)`` slice of the run's steps).
 
     The resolvent is the agent's row of the stacked kernel, bitwise its own
     ``resolvent(tau, row)``.  The exchange of a new row arrives only in the
@@ -208,7 +209,7 @@ class _AgentOps:
         rows = _prox_rows([agent.resolvent], h, tau)
         self.resolvent = lambda u: rows(u[None])[0]
         self._forward = agent.forward
-        self._tau = tau
+        self._tau = tau[0]
 
     def images(self, x):
         return None, None, self._tau * self._forward(x)
@@ -221,7 +222,7 @@ class _RecursionProgram:
     publishes the agent's columns of that block on its own graph once per
     round.  Every round, the agent forms the neighbourhood average
     ``(W x)_i`` from the delivered values, its ``half = c_i ((W x)_i - x) / 2``
-    and ``w = x + 2 half`` (``c_i = 1`` and ``w = (W x)_i`` at one step), then
+    and ``w = x + 2 half`` (``(W x)_i`` up to rounding at equal steps), then
     runs the stacked solvers' round on its row with its own resolvent and
     forward map at its own step ``tau_i``.  Without premixing, round 1 first
     completes the start's dual sum ``g = x^0 - w`` from that exchange: the
@@ -235,9 +236,8 @@ class _RecursionProgram:
         self.x0, self.tau = _check_setup(agents, mixing, x0, tau, reflect)
         self.premix = premix
         self.reflect = reflect
-        steps = np.broadcast_to(self.tau, self.n).tolist()
-        self._ops = [_AgentOps(a, t, self.x0.shape[1]) for a, t in zip(agents, steps)]
-        self._lazy = None if np.ndim(self.tau) == 0 else (self.tau / self.tau.max() * 0.5).tolist()
+        self._ops = [_AgentOps(a, self.tau[i:i + 1], self.x0.shape[1]) for i, a in enumerate(agents)]
+        self._lazy = (self.tau / self.tau.max() * 0.5).tolist()
         layout = mixing_blocks(mixing, self.x0.shape[1])
         self.blocks = {name: m.graph for name, m, _ in layout}
         self._layout = [(name, _weight_rows(m), cols) for name, m, cols in layout]
@@ -260,11 +260,8 @@ class _RecursionProgram:
         mix = np.concatenate([_local_mix(i, weights[i], state[name], inboxes[name])
                               for name, weights, _ in self._layout])
         z = state["z"]
-        if self._lazy is None:
-            w, half = mix, (mix - z) * 0.5
-        else:
-            half = (mix - z) * self._lazy[i]
-            w = z + (half + half)
+        half = (mix - z) * self._lazy[i]
+        w = z + (half + half)
         row = StackedIterate(**{f: state[k] for f, k in _KEYS.items()}, tau=self.tau, w=w, half=half)
         if round_index == 1 and not self.premix:
             row.g = row.x - w

@@ -10,18 +10,20 @@ evaluation per round.  With ``v^k = 2 B(x^k) - B(x^{k-1})`` it is
     x^{k+1} = J_{tau A}(u^{k+1})                         (rows)
 
 with ``u^1 = x^0 - tau B(x^0)`` (or ``W x^0 - tau B(x^0)`` when initial
-mixing is requested).  Each agent may step at its own ``tau_i``; admissible
-steps satisfy ``0 < tau_i < (1 + lambda_min(W)) / (4 L_i)``, each agent's own
-gate.  With one ``tau`` for every agent that is ``tau < (1 + lambda_min(W)) / (4 L)``
-with ``L = max_i L_i``.
+mixing is requested).  Each agent steps at its own ``tau_i``: a run turns
+its ``tau``, one number or one per agent, into one ``(n,)`` array at entry.
+Admissible steps satisfy ``0 < tau_i < (1 + lambda_min(W)) / (4 L_i)``, each
+agent's own gate; one ``tau`` for every agent so meets
+``tau < (1 + lambda_min(W)) / (4 L)`` with ``L = max_i L_i``.
 
 It runs in its dual form, where the eliminated dual block is a running sum
 ``g`` (as in PG-EXTRA and NIDS).  Each new ``x`` comes with its images
 ``w = W x``, ``half = (W x - x) / 2`` and ``b = tau B(x)``, formed at once
-(the round's one exchange and one forward).  With per-agent steps, agent
-``i`` scales its exchange by ``c_i = tau_i / max tau``: ``half = c (W x - x) / 2``
-and ``w = x + 2 half``, the per-agent lazy mixing ``I - C (I - W)`` of NIDS,
-and ``b_i = tau_i B_i(x_i)``.  This is the primal-dual method below with the
+(the round's one exchange and one forward).  Agent ``i`` scales its exchange
+by ``c_i = tau_i / max tau``: ``half = c (W x - x) / 2`` and ``w = x + 2 half``,
+the per-agent lazy mixing ``I - C (I - W)`` of NIDS, and ``b_i = tau_i B_i(x_i)``.
+At equal steps ``c = 1``, and the stacked kernels keep ``w = W x`` as the
+mixing formed it.  This is the primal-dual method below with the
 diagonal step ``T = diag(tau_i)`` and ``sigma = 1 / max tau`` (Pock &
 Chambolle 2011), admissible when ``2 max_i tau_i L_i + sigma
 lambda_max(T^{1/2} K'K T^{1/2}) < 1``, which the per-agent gates imply.
@@ -64,6 +66,7 @@ from .operators import (
     Prox,
     _affine_rows,
     _prox_rows,
+    _row_steps,
     batched_forward,
     batched_resolvent,
     zero_prox,
@@ -116,22 +119,6 @@ def _step_gate(mixing, lipschitz, reflect, share=1.0):
     return share * (1.0 + mixing.lambda_min) / ((4.0 if reflect else 1.0) * lipschitz)
 
 
-def _agent_steps(tau, n):
-    """``tau`` as one float when it is a number or its ``n`` entries are equal, else an ``(n,)`` array.
-
-    The two forms run the same method; the one-float form is the one-step arithmetic bitwise.
-    """
-    steps = np.array(tau, dtype=float)  # a copy: the run's steps are frozen below
-    if steps.ndim == 0:
-        return float(steps)
-    if steps.shape != (n,):
-        raise ValueError(f"tau must be a number or have one entry per agent ({n}), got shape {steps.shape}")
-    if (steps == steps[0]).all():
-        return float(steps[0])
-    steps.flags.writeable = False
-    return steps
-
-
 def _agent_gates(agents, mixing, reflect=True):
     """Each agent's own open gate, :func:`_step_gate` at its declared ``L_i`` (inf at ``L_i = 0``)."""
     return [_step_gate(mixing, a.lipschitz, reflect) for a in agents]
@@ -162,8 +149,9 @@ class StackedIterate:
     over the agents.  ``e = g - (2 b - b_prev)`` (``g - b`` for PG-EXTRA) is
     what the next round adds to the exchange: ``u_next = w + e``.
 
-    ``tau`` is the run's step: one float, or an ``(n,)`` array of unequal
-    per-agent steps.  It is fixed, because the kernels are built for it.
+    ``tau`` is the run's step, a frozen ``(n,)`` float array with one entry
+    per agent (equal entries when the run takes one ``tau``).  It is fixed,
+    because the kernels are built for it.
     ``kernels`` holds the agents' row-batched operators, built once per run.
     A step from a state without ``w`` or ``kernels`` forms them anew.
 
@@ -176,7 +164,7 @@ class StackedIterate:
     g: np.ndarray
     b: np.ndarray
     e: np.ndarray
-    tau: float | np.ndarray
+    tau: np.ndarray
     w: np.ndarray | None = field(default=None, repr=False)
     half: np.ndarray | None = field(default=None, repr=False)
     kernels: object = field(default=None, repr=False)
@@ -193,18 +181,19 @@ _ONE_PRODUCT_MAX_NH = 80
 
 
 class _Kernels:
-    """Row-batched resolvent and ``tau B`` of the agent list ``source``, on ``mixing``, at the step ``tau``.
+    """Row-batched resolvent and ``tau B`` of the agent list ``source``, on ``mixing``, at the steps ``tau``.
 
     :meth:`images` forms the exchange of a new iterate with ``mixing.apply``
-    and its ``b`` with the batched forward.  With per-agent steps each row's
-    exchange is scaled by ``c_i = tau_i / max tau`` (``lazy`` holds ``c / 2``).
+    and its ``b`` with the batched forward.  Each row's exchange is scaled by
+    ``c_i = tau_i / max tau`` (``lazy`` holds ``c / 2``); when all steps are
+    equal, ``c = 1`` and ``lazy`` is None: ``w = W x`` as ``apply`` formed it.
     """
 
     def __init__(self, agents, mixing, h, tau, layout):
         self.source, self.mixing, self.layout, self.h = agents, mixing, layout, h
         self.resolvent = _prox_rows([a.resolvent for a in agents], h, tau)
         self.forward = batched_forward([a.forward for a in agents], h, scale=tau)
-        self.lazy = None if np.ndim(tau) == 0 else (tau / tau.max() * 0.5)[:, None]
+        self.lazy = None if tau.min() == tau.max() else (tau / tau.max() * 0.5)[:, None]
 
     def serves(self, agents, mixing):
         """Built from ``agents``, on ``mixing`` or on one with the same blocks."""
@@ -212,8 +201,8 @@ class _Kernels:
             mixing is self.mixing or mixing_blocks(mixing, self.h) == self.layout)
 
     def images(self, x):
-        """``w``, ``half = c (W x - x) / 2`` and ``b = tau B(x)`` of the rows ``x``; ``w = W x`` at one step,
-        else ``x + 2 half``."""
+        """``w``, ``half = c (W x - x) / 2`` and ``b = tau B(x)`` of the rows ``x``; ``w = W x`` at equal
+        steps, else ``x + 2 half``."""
         w = self.mixing.apply(x)
         half = w - x
         if self.lazy is None:
@@ -233,8 +222,9 @@ class _OneProduct(_Kernels):
     of a new iterate to ``W x``, ``(W x - x) / 2`` and ``tau J x`` at once
     (``J`` the block-diagonal Jacobian of the forwards), so a round's whole
     linear part is one matrix-vector product; ``b`` adds the forwards'
-    ``tau F(0)`` when one is nonzero.  Per-agent steps fold in too: row ``i``
-    of the exchange becomes ``I + c_i (W - I)`` and of ``J`` ``tau_i J_i``.
+    ``tau F(0)`` when one is nonzero.  The steps fold in: row ``i`` of the
+    exchange is ``I + c_i (W - I)``, ``c_i = tau_i / max tau`` (``W`` up to
+    rounding at equal steps), and of ``J`` ``tau_i J_i``.
     """
 
     def __init__(self, agents, mixing, h, tau, layout):
@@ -244,13 +234,9 @@ class _OneProduct(_Kernels):
         jac, self.offset = _affine_rows([a.forward for a in agents], h, tau)
         mix = _block_kron(layout, n, h, lambda w: w)
         forms = np.zeros((3, n * h, n * h))
-        if np.ndim(tau) == 0:
-            forms[0] = mix
-            forms[1] = 0.5 * (mix - np.eye(n * h))
-        else:
-            lazy = np.repeat(tau / tau.max(), h)[:, None] * (mix - np.eye(n * h))
-            forms[0] = np.eye(n * h) + lazy
-            forms[1] = 0.5 * lazy
+        lazy = np.repeat(tau / tau.max(), h)[:, None] * (mix - np.eye(n * h))
+        forms[0] = np.eye(n * h) + lazy
+        forms[1] = 0.5 * lazy
         forms[2].reshape(n, h, n, h)[np.arange(n), :, np.arange(n), :] = jac
         self.forms = forms.reshape(3 * n * h, n * h)
         self.shape = (3, n, h)
@@ -290,10 +276,11 @@ def _kernels(agents, mixing, h, tau):
 
 
 def _check_setup(agents, mixing, x0, tau, reflect):
-    """``x0`` as float rows and ``tau`` as :func:`_agent_steps` after the shape checks and the gate.
+    """``x0`` as float rows and ``tau`` as one frozen step per agent, after the shape checks and the gate.
 
-    One ``tau`` is checked against :func:`_step_gate` at ``max_i L_i``; per-agent
-    steps each against the agent's own gate, which only the reflected recursion has.
+    Every agent's step is checked against its own gate (:func:`_agent_gates`).
+    One ``tau`` for every agent is so gated at ``max_i L_i``, whose gate is
+    bitwise the least.  PG-EXTRA takes one ``tau``: its per-agent gate is not derived.
     """
     x0 = np.asarray(x0, dtype=float)
     n = len(agents)
@@ -301,17 +288,12 @@ def _check_setup(agents, mixing, x0, tau, reflect):
         raise ValueError(f"mixing operates on {mixing.n} agents, got {n}")
     if x0.ndim != 2 or x0.shape[0] != n:
         raise ValueError(f"x0 must be (n, h) with n={n}, got {x0.shape}")
-    tau = _agent_steps(tau, n)
-    if np.ndim(tau) == 0:
-        bound = _step_gate(mixing, uniform_lipschitz(agents), reflect)
-        if not 0.0 < tau < bound:
-            raise StepSizeError(f"step size exceeds its bound: tau={tau!r} not in (0, {bound!r})")
-        return x0, tau
-    if not reflect:
+    tau = _row_steps(tau, n, "agent")
+    if not reflect and tau.min() < tau.max():
         raise ValueError("PG-EXTRA steps at one tau: its per-agent gate is not derived")
-    for i, (step, gate) in enumerate(zip(tau.tolist(), _agent_gates(agents, mixing))):
+    for i, (step, gate) in enumerate(zip(tau.tolist(), _agent_gates(agents, mixing, reflect))):
         if not 0.0 < step < gate:
-            raise StepSizeError(f"the step of agent {i} exceeds its own gate: "
+            raise StepSizeError(f"step size exceeds its bound: the step of agent {i} exceeds its own gate: "
                                 f"tau_{i}={step!r} not in (0, {gate!r})")
     return x0, tau
 
@@ -358,9 +340,8 @@ def _step(agents, mixing, state, tau, reflect):
     kernels that do not serve ``agents`` and ``mixing`` are built anew.  A
     run, which fixed all three, calls :func:`_round` itself.
     """
-    tau = _agent_steps(tau, len(agents))
-    same = tau == state.tau if np.ndim(tau) == np.ndim(state.tau) == 0 else np.array_equal(tau, state.tau)
-    if not same:
+    tau = _row_steps(tau, len(agents), "agent")
+    if not np.array_equal(tau, state.tau):
         raise ValueError(f"this run steps with tau={state.tau!r}, not {tau!r}; start a new run")
     kernels = state.kernels
     if kernels is None or state.w is None or not kernels.serves(agents, mixing):
@@ -597,10 +578,10 @@ def product_space_reference(agents, mixing, x0, tau, iterations, premix=False):
     problem = replace(_product_space_problem(agents, mixing, h),
                       resolvent=lambda _, z: rows(z.reshape(n, h)).reshape(-1))
     z0 = x0.reshape(-1)
-    top = float(np.max(tau))
+    top = float(tau.max())
     y0 = (2.0 / top) * (problem.k @ z0) if premix else np.zeros_like(z0)
     state = PdtrState.start(problem, z0, y0)
-    steps = StepSizes(tau if np.ndim(tau) == 0 else np.repeat(tau, h), 1.0 / top)
+    steps = StepSizes(np.repeat(tau, h), 1.0 / top)
     out = []
     for _ in range(iterations):
         state = pdtr_step(problem, state, steps)

@@ -43,15 +43,16 @@ import numpy as np
 from .graphs import BlockMixing
 from .inclusion import (
     AgentInclusion,
+    ForbState,
     StackedIterate,
     _product_space_problem,
     _run_stacked,
     _start,
     _step,
+    forb_step,
     stepsize_bound,
 )
 from .operators import combine_couplings, combine_proxes, product_resolvent, saddle_forward
-from .primal_dual import ForbState, forb_step
 from .trace import _norm
 
 __all__ = [

@@ -88,7 +88,7 @@ class Prox:
         h = len(point)
         kept = self._rows.get(h)
         if kept is None or kept[0] != tau:
-            kept = self._rows[h] = (tau, _prox_rows([self], h, tau))
+            kept = self._rows[h] = (tau, _prox_rows([self], h, np.full(1, tau)))
         return kept[1](point[None])[0]
 
     def __repr__(self):
@@ -540,14 +540,17 @@ def _grouped(keys, build, identity=None):
     return rows
 
 
-def _rows_of(step, idx):
-    """The step of the rows ``idx``: one number for all, or the entries of a per-row array."""
-    return step if np.ndim(step) == 0 else step[idx]
+def _row_steps(tau, n, what="row"):
+    """``tau`` as a frozen ``(n,)`` float array, one step per ``what``: a number is every entry."""
+    steps = np.array(tau, dtype=float)  # a copy: the caller's array cannot change the steps
+    if steps.shape not in ((), (n,)):
+        raise ValueError(f"tau must be a number or have one entry per {what} ({n}), got shape {steps.shape}")
+    return np.broadcast_to(steps, (n,))
 
 
 def _column(step, dims=1):
-    """A per-row step shaped to broadcast over each row's ``dims`` trailing axes; a number as it is."""
-    return step if np.ndim(step) == 0 else step.reshape(-1, *(1,) * dims)
+    """A per-row step (a number broadcasts too) shaped to scale each row's ``dims`` trailing axes."""
+    return np.reshape(step, (-1, *(1,) * dims))
 
 
 def _per_row(members):
@@ -643,9 +646,9 @@ def _clip_rows(proxes, h, t):
 def _prox_rows(proxes, h, tau):
     """``rows(u)`` evaluating ``proxes[i](tau_i, u[i])`` on every row.
 
-    ``tau`` is one positive number for every row or a float array with one
-    entry per row; the kernels are built for it, so a run's step is fixed.
-    Each distinct prox's dims are checked first.
+    ``tau`` is a float array with one positive entry per row; the kernels are
+    built for it, so a run's step is fixed.  Each distinct prox's dims are
+    checked first.
     """
     keys = []
     for prox in {id(p): p for p in proxes}.values():
@@ -657,8 +660,7 @@ def _prox_rows(proxes, h, tau):
             keys.append(("product", prox.params["split"]))
         else:
             keys.append(prox.kind)
-    return _grouped(keys, lambda key, idx: _library_rows(key, [proxes[i] for i in idx], h,
-                                                          _rows_of(tau, idx)),
+    return _grouped(keys, lambda key, idx: _library_rows(key, [proxes[i] for i in idx], h, tau[idx]),
                     identity="zero")
 
 
@@ -677,16 +679,7 @@ def _library_rows(key, proxes, h, t):
         first = _prox_rows([p.params["first"] for p in proxes], split, t)
         second = _prox_rows([p.params["second"] for p in proxes], h - split, t)
         return lambda u: np.concatenate([first(u[:, :split]), second(u[:, split:])], axis=1)
-    steps = np.broadcast_to(t, len(proxes))
-    return _per_row([partial(p, step) for p, step in zip(proxes, steps.tolist())])
-
-
-def _positive_steps(tau):
-    """``tau`` as one float or a tuple of floats, one per row; raises unless every entry is positive."""
-    steps = np.asarray(tau, dtype=float)
-    if not (steps > 0).all():
-        raise ValueError("tau must be positive")
-    return float(steps) if steps.ndim == 0 else tuple(steps.tolist())
+    return _per_row([partial(p, step) for p, step in zip(proxes, t.tolist())])
 
 
 def batched_resolvent(proxes, h):
@@ -708,11 +701,11 @@ def batched_resolvent(proxes, h):
     kept = [None, None]
 
     def fn(tau, u):
-        tau = _positive_steps(tau)
-        if not isinstance(tau, float) and len(tau) != len(proxes):
-            raise ValueError(f"tau must be a number or have one entry per row ({len(proxes)})")
-        if tau != kept[0]:
-            kept[:] = tau, _prox_rows(proxes, h, tau if isinstance(tau, float) else np.array(tau))
+        steps = _row_steps(tau, len(proxes))
+        if not (steps > 0).all():
+            raise ValueError("tau must be positive")
+        if not np.array_equal(steps, kept[0]):
+            kept[:] = steps, _prox_rows(proxes, h, steps)
         return kept[1](u)
 
     return fn
@@ -721,7 +714,7 @@ def batched_resolvent(proxes, h):
 def _affine_rows(forwards, h, scale=1.0):
     """``(scale J, scale F(0))`` of affine maps, stacked: ``(n, h, h)`` and ``(n, h)``.
 
-    ``scale`` is one number or one per map.  Every map must carry a
+    ``scale`` is one number for every map or one per map.  Every map must carry a
     ``jacobian`` and its ``offset`` ``F(0)``, as a :class:`ForwardOperator`
     does.  The offset stack is None when every offset is zero.
     """
@@ -732,30 +725,28 @@ def _affine_rows(forwards, h, scale=1.0):
     if any(o.shape != (h,) for o in offset):
         raise ValueError(f"forward offsets must be ({h},)")
     jac, offset = np.stack(jac), np.stack(offset)
-    if np.ndim(scale) or scale != 1.0:
-        jac *= _column(scale, 2)
-        offset *= _column(scale)
+    jac *= _column(scale, 2)
+    offset *= _column(scale)
     return jac, (offset if offset.any() else None)
 
 
 def batched_forward(forwards, h, scale=1.0):
     """All agents' forward maps at once: ``fn(z)`` has rows ``scale_i * forwards[i](z[i])``.
 
-    ``scale`` is one number for every row or a float array with one entry
-    per row.  A map with a ``jacobian`` is affine by that field's contract
-    and is evaluated as ``(scale J_i) z_i + scale F_i(0)`` with one
+    ``scale`` is one number for every row or one per row, turned into an
+    ``(n,)`` array here.  A map with a ``jacobian`` is affine by that field's
+    contract and is evaluated as ``(scale J_i) z_i + scale F_i(0)`` with one
     ``matmul`` over the stacked Jacobians and offsets (:func:`_affine_rows`);
     the add is skipped when every offset is zero.  Maps without one are
     called once per row.
     """
+    scale = _row_steps(scale, len(forwards))
 
     def build(affine, idx):
-        members, s = [forwards[i] for i in idx], _rows_of(scale, idx)
+        members, s = [forwards[i] for i in idx], scale[idx]
         if not affine:
-            rows = _per_row(members)
-            if np.ndim(s) == 0 and s == 1.0:
-                return rows
-            return lambda z: _column(s) * rows(z)
+            rows, s = _per_row(members), _column(s)
+            return lambda z: s * rows(z)
         jac, offset = _affine_rows(members, h, s)
         if offset is None:
             return lambda z: np.matmul(jac, z[:, :, None])[:, :, 0]

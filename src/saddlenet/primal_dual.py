@@ -69,8 +69,9 @@ class StepSizes:
     """Primal step ``tau`` and dual step ``sigma``.
 
     ``tau`` may be the diagonal of a diagonal primal step ``T`` (an array the
-    primal's length), which the steps apply entry by entry; the admissibility
-    rules below take one number.
+    primal's length), which the steps apply entry by entry.  The admissibility
+    rules gate it by its largest entry: ``2 max tau L + max tau sigma ||K||^2 < 1``
+    is sufficient for the diagonal step.
     """
 
     tau: float | np.ndarray
@@ -81,8 +82,9 @@ class StepSizes:
             raise StepSizeError("step sizes must be positive")
 
     def admissible(self, lipschitz, k_norm):
-        """Strict admissibility ``2 tau L + tau sigma ||K||^2 < 1``."""
-        return 2.0 * self.tau * lipschitz + self.tau * self.sigma * k_norm**2 < 1.0
+        """Strict admissibility ``2 max tau L + max tau sigma ||K||^2 < 1``."""
+        top = float(np.max(self.tau))
+        return 2.0 * top * lipschitz + top * self.sigma * k_norm**2 < 1.0
 
 
 def balanced_step_sizes(lipschitz, k_norm, margin=0.9):
@@ -238,7 +240,7 @@ def _pdtr_gate(problem, steps):
 
 
 def _pdhg_gate(problem, steps):
-    if not steps.tau * steps.sigma * problem.k_norm**2 < 1.0:
+    if not np.max(steps.tau) * steps.sigma * problem.k_norm**2 < 1.0:
         raise StepSizeError("steps violate tau*sigma*||K||^2 < 1")
 
 

@@ -6,6 +6,8 @@ pairs of an ``(n, h, n, h)`` view, where it used to add one full-size
 one-product forms must stay bitwise what the kron sum gave, on layouts with
 one and with two graphs, with an empty y block (``d = 0``), and on
 Laplacian weights, whose negative entries make ``-0.0`` kron products.
+The one-product forms hold the per-agent exchange ``I + C (W - I)``, which
+at one ``tau`` is ``c = 1``.
 """
 
 import numpy as np
@@ -90,13 +92,15 @@ def test_the_one_product_forms_are_bitwise_the_kron_construction(name, n, p, d, 
     agents, h, tau = stack_agents(problems), p + d, 0.05
     mixing = stacked_block_mixing(BlockMixing(w1, w2), problems)
     layout = mixing_blocks(mixing, h)
-    kernels = inclusion._kernels(agents, mixing, h, tau)
+    steps = np.full(n, tau)
+    kernels = inclusion._kernels(agents, mixing, h, steps)
     assert isinstance(kernels, inclusion._OneProduct)
-    mix = kron_sum(layout, n, h, lambda w: w)
+    # the per-agent construction at c = tau_i / max tau = 1: I + 1.0 (W - I), and half of 1.0 (W - I)
+    lazy = np.ones((n * h, 1)) * (kron_sum(layout, n, h, lambda w: w) - np.eye(n * h))
     forms = np.zeros((3, n * h, n * h))
-    forms[0] = mix
-    forms[1] = 0.5 * (mix - np.eye(n * h))
-    jac, _ = _affine_rows([a.forward for a in agents], h, tau)
+    forms[0] = np.eye(n * h) + lazy
+    forms[1] = 0.5 * lazy
+    jac, _ = _affine_rows([a.forward for a in agents], h, steps)
     forms[2].reshape(n, h, n, h)[np.arange(n), :, np.arange(n), :] = jac
     assert kernels.forms.tobytes() == forms.reshape(3 * n * h, n * h).tobytes()
 

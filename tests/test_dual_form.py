@@ -127,7 +127,7 @@ def test_a_step_with_another_tau_raises():
     mixing = metropolis_mixing(ring_graph(n))
     tau = step_size(mixing, agents, 0.5)
     state = inclusion_init(agents, mixing, np.zeros((n, h)), tau)
-    assert state.tau == tau
+    assert np.array_equal(state.tau, np.full(n, tau))
     with pytest.raises(ValueError, match="tau"):
         inclusion_step(agents, mixing, state, 0.5 * tau)
 

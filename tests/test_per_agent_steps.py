@@ -3,8 +3,8 @@
 With an ``(n,)`` ``tau`` agent ``i`` scales its exchange by ``c_i = tau_i / max tau``.
 That recursion is pdtr on the product space with ``T = diag(tau_i) (x) I_h`` and
 ``sigma = 1 / max tau`` (:func:`~saddlenet.inclusion.product_space_reference`), on the
-one-product and on the structured kernels alike.  One ``tau``, or an ``(n,)`` ``tau``
-of equal entries, runs the one-step arithmetic bitwise.  Through the config,
+one-product and on the structured kernels alike.  A run turns one ``tau`` into the
+``(n,)`` array of equal entries, so the two make the same run bitwise.  Through the config,
 ``tau = auto`` gives alg1 and alg2 each agent's own step.
 """
 
@@ -156,7 +156,8 @@ def test_an_equal_per_agent_tau_is_the_one_tau_run_bitwise(path):
         one, one_trace = run(agents, mixing, x0, tau, stop, reference=x0[0])
         each, each_trace = run(agents, mixing, x0, np.full(n, tau), stop, reference=x0[0])
         assert_path(each, path)
-        assert each.tau == tau and one.x.tobytes() == each.x.tobytes()
+        assert np.array_equal(each.tau, one.tau) and np.array_equal(one.tau, np.full(n, tau))
+        assert one.x.tobytes() == each.x.tobytes()
         same_trace(one_trace, each_trace)
     problems = random_saddle_problems(n, 2, 1, seed=34)
     tau = 0.9 * min(_agent_gates(stack_agents(problems), stacked_block_mixing(BlockMixing(mixing, mixing),
@@ -189,6 +190,39 @@ def test_the_gate_names_the_agent_whose_step_exceeds_its_own_gate():
         inclusion_init(agents, mixing, x0, -below)
     with pytest.raises(ValueError, match="one entry per agent"):
         inclusion_init(agents, mixing, x0, below[:-1])
+
+
+def test_one_tau_is_gated_at_the_largest_lipschitz_constant_and_names_its_agent():
+    # one tau is every agent's step, checked against every agent's own gate: just above the
+    # least gate (at max L_i) only the agent with the largest L_i fails, and the message names it
+    n, h, p, d = 5, 2, 2, 1
+    rng = np.random.default_rng(39)
+    mixing = metropolis_mixing(path_graph(n))
+    agents = random_inclusion_agents(n, h, seed=39)
+    x0 = rng.standard_normal((n, h))
+    problems = random_saddle_problems(n, p, d, seed=39)
+    pair = BlockMixing(mixing, lazy_metropolis_mixing(ring_graph(n)))
+    stacked = stack_agents(problems)
+    mx, my = rng.standard_normal((n, p)), rng.standard_normal((n, d))
+    cases = [  # (the agents the gate reads, their mixing, reflect, start at one tau)
+        (agents, mixing, True, lambda t: inclusion_init(agents, mixing, x0, t)),
+        (agents, mixing, False, lambda t: pg_extra_init(agents, mixing, x0, t)),
+        (stacked, stacked_block_mixing(pair, problems), True, lambda t: minmax_init(problems, pair, mx, my, t)),
+        (agents, mixing, True, lambda t: product_space_reference(agents, mixing, x0, t, 2)),
+        (agents, mixing, True, lambda t: run_synchronous(InclusionProgram(agents, mixing, x0, t), 2)),
+        (stacked, stacked_block_mixing(pair, problems), True,
+         lambda t: run_synchronous(MinMaxProgram(problems, pair, mx, my, t), 2)),
+    ]
+    for gated, on, reflect, start in cases:
+        lips = [a.lipschitz for a in gated]
+        top = int(np.argmax(lips))
+        assert lips.count(lips[top]) == 1
+        gate = min(_agent_gates(gated, on, reflect))
+        assert gate == _agent_gates(gated, on, reflect)[top]
+        assert start(float(np.nextafter(gate, 0.0))) is not None
+        with pytest.raises(StepSizeError, match=rf"step size exceeds its bound: the step of agent {top} "
+                                                rf"exceeds its own gate: tau_{top}="):
+            start(float(np.nextafter(gate, np.inf)))
 
 
 def test_pg_extra_steps_at_one_tau():

@@ -248,6 +248,29 @@ def test_pdtr_rejects_inadmissible_steps():
         pdtr_run(problem, (np.zeros(1), np.zeros(1)), StepSizes(0.5, 1.0))
 
 
+def test_pdtr_and_pdhg_gate_a_diagonal_step_by_its_largest_entry():
+    # 2 max tau L + max tau sigma ||K||^2 < 1 suffices for T = diag(tau); the identity
+    # resolvent takes a diagonal step
+    rng = np.random.default_rng(7)
+    skew = rng.standard_normal((3, 3))
+    skew = (skew - skew.T) / np.linalg.norm(skew - skew.T, 2)
+    problem = PrimalDualProblem(resolvent=lambda t, z: z, forward=linear_forward(skew, 1.0),
+                                dual_resolvent=zero_prox(), k=np.eye(3), k_norm=1.0)
+    x0, y0 = rng.standard_normal(3), rng.standard_normal(3)
+    tau, one = np.array([0.1, 0.2, 0.3]), StoppingRule(tol=0.0, max_iters=1)
+    state, trace = pdtr_run(problem, (x0, y0), StepSizes(tau, 1.0), one)
+    assert trace.iterations == 1
+    assert_allclose(state.x, x0 - tau * (y0 + skew @ x0), rtol=0, atol=1e-15)
+    state, trace = pdhg_run(problem, (x0, y0), StepSizes(tau, 1.0), one)
+    assert trace.iterations == 1
+    assert_allclose(state.x, x0 - tau * y0, rtol=0, atol=1e-15)
+    # only the largest entry breaks each bound: 2 * 0.4 + 0.4 >= 1 and 0.3 * 4 >= 1
+    with pytest.raises(StepSizeError):
+        pdtr_run(problem, (x0, y0), StepSizes(np.array([0.1, 0.2, 0.4]), 1.0), one)
+    with pytest.raises(StepSizeError):
+        pdhg_run(problem, (x0, y0), StepSizes(tau, 4.0), one)
+
+
 def test_pdhg_gate():
     problem = identity_problem(np.array([[2.0]]), linear_forward(np.zeros((1, 1)), 0.0))
     with pytest.raises(StepSizeError):
