@@ -173,7 +173,6 @@ class _Setup:
         tau, self.sigma = resolve_steps(cfg, self.mixing, self.lip)
         self.agent_tau = tuple(np.broadcast_to(tau, len(self.problems)).tolist())
         self.tau = min(self.agent_tau)
-        self.sigma_auto = cfg.algorithm.sigma == "auto"
         self.safety = cfg.algorithm.safety if cfg.algorithm.tau == "auto" else None
         self.stop = StoppingRule(tol=cfg.run.tol, max_iters=cfg.run.max_iters)
         self.z0 = np.concatenate(build_start(cfg), axis=1)
@@ -198,24 +197,22 @@ class _Setup:
         """``name``'s ``tau``, ``sigma`` and gate (None: no gate), for every command.
 
         alg1 and alg2 step per agent: ``tau`` and the gate are each agent's
-        (:func:`_one_or_each`), ``tau = auto`` being :attr:`agent_tau`, and
-        ``sigma = auto`` is ``1 / max tau_i``.  pg_extra and forb take one
-        ``tau``, at ``tau = auto`` ``safety`` times their own finite gate;
-        pdtr, pdhg and condat_vu take the shared :attr:`tau`.  Every other
-        ``sigma`` is :attr:`sigma`.
+        (:func:`_one_or_each`), ``tau = auto`` being :attr:`agent_tau`.  pg_extra
+        and forb take one ``tau``, at ``tau = auto`` ``safety`` times their own
+        finite gate.  These four run with ``sigma = 1 / max tau``, whatever
+        the config sets.  pdtr, pdhg and condat_vu take the shared :attr:`tau`
+        and :attr:`sigma`.
         """
         kind, reflect = _METHODS[name]
-        if kind == "stacked" and reflect:
-            sigma = 1.0 / max(self.agent_tau) if self.sigma_auto else self.sigma
-            return (_one_or_each(self.agent_tau), sigma,
-                    _one_or_each(_agent_gates(self.agents, self.block_mixing)))
         if reflect is None:
             return self.tau, self.sigma, None
+        if kind == "stacked" and reflect:
+            return (_one_or_each(self.agent_tau), 1.0 / max(self.agent_tau),
+                    _one_or_each(_agent_gates(self.agents, self.block_mixing)))
         on = (_ONE_VERTEX, self.central.lipschitz) if kind == "forb" else (self.block_mixing, max(self.lip))
         gate = _step_gate(*on, reflect)
-        if self.safety is None or gate == np.inf:
-            return self.tau, self.sigma, gate
-        return _step_gate(*on, reflect, self.safety), self.sigma, gate
+        tau = self.tau if self.safety is None or gate == np.inf else _step_gate(*on, reflect, self.safety)
+        return tau, 1.0 / tau, gate
 
 
 def _round_mixing(name, setup):

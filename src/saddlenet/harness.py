@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import mixing_blocks
-from .inclusion import StackedIterate, _check_setup, _round
+from .inclusion import StackedIterate, _check_setup, _exchange, _round
 from .minmax import _stacked_setup
-from .operators import _prox_rows
+from .operators import _prox_rows, batched_forward
 
 __all__ = [
     "InclusionProgram",
@@ -197,22 +197,19 @@ _KEYS = {"u": "u", "x": "z", "g": "g", "b": "b", "e": "e"}
 
 
 class _AgentOps:
-    """One agent's own resolvent and forward map on its row of length ``h``, at its step ``tau``
+    """One agent's own resolvent and ``tau B`` on its row of length ``h``, at its step ``tau``
     (the agent's ``(1,)`` slice of the run's steps).
 
-    The resolvent is the agent's row of the stacked kernel, bitwise its own
-    ``resolvent(tau, row)``.  The exchange of a new row arrives only in the
-    next round's inboxes, so :meth:`images` leaves it out.
+    Both are the agent's row of the stacked kernels (``_prox_rows`` and
+    ``batched_forward`` of the one agent).  The exchange of a new row arrives
+    only in the next round's inboxes, so :meth:`images` leaves it out.
     """
 
     def __init__(self, agent, tau, h):
         rows = _prox_rows([agent.resolvent], h, tau)
+        forward = batched_forward([agent.forward], h, scale=tau)
         self.resolvent = lambda u: rows(u[None])[0]
-        self._forward = agent.forward
-        self._tau = tau[0]
-
-    def images(self, x):
-        return None, None, self._tau * self._forward(x)
+        self.images = lambda x: (None, None, forward(x[None])[0])
 
 
 class _RecursionProgram:
@@ -222,12 +219,12 @@ class _RecursionProgram:
     publishes the agent's columns of that block on its own graph once per
     round.  Every round, the agent forms the neighbourhood average
     ``(W x)_i`` from the delivered values, its ``half = c_i ((W x)_i - x) / 2``
-    and ``w = x + 2 half`` (``(W x)_i`` up to rounding at equal steps), then
-    runs the stacked solvers' round on its row with its own resolvent and
-    forward map at its own step ``tau_i``.  Without premixing, round 1 first
-    completes the start's dual sum ``g = x^0 - w`` from that exchange: the
-    agent learns it in the first exchange.  ``c_i = tau_i / max tau`` is
-    fixed before the run, as ``tau`` is.
+    and ``w = x + 2 half`` with :func:`~saddlenet.inclusion._exchange` (``(W x)_i``
+    up to rounding at equal steps), then runs the stacked solvers' round on
+    its row with its own resolvent and forward map at its own step ``tau_i``.
+    Without premixing, round 1 first completes the start's dual sum
+    ``g = x^0 - w`` from that exchange: the agent learns it in the first
+    exchange.  ``c_i = tau_i / max tau`` is fixed before the run, as ``tau`` is.
     """
 
     def __init__(self, agents, mixing, x0, tau, premix, reflect):
@@ -260,8 +257,7 @@ class _RecursionProgram:
         mix = np.concatenate([_local_mix(i, weights[i], state[name], inboxes[name])
                               for name, weights, _ in self._layout])
         z = state["z"]
-        half = (mix - z) * self._lazy[i]
-        w = z + (half + half)
+        w, half = _exchange(z, mix, self._lazy[i])
         row = StackedIterate(**{f: state[k] for f, k in _KEYS.items()}, tau=self.tau, w=w, half=half)
         if round_index == 1 and not self.premix:
             row.g = row.x - w

@@ -43,11 +43,12 @@ over the agents, because ``1' (W - I) = 0``.
 The same recursion with the plain gradient, ``e = g - b``, for a smooth
 ``B_i = grad h_i`` is the PG-EXTRA baseline, ``0 < tau < (1 + lambda_min(W)) / L``
 at one ``tau`` (its per-agent gate is not derived); one round, :func:`_round`,
-runs both, and the reflection is all that differs.  The stacked kernels form the images with ``mixing.apply`` and the
-batched forward; on a small stack whose forwards are all affine and whose
-blocks mix over dense matrices, they are one matrix product
-(:class:`_OneProduct`).  The harness's agents run the same round on their
-own rows, with the exchange they receive.
+runs both, and the reflection is all that differs.  One function,
+:func:`_exchange`, forms ``w`` and ``half`` from ``W x`` everywhere: the
+stacked kernels from ``mixing.apply``, with ``b`` from the batched forward;
+the one-product kernel (:class:`_OneProduct`: a small stack of affine
+forwards on dense mixing) once per run, on the unit rows; the harness's
+agents from the average they receive, with their row of the batched forward.
 :func:`product_space_reference` runs the underlying primal-dual iteration
 (``pdtr`` with the explicit square-root coupling matrix and the diagonal
 step); it exists to check that the communication-friendly recursion above is
@@ -180,13 +181,27 @@ class StackedIterate:
 _ONE_PRODUCT_MAX_NH = 80
 
 
+def _exchange(x, wx, c_half):
+    """``w`` and ``half = c (W x - x) / 2`` of the rows ``x`` from ``wx = W x``, ``c_half`` holding
+    ``c / 2``, ``c_i = tau_i / max tau``: ``w = x + 2 half``, the per-agent lazy mixing ``I - C (I - W)``
+    of NIDS.  At equal steps ``c_half`` is None: ``w = W x`` as the mixing formed it.  Every exchange
+    of the package is formed here (the harness's agents pass one row and ``c_half`` a number)."""
+    half = wx - x
+    if c_half is None:
+        half *= 0.5
+        return wx, half
+    half *= c_half
+    w = half + half
+    w += x
+    return w, half
+
+
 class _Kernels:
     """Row-batched resolvent and ``tau B`` of the agent list ``source``, on ``mixing``, at the steps ``tau``.
 
-    :meth:`images` forms the exchange of a new iterate with ``mixing.apply``
-    and its ``b`` with the batched forward.  Each row's exchange is scaled by
-    ``c_i = tau_i / max tau`` (``lazy`` holds ``c / 2``); when all steps are
-    equal, ``c = 1`` and ``lazy`` is None: ``w = W x`` as ``apply`` formed it.
+    :meth:`images` forms the exchange of a new iterate (:func:`_exchange`,
+    ``lazy`` holding ``c / 2``, None at equal steps) from ``mixing.apply``, and
+    its ``b`` with the batched forward.
     """
 
     def __init__(self, agents, mixing, h, tau, layout):
@@ -201,17 +216,8 @@ class _Kernels:
             mixing is self.mixing or mixing_blocks(mixing, self.h) == self.layout)
 
     def images(self, x):
-        """``w``, ``half = c (W x - x) / 2`` and ``b = tau B(x)`` of the rows ``x``; ``w = W x`` at equal
-        steps, else ``x + 2 half``."""
-        w = self.mixing.apply(x)
-        half = w - x
-        if self.lazy is None:
-            half *= 0.5
-            return w, half, self.forward(x)
-        half *= self.lazy
-        w = half + half
-        w += x
-        return w, half, self.forward(x)
+        """``w``, ``half`` and ``b = tau B(x)`` of the rows ``x``."""
+        return (*_exchange(x, self.mixing.apply(x), self.lazy), self.forward(x))
 
 
 class _OneProduct(_Kernels):
@@ -219,24 +225,23 @@ class _OneProduct(_Kernels):
     blocks mix over dense matrices.
 
     One ``(3 n h, n h)`` matrix, built once per run, maps the flattened rows
-    of a new iterate to ``W x``, ``(W x - x) / 2`` and ``tau J x`` at once
-    (``J`` the block-diagonal Jacobian of the forwards), so a round's whole
-    linear part is one matrix-vector product; ``b`` adds the forwards'
-    ``tau F(0)`` when one is nonzero.  The steps fold in: row ``i`` of the
-    exchange is ``I + c_i (W - I)``, ``c_i = tau_i / max tau`` (``W`` up to
-    rounding at equal steps), and of ``J`` ``tau_i J_i``.
+    of a new iterate to ``w``, ``half`` and ``tau J x`` at once (``J`` the
+    block-diagonal Jacobian of the forwards), so a round's whole linear part
+    is one matrix-vector product; ``b`` adds the forwards' ``tau F(0)`` when
+    one is nonzero.  Column ``k`` of the two exchange blocks is the stacked
+    :func:`_exchange` of the ``k``-th unit row array, so they are ``W`` as
+    ``apply`` forms it at equal steps and ``I + C (W - I)`` else; the rows of
+    ``J`` are ``tau_i J_i`` (:func:`~saddlenet.operators._affine_rows`).
     """
 
     def __init__(self, agents, mixing, h, tau, layout):
+        super().__init__(agents, mixing, h, tau, layout)
         n = len(agents)
-        self.source, self.mixing, self.layout, self.h = agents, mixing, layout, h
-        self.resolvent = _prox_rows([a.resolvent for a in agents], h, tau)
         jac, self.offset = _affine_rows([a.forward for a in agents], h, tau)
-        mix = _block_kron(layout, n, h, lambda w: w)
         forms = np.zeros((3, n * h, n * h))
-        lazy = np.repeat(tau / tau.max(), h)[:, None] * (mix - np.eye(n * h))
-        forms[0] = np.eye(n * h) + lazy
-        forms[1] = 0.5 * lazy
+        for k, unit in enumerate(np.eye(n * h).reshape(n * h, n, h)):
+            w, half = _exchange(unit, mixing.apply(unit), self.lazy)
+            forms[0, :, k], forms[1, :, k] = w.ravel(), half.ravel()
         forms[2].reshape(n, h, n, h)[np.arange(n), :, np.arange(n), :] = jac
         self.forms = forms.reshape(3 * n * h, n * h)
         self.shape = (3, n, h)
@@ -247,10 +252,10 @@ class _OneProduct(_Kernels):
 
 
 def _block_kron(layout, n, h, f):
-    """The sum of ``kron(f(w), diag(mask))`` over a ``mixing_blocks`` layout, ``mask`` a block's columns.
+    """The product-space coupling: ``kron(f(w), diag(mask))`` summed over a ``mixing_blocks`` layout.
 
     Each block adds ``f(w)`` to the ``(i, c, j, c)`` entries of an ``(n, h, n, h)``
-    view, ``c`` one of its columns, with no ``(n h, n h)`` temporary; the sum
+    view, ``c`` one of its columns (``mask``), with no ``(n h, n h)`` temporary; the sum
     is the kron sum bitwise (adding to zeros turns a ``-0.0`` into ``0.0``).
     """
     out = np.zeros((n, h, n, h))
@@ -370,12 +375,11 @@ def inclusion_step(agents, mixing, state, tau):
 
 
 def consensus_gap(x):
-    """Largest distance from an agent's row to the row average."""
+    """Largest distance from an agent's row to the row average: the trace's own column."""
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         return 0.0
-    dev = x - x.mean(axis=0)
-    return float(np.linalg.norm(dev, axis=1).max(initial=0.0))
+    return float(_stacked_columns(None)([x])["consensus_gap_x"][0])
 
 
 def _stacked_columns(reference, split=None):
@@ -389,8 +393,8 @@ def _stacked_columns(reference, split=None):
     the row means and the squared deviations; each block's gap is the square
     root of its largest row sum.
     Every reduction runs along the same axis, in the same order, as on one
-    array, so each column is bitwise :func:`consensus_gap` of the block and
-    ``np.linalg.norm`` of the mean's distance to ``reference``.
+    array, so each gap is bitwise the largest ``np.linalg.norm`` of a row's distance to
+    the row average, and the distance is ``np.linalg.norm`` of the mean's to ``reference``.
     """
     blocks = ({"consensus_gap_x": slice(None)} if split is None else
               {"consensus_gap_x": slice(None, split), "consensus_gap_y": slice(split, None)})

@@ -43,12 +43,14 @@ import numpy as np
 from .graphs import BlockMixing
 from .inclusion import (
     AgentInclusion,
+    _ONE_VERTEX,
     ForbState,
     StackedIterate,
     _product_space_problem,
     _run_stacked,
     _start,
     _step,
+    _step_gate,
     forb_step,
     stepsize_bound,
 )
@@ -262,12 +264,12 @@ def sum_saddle_problem(problems):
 def saddle_residual(problems, x, y):
     """Norm of one forb step at ``(x, y)``: the round of one agent on the summed problem.
 
-    The step is ``0.25 / L`` for the summed problem's ``L``.  Zero exactly at
-    saddle points of the summed problem; used as a solution certificate for
-    the output of every method.
+    The step is half of forb's gate, ``0.25 / L`` for the summed problem's ``L``.
+    Zero exactly at saddle points of the summed problem; used as a solution
+    certificate for the output of every method.
     """
     central = stack_agents([sum_saddle_problem(problems)])[0]
-    tau = 0.25 / max(central.lipschitz, 1e-12)
+    tau = _step_gate(_ONE_VERTEX, max(central.lipschitz, 1e-12), True, 0.5)
     z = np.concatenate([np.asarray(x, dtype=float), np.asarray(y, dtype=float)])
     new = forb_step(central.resolvent, central.forward, ForbState.start(central.forward, z), tau)
     return _norm(new.x - z)

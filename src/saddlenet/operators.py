@@ -65,8 +65,8 @@ class Prox:
     ``kind``/``params`` identify library members so that sums of identical
     families can be formed for centralized reference runs.  ``dim`` is the
     expected input length when the map is dimension-specific, else None.
-    A library kind runs as one row of its batched kernel, kept per point
-    length for the last ``tau`` seen; any other kind calls ``fn(tau, point)``.
+    ``tau`` is one number.  A library kind runs as one row of :func:`batched_resolvent`,
+    kept per point length; any other kind calls ``fn(tau, point)`` with a positive float.
     """
 
     def __init__(self, fn=None, kind="custom", params=None, dim=None):
@@ -77,29 +77,24 @@ class Prox:
         self._rows = {}
 
     def __call__(self, tau, point):
-        tau = _positive_step(tau)
         point = np.asarray(point, dtype=float)
         if self.kind not in _LIBRARY_KINDS:
+            if np.ndim(tau):
+                raise ValueError(f"tau must be one number, got shape {np.shape(tau)}")
+            if not tau > 0:  # NaN included
+                raise ValueError("tau must be positive")
             if self.dim is not None and point.shape != (self.dim,):
                 raise ValueError(f"{self.kind} prox expects shape ({self.dim},), got {point.shape}")
-            return self._fn(tau, point)
+            return self._fn(float(tau), point)
         if point.ndim != 1:
             raise ValueError(f"{self.kind} prox expects a 1-D point, got shape {point.shape}")
-        h = len(point)
-        kept = self._rows.get(h)
-        if kept is None or kept[0] != tau:
-            kept = self._rows[h] = (tau, _prox_rows([self], h, np.full(1, tau)))
-        return kept[1](point[None])[0]
+        rows = self._rows.get(len(point))
+        if rows is None:
+            rows = self._rows[len(point)] = batched_resolvent([self], len(point))
+        return rows(tau, point[None])[0]
 
     def __repr__(self):
         return f"Prox(kind={self.kind!r}, params={self.params!r})"
-
-
-def _positive_step(tau):
-    """``tau`` as a float; raises unless it is positive (NaN included)."""
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    return float(tau)
 
 
 def zero_prox():

@@ -303,10 +303,10 @@ def __getattr__(name):
 # ---------------------------------------------------------------------------
 
 class MMetric:
-    """The block metric ``[[I/tau, -K'], [-K, I/sigma]]`` used by the analysis.
+    """The block metric ``[[T^{-1}, -K'], [-K, I/sigma]]`` used by the analysis, ``T = diag(tau)``.
 
-    Positive definite exactly when ``tau sigma ||K||^2 < 1``; construction
-    fails otherwise.  Vectors are ``(x, y)`` pairs.  ``k_norm`` defaults to
+    Positive definite when ``max tau sigma ||K||^2 < 1`` (exactly when for one ``tau``);
+    construction fails otherwise.  Vectors are ``(x, y)`` pairs.  ``k_norm`` defaults to
     the exact norm of ``k`` from an SVD.
     """
 
@@ -314,7 +314,7 @@ class MMetric:
         k = np.atleast_2d(np.asarray(k, dtype=float))
         if k_norm is None:
             k_norm = estimate_operator_norm(k)
-        if not steps.tau * steps.sigma * k_norm**2 < 1.0:
+        if not np.max(steps.tau) * steps.sigma * k_norm**2 < 1.0:
             raise StepSizeError("metric is not positive definite: tau*sigma*||K||^2 >= 1")
         self.steps = steps
         self.k = k
@@ -342,11 +342,13 @@ def m_metric(steps, k, k_norm=None):
 
 
 def metric_lipschitz_bound(steps, lipschitz, k_norm):
-    """Lipschitz constant of the metric-scaled forward map: ``tau L / (1 - tau sigma ||K||^2)``."""
-    denom = 1.0 - steps.tau * steps.sigma * k_norm**2
+    """Lipschitz constant of the metric-scaled forward map: ``tau L / (1 - tau sigma ||K||^2)``
+    at ``tau = max tau``, which bounds a diagonal step too (its metric dominates that one's)."""
+    tau = float(np.max(steps.tau))
+    denom = 1.0 - tau * steps.sigma * k_norm**2
     if denom <= 0:
         raise StepSizeError("bound undefined: tau*sigma*||K||^2 >= 1")
-    return steps.tau * lipschitz / denom
+    return tau * lipschitz / denom
 
 
 def metric_lipschitz_ratio(problem, steps, samples=10000, seed=0):

@@ -170,6 +170,21 @@ def test_an_explicit_tau_reports_its_share_of_the_gate(tmp_path, name):
     assert _gate_lines(summary) == [f"step gate = {gate!r}", f"tau / gate = {_largest_share(0.01, gate)!r}"]
 
 
+@pytest.mark.parametrize("name, text, sigma", [
+    ("alg2", _edit(README, "name = alg2", "name = alg2\nsigma = 5.0"), 4.4785),
+    ("forb", README, 7.3396),
+    ("pg_extra", MINIMIZATION, 2.4941),
+], ids=["alg2-sigma-5", "forb", "pg_extra-minimization"])
+def test_the_summary_prints_the_sigma_each_method_runs_with(tmp_path, name, text, sigma):
+    # alg1, alg2, pg_extra and forb run at sigma = 1 / max tau, whatever the config sets: alg2
+    # printed the configured 5.0, and forb and pg_extra 1 / min tau_i of alg2's steps (8.3556
+    # and 9.9764)
+    summary = _summary(tmp_path, _edit(text, "max_iters = 100000", "max_iters = 10"), name)
+    tau = ast.literal_eval(summary[2].removeprefix("tau = "))
+    assert summary[3] == f"sigma = {1.0 / max(np.atleast_1d(tau).tolist())!r}"
+    assert float(summary[3].removeprefix("sigma = ")) == pytest.approx(sigma, abs=1e-4)
+
+
 @pytest.mark.parametrize("name, text", [("pdtr", SMALL), ("condat_vu", SMALL),
                                         ("pdhg", _edit(SMALL, "coupling = quadratic", "coupling = zero"))])
 def test_the_centralized_primal_dual_summaries_name_no_gate(tmp_path, name, text):

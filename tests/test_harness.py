@@ -8,6 +8,7 @@ from saddlenet.harness import (
     MinMaxProgram,
     NonNeighborReadError,
     PgExtraProgram,
+    _states_equal,
     run_synchronous,
     sequential_equivalence,
 )
@@ -158,6 +159,42 @@ def test_sequential_equivalence_for_all_programs():
                             rng.standard_normal((5, 2)),
                             0.5 * stepsize_bound_pair(mixing2, lip))
     assert sequential_equivalence(program, 8)
+
+
+class OrderProgram:
+    """Agents on a path that add their neighbours' values; records the compute order."""
+
+    def __init__(self, n):
+        self.n = n
+        self.blocks = {"x": path_graph(n)}
+        self.order = []
+
+    def initial_state(self, i):
+        return {"x": np.array([float(i + 1)])}
+
+    def outgoing(self, i, state):
+        return {"x": state["x"]}
+
+    def compute(self, i, state, inboxes, round_index):
+        self.order.append(i)
+        return {"x": state["x"] + sum(inboxes["x"][j] for j in inboxes["x"].sources())}
+
+
+def test_sequential_equivalence_draws_a_schedule_other_than_the_identity():
+    # seed 0's first permutation of two agents is the identity, so another one is drawn
+    assert np.random.default_rng(0).permutation(2).tolist() == [0, 1]
+    program = OrderProgram(2)
+    assert sequential_equivalence(program, 1, seed=0)
+    assert program.order == [0, 1, 1, 0]
+    # one agent has only the identity schedule
+    single = OrderProgram(1)
+    assert sequential_equivalence(single, 2)
+    assert single.order == [0, 0, 0, 0]
+
+
+def test_states_with_other_keys_are_not_equal():
+    assert not _states_equal({"x": np.zeros(1)}, {"y": np.zeros(1)})
+    assert _states_equal({"x": np.zeros(1)}, {"x": np.zeros(1)})
 
 
 def test_order_must_be_a_permutation():

@@ -67,6 +67,8 @@ def test_block_mixing_apply_is_columnwise():
 def test_block_mixing_apply_needs_split():
     with pytest.raises(ValueError):
         pair_mixing(3).apply(np.ones((3, 2)))
+    with pytest.raises(ValueError, match="split must be set to lay out a block mixing"):
+        mixing_blocks(pair_mixing(3), 2)
 
 
 @pytest.mark.parametrize("split", [-1, 1.5, "2", True])

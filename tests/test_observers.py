@@ -3,7 +3,8 @@
 The run loop holds the states of consecutive rounds and observes them in
 chunks; one observer pass forms the row means and the squared deviations of
 a whole chunk.  Each column it reports must equal, bit for bit, what the
-public references compute on the same rows: :func:`consensus_gap` per block,
+numpy references compute on the same rows: the largest ``np.linalg.norm`` of a
+row's distance to the row average per block (what :func:`consensus_gap` returns),
 ``np.linalg.norm`` of the mean's distance to the reference, and the norm of
 the step of the rows and of the dual sum for the residual.  However the
 rounds fall into chunks, every recorded row is observed once, in order, and
@@ -53,13 +54,18 @@ def chunk_rows(x_nbytes):
     return min(CHUNK_ROWS, -(-CHUNK_BYTES // x_nbytes))
 
 
+def row_norm_gap(x):
+    """The largest ``np.linalg.norm`` of a row's distance to the row average."""
+    return float(np.linalg.norm(x - x.mean(axis=0), axis=1).max(initial=0.0)) if x.size else 0.0
+
+
 def reference_columns(x, reference, split):
-    """The trace columns from the public references, one call per block."""
+    """The trace columns from the numpy references, one call per block."""
     if split is None:
-        out = {"consensus_gap_x": consensus_gap(x)}
+        out = {"consensus_gap_x": row_norm_gap(x)}
     else:
-        out = {"consensus_gap_x": consensus_gap(x[:, :split]),
-               "consensus_gap_y": consensus_gap(x[:, split:])}
+        out = {"consensus_gap_x": row_norm_gap(x[:, :split]),
+               "consensus_gap_y": row_norm_gap(x[:, split:])}
     if reference is not None:
         out["distance_to_reference"] = float(np.linalg.norm(x.mean(axis=0) - reference))
     return out
@@ -91,6 +97,7 @@ def test_stacked_columns_are_bitwise_the_references(n, p, d, blocked, with_refer
         for k, x in enumerate(xs):
             assert_bitwise({name: column[k] for name, column in got.items()},
                            reference_columns(x, reference, split))
+            assert_bitwise({"gap": consensus_gap(x)}, {"gap": row_norm_gap(x)})
 
 
 def manual_rows(init, step, stacked_of, count):

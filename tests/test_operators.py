@@ -4,6 +4,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from saddlenet.instances import random_monotone_matrix
 from saddlenet.operators import (
+    ForwardOperator,
+    Prox,
+    _affine_rows,
     bilinear_coupling,
     box_prox,
     combine_couplings,
@@ -99,6 +102,24 @@ def test_prox_dim_mismatch():
     prox = quadratic_prox(np.eye(3))
     with pytest.raises(ValueError):
         prox(1.0, np.array([1.0, 2.0]))
+    custom = Prox(lambda t, z: z, kind="custom", dim=3)
+    with pytest.raises(ValueError, match=r"custom prox expects shape \(3,\), got \(2,\)"):
+        custom(1.0, np.array([1.0, 2.0]))
+
+
+def test_a_prox_takes_one_step_and_names_the_shape_of_another():
+    # a library prox is one row of its batched kernel, a custom one calls its own fn with a float
+    for prox in (l1_prox(0.1), Prox(lambda t, z: z / (1.0 + t))):
+        with pytest.raises(ValueError, match=r"tau must be .*shape \(3,\)"):
+            prox(np.array([0.1, 0.2, 0.3]), np.ones(3))
+        with pytest.raises(ValueError, match="tau must be positive"):
+            prox(float("nan"), np.ones(3))
+    assert Prox(lambda t, z: z * t)(np.float64(0.5), np.ones(2)).tolist() == [0.5, 0.5]
+
+
+def test_prox_repr_names_kind_and_params():
+    assert repr(l1_prox(0.3)) == "Prox(kind='l1', params={'weight': 0.3})"
+    assert repr(zero_prox()) == "Prox(kind='zero', params={})"
 
 
 def test_make_prox_dispatch():
@@ -185,6 +206,13 @@ def test_operator_norm_is_the_top_singular_value_on_a_corpus():
 # ---------------------------------------------------------------------------
 # forward operators and couplings
 # ---------------------------------------------------------------------------
+
+def test_affine_rows_check_the_jacobian_and_offset_shapes():
+    with pytest.raises(ValueError, match=r"forward jacobians must be \(3, 3\)"):
+        _affine_rows([linear_forward(np.eye(3)), linear_forward(np.eye(2))], 3)
+    with pytest.raises(ValueError, match=r"forward offsets must be \(3,\)"):
+        _affine_rows([ForwardOperator(None, 1.0, np.eye(3), np.zeros(2))], 3)
+
 
 def test_linear_forward_evaluates_and_declares_norm():
     m = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -311,6 +339,9 @@ def test_combine_quadratics_add():
 def test_combine_mixed_kinds_rejected():
     with pytest.raises(ValueError):
         combine_proxes([l1_prox(1.0), box_prox(0.0, 1.0)])
+    product = product_resolvent(l1_prox(1.0), zero_prox(), split=1)
+    with pytest.raises(ValueError, match="prox kind 'product' has no summation rule"):
+        combine_proxes([product, product])
 
 
 def test_combine_bilinear_couplings():

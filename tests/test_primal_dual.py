@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from saddlenet.operators import (
+    ForwardOperator,
     bilinear_coupling,
     box_prox,
     l1_prox,
@@ -271,6 +273,15 @@ def test_pdtr_and_pdhg_gate_a_diagonal_step_by_its_largest_entry():
         pdhg_run(problem, (x0, y0), StepSizes(tau, 4.0), one)
 
 
+def test_a_library_prox_refuses_a_diagonal_step_naming_its_shape():
+    # a library prox takes one step for its point: a diagonal T raises a ValueError naming
+    # tau's shape, where numpy's "truth value of an array ... is ambiguous" was raised
+    problem = PrimalDualProblem(resolvent=l1_prox(0.1), forward=linear_forward(0.5 * np.eye(3)),
+                                dual_resolvent=zero_prox(), k=np.eye(3))
+    with pytest.raises(ValueError, match=r"tau must be .*shape \(3,\)"):
+        pdtr_run(problem, (np.zeros(3), np.zeros(3)), StepSizes(np.array([0.1, 0.2, 0.3]), 1.0))
+
+
 def test_pdhg_gate():
     problem = identity_problem(np.array([[2.0]]), linear_forward(np.zeros((1, 1)), 0.0))
     with pytest.raises(StepSizeError):
@@ -378,6 +389,11 @@ def test_metric_bound_formula_and_gate():
         metric_lipschitz_bound(StepSizes(1.0, 1.0), 1.0, 1.0)
 
 
+def test_balanced_steps_refuse_a_negative_constant():
+    with pytest.raises(ValueError, match="constants must be nonnegative"):
+        balanced_step_sizes(-1.0, 1.0)
+
+
 def test_metric_ratio_attains_bound_for_scaled_identity():
     # K = 0 and B = L*Id make every primal direction extremal
     lip = 0.7
@@ -390,12 +406,30 @@ def test_metric_ratio_attains_bound_for_scaled_identity():
     steps = StepSizes(0.3, 1.0)
     ratio = metric_lipschitz_ratio(problem, steps, samples=64, seed=0)
     assert ratio == pytest.approx(steps.tau * lip, abs=0)
+    # the same map without a Jacobian is sampled by calling it; no sample gives 0
+    called = replace(problem, forward=ForwardOperator(lambda z: lip * z, lip))
+    assert metric_lipschitz_ratio(called, steps, samples=64, seed=0) == pytest.approx(ratio, rel=1e-12)
+    assert metric_lipschitz_ratio(problem, steps, samples=0) == 0.0
 
 
 def test_metric_ratio_bounded_on_random_instances():
     for seed in range(6):
         problem = random_monotone_problem(seed)
         steps = balanced_step_sizes(problem.lipschitz, problem.k_norm, margin=0.8)
-        ratio = metric_lipschitz_ratio(problem, steps, samples=400, seed=seed)
+        # a diagonal T with the same largest entry: its metric dominates, so the same bound holds
+        diagonal = StepSizes(steps.tau * np.linspace(0.25, 1.0, problem.primal_dim), steps.sigma)
         bound = metric_lipschitz_bound(steps, problem.lipschitz, problem.k_norm)
-        assert ratio <= bound * (1 + 1e-9)
+        assert metric_lipschitz_bound(diagonal, problem.lipschitz, problem.k_norm) == bound
+        for each in (steps, diagonal):
+            ratio = metric_lipschitz_ratio(problem, each, samples=400, seed=seed)
+            assert 0 < ratio <= bound * (1 + 1e-9)
+
+
+def test_the_metric_of_a_diagonal_step_has_the_block_diag_one_over_tau():
+    tau = np.array([0.1, 0.2, 0.4])
+    metric = m_metric(StepSizes(tau, 1.0), np.eye(3))
+    assert_array_equal(metric.dense[:3, :3], np.diag(1.0 / tau))
+    assert m_metric(StepSizes(0.4, 1.0), np.eye(3)).dense[:3, :3].tobytes() == (np.eye(3) / 0.4).tobytes()
+    # the positivity check reads the largest entry: 0.4 * 2.5 * ||I||^2 = 1
+    with pytest.raises(StepSizeError):
+        m_metric(StepSizes(tau, 2.5), np.eye(3))

@@ -120,6 +120,10 @@ def test_a_graph_keeps_one_read_only_edge_array_and_csr_neighbour_lists():
         g.n = 3
     with pytest.raises(AttributeError):
         g.edge_array = g.edge_array[:1]
+    with pytest.raises(AttributeError, match="cannot delete field 'n'"):
+        del g.n
+    # a graph equals only a graph
+    assert g == Graph(g.n, g.edge_array) and g != (g.n, g.edge_array) and g.__eq__(g.n) is NotImplemented
 
 
 @pytest.mark.parametrize("edges", [[(0, 1, 2)], np.zeros((2, 3), dtype=int), [(0.5, 1)],

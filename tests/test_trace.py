@@ -53,6 +53,9 @@ def test_active_columns_tracks_what_was_recorded():
     trace.append(TraceRow(iteration=1, fp_residual=1.0, consensus_gap_x=0.2))
     trace.append(TraceRow(iteration=2, fp_residual=0.5, consensus_gap_x=0.1))
     assert trace.active_columns() == ["iteration", "fp_residual", "consensus_gap_x"]
+    with pytest.raises(ValueError, match="unknown trace column 'gap'"):
+        trace.column("gap")
+    assert repr(trace.rows) == "<2 trace rows>"
 
 
 def test_csv_round_trips_floats_exactly():
