@@ -50,6 +50,7 @@ from .harness import InclusionProgram, PgExtraProgram, run_synchronous
 from .inclusion import (
     _ONE_VERTEX,
     _agent_gates,
+    _chosen_step,
     _product_space_problem,
     _round,
     _run_stacked,
@@ -136,13 +137,12 @@ def _vanishes(forward, h):
 
 
 def _reference_point(central, h, tol=1e-12, max_iters=2_000_000):
-    """High-accuracy reflected run of the summed problem's agent from the origin of R^h.
+    """High-accuracy forb run of the summed problem's agent from the origin of R^h (:func:`_chosen_step`).
 
     Returns the stacked point ``(x, y)`` and whether the run converged.  The
     commands cap ``max_iters`` at 100 times the run's budget.
     """
-    lip = central.lipschitz
-    tau = _step_gate(_ONE_VERTEX, lip, True, 0.9) if lip > 0 else 1.0
+    tau = _chosen_step(_ONE_VERTEX, central.lipschitz, True, 0.9)
     state, trace = forb_run(central.resolvent, central.forward, np.zeros(h), tau,
                             StoppingRule(tol=tol, max_iters=max_iters))
     return state.x, trace.converged
@@ -170,8 +170,7 @@ class _Setup:
         self.problems = build_problems(cfg)
         self.mixing = build_block_mixing(cfg)
         self.lip = declared_lipschitz(cfg, self.problems)
-        tau, self.sigma = resolve_steps(cfg, self.mixing, self.lip)
-        self.agent_tau = tuple(np.broadcast_to(tau, len(self.problems)).tolist())
+        self.agent_tau, self.sigma = resolve_steps(cfg, self.mixing, self.lip)
         self.tau = min(self.agent_tau)
         self.safety = cfg.algorithm.safety if cfg.algorithm.tau == "auto" else None
         self.stop = StoppingRule(tol=cfg.run.tol, max_iters=cfg.run.max_iters)
@@ -198,8 +197,8 @@ class _Setup:
 
         alg1 and alg2 step per agent: ``tau`` and the gate are each agent's
         (:func:`_one_or_each`), ``tau = auto`` being :attr:`agent_tau`.  pg_extra
-        and forb take one ``tau``, at ``tau = auto`` ``safety`` times their own
-        finite gate.  These four run with ``sigma = 1 / max tau``, whatever
+        and forb take one ``tau``, at ``tau = auto`` :func:`_chosen_step` at
+        ``safety``.  These four run with ``sigma = 1 / max tau``, whatever
         the config sets.  pdtr, pdhg and condat_vu take the shared :attr:`tau`
         and :attr:`sigma`.
         """
@@ -210,9 +209,8 @@ class _Setup:
             return (_one_or_each(self.agent_tau), 1.0 / max(self.agent_tau),
                     _one_or_each(_agent_gates(self.agents, self.block_mixing)))
         on = (_ONE_VERTEX, self.central.lipschitz) if kind == "forb" else (self.block_mixing, max(self.lip))
-        gate = _step_gate(*on, reflect)
-        tau = self.tau if self.safety is None or gate == np.inf else _step_gate(*on, reflect, self.safety)
-        return tau, 1.0 / tau, gate
+        tau = self.tau if self.safety is None else _chosen_step(*on, reflect, self.safety)
+        return tau, 1.0 / tau, _step_gate(*on, reflect)
 
 
 def _round_mixing(name, setup):
@@ -471,7 +469,6 @@ def _verify_rows(setup):
 
     # reduction: no coupling -> reflected forward-backward + proximal point
     resolvent, forward = setup.central.resolvent, setup.central.forward
-    lip_s = max(forward.lipschitz, 1e-12)
     free = PrimalDualProblem(
         resolvent=resolvent,
         forward=forward,
@@ -479,7 +476,7 @@ def _verify_rows(setup):
         k=np.zeros((h, h)),
         k_norm=0.0,
     )
-    tau_c = _step_gate(_ONE_VERTEX, lip_s, True, 0.9)
+    tau_c = _chosen_step(_ONE_VERTEX, forward.lipschitz, True, 0.9)
     steps_c = StepSizes(tau_c, 1.0)
     z_start, y_start = z0[0], np.linspace(-1.0, 1.0, h)
     pd = _iterates(lambda s: pdtr_step(free, s, steps_c), PdtrState.start(free, z_start, y_start), 100)
@@ -493,7 +490,8 @@ def _verify_rows(setup):
     # reduction: identity coupling -> three-line reflected splitting
     ident = replace(free, k=np.eye(h), k_norm=1.0)
     gamma = 1.0  # = 1 / sigma
-    tau_i = 0.9 * gamma / (1.0 + 2.0 * gamma * lip_s)
+    # 0.9 of frdr's gate gamma / (1 + 2 gamma L), at the L that tau_c = 0.45 / L was chosen at
+    tau_i = 0.9 * gamma / (1.0 + 0.9 * gamma / tau_c)
     steps_i = StepSizes(tau_i, 1.0 / gamma)
     start = PdtrState.start(ident, z_start, y_start)
     pairs = zip(_iterates(lambda s: pdtr_step(ident, s, steps_i), start, 50),

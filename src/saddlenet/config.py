@@ -23,14 +23,15 @@ import numpy as np
 
 from .graphs import (
     _SCHEMES as _MIXINGS,
+    _TOPOLOGIES as _NAMED_GRAPHS,
     _certified,
     named_topology,
     parse_edge_list,
 )
-from .inclusion import _step_gate
+from .inclusion import _chosen_step, _step_gate
 from .minmax import AgentSaddleProblem, BlockMixing
 from .operators import bilinear_coupling, make_prox
-from .instances import seeded_couplings
+from .instances import _COUPLINGS, seeded_couplings
 
 __all__ = [
     "ALGORITHMS",
@@ -48,8 +49,7 @@ __all__ = [
 ALGORITHMS = ("alg1", "alg2", "pdtr", "pdhg", "forb", "condat_vu", "pg_extra")
 # the prox kinds a config can build: each needs at most a weight or box bounds
 _PROX_KINDS = ("zero", "l1", "box_indicator", "zero_set_indicator")
-_COUPLINGS = ("bilinear", "quadratic", "zero")
-_TOPOLOGIES = ("path", "ring", "star", "complete", "random")
+_TOPOLOGIES = (*_NAMED_GRAPHS, "random")
 _SCHEMES = tuple(_MIXINGS)
 
 
@@ -416,44 +416,37 @@ def build_problems(cfg):
 
 
 def declared_lipschitz(cfg, problems):
-    """Each agent's declared constant ``L_i``, a tuple of floats: its coupling's.
-
-    The ``problem.lipschitz`` override gives its one constant to every agent,
-    and when no coupling has curvature every agent declares 1.
-    """
+    """Each agent's declared constant ``L_i``, a tuple of floats: its coupling's (0 without curvature),
+    or the ``problem.lipschitz`` override for every agent."""
     if cfg.problem.lipschitz is not None:
         if cfg.problem.lipschitz <= 0:
             _fail("problem.lipschitz", "must be positive")
         return (cfg.problem.lipschitz,) * len(problems)
-    lips = tuple(float(prob.lipschitz) for prob in problems)
-    return lips if max(lips) > 0 else (1.0,) * len(lips)
+    return tuple(float(prob.lipschitz) for prob in problems)
 
 
 def resolve_steps(cfg, mixing, lipschitz):
-    """Resolve ``tau`` (and ``sigma`` unless given) from the config and the declared constants.
+    """``tau``, one float per agent of ``mixing`` (an explicit ``tau`` in every entry), and ``sigma``
+    (unless given) from ``lipschitz``, one constant for every agent or one each (else ``ValueError``).
 
-    ``lipschitz`` is one constant or one per agent (:func:`declared_lipschitz`).
-    ``auto`` gives each agent ``safety`` times its own reflected gate
-    ``(1 + lambda_min) / (4 L_i)`` (:func:`~saddlenet.inclusion._step_gate`), as a
-    tuple of floats (one float for one constant); an agent with ``L_i = 0``, whose
-    gate is infinite, takes the largest finite step of the others, so it scales its
-    exchange by ``c_i = 1``.  An explicit ``tau`` is one float for every agent.
-    ``sigma = auto`` is ``1 / min tau_i``: the shared step ``min tau_i``, the gate's
-    step at ``max L_i``, is what the product-space methods take, with that ``sigma``.
-    In the CLI every method with a gate (pg_extra and forb too) takes ``safety``
-    times its own.
+    ``auto`` gives each agent ``safety`` times its own reflected gate ``(1 + lambda_min) / (4 L_i)``
+    (:func:`~saddlenet.inclusion._step_gate`); an agent with ``L_i = 0``, whose gate is infinite,
+    takes the largest finite step of the others (``c_i = 1``), or when no gate is finite the step at
+    ``L = 1`` (:func:`~saddlenet.inclusion._chosen_step`).  ``sigma = auto`` is ``1 / min tau_i``:
+    the shared step ``min tau_i``, the gate's step at ``max L_i``, is what the product-space methods
+    take, with that ``sigma``.  In the CLI pg_extra and forb take ``safety`` times their own gate.
     """
-    a = cfg.algorithm
+    a, n = cfg.algorithm, mixing.n
+    if np.size(lipschitz) not in (1, n):
+        raise ValueError(f"expected one Lipschitz constant or {n}, one per agent, got {np.size(lipschitz)}")
     if a.tau != "auto":
-        tau = float(a.tau)
-    elif np.ndim(lipschitz) == 0:
-        tau = _step_gate(mixing, lipschitz, True, a.safety)
+        tau = (float(a.tau),) * n
     else:
-        steps = [_step_gate(mixing, lip, True, a.safety) for lip in lipschitz]
-        top = max((step for step in steps if step != math.inf), default=math.inf)
+        steps = [_step_gate(mixing, lip, True, a.safety) for lip in np.broadcast_to(lipschitz, n).tolist()]
+        top = max((step for step in steps if step != math.inf),
+                  default=_chosen_step(mixing, 0.0, True, a.safety))
         tau = tuple(top if step == math.inf else step for step in steps)
-    shared = min(tau) if isinstance(tau, tuple) else tau
-    sigma = 1.0 / shared if a.sigma == "auto" else float(a.sigma)
+    sigma = 1.0 / min(tau) if a.sigma == "auto" else float(a.sigma)
     return tau, sigma
 
 

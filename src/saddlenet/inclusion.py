@@ -120,20 +120,20 @@ def _step_gate(mixing, lipschitz, reflect, share=1.0):
     return share * (1.0 + mixing.lambda_min) / ((4.0 if reflect else 1.0) * lipschitz)
 
 
+def _chosen_step(mixing, lipschitz, reflect, share):
+    """``share`` of the gate, or where it is inf (``L = 0``) of the gate at ``L = 1``: every finite
+    step picked at a gate that may be inf (config, CLI, :func:`~saddlenet.minmax.saddle_residual`)."""
+    return _step_gate(mixing, lipschitz or 1.0, reflect, share)
+
+
 def _agent_gates(agents, mixing, reflect=True):
     """Each agent's own open gate, :func:`_step_gate` at its declared ``L_i`` (inf at ``L_i = 0``)."""
     return [_step_gate(mixing, a.lipschitz, reflect) for a in agents]
 
 
 def stepsize_bound(mixing, lipschitz):
-    """Admissible step-size supremum ``(1 + lambda_min(W)) / (4 L)``.
-
-    The bound is open: ``tau`` must be strictly below it.  A nonpositive
-    ``L`` is rejected; declare any valid upper bound (for example 1) for
-    forward maps with vanishing curvature.
-    """
-    if lipschitz <= 0:
-        raise ValueError("lipschitz must be positive; declare an upper bound")
+    """Admissible step-size supremum ``(1 + lambda_min(W)) / (4 L)``, open: ``tau`` must be
+    strictly below it.  It is inf at ``L = 0``; a negative ``L`` raises ``ValueError``."""
     return _step_gate(mixing, lipschitz, True)
 
 

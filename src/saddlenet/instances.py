@@ -46,6 +46,7 @@ def _monotone_matrices(a, g, skew_scale=1.0, sym_scale=0.3):
 
 
 _PROX_POOL = ("zero", "l1", "box_indicator", "quadratic")
+_COUPLINGS = ("bilinear", "quadratic", "zero")
 
 
 def _random_prox_params(h, rng, pool=_PROX_POOL):
@@ -109,7 +110,7 @@ def seeded_couplings(n, p, d, seed, kind="bilinear", scale=1.0):
     ``scale / sqrt(max(p, d, 1))``.  The draws fill ``(n, ...)`` stacks,
     which are checked, assembled and normed in one batched pass.
     """
-    if kind not in ("bilinear", "quadratic", "zero"):
+    if kind not in _COUPLINGS:
         raise ValueError(f"unknown coupling kind {kind!r}")
     m, a, b = np.zeros((n, p, d)), np.zeros((n, p)), np.zeros((n, d))
     if kind == "zero":

@@ -46,11 +46,11 @@ from .inclusion import (
     _ONE_VERTEX,
     ForbState,
     StackedIterate,
+    _chosen_step,
     _product_space_problem,
     _run_stacked,
     _start,
     _step,
-    _step_gate,
     forb_step,
     stepsize_bound,
 )
@@ -95,7 +95,7 @@ class AgentSaddleProblem:
 
 
 def stepsize_bound_pair(mixing_pair, lipschitz):
-    """Admissible supremum ``(1 + min lambda_min) / (4 L)`` for two mixings."""
+    """:func:`~saddlenet.inclusion.stepsize_bound` for two mixings: ``(1 + min lambda_min) / (4 L)``."""
     return stepsize_bound(mixing_pair, lipschitz)
 
 
@@ -133,9 +133,8 @@ class MinMaxState:
 def _stacked_setup(problems, mixing, x0, y0):
     """Stacked agents, block mixing and start rows of the min-max problem.
 
-    Checks the per-block shapes and that every declared ``L`` is nonnegative;
-    the stacked step gate is left to the caller.  When no coupling has
-    curvature every stacked agent declares ``L = 1``.
+    Checks the per-block shapes; the step gate (inf at ``L = 0``) and its
+    sign check of ``L`` are left to the runner.
     """
     n = len(problems)
     x0 = np.asarray(x0, dtype=float)
@@ -146,13 +145,7 @@ def _stacked_setup(problems, mixing, x0, y0):
             raise ValueError("all agents must share the same (p, d)")
     if x0.shape != (n, p) or y0.shape != (n, d):
         raise ValueError(f"expected x0 {(n, p)} and y0 {(n, d)}, got {x0.shape} and {y0.shape}")
-    lips = [prob.lipschitz for prob in problems]
-    if min(lips) < 0:
-        raise ValueError(f"lipschitz must be nonnegative, got {min(lips)!r}")
-    # all-zero couplings carry no curvature; any positive declared bound works
-    declared = None if max(lips) > 0 else 1.0
-    agents = stack_agents(problems, lipschitz=declared)
-    return agents, stacked_block_mixing(mixing, problems), np.concatenate([x0, y0], axis=1)
+    return stack_agents(problems), stacked_block_mixing(mixing, problems), np.concatenate([x0, y0], axis=1)
 
 
 def minmax_init(problems, mixing, x0, y0, tau):
@@ -198,11 +191,10 @@ def stack_agents(problems, lipschitz=None):
     agents with :func:`stacked_block_mixing` reproduces the min-max method.
 
     ``lipschitz`` replaces the declared constant of the stacked forward
-    maps: one number for every agent or one per agent (needed when the
-    couplings have vanishing curvature and the step gate wants an explicit
-    upper bound instead).  Agents that share their
-    two proxes (as the config's and ``random_saddle_problems``' agents do)
-    share one product resolvent.
+    maps: one number for every agent or one per agent (the config's
+    ``problem.lipschitz``).  Agents that share their two proxes (as the
+    config's and ``random_saddle_problems``' agents do) share one product
+    resolvent.
     """
     resolvents = {}
     out = []
@@ -264,12 +256,12 @@ def sum_saddle_problem(problems):
 def saddle_residual(problems, x, y):
     """Norm of one forb step at ``(x, y)``: the round of one agent on the summed problem.
 
-    The step is half of forb's gate, ``0.25 / L`` for the summed problem's ``L``.
-    Zero exactly at saddle points of the summed problem; used as a solution
-    certificate for the output of every method.
+    The step is half of forb's gate, ``0.25 / L`` for the summed problem's ``L`` (0.25 at
+    ``L = 0``: :func:`~saddlenet.inclusion._chosen_step`).  Zero exactly at saddle points of
+    the summed problem; used as a solution certificate for the output of every method.
     """
     central = stack_agents([sum_saddle_problem(problems)])[0]
-    tau = _step_gate(_ONE_VERTEX, max(central.lipschitz, 1e-12), True, 0.5)
+    tau = _chosen_step(_ONE_VERTEX, central.lipschitz, True, 0.5)
     z = np.concatenate([np.asarray(x, dtype=float), np.asarray(y, dtype=float)])
     new = forb_step(central.resolvent, central.forward, ForbState.start(central.forward, z), tau)
     return _norm(new.x - z)

@@ -6,8 +6,10 @@ pairs of an ``(n, h, n, h)`` view, where it used to add one full-size
 one-product forms must stay bitwise what the kron sum gave, on layouts with
 one and with two graphs, with an empty y block (``d = 0``), and on
 Laplacian weights, whose negative entries make ``-0.0`` kron products.
-The one-product forms hold the per-agent exchange ``I + C (W - I)``, which
-at one ``tau`` is ``c = 1``.
+At one ``tau`` (``c = 1``) the one-product forms hold ``W`` itself, as
+``apply`` forms it, and half of ``W - I``; on the uniform weights 0.1 that
+differs from the per-agent exchange ``I + C (W - I)``, since ``1 + (0.1 - 1)``
+is not 0.1.
 """
 
 import numpy as np
@@ -16,6 +18,8 @@ import pytest
 from saddlenet import inclusion
 from saddlenet.graphs import (
     BlockMixing,
+    MixingMatrix,
+    complete_graph,
     lazy_metropolis_mixing,
     metropolis_mixing,
     mixing_blocks,
@@ -53,6 +57,8 @@ def pairs():
     ring, path = ring_graph(6), path_graph(6)
     # alpha = 4 < the star's centre degree 5: a negative weight on the diagonal
     lap, star = laplacian_mixing(ring), laplacian_mixing(star_graph(6), 4.0)
+    # the uniform average on 10 agents: n h = 40 still runs on the one-product kernel
+    uniform = MixingMatrix(np.full((10, 10), 0.1), complete_graph(10), 0.0)
     return [
         ("one-graph-metropolis", 6, 2, 2, metropolis_mixing(ring), metropolis_mixing(ring)),
         ("one-graph-laplacian", 6, 2, 1, lap, lap),
@@ -60,6 +66,7 @@ def pairs():
         ("two-graphs-laplacian", 6, 2, 2, star, laplacian_mixing(path)),
         ("d0-laplacian", 6, 3, 0, star, star),
         ("d0-two-graphs", 6, 2, 0, metropolis_mixing(ring), laplacian_mixing(path)),
+        ("one-graph-uniform", 10, 2, 2, uniform, uniform),
     ]
 
 
@@ -95,11 +102,10 @@ def test_the_one_product_forms_are_bitwise_the_kron_construction(name, n, p, d, 
     steps = np.full(n, tau)
     kernels = inclusion._kernels(agents, mixing, h, steps)
     assert isinstance(kernels, inclusion._OneProduct)
-    # the per-agent construction at c = tau_i / max tau = 1: I + 1.0 (W - I), and half of 1.0 (W - I)
-    lazy = np.ones((n * h, 1)) * (kron_sum(layout, n, h, lambda w: w) - np.eye(n * h))
+    # at c = tau_i / max tau = 1: W as the mixing applies it, and half of W - I
     forms = np.zeros((3, n * h, n * h))
-    forms[0] = np.eye(n * h) + lazy
-    forms[1] = 0.5 * lazy
+    forms[0] = kron_sum(layout, n, h, lambda w: w)
+    forms[1] = 0.5 * (forms[0] - np.eye(n * h))
     jac, _ = _affine_rows([a.forward for a in agents], h, steps)
     forms[2].reshape(n, h, n, h)[np.arange(n), :, np.arange(n), :] = jac
     assert kernels.forms.tobytes() == forms.reshape(3 * n * h, n * h).tobytes()

@@ -9,7 +9,7 @@ import pytest
 
 from saddlenet import cli
 from saddlenet.cli import main
-from saddlenet.config import AlgorithmConfig, build_problems, parse_config
+from saddlenet.config import ALGORITHMS, AlgorithmConfig, build_problems, parse_config
 from saddlenet.graphs import mixing_from_laplacian, random_connected_graph, ring_graph
 from saddlenet.instances import seeded_couplings
 from saddlenet.minmax import AgentSaddleProblem, saddle_residual
@@ -531,6 +531,26 @@ def test_pdhg_runs_when_every_coupling_gradient_vanishes(tmp_path):
     summary = (out / "summary.txt").read_text()
     assert "converged = yes" in summary
     assert int(summary.split("iterations = ")[1].splitlines()[0]) > 1
+
+
+def test_zero_coupling_prints_an_infinite_gate_and_forb_steps_at_unit_lipschitz(tmp_path):
+    # at L = 0 every gate is inf; alg2 keeps its auto step and rounds, and forb takes
+    # safety times its gate at L = 1, 0.99 / 2, instead of the shared step
+    text = swap(README_MINMAX, "coupling = bilinear",
+                "coupling = zero\nx0 = 0.5, -1.0, 2.0\ny0 = 1.5, 0.25, -0.5")
+    out = tmp_path / "out"
+    assert main(["run", "--config", write(tmp_path, text), "--out", str(out)]) == 0
+    summary = (out / "summary.txt").read_text()
+    for line in ("tau = 0.2475", "step gate = inf", "iterations = 28", "stopped on = converged"):
+        assert f"\n{line}\n" in summary
+    text = swap(text, "name = alg2", "name = alg2, forb")
+    assert main(["compare", "--config", write(tmp_path, text), "--out", str(tmp_path / "o")]) == 0
+    rows = {line.split()[0]: line for line in (tmp_path / "o" / "summary.txt").read_text().splitlines()[2:]}
+    assert "  tau 0.2475  converged" in rows["alg2"] and "  tau 0.495  converged" in rows["forb"]
+
+
+def test_the_cli_runs_every_algorithm_a_config_names_and_no_other():
+    assert len(cli._METHODS) == len(ALGORITHMS) and set(cli._METHODS) == set(ALGORITHMS)
 
 
 def test_compare_shares_the_stacked_agents_and_one_product_space_problem(tmp_path, monkeypatch):

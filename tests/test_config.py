@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from saddlenet import config, graphs, instances
 from saddlenet.config import (
     ConfigError,
     ExperimentConfig,
@@ -15,6 +16,7 @@ from saddlenet.config import (
     serialize_config,
 )
 from saddlenet.graphs import random_connected_graph
+from saddlenet.inclusion import _step_gate
 
 FULL = """
 [problem]
@@ -215,10 +217,10 @@ def test_inline_coupling_shape_checks():
         build_problems(cfg)
 
 
-def test_declared_lipschitz_override_and_fallback():
+def test_declared_lipschitz_override_and_zero_curvature():
     cfg = parse_config("[problem]\ncoupling = zero\nd = 0\np = 1\n")
     problems = build_problems(cfg)
-    assert declared_lipschitz(cfg, problems) == (1.0,) * 3  # zero curvature falls back
+    assert declared_lipschitz(cfg, problems) == (0.0,) * 3  # zero curvature is declared as it is
     cfg2 = parse_config("[problem]\nlipschitz = 7.5\n")
     assert declared_lipschitz(cfg2, build_problems(cfg2)) == (7.5,) * 3  # one constant for every agent
     cfg3 = parse_config("[problem]\nlipschitz = -1.0\n")
@@ -237,22 +239,60 @@ def test_resolve_steps_auto_rule():
     assert type(tau) is tuple and all(type(t) is float for t in tau)
     assert tau == pytest.approx([0.9 * (1.0 + mixing.lambda_min) / (4.0 * lip) for lip in lips])
     assert sigma == pytest.approx(1.0 / min(tau))
-    # one constant, the worst agent's, is the one-tau rule: min tau_i bitwise
-    assert resolve_steps(cfg, mixing, max(lips)) == (min(tau), sigma)
+    # one constant, the worst agent's, is the one-tau rule: min tau_i bitwise, for every agent
+    assert resolve_steps(cfg, mixing, max(lips)) == ((min(tau),) * 5, sigma)
 
 
 def test_resolve_steps_gives_a_zero_curvature_agent_the_largest_finite_step():
     cfg = parse_config(FULL)
     mixing = build_block_mixing(cfg)
-    tau, _ = resolve_steps(cfg, mixing, (0.0, 2.0, 1.0))
+    tau, _ = resolve_steps(cfg, mixing, (0.0, 2.0, 1.0, 0.0, 2.0))
     at = [0.9 * (1.0 + mixing.lambda_min) / (4.0 * lip) for lip in (2.0, 1.0)]
-    assert tau == pytest.approx((at[1], at[0], at[1]), rel=1e-15)
+    assert tau == pytest.approx((at[1], at[0], at[1], at[1], at[0]), rel=1e-15)
+
+
+def test_resolve_steps_at_zero_curvature_takes_the_step_at_unit_lipschitz():
+    # every gate is inf: each agent takes safety times the gate at L = 1, a finite step
+    cfg = parse_config(FULL)
+    mixing = build_block_mixing(cfg)
+    step = _step_gate(mixing, 1.0, True, 0.9)
+    assert np.isfinite(step)
+    for lipschitz in ((0.0,) * 5, 0.0, [0.0], np.zeros(5)):
+        assert resolve_steps(cfg, mixing, lipschitz) == ((step,) * 5, 1.0 / step)
+
+
+@pytest.mark.parametrize("tau", ["auto", "0.05"])
+def test_resolve_steps_gives_one_float_per_agent_whatever_the_form_of_its_constants(tau):
+    cfg = parse_config(FULL.replace("tau = auto", f"tau = {tau}"))
+    mixing = build_block_mixing(cfg)
+    one = resolve_steps(cfg, mixing, 2.0)
+    assert type(one[0]) is tuple and len(one[0]) == 5 and all(type(t) is float for t in one[0])
+    for each in ((2.0,) * 5, [2.0] * 5, np.full(5, 2.0), (2.0,)):
+        assert resolve_steps(cfg, mixing, each) == one
+    for count in (3, 6):
+        with pytest.raises(ValueError, match=f"one Lipschitz constant or 5, one per agent, got {count}"):
+            resolve_steps(cfg, mixing, (2.0,) * count)
 
 
 def test_resolve_steps_explicit_values_pass_through():
     cfg = parse_config("[algorithm]\ntau = 0.05\nsigma = 2.0\n")
     tau, sigma = resolve_steps(cfg, build_block_mixing(cfg), 1.0)
-    assert (tau, sigma) == (0.05, 2.0)
+    assert (tau, sigma) == ((0.05,) * 3, 2.0)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[graph]\ntopology = bogus\n", "graph.topology: cannot parse 'bogus' "
+     "(must be one of path, ring, star, complete, random)"),
+    ("[problem]\ncoupling = bogus\n", "problem.coupling: cannot parse 'bogus' "
+     "(must be one of bilinear, quadratic, zero)"),
+])
+def test_the_name_tables_read_the_graph_and_instance_tables_in_their_order(text, message):
+    # the config's topologies are the named graphs and "random"; its couplings are seeded_couplings'
+    assert config._TOPOLOGIES == (*graphs._TOPOLOGIES, "random")
+    assert config._COUPLINGS is instances._COUPLINGS
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == message
 
 
 def test_build_start_replicates_rows():

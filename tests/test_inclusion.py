@@ -58,10 +58,9 @@ def test_stepsize_bound_hand_values():
     assert stepsize_bound(path, 4.0) == pytest.approx(0.0625)
 
 
-def test_stepsize_bound_rejects_nonpositive_lipschitz():
+def test_stepsize_bound_is_inf_at_zero_lipschitz_and_rejects_a_negative_one():
     mixing = metropolis_mixing(ring_graph(3))
-    with pytest.raises(ValueError):
-        stepsize_bound(mixing, 0.0)
+    assert stepsize_bound(mixing, 0.0) == np.inf
     with pytest.raises(ValueError):
         stepsize_bound(mixing, -1.0)
 

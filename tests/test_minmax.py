@@ -95,8 +95,9 @@ def test_block_mixing_rejects_a_split_wider_than_the_rows():
 def test_stepsize_bound_pair():
     mixing = pair_mixing(3)  # lambda_min = 0 on the 3-ring
     assert stepsize_bound_pair(mixing, 2.0) == pytest.approx(0.125)
+    assert stepsize_bound_pair(mixing, 0.0) == np.inf
     with pytest.raises(ValueError):
-        stepsize_bound_pair(mixing, 0.0)
+        stepsize_bound_pair(mixing, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -139,15 +140,14 @@ def test_step_gate_uses_worst_block():
     minmax_init(problems, mixing, np.ones((4, 1)), np.ones((4, 1)), 0.99 * bound)
 
 
-def test_zero_coupling_uses_declared_unit_bound():
+def test_zero_coupling_admits_any_step():
     problems = [AgentSaddleProblem(l1_prox(0.5), zero_prox(),
                                    bilinear_coupling(p=1, d=1))
                 for _ in range(3)]
     mixing = pair_mixing(3)
-    # lipschitz falls back to 1, so the gate sits at (1 + 0)/4
-    with pytest.raises(StepSizeError):
-        minmax_init(problems, mixing, np.ones((3, 1)), np.ones((3, 1)), 0.25)
-    minmax_init(problems, mixing, np.ones((3, 1)), np.ones((3, 1)), 0.2)
+    # no curvature: the gate is inf, not (1 + 0) / 4 at a declared L = 1
+    for tau in (0.2, 0.25, 1e6):
+        minmax_init(problems, mixing, np.ones((3, 1)), np.ones((3, 1)), tau)
 
 
 # ---------------------------------------------------------------------------

@@ -13,15 +13,18 @@ import numpy as np
 import pytest
 
 from saddlenet.config import build_problems, declared_lipschitz, parse_config
-from saddlenet.graphs import MixingMatrix, certify_mixing, complete_graph
+from saddlenet.graphs import MixingMatrix, certify_mixing, complete_graph, metropolis_mixing, ring_graph
+from saddlenet.harness import InclusionProgram, MinMaxProgram, PgExtraProgram, run_synchronous
 from saddlenet.inclusion import (
     AgentInclusion,
     inclusion_init,
     inclusion_step,
     pg_extra_init,
     pg_extra_step,
+    product_space_reference,
     stepsize_bound,
 )
+from saddlenet.instances import random_saddle_problems
 from saddlenet.minmax import (
     AgentSaddleProblem,
     BlockMixing,
@@ -29,6 +32,8 @@ from saddlenet.minmax import (
     minmax_run,
     minmax_step,
     stack_agents,
+    stacked_block_mixing,
+    stepsize_bound_pair,
 )
 from saddlenet.operators import affine_forward, bilinear_coupling, linear_forward, zero_prox
 from saddlenet.primal_dual import (
@@ -105,7 +110,7 @@ def test_minmax_gate_takes_the_smaller_lambda_min(seed, zero_coupling):
     m = np.zeros((p, d)) if zero_coupling else 0.5 * lip * rng.standard_normal((p, d))
     coupling = bilinear_coupling(m=m)
     if zero_coupling:
-        lip = 1.0  # no curvature: the stacked agents declare L = 1
+        lip = 1.0  # for the bound below; no curvature: the stacked agents keep L = 0, whose gate is inf
         assert coupling.lipschitz == 0.0
     else:
         m /= max(np.linalg.norm(m, 2), 1e-300)
@@ -117,8 +122,11 @@ def test_minmax_gate_takes_the_smaller_lambda_min(seed, zero_coupling):
     state = minmax_step(problems, mixing, minmax_init(problems, mixing, x0, y0, below(bound)),
                         below(bound))
     assert np.all(np.isfinite(state.x)) and np.all(np.isfinite(state.y))
-    with pytest.raises(StepSizeError):
+    if zero_coupling:  # the gate is inf, so the coupled case's bound is admitted too
         minmax_init(problems, mixing, x0, y0, bound)
+    else:
+        with pytest.raises(StepSizeError):
+            minmax_init(problems, mixing, x0, y0, bound)
 
 
 def centralized(seed):
@@ -196,11 +204,62 @@ def test_zero_curvature_admits_any_step_on_every_runner(seed):
     assert trace.iterations == 1 and np.isfinite(trace.final_residual)
 
 
+def every_runner(problems, mixing):
+    """Each runner as a function of ``tau`` on the min-max agents ``problems``: the min-max
+    runners on ``mixing``, the inclusion ones on their stacked agents and forb on the first."""
+    agents, stacked = stack_agents(problems), stacked_block_mixing(mixing, problems)
+    n, p, d = len(problems), problems[0].p, problems[0].d
+    x0, y0 = np.linspace(-1.0, 1.0, n * p).reshape(n, p), np.ones((n, d))
+    z0, first = np.concatenate([x0, y0], axis=1), agents[0]
+    return {
+        "inclusion_init": lambda tau: inclusion_init(agents, stacked, z0, tau),
+        "pg_extra_init": lambda tau: pg_extra_init(agents, stacked, z0, tau),
+        "minmax_init": lambda tau: minmax_init(problems, mixing, x0, y0, tau),
+        "minmax_run": lambda tau: minmax_run(problems, mixing, x0, y0, tau, ONE_STEP),
+        "forb_run": lambda tau: forb_run(first.resolvent, first.forward, z0[0], tau, ONE_STEP),
+        "forb_step": lambda tau: forb_step(first.resolvent, first.forward,
+                                           ForbState.start(first.forward, z0[0]), tau),
+        "product_space_reference": lambda tau: product_space_reference(agents, stacked, z0, tau, 1),
+        "InclusionProgram": lambda tau: run_synchronous(InclusionProgram(agents, stacked, z0, tau), 1),
+        "PgExtraProgram": lambda tau: run_synchronous(PgExtraProgram(agents, stacked, z0, tau), 1),
+        "MinMaxProgram": lambda tau: run_synchronous(MinMaxProgram(problems, mixing, x0, y0, tau), 1),
+    }
+
+
+def uncoupled_ring():
+    """Four min-max agents without coupling on the 4-ring's Metropolis mixing, ``lambda_min = -1/3``."""
+    problems = random_saddle_problems(4, 2, 2, seed=1, scale=0.0)
+    ring = metropolis_mixing(ring_graph(4))
+    assert ring.lambda_min < 0 and all(prob.lipschitz == 0.0 for prob in problems)
+    return problems, BlockMixing(ring, ring)
+
+
+@pytest.mark.parametrize("tau", [0.2, 1.0, 1e6])
+def test_zero_curvature_admits_any_step_on_every_runner_where_lambda_min_is_negative(tau):
+    # the declared L = 0 is kept on every path, so no runner gates at (1 + lambda_min) / 4
+    problems, mixing = uncoupled_ring()
+    assert stepsize_bound(mixing, 0.0) == stepsize_bound_pair(mixing, 0.0) == np.inf
+    for run in every_runner(problems, mixing).values():
+        run(tau)
+
+
+def test_a_negative_lipschitz_constant_raises_on_every_runner_where_lambda_min_is_negative():
+    problems, mixing = uncoupled_ring()
+    negative = dataclasses.replace(problems[0].coupling, lipschitz=-1.0)
+    problems[0] = dataclasses.replace(problems[0], coupling=negative)
+    for bound in (stepsize_bound, stepsize_bound_pair):
+        with pytest.raises(ValueError, match="nonnegative"):
+            bound(mixing, -1.0)
+    for run in every_runner(problems, mixing).values():
+        with pytest.raises(ValueError, match="nonnegative"):
+            run(0.2)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_a_negative_lipschitz_constant_raises_on_every_runner(seed):
     rng, n, h, _, mixing, _ = draw(seed)
-    with pytest.raises(ValueError, match="must be positive"):
-        stepsize_bound(mixing, 0.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        stepsize_bound(mixing, -1.0)
     agents = forward_agents(rng, n, h, -1.0)
     x0 = rng.standard_normal((n, h))
     for init in (inclusion_init, pg_extra_init):
