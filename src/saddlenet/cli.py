@@ -32,12 +32,12 @@ import numpy as np
 
 from .config import (
     ConfigError,
+    _steps_and_rho,
     build_block_mixing,
     build_problems,
     build_start,
     declared_lipschitz,
     load_config,
-    resolve_steps,
 )
 from .graphs import (
     _SCHEMES,
@@ -158,9 +158,12 @@ class _Setup:
 
     ``lip`` holds each agent's declared constant and ``agent_tau`` the
     resolved steps (:func:`~saddlenet.config.resolve_steps`) as one tuple,
-    an entry per agent; ``tau`` is the shared step ``min tau_i``, with
-    ``sigma``.  The summed problem's agent (forb, the reference) and the
-    product-space problem (pdtr, pdhg, condat_vu) are built on first use.
+    an entry per agent, and ``rho`` the coupling term of the condition the
+    rule took them at (:func:`~saddlenet.inclusion._rho`).  ``tau`` is the
+    shared one-``tau`` step, the explicit ``tau`` or at ``auto``
+    :func:`_chosen_step` at ``max L_i``, with ``sigma``.  The summed
+    problem's agent (forb, the reference) and the product-space problem
+    (pdtr, pdhg, condat_vu) are built on first use.
     Every algorithm in ``names`` is checked before anything runs; the
     reference (the stacked ``(x, y)`` point, or None) runs only if the config
     asks for it and an algorithm is named.
@@ -170,13 +173,14 @@ class _Setup:
         self.problems = build_problems(cfg)
         self.mixing = build_block_mixing(cfg)
         self.lip = declared_lipschitz(cfg, self.problems)
-        self.agent_tau, self.sigma = resolve_steps(cfg, self.mixing, self.lip)
-        self.tau = min(self.agent_tau)
+        self.agent_tau, self.sigma, self.rho = _steps_and_rho(cfg, self.mixing, self.lip)
         self.safety = cfg.algorithm.safety if cfg.algorithm.tau == "auto" else None
         self.stop = StoppingRule(tol=cfg.run.tol, max_iters=cfg.run.max_iters)
         self.z0 = np.concatenate(build_start(cfg), axis=1)
         self.agents = stack_agents(self.problems, lipschitz=self.lip)
         self.block_mixing = stacked_block_mixing(self.mixing, self.problems)
+        self.tau = (self.agent_tau[0] if self.safety is None else
+                    _chosen_step(self.block_mixing, max(self.lip), True, self.safety))
         for name in names:
             _check_algorithm(name, self)
         self.reference, self.reference_converged = (
@@ -196,9 +200,9 @@ class _Setup:
         """``name``'s ``tau``, ``sigma`` and gate (None: no gate), for every command.
 
         alg1 and alg2 step per agent: ``tau`` and the gate are each agent's
-        (:func:`_one_or_each`), ``tau = auto`` being :attr:`agent_tau`.  pg_extra
-        and forb take one ``tau``, at ``tau = auto`` :func:`_chosen_step` at
-        ``safety``.  These four run with ``sigma = 1 / max tau``, whatever
+        (:func:`_one_or_each`), ``tau = auto`` being :attr:`agent_tau`, and the
+        gates are those at :attr:`rho`.  pg_extra and forb take one ``tau``,
+        at ``tau = auto`` :func:`_chosen_step` at ``safety``.  These four run with ``sigma = 1 / max tau``, whatever
         the config sets.  pdtr, pdhg and condat_vu take the shared :attr:`tau`
         and :attr:`sigma`.
         """
@@ -207,7 +211,7 @@ class _Setup:
             return self.tau, self.sigma, None
         if kind == "stacked" and reflect:
             return (_one_or_each(self.agent_tau), 1.0 / max(self.agent_tau),
-                    _one_or_each(_agent_gates(self.agents, self.block_mixing)))
+                    _one_or_each(_agent_gates(self.agents, self.block_mixing, rho=self.rho)))
         on = (_ONE_VERTEX, self.central.lipschitz) if kind == "forb" else (self.block_mixing, max(self.lip))
         tau = self.tau if self.safety is None else _chosen_step(*on, reflect, self.safety)
         return tau, 1.0 / tau, _step_gate(*on, reflect)
@@ -246,6 +250,8 @@ def _execute(name, setup):
     (kind, reflect), (tau, sigma, gate) = _METHODS[name], setup.step(name)
     t0 = time.perf_counter()
     info = {"tau": tau, "sigma": sigma, "gate": gate}
+    if kind == "stacked" and reflect:
+        info["rho"] = setup.rho
 
     if kind == "stacked":
         # never premixed: the config's start rows are all equal, so W z0 = z0
@@ -311,6 +317,11 @@ def _summary_text(cfg, result, setup, extra_lines=()):
     if gate is not None:
         share = max(np.atleast_1d(np.divide(result.info["tau"], gate)).tolist())
         lines += [f"step gate = {gate!r}", f"tau / gate = {share!r}"]
+    rho = result.info.get("rho")
+    # the condition alg1 and alg2 step in: 2 max_i tau_i L_i + rho < 1
+    if rho is not None:
+        top = max(np.multiply(result.info["tau"], setup.lip).tolist())
+        lines += [f"rho = {rho!r}", f"2 max tau_i L_i + rho = {2.0 * top + rho!r}"]
     lines += [
         f"lambda_min(W) = {lambdas}",
         f"iterations = {trace.iterations}",

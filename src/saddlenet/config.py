@@ -28,7 +28,7 @@ from .graphs import (
     named_topology,
     parse_edge_list,
 )
-from .inclusion import _chosen_step, _step_gate
+from .inclusion import _chosen_step, _closed_rho, _rho, _step_gate
 from .minmax import AgentSaddleProblem, BlockMixing
 from .operators import bilinear_coupling, make_prox
 from .instances import _COUPLINGS, seeded_couplings
@@ -425,29 +425,51 @@ def declared_lipschitz(cfg, problems):
     return tuple(float(prob.lipschitz) for prob in problems)
 
 
+# The auto rule's cap on the spread of the per-agent steps: no agent's step exceeds this many
+# times the step at max L_i.  Uncapped, the lazy mixing of agents with a large L_i cost up to 26.9
+# times the rounds of one tau on minimization configs (a rule constant, not a key).
+_SPREAD = 2.0
+
+
 def resolve_steps(cfg, mixing, lipschitz):
     """``tau``, one float per agent of ``mixing`` (an explicit ``tau`` in every entry), and ``sigma``
     (unless given) from ``lipschitz``, one constant for every agent or one each (else ``ValueError``).
 
-    ``auto`` gives each agent ``safety`` times its own reflected gate ``(1 + lambda_min) / (4 L_i)``
-    (:func:`~saddlenet.inclusion._step_gate`); an agent with ``L_i = 0``, whose gate is infinite,
-    takes the largest finite step of the others (``c_i = 1``), or when no gate is finite the step at
-    ``L = 1`` (:func:`~saddlenet.inclusion._chosen_step`).  ``sigma = auto`` is ``1 / min tau_i``:
-    the shared step ``min tau_i``, the gate's step at ``max L_i``, is what the product-space methods
-    take, with that ``sigma``.  In the CLI pg_extra and forb take ``safety`` times their own gate.
+    ``auto`` gives each agent ``tau_i = safety (1 - rho) / (2 L~_i)`` with the spread capped,
+    ``L~_i = max(L_i, L_max / 2)``: ``safety`` times its own gate at ``L~_i`` in the exact
+    condition ``2 max_i tau_i L_i + rho < 1`` (:func:`~saddlenet.inclusion._step_gate`), ``rho``
+    at the ratios ``c_i = L~_min / L~_i`` (:func:`~saddlenet.inclusion._rho`, on rows of width
+    ``p + d``; the closed form ``(1 - lambda_min) / 2`` at equal ``L~_i`` and above
+    :data:`~saddlenet.inclusion._EXACT_RHO_MAX_N` agents).  So ``tau_i / gate_i`` is at most
+    ``safety``, and no agent steps more than twice the least step.  An agent with ``L_i = 0``,
+    whose gate is infinite, takes the largest step of the others (``c_i = 1``), or when no gate is
+    finite the step at ``L = 1`` (:func:`~saddlenet.inclusion._chosen_step`).  ``sigma = auto`` is
+    ``1 / tau`` at the one-``tau`` step, ``tau`` or at ``auto`` the gate's step at ``max L_i``,
+    which the product-space methods take.  In the CLI pg_extra and forb take ``safety`` times their
+    own gate.
     """
+    return _steps_and_rho(cfg, mixing, lipschitz)[:2]
+
+
+def _steps_and_rho(cfg, mixing, lipschitz):
+    """:func:`resolve_steps` and the ``rho`` its ``tau`` is taken at, which the CLI reports."""
     a, n = cfg.algorithm, mixing.n
     if np.size(lipschitz) not in (1, n):
         raise ValueError(f"expected one Lipschitz constant or {n}, one per agent, got {np.size(lipschitz)}")
-    if a.tau != "auto":
-        tau = (float(a.tau),) * n
+    lips = [float(lip) for lip in np.broadcast_to(lipschitz, n).tolist()]
+    if min(lips) < 0:
+        raise ValueError(f"lipschitz must be nonnegative, got {min(lips)!r}")
+    top = max(lips)
+    one = float(a.tau) if a.tau != "auto" else _chosen_step(mixing, top, True, a.safety)
+    if a.tau != "auto" or top == 0:
+        tau, rho = (one,) * n, _closed_rho(mixing)
     else:
-        steps = [_step_gate(mixing, lip, True, a.safety) for lip in np.broadcast_to(lipschitz, n).tolist()]
-        top = max((step for step in steps if step != math.inf),
-                  default=_chosen_step(mixing, 0.0, True, a.safety))
-        tau = tuple(top if step == math.inf else step for step in steps)
-    sigma = 1.0 / min(tau) if a.sigma == "auto" else float(a.sigma)
-    return tau, sigma
+        capped = [max(lip, top / _SPREAD) for lip in lips]
+        least = min(cap for cap, lip in zip(capped, lips) if lip)
+        capped = [cap if lip else least for cap, lip in zip(capped, lips)]
+        rho = _rho(mixing, [least / cap for cap in capped], cfg.problem.p + cfg.problem.d)
+        tau = tuple(_step_gate(mixing, cap, True, a.safety, rho) for cap in capped)
+    return tau, 1.0 / one if a.sigma == "auto" else float(a.sigma), rho
 
 
 def build_start(cfg):

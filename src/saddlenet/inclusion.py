@@ -12,9 +12,6 @@ evaluation per round.  With ``v^k = 2 B(x^k) - B(x^{k-1})`` it is
 with ``u^1 = x^0 - tau B(x^0)`` (or ``W x^0 - tau B(x^0)`` when initial
 mixing is requested).  Each agent steps at its own ``tau_i``: a run turns
 its ``tau``, one number or one per agent, into one ``(n,)`` array at entry.
-Admissible steps satisfy ``0 < tau_i < (1 + lambda_min(W)) / (4 L_i)``, each
-agent's own gate; one ``tau`` for every agent so meets
-``tau < (1 + lambda_min(W)) / (4 L)`` with ``L = max_i L_i``.
 
 It runs in its dual form, where the eliminated dual block is a running sum
 ``g`` (as in PG-EXTRA and NIDS).  Each new ``x`` comes with its images
@@ -25,8 +22,18 @@ the per-agent lazy mixing ``I - C (I - W)`` of NIDS, and ``b_i = tau_i B_i(x_i)`
 At equal steps ``c = 1``, and the stacked kernels keep ``w = W x`` as the
 mixing formed it.  This is the primal-dual method below with the
 diagonal step ``T = diag(tau_i)`` and ``sigma = 1 / max tau`` (Pock &
-Chambolle 2011), admissible when ``2 max_i tau_i L_i + sigma
-lambda_max(T^{1/2} K'K T^{1/2}) < 1``, which the per-agent gates imply.
+Chambolle 2011), admissible exactly when
+
+    2 max_i tau_i L_i + rho < 1,   rho = max_b lambda_max(C^{1/2} (I - W_b) C^{1/2}) / 2
+
+over the mixing's blocks ``W_b``, ``C = diag(c)`` (:func:`_rho`).  So agent
+``i``'s gate is ``(1 - rho) / (2 L_i)``, and ``rho`` depends on the steps
+only through their ratios ``c``.  Since ``C <= I``, ``rho <= (1 -
+lambda_min(W)) / 2``, the closed form: at equal steps it is ``rho``, and the
+gate is ``(1 + lambda_min(W)) / (4 L)`` for one ``tau`` with ``L = max_i L_i``.
+The exact ``rho`` takes one ``n x n`` eigensolve per distinct block; above
+:data:`_EXACT_RHO_MAX_N` agents the closed form stands in for it.
+
 Every round, the first included, is
 
     u = w + e
@@ -108,16 +115,20 @@ def uniform_lipschitz(agents):
     return max(a.lipschitz for a in agents)
 
 
-def _step_gate(mixing, lipschitz, reflect, share=1.0):
+def _step_gate(mixing, lipschitz, reflect, share=1.0, rho=None):
     """``share`` of the open bound on ``tau``, ``(1 + lambda_min) / (c L)``: ``c = 4`` for the
     reflected recursion (forb's, on :data:`_ONE_VERTEX`, is ``1 / (2 L)``), 1 for PG-EXTRA.
-    Every gate and auto step (``share = safety``) is evaluated here.  At ``L = 0`` it is inf
-    (``B`` constant: PDHG with ``tau sigma ||K||^2 = (1 - lambda_min) / 2 < 1``)."""
+    Every gate and auto step (``share = safety``) is evaluated here.  With the ``rho`` of unequal
+    reflected steps (:func:`_rho`) it is ``(1 - rho) / (2 L)``, and at the closed-form ``rho``
+    the closed form, bitwise.  At ``L = 0`` it is inf (``B`` constant: PDHG with
+    ``tau sigma ||K||^2 = rho < 1``)."""
     if lipschitz < 0:
         raise ValueError(f"lipschitz must be nonnegative, got {lipschitz!r}")
     if lipschitz == 0:
         return float("inf")
-    return share * (1.0 + mixing.lambda_min) / ((4.0 if reflect else 1.0) * lipschitz)
+    if rho is None or not reflect or rho == _closed_rho(mixing):
+        return share * (1.0 + mixing.lambda_min) / ((4.0 if reflect else 1.0) * lipschitz)
+    return share * (1.0 - rho) / (2.0 * lipschitz)
 
 
 def _chosen_step(mixing, lipschitz, reflect, share):
@@ -126,9 +137,48 @@ def _chosen_step(mixing, lipschitz, reflect, share):
     return _step_gate(mixing, lipschitz or 1.0, reflect, share)
 
 
-def _agent_gates(agents, mixing, reflect=True):
-    """Each agent's own open gate, :func:`_step_gate` at its declared ``L_i`` (inf at ``L_i = 0``)."""
-    return [_step_gate(mixing, a.lipschitz, reflect) for a in agents]
+# Above this many agents :func:`_rho` returns the closed form and runs no eigensolve.  One
+# ``eigvalsh`` of an ``n x n`` symmetric matrix took (ms, best of 3, one BLAS thread, 2-vCPU VM):
+# n = 250: 3.3; 500: 15; 750: 46; 1000: 111; 2000: 880.
+_EXACT_RHO_MAX_N = 500
+
+
+def _closed_rho(mixing):
+    """``(1 - lambda_min(W)) / 2``: ``rho`` at equal steps, and a bound on it at any steps."""
+    return (1.0 - mixing.lambda_min) / 2.0
+
+
+def _rho(mixing, c, h):
+    """The coupling term of the condition ``2 max_i tau_i L_i + rho < 1`` at step ratios ``c``.
+
+    ``rho = max_b lambda_max(C^{1/2} (I - W_b) C^{1/2}) / 2`` over the blocks
+    of ``mixing`` on rows of width ``h`` (:func:`~saddlenet.graphs.mixing_blocks`),
+    ``C = diag(c)``, ``c_i = tau_i / max tau``: one ``eigvalsh`` per distinct
+    block (a block without a dense ``w`` is formed by one ``apply`` to the
+    identity), and never above the closed form (:func:`_closed_rho`).  The
+    closed form, bitwise, at equal ``c`` and above :data:`_EXACT_RHO_MAX_N`
+    agents.
+    """
+    closed = _closed_rho(mixing)
+    c = np.asarray(c, dtype=float)
+    if c.min() == c.max() or len(c) > _EXACT_RHO_MAX_N:
+        return closed
+    root = np.sqrt(c)
+    top = max(np.linalg.eigvalsh(np.diag(c) - root[:, None] * _dense(m) * root)[-1]
+              for m in {id(m): m for _, m, _ in mixing_blocks(mixing, h)}.values())
+    return min(float(top) / 2.0, closed)
+
+
+def _dense(m):
+    """The ``(n, n)`` weights of the mixing matrix ``m``: its ``w``, or one ``apply`` to the identity."""
+    w = getattr(m, "w", None)
+    return m.apply(np.eye(m.n)) if w is None else w
+
+
+def _agent_gates(agents, mixing, reflect=True, rho=None):
+    """Each agent's own open gate, :func:`_step_gate` at its declared ``L_i`` (inf at ``L_i = 0``)
+    and the run's ``rho`` (the closed form when None)."""
+    return [_step_gate(mixing, a.lipschitz, reflect, rho=rho) for a in agents]
 
 
 def stepsize_bound(mixing, lipschitz):
@@ -283,9 +333,11 @@ def _kernels(agents, mixing, h, tau):
 def _check_setup(agents, mixing, x0, tau, reflect):
     """``x0`` as float rows and ``tau`` as one frozen step per agent, after the shape checks and the gate.
 
-    Every agent's step is checked against its own gate (:func:`_agent_gates`).
-    One ``tau`` for every agent is so gated at ``max_i L_i``, whose gate is
-    bitwise the least.  PG-EXTRA takes one ``tau``: its per-agent gate is not derived.
+    Every agent's step is checked against its own gate (:func:`_agent_gates`)
+    at the ``rho`` of the steps' ratios (:func:`_rho`): together, the exact
+    condition ``2 max_i tau_i L_i + rho < 1``.  One ``tau`` for every agent is
+    so gated at ``max_i L_i``, whose closed-form gate is bitwise the least.
+    PG-EXTRA takes one ``tau``: its per-agent gate is not derived.
     """
     x0 = np.asarray(x0, dtype=float)
     n = len(agents)
@@ -296,7 +348,9 @@ def _check_setup(agents, mixing, x0, tau, reflect):
     tau = _row_steps(tau, n, "agent")
     if not reflect and tau.min() < tau.max():
         raise ValueError("PG-EXTRA steps at one tau: its per-agent gate is not derived")
-    for i, (step, gate) in enumerate(zip(tau.tolist(), _agent_gates(agents, mixing, reflect))):
+    # no ratios of steps that are not all positive and finite: the check below refuses them
+    rho = _rho(mixing, tau / tau.max(), x0.shape[1]) if 0.0 < tau.min() <= tau.max() < np.inf else None
+    for i, (step, gate) in enumerate(zip(tau.tolist(), _agent_gates(agents, mixing, reflect, rho))):
         if not 0.0 < step < gate:
             raise StepSizeError(f"step size exceeds its bound: the step of agent {i} exceeds its own gate: "
                                 f"tau_{i}={step!r} not in (0, {gate!r})")

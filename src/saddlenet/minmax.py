@@ -19,11 +19,18 @@ with ``bx = tau grad_x phi(x, y)`` and ``by = -tau grad_y phi(x, y)``:
 
 from ``gx = x^0 - W1 x^0``, ``gy = y^0 - W2 y^0`` and ``e = g - b``.  The
 dual sums ``gx``, ``gy`` stand for the eliminated dual block of each
-consensus constraint.  ``tau`` is one step or one per agent; agent ``i``'s
-must satisfy ``0 < tau_i < (1 + min(lambda_min(W1), lambda_min(W2))) / (4 L_i)``,
-its own gate, and with per-agent steps it scales both of its exchanges by
-``c_i = tau_i / max tau`` (see :mod:`saddlenet.inclusion`).  One ``tau``
-for every agent is gated at ``L = max_i L_i``.
+consensus constraint.  ``tau`` is one step or one per agent, and with
+per-agent steps agent ``i`` scales both of its exchanges by ``c_i = tau_i /
+max tau`` (see :mod:`saddlenet.inclusion`).  The steps must satisfy the
+exact condition ``2 max_i tau_i L_i + rho < 1``: ``0 < tau_i < (1 - rho) /
+(2 L_i)``, each agent's own gate, with ``rho`` the larger over the two blocks
+of ``lambda_max(C^{1/2} (I - W_b) C^{1/2}) / 2``, ``C = diag(c)``.  At equal
+steps ``rho`` is the closed form ``(1 - min(lambda_min(W1), lambda_min(W2)))
+/ 2``, so one ``tau`` for every agent is gated at ``(1 + min lambda_min) / (4
+L)``, ``L = max_i L_i``; above :data:`~saddlenet.inclusion._EXACT_RHO_MAX_N`
+agents the closed form, a bound since ``C <= I``, stands in for ``rho`` at
+any steps.  ``tau = auto`` in a config caps the spread of the steps at 2
+(:func:`~saddlenet.config.resolve_steps`).
 
 Stacking ``z_i = (x_i, y_i)`` with the blockwise mixing and the monotone map
 ``(grad_x phi_i, -grad_y phi_i)`` turns this into the decentralized

@@ -90,9 +90,10 @@ class StepSizes:
 def balanced_step_sizes(lipschitz, k_norm, margin=0.9):
     """Equal steps ``tau = sigma = s`` with ``2 s L + s^2 ||K||^2 = margin``.
 
-    The margin keeps the iteration strictly inside the admissible region;
-    with neither a forward term nor a linear coupling any step works and
-    ``s = 1`` is returned.
+    The margin keeps the iteration strictly inside the admissible region.
+    Without a linear coupling ``s = margin / (2 L)``; with no forward term
+    either any step works, and ``s`` is taken at ``L = 1``, the package's one
+    rule at zero curvature (:func:`~saddlenet.inclusion._chosen_step`).
     """
     if not 0.0 < margin < 1.0:
         raise ValueError("margin must lie in (0, 1)")
@@ -101,7 +102,7 @@ def balanced_step_sizes(lipschitz, k_norm, margin=0.9):
     if lip < 0 or kk < 0:
         raise ValueError("constants must be nonnegative")
     if kk == 0.0:
-        s = margin / (2.0 * lip) if lip > 0 else 1.0
+        s = margin / (2.0 * (lip or 1.0))
     else:
         s = (-lip + math.sqrt(lip * lip + margin * kk)) / kk
     return StepSizes(s, s)

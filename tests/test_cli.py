@@ -11,6 +11,7 @@ from saddlenet import cli
 from saddlenet.cli import main
 from saddlenet.config import ALGORITHMS, AlgorithmConfig, build_problems, parse_config
 from saddlenet.graphs import mixing_from_laplacian, random_connected_graph, ring_graph
+from saddlenet.inclusion import _rho, _step_gate
 from saddlenet.instances import seeded_couplings
 from saddlenet.minmax import AgentSaddleProblem, saddle_residual
 from saddlenet.operators import bilinear_coupling, l1_prox, zero_prox
@@ -626,10 +627,12 @@ def test_the_saddle_residual_line_reports_what_it_cannot_compute():
 # ---------------------------------------------------------------------------
 
 def _laplacian_tau():
-    # each agent's own auto step
-    lam = mixing_from_laplacian(ring_graph(3), 4.0).lambda_min
-    return tuple(AlgorithmConfig().safety * (1.0 + lam) / (4.0 * c.lipschitz)
-                 for c in seeded_couplings(3, 1, 1, 0, kind="quadratic"))
+    # each agent's own auto step: at its constant capped at L_max / 2, and the rho of the ratios
+    mixing = mixing_from_laplacian(ring_graph(3), 4.0)
+    lips = np.array([c.lipschitz for c in seeded_couplings(3, 1, 1, 0, kind="quadratic")])
+    capped = np.maximum(lips, lips.max() / 2.0)
+    rho = _rho(mixing, capped.min() / capped, 2)
+    return tuple(_step_gate(mixing, lip, True, AlgorithmConfig().safety, rho) for lip in capped.tolist())
 
 
 # alg2 sends an x and a y vector on every edge in both directions

@@ -228,6 +228,12 @@ def test_declared_lipschitz_override_and_zero_curvature():
         declared_lipschitz(cfg3, problems)
 
 
+def _exact_rho(mixing, c):
+    """``max lambda_max(C^{1/2} (I - W) C^{1/2}) / 2`` over the two blocks, by dense eigensolves."""
+    root = np.sqrt(c)
+    return max(np.linalg.eigvalsh(np.diag(c) - np.outer(root, root) * m.w)[-1] for m in (mixing.w1, mixing.w2)) / 2
+
+
 def test_resolve_steps_auto_rule():
     cfg = parse_config(FULL)
     mixing = build_block_mixing(cfg)
@@ -235,20 +241,29 @@ def test_resolve_steps_auto_rule():
     lips = declared_lipschitz(cfg, problems)
     assert lips == tuple(prob.lipschitz for prob in problems) and len(set(lips)) == 5
     tau, sigma = resolve_steps(cfg, mixing, lips)
-    # each agent at 0.9 of its own gate, as Python floats; sigma = 1 / min tau_i, the shared step's
+    # each agent at 0.9 of its own gate (1 - rho) / (2 L~_i), L~_i = max(L_i, L_max / 2), at the
+    # exact rho of the ratios c_i = L~_min / L~_i, as Python floats
     assert type(tau) is tuple and all(type(t) is float for t in tau)
-    assert tau == pytest.approx([0.9 * (1.0 + mixing.lambda_min) / (4.0 * lip) for lip in lips])
-    assert sigma == pytest.approx(1.0 / min(tau))
-    # one constant, the worst agent's, is the one-tau rule: min tau_i bitwise, for every agent
-    assert resolve_steps(cfg, mixing, max(lips)) == ((min(tau),) * 5, sigma)
+    capped = np.maximum(lips, max(lips) / 2.0)
+    rho = _exact_rho(mixing, capped.min() / capped)
+    assert rho < (1.0 - mixing.lambda_min) / 2.0
+    assert tau == pytest.approx([0.9 * (1.0 - rho) / (2.0 * lip) for lip in capped], rel=1e-14)
+    assert max(tau) <= 2.0 * min(tau) * (1.0 + 1e-15)
+    # sigma = 1 / the one-tau step, the gate's step at max L_i
+    one = _step_gate(mixing, max(lips), True, 0.9)
+    assert sigma == 1.0 / one
+    # one constant, the worst agent's, is the one-tau rule: that step bitwise, for every agent
+    assert resolve_steps(cfg, mixing, max(lips)) == ((one,) * 5, sigma)
 
 
 def test_resolve_steps_gives_a_zero_curvature_agent_the_largest_finite_step():
     cfg = parse_config(FULL)
     mixing = build_block_mixing(cfg)
     tau, _ = resolve_steps(cfg, mixing, (0.0, 2.0, 1.0, 0.0, 2.0))
-    at = [0.9 * (1.0 + mixing.lambda_min) / (4.0 * lip) for lip in (2.0, 1.0)]
-    assert tau == pytest.approx((at[1], at[0], at[1], at[1], at[0]), rel=1e-15)
+    # L~ = (1, 2, 1, 1, 2): the zero-curvature agents take the step at the least L~ (c_i = 1)
+    rho = _exact_rho(mixing, np.array([1.0, 0.5, 1.0, 1.0, 0.5]))
+    at = [0.9 * (1.0 - rho) / (2.0 * lip) for lip in (2.0, 1.0)]
+    assert tau == pytest.approx((at[1], at[0], at[1], at[1], at[0]), rel=1e-14)
 
 
 def test_resolve_steps_at_zero_curvature_takes_the_step_at_unit_lipschitz():

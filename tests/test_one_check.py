@@ -234,7 +234,7 @@ def test_an_audit_of_a_run_without_steps_is_the_header_and_passes(tmp_path):
 
 def test_the_audit_tolerance_is_relative_to_the_rows(tmp_path):
     """Rows near 1e3 carry rounding gaps above 1e-12 that an absolute bound would fail."""
-    text = MINMAX.format(name="alg1", start="x0 = 10000.0\ny0 = -7000.0", n=6, extra_graph="")
+    text = MINMAX.format(name="alg1", start="x0 = 100000.0\ny0 = -70000.0", n=6, extra_graph="")
     code, out = run(tmp_path, text, "--max-iters", "50")
     assert code == cli.EXIT_NO_CONVERGENCE
     rows = max(abs(float(line.split(",")[2]))

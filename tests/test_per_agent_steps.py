@@ -1,4 +1,8 @@
-"""Per-agent steps: each agent steps at its own gate ``tau_i < (1 + lambda_min) / (4 L_i)``.
+"""Per-agent steps: each agent steps at its own gate ``tau_i < (1 - rho) / (2 L_i)``.
+
+``rho = lambda_max(C^{1/2} (I - W) C^{1/2}) / 2`` at the ratios ``C = diag(tau_i / max tau)`` is
+at most ``(1 - lambda_min) / 2`` and equal to it at equal steps, where the gate is the closed form
+``(1 + lambda_min) / (4 L_i)``.
 
 With an ``(n,)`` ``tau`` agent ``i`` scales its exchange by ``c_i = tau_i / max tau``.
 That recursion is pdtr on the product space with ``T = diag(tau_i) (x) I_h`` and
@@ -169,18 +173,32 @@ def test_an_equal_per_agent_tau_is_the_one_tau_run_bitwise(path):
     same_trace(one[2], each[2])
 
 
+def exact_gates(agents, mixing, tau, h):
+    """Each agent's gate in the exact condition at the ratios of ``tau``."""
+    return np.array(_agent_gates(agents, mixing, rho=inclusion._rho(mixing, tau / tau.max(), h)))
+
+
 def test_the_gate_names_the_agent_whose_step_exceeds_its_own_gate():
     n, h = 5, 2
     mixing = metropolis_mixing(path_graph(n))
     agents = random_inclusion_agents(n, h, seed=35)
-    gates = np.array(_agent_gates(agents, mixing))
+    gates = np.array(_agent_gates(agents, mixing))  # the closed form (1 + lambda_min) / (4 L_i)
     x0 = np.random.default_rng(35).standard_normal((n, h))
-    # every agent just below its own gate runs, although all but one exceed the gate of max L_i
+    # every agent just below its own closed-form gate runs, although all but one exceed the gate of max L_i
     below = np.nextafter(gates, 0.0)
     assert (below > gates.min()).sum() == n - 1
     assert np.isfinite(inclusion_init(agents, mixing, x0, below).x).all()
-    at = 0.5 * gates
-    at[3] = gates[3]
+    # agent 3 just above its exact gate at the others' 0.95 of theirs: its step is not the
+    # largest, so raising it raises rho and lowers its own gate
+    at = 0.95 * gates
+    at[3] = np.nextafter(exact_gates(agents, mixing, at, h)[3], np.inf)
+    exact = exact_gates(agents, mixing, at, h)
+    assert at[3] < at.max() and at[3] > exact[3] > gates[3]
+    assert (np.delete(at, 3) < np.delete(exact, 3)).all()
+    # midway between its closed-form and its exact gate it runs
+    inside = at.copy()
+    inside[3] = 0.5 * (gates[3] + exact[3])
+    assert np.isfinite(inclusion_init(agents, mixing, x0, inside).x).all()
     for start in (lambda t: inclusion_init(agents, mixing, x0, t),
                   lambda t: product_space_reference(agents, mixing, x0, t, 1),
                   lambda t: InclusionProgram(agents, mixing, x0, t)):
@@ -286,16 +304,22 @@ def test_run_audit_of_alg2_at_auto_passes_on_the_readme_config(tmp_path):
     code, fields, summary = _run(tmp_path, README, "--audit")
     assert code == 0
     setup = _Setup(parse_config(README))
-    lam = setup.block_mixing.lambda_min
     tau = ast.literal_eval(fields["tau"])
-    gates = tuple((1.0 + lam) / (4.0 * lip) for lip in setup.lip)
-    # each agent's tau_i at 0.99 of its own gate, sigma = 1 / max tau_i
+    # each agent's gate (1 - rho) / (2 L_i) in the exact condition 2 max tau_i L_i + rho < 1
+    gates = tuple((1.0 - setup.rho) / (2.0 * lip) for lip in setup.lip)
+    assert setup.rho < (1.0 - setup.block_mixing.lambda_min) / 2.0
+    # each agent's tau_i at 0.99 of its own gate (every L_i is above L_max / 2), sigma = 1 / max tau_i
+    assert min(setup.lip) > max(setup.lip) / 2.0
     assert len(set(tau)) == 5 and tau == setup.agent_tau
     assert np.divide(tau, gates) == pytest.approx(0.99, rel=1e-14)
     assert fields["sigma"] == repr(1.0 / max(tau))
     assert fields["step gate"] == repr(gates)
     assert fields["tau / gate"] == repr(max(np.divide(tau, gates).tolist()))
-    assert fields["iterations"] == "7644" and fields["converged"].startswith("yes")
+    assert fields["tau / gate"] in ("0.99", "0.9900000000000001")  # as CI reads it
+    assert fields["rho"] == repr(setup.rho)
+    condition = 2.0 * max(np.multiply(tau, setup.lip).tolist()) + setup.rho
+    assert fields["2 max tau_i L_i + rho"] == repr(condition) and condition < 1.0
+    assert fields["iterations"] == "5504" and fields["converged"].startswith("yes")
     assert fields["messages per round"] == "20"
     audit_line = next(line for line in summary if line.startswith("audit: "))
     assert audit_line.startswith("audit: 50 rounds on the message harness, 0 illegal reads")
@@ -304,8 +328,8 @@ def test_run_audit_of_alg2_at_auto_passes_on_the_readme_config(tmp_path):
     assert [int(row.split(",")[1]) for row in audit] == [20] * 50
 
 
-@pytest.mark.parametrize("scheme, per_agent, one_tau", [("lazy_metropolis", 7644, 13012),
-                                                         ("metropolis", 11639, 20103)])
+@pytest.mark.parametrize("scheme, per_agent, one_tau", [("lazy_metropolis", 5504, 13012),
+                                                         ("metropolis", 7143, 20103)])
 def test_per_agent_steps_take_fewer_rounds_on_the_readme_ring(tmp_path, scheme, per_agent, one_tau):
     text = README.replace("topology = ring", f"topology = ring\n\n[mixing]\nscheme = {scheme}")
     setup = _Setup(parse_config(text))
@@ -316,7 +340,8 @@ def test_per_agent_steps_take_fewer_rounds_on_the_readme_ring(tmp_path, scheme, 
     _, each, _ = _run(tmp_path / "each", text)
     _, one, _ = _run(tmp_path / "one", override)
     assert (int(each["iterations"]), int(one["iterations"])) == (per_agent, one_tau)
-    assert float(one["tau"]) == setup.tau == min(ast.literal_eval(each["tau"]))
+    # the one-tau run takes the product-space step, below every per-agent step (rho < its closed form)
+    assert float(one["tau"]) == setup.tau < min(ast.literal_eval(each["tau"]))
     for fields in (each, one):
         assert float(fields["tau / gate"]) == pytest.approx(0.99, rel=1e-14)
 

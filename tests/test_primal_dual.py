@@ -84,7 +84,7 @@ def test_balanced_steps_solve_the_margin_equation():
 
 def test_balanced_steps_degenerate_cases():
     assert balanced_step_sizes(2.0, 0.0).tau == pytest.approx(0.9 / 4.0)
-    assert balanced_step_sizes(0.0, 0.0).tau == 1.0
+    assert balanced_step_sizes(0.0, 0.0).tau == 0.9 / 2.0  # the step at L = 1
     with pytest.raises(ValueError):
         balanced_step_sizes(1.0, 1.0, margin=1.0)
 
