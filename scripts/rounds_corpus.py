@@ -6,13 +6,11 @@ line, one line per config and method:
     python3 scripts/rounds_corpus.py --root . > ROUNDS.json
 
 The script puts ``ROOT/src`` first on ``sys.path`` and builds every config of
-the grid through ``saddlenet.cli._Setup``, as ``run`` does, then runs each
-method of ``--methods`` (default alg1 and alg2) through ``cli._execute`` at
-the config's defaults (``tau = auto``, ``safety = 0.99``, lazy Metropolis
-mixing, zero start), with ``tol = 1e-10``, ``max_iters = 40000`` and the forb
-reference on.  Each line holds the config, the method, the rounds, the
-status, the final residual, the saddle residual of the answer, its distance
-to the forb reference and the answer itself.  Rounds to tolerance are
+the grid through ``saddlenet.cli._Setup``, as ``run`` does, then runs alg1
+and alg2 (:data:`METHODS`) through ``cli._execute`` at the config's defaults
+(``tau = auto``, ``safety = 0.99``, lazy Metropolis mixing, zero start), with
+``tol = 1e-10`` and ``max_iters = 40000``.  Each line holds the config, the
+method, the rounds, the status and the answer.  Rounds to tolerance are
 deterministic, so the grid needs no timing and no repeats.
 
 The grid: ``p = 3`` with ``l1`` weight 0.3; ``d = 0`` with the quadratic or
@@ -50,6 +48,7 @@ COUPLINGS = {0: ("quadratic", "zero"), 3: ("bilinear", "quadratic", "zero")}
 SIZES = (5, 10, 20)
 TOPOLOGIES = ("ring", "random")
 SEEDS = (1, 2, 3)
+METHODS = ("alg1", "alg2")
 
 CONFIG = """
 [problem]
@@ -70,7 +69,6 @@ name = {names}
 [run]
 max_iters = 40000
 tol = 1e-10
-reference = on
 """
 BOX = "prox_g = box_indicator\nprox_g_lo = -1.0\nprox_g_hi = 1.0\n"
 
@@ -82,33 +80,26 @@ def grid():
             yield {"d": d, "coupling": coupling, "n": n, "topology": topology, "seed": seed}
 
 
-def config_text(config, methods):
+def config_text(config):
     return CONFIG.format(n=config["n"], d=config["d"], coupling=config["coupling"], seed=config["seed"],
                          topology=config["topology"], prox_g=BOX if config["d"] else "",
                          graph=f"density = 0.3\nseed = {config['seed']}\n" if config["topology"] == "random"
-                         else "", names=", ".join(methods))
+                         else "", names=", ".join(METHODS))
 
 
-def measure(root, methods):
+def measure(root):
     sys.path.insert(0, str(root / "src"))
     import numpy as np
     from saddlenet import cli
     from saddlenet.config import parse_config
-    from saddlenet.minmax import saddle_residual
 
     for config in grid():
-        setup = cli._Setup(parse_config(config_text(config, methods)), methods)
-        for name in methods:
+        setup = cli._Setup(parse_config(config_text(config)), METHODS)
+        for name in METHODS:
             result = cli._execute(name, setup)
             answer = np.concatenate([np.atleast_1d(result.x_star), np.atleast_1d(result.y_star)])
-            with np.errstate(over="ignore", invalid="ignore"):
-                residual = saddle_residual(setup.problems, result.x_star, result.y_star)
-                distance = float(np.linalg.norm(answer - setup.reference))
             print(json.dumps({"config": config, "method": name, "rounds": result.trace.iterations,
-                              "status": result.trace.status,
-                              "final_residual": result.trace.final_residual,
-                              "saddle_residual": float(residual), "distance_to_reference": distance,
-                              "answer": answer.tolist()}), flush=True)
+                              "status": result.trace.status, "answer": answer.tolist()}), flush=True)
 
 
 def load(path):
@@ -175,14 +166,13 @@ def main(argv=None):
     mode.add_argument("--root", type=Path, help="the tree to measure")
     mode.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"), help="compare two outputs")
     mode.add_argument("--totals", metavar="OUTPUT", help="sum up one output per method")
-    parser.add_argument("--methods", default="alg1,alg2", help="comma-separated, default alg1,alg2")
     args = parser.parse_args(argv)
     if args.compare:
         compare(*args.compare)
     elif args.totals:
         totals(args.totals)
     else:
-        measure(args.root.resolve(), tuple(args.methods.split(",")))
+        measure(args.root.resolve())
 
 
 if __name__ == "__main__":

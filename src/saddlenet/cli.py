@@ -32,7 +32,7 @@ import numpy as np
 
 from .config import (
     ConfigError,
-    _steps_and_rho,
+    _steps,
     build_block_mixing,
     build_problems,
     build_start,
@@ -57,6 +57,7 @@ from .inclusion import (
     _start,
     _stacked_columns,
     _step_gate,
+    _steps_rho,
     inclusion_init,
     inclusion_step,
     product_space_reference,
@@ -158,8 +159,8 @@ class _Setup:
 
     ``lip`` holds each agent's declared constant and ``agent_tau`` the
     resolved steps (:func:`~saddlenet.config.resolve_steps`) as one tuple,
-    an entry per agent, and ``rho`` the coupling term of the condition the
-    rule took them at (:func:`~saddlenet.inclusion._rho`).  ``tau`` is the
+    an entry per agent, and ``rho`` the coupling term of the condition they
+    are checked in (:func:`~saddlenet.inclusion._steps_rho`).  ``tau`` is the
     shared one-``tau`` step, the explicit ``tau`` or at ``auto``
     :func:`_chosen_step` at ``max L_i``, with ``sigma``.  The summed
     problem's agent (forb, the reference) and the product-space problem
@@ -173,20 +174,22 @@ class _Setup:
         self.problems = build_problems(cfg)
         self.mixing = build_block_mixing(cfg)
         self.lip = declared_lipschitz(cfg, self.problems)
-        self.agent_tau, self.sigma, self.rho = _steps_and_rho(cfg, self.mixing, self.lip)
+        self.agent_tau, self.sigma, self.tau = _steps(cfg, self.mixing, self.lip)
         self.safety = cfg.algorithm.safety if cfg.algorithm.tau == "auto" else None
         self.stop = StoppingRule(tol=cfg.run.tol, max_iters=cfg.run.max_iters)
         self.z0 = np.concatenate(build_start(cfg), axis=1)
         self.agents = stack_agents(self.problems, lipschitz=self.lip)
         self.block_mixing = stacked_block_mixing(self.mixing, self.problems)
-        self.tau = (self.agent_tau[0] if self.safety is None else
-                    _chosen_step(self.block_mixing, max(self.lip), True, self.safety))
         for name in names:
             _check_algorithm(name, self)
         self.reference, self.reference_converged = (
             _reference_point(self.central, self.z0.shape[1],
                              max_iters=min(2_000_000, 100 * self.stop.max_iters))
             if cfg.run.reference and names else (None, True))
+
+    @cached_property
+    def rho(self):
+        return _steps_rho(self.block_mixing, np.asarray(self.agent_tau), self.z0.shape[1])
 
     @cached_property
     def central(self):

@@ -28,7 +28,7 @@ from .graphs import (
     named_topology,
     parse_edge_list,
 )
-from .inclusion import _chosen_step, _closed_rho, _rho, _step_gate
+from .inclusion import _chosen_step, _rho, _step_gate
 from .minmax import AgentSaddleProblem, BlockMixing
 from .operators import bilinear_coupling, make_prox
 from .instances import _COUPLINGS, seeded_couplings
@@ -439,20 +439,21 @@ def resolve_steps(cfg, mixing, lipschitz):
     ``L~_i = max(L_i, L_max / 2)``: ``safety`` times its own gate at ``L~_i`` in the exact
     condition ``2 max_i tau_i L_i + rho < 1`` (:func:`~saddlenet.inclusion._step_gate`), ``rho``
     at the ratios ``c_i = L~_min / L~_i`` (:func:`~saddlenet.inclusion._rho`, on rows of width
-    ``p + d``; the closed form ``(1 - lambda_min) / 2`` at equal ``L~_i`` and above
-    :data:`~saddlenet.inclusion._EXACT_RHO_MAX_N` agents).  So ``tau_i / gate_i`` is at most
-    ``safety``, and no agent steps more than twice the least step.  An agent with ``L_i = 0``,
+    ``p + d``; the closed form ``(1 - lambda_min) / 2`` at equal ``L~_i``).  So ``tau_i / gate_i``
+    is at most ``safety`` (to one rounding at the ``rho`` of the ratios ``tau_i / max tau`` the
+    run is checked at), and no agent steps more than twice the least step.  An agent with ``L_i = 0``,
     whose gate is infinite, takes the largest step of the others (``c_i = 1``), or when no gate is
     finite the step at ``L = 1`` (:func:`~saddlenet.inclusion._chosen_step`).  ``sigma = auto`` is
     ``1 / tau`` at the one-``tau`` step, ``tau`` or at ``auto`` the gate's step at ``max L_i``,
     which the product-space methods take.  In the CLI pg_extra and forb take ``safety`` times their
     own gate.
     """
-    return _steps_and_rho(cfg, mixing, lipschitz)[:2]
+    return _steps(cfg, mixing, lipschitz)[:2]
 
 
-def _steps_and_rho(cfg, mixing, lipschitz):
-    """:func:`resolve_steps` and the ``rho`` its ``tau`` is taken at, which the CLI reports."""
+def _steps(cfg, mixing, lipschitz):
+    """:func:`resolve_steps` and the one-``tau`` step the product-space methods take (``sigma = auto``
+    is ``1 /`` it)."""
     a, n = cfg.algorithm, mixing.n
     if np.size(lipschitz) not in (1, n):
         raise ValueError(f"expected one Lipschitz constant or {n}, one per agent, got {np.size(lipschitz)}")
@@ -462,14 +463,14 @@ def _steps_and_rho(cfg, mixing, lipschitz):
     top = max(lips)
     one = float(a.tau) if a.tau != "auto" else _chosen_step(mixing, top, True, a.safety)
     if a.tau != "auto" or top == 0:
-        tau, rho = (one,) * n, _closed_rho(mixing)
+        tau = (one,) * n
     else:
         capped = [max(lip, top / _SPREAD) for lip in lips]
         least = min(cap for cap, lip in zip(capped, lips) if lip)
         capped = [cap if lip else least for cap, lip in zip(capped, lips)]
         rho = _rho(mixing, [least / cap for cap in capped], cfg.problem.p + cfg.problem.d)
         tau = tuple(_step_gate(mixing, cap, True, a.safety, rho) for cap in capped)
-    return tau, 1.0 / one if a.sigma == "auto" else float(a.sigma), rho
+    return tau, 1.0 / one if a.sigma == "auto" else float(a.sigma), one
 
 
 def build_start(cfg):

@@ -31,8 +31,8 @@ over the mixing's blocks ``W_b``, ``C = diag(c)`` (:func:`_rho`).  So agent
 only through their ratios ``c``.  Since ``C <= I``, ``rho <= (1 -
 lambda_min(W)) / 2``, the closed form: at equal steps it is ``rho``, and the
 gate is ``(1 + lambda_min(W)) / (4 L)`` for one ``tau`` with ``L = max_i L_i``.
-The exact ``rho`` takes one ``n x n`` eigensolve per distinct block; above
-:data:`_EXACT_RHO_MAX_N` agents the closed form stands in for it.
+The exact ``rho`` of unequal steps takes one ``n x n`` eigensolve per distinct
+block.
 
 Every round, the first included, is
 
@@ -137,12 +137,6 @@ def _chosen_step(mixing, lipschitz, reflect, share):
     return _step_gate(mixing, lipschitz or 1.0, reflect, share)
 
 
-# Above this many agents :func:`_rho` returns the closed form and runs no eigensolve.  One
-# ``eigvalsh`` of an ``n x n`` symmetric matrix took (ms, best of 3, one BLAS thread, 2-vCPU VM):
-# n = 250: 3.3; 500: 15; 750: 46; 1000: 111; 2000: 880.
-_EXACT_RHO_MAX_N = 500
-
-
 def _closed_rho(mixing):
     """``(1 - lambda_min(W)) / 2``: ``rho`` at equal steps, and a bound on it at any steps."""
     return (1.0 - mixing.lambda_min) / 2.0
@@ -154,14 +148,13 @@ def _rho(mixing, c, h):
     ``rho = max_b lambda_max(C^{1/2} (I - W_b) C^{1/2}) / 2`` over the blocks
     of ``mixing`` on rows of width ``h`` (:func:`~saddlenet.graphs.mixing_blocks`),
     ``C = diag(c)``, ``c_i = tau_i / max tau``: one ``eigvalsh`` per distinct
-    block (a block without a dense ``w`` is formed by one ``apply`` to the
-    identity), and never above the closed form (:func:`_closed_rho`).  The
-    closed form, bitwise, at equal ``c`` and above :data:`_EXACT_RHO_MAX_N`
-    agents.
+    block (a block with only ``apply``, ``n`` and ``lambda_min`` is formed by
+    one ``apply`` to the identity), and never above the closed form
+    (:func:`_closed_rho`), which it is, bitwise, at equal ``c``.
     """
     closed = _closed_rho(mixing)
     c = np.asarray(c, dtype=float)
-    if c.min() == c.max() or len(c) > _EXACT_RHO_MAX_N:
+    if c.min() == c.max():
         return closed
     root = np.sqrt(c)
     top = max(np.linalg.eigvalsh(np.diag(c) - root[:, None] * _dense(m) * root)[-1]
@@ -173,6 +166,13 @@ def _dense(m):
     """The ``(n, n)`` weights of the mixing matrix ``m``: its ``w``, or one ``apply`` to the identity."""
     w = getattr(m, "w", None)
     return m.apply(np.eye(m.n)) if w is None else w
+
+
+def _steps_rho(mixing, tau, h):
+    """The ``rho`` of the ``(n,)`` steps ``tau``, :func:`_rho` at their ratios ``tau / max tau``:
+    what every agent's gate is checked at (:func:`_check_setup`) and reported at.  None (the
+    closed form) unless every step is positive and finite, which the check refuses."""
+    return _rho(mixing, tau / tau.max(), h) if 0.0 < tau.min() <= tau.max() < np.inf else None
 
 
 def _agent_gates(agents, mixing, reflect=True, rho=None):
@@ -334,7 +334,7 @@ def _check_setup(agents, mixing, x0, tau, reflect):
     """``x0`` as float rows and ``tau`` as one frozen step per agent, after the shape checks and the gate.
 
     Every agent's step is checked against its own gate (:func:`_agent_gates`)
-    at the ``rho`` of the steps' ratios (:func:`_rho`): together, the exact
+    at the ``rho`` of the steps' ratios (:func:`_steps_rho`): together, the exact
     condition ``2 max_i tau_i L_i + rho < 1``.  One ``tau`` for every agent is
     so gated at ``max_i L_i``, whose closed-form gate is bitwise the least.
     PG-EXTRA takes one ``tau``: its per-agent gate is not derived.
@@ -348,9 +348,8 @@ def _check_setup(agents, mixing, x0, tau, reflect):
     tau = _row_steps(tau, n, "agent")
     if not reflect and tau.min() < tau.max():
         raise ValueError("PG-EXTRA steps at one tau: its per-agent gate is not derived")
-    # no ratios of steps that are not all positive and finite: the check below refuses them
-    rho = _rho(mixing, tau / tau.max(), x0.shape[1]) if 0.0 < tau.min() <= tau.max() < np.inf else None
-    for i, (step, gate) in enumerate(zip(tau.tolist(), _agent_gates(agents, mixing, reflect, rho))):
+    gates = _agent_gates(agents, mixing, reflect, _steps_rho(mixing, tau, x0.shape[1]))
+    for i, (step, gate) in enumerate(zip(tau.tolist(), gates)):
         if not 0.0 < step < gate:
             raise StepSizeError(f"step size exceeds its bound: the step of agent {i} exceeds its own gate: "
                                 f"tau_{i}={step!r} not in (0, {gate!r})")

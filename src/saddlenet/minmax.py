@@ -27,9 +27,8 @@ exact condition ``2 max_i tau_i L_i + rho < 1``: ``0 < tau_i < (1 - rho) /
 of ``lambda_max(C^{1/2} (I - W_b) C^{1/2}) / 2``, ``C = diag(c)``.  At equal
 steps ``rho`` is the closed form ``(1 - min(lambda_min(W1), lambda_min(W2)))
 / 2``, so one ``tau`` for every agent is gated at ``(1 + min lambda_min) / (4
-L)``, ``L = max_i L_i``; above :data:`~saddlenet.inclusion._EXACT_RHO_MAX_N`
-agents the closed form, a bound since ``C <= I``, stands in for ``rho`` at
-any steps.  ``tau = auto`` in a config caps the spread of the steps at 2
+L)``, ``L = max_i L_i``; since ``C <= I`` it bounds ``rho`` at any steps.
+``tau = auto`` in a config caps the spread of the steps at 2
 (:func:`~saddlenet.config.resolve_steps`).
 
 Stacking ``z_i = (x_i, y_i)`` with the blockwise mixing and the monotone map

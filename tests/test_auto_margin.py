@@ -10,6 +10,7 @@ import pytest
 from saddlenet import cli
 from saddlenet.cli import EXIT_NO_CONVERGENCE, _execute, _Setup, main
 from saddlenet.config import AlgorithmConfig, parse_config, serialize_config
+from saddlenet.inclusion import _rho
 
 # the README's alg2 example: the 5-ring, bilinear coupling of seed 3, l1 0.3, box [-1, 1]
 README = """
@@ -109,9 +110,12 @@ def test_the_default_margin_takes_fewer_rounds_on_the_readme_ring(scheme):
     _, at_09 = _solve(_edit(text, "name = alg2", "name = alg2\nsafety = 0.9"))
     assert at_default.trace.converged and at_09.trace.converged
     assert at_default.trace.iterations < at_09.trace.iterations
-    for tau, lip in zip(at_default.info["tau"], setup.lip, strict=True):
-        capped = max(lip, max(setup.lip) / 2.0)
-        assert abs(tau - 0.99 * (1.0 - setup.rho) / (2.0 * capped)) <= np.spacing(tau)
+    # the rule's rho, at the ratios L~_min / L~_i (the checked one, at tau / max tau, may differ
+    # from it in the last bit)
+    capped = [max(lip, max(setup.lip) / 2.0) for lip in setup.lip]
+    rho = _rho(setup.mixing, [min(capped) / cap for cap in capped], setup.z0.shape[1])
+    for tau, cap in zip(at_default.info["tau"], capped, strict=True):
+        assert abs(tau - 0.99 * (1.0 - rho) / (2.0 * cap)) <= np.spacing(tau)
 
 
 def test_forb_takes_fewer_rounds_at_the_default_margin():

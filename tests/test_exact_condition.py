@@ -4,14 +4,14 @@
 (:func:`~saddlenet.inclusion._rho`) is the coupling term of pdtr's condition on the product
 space with the diagonal step ``T = diag(tau_i)`` and ``sigma = 1 / max tau`` (Pock & Chambolle
 2011).  Since ``C <= I`` it is at most the closed form ``(1 - lambda_min) / 2``, which it is
-bitwise at equal steps and above ``_EXACT_RHO_MAX_N`` agents.
+bitwise at equal steps.
 """
 
 import numpy as np
 import pytest
 
 from saddlenet import inclusion
-from saddlenet.cli import _Setup, main
+from saddlenet.cli import _execute, _Setup, main
 from saddlenet.config import parse_config
 from saddlenet.graphs import (
     BlockMixing,
@@ -144,18 +144,20 @@ def test_unequal_steps_take_one_eigensolve_per_distinct_block(monkeypatch):
     assert exact < (1.0 - one.lambda_min) / 2.0
 
 
-def test_above_the_size_constant_no_eigensolve_runs(monkeypatch):
-    n = inclusion._EXACT_RHO_MAX_N
-    big, small = lazy_metropolis_mixing(ring_graph(n + 1)), lazy_metropolis_mixing(ring_graph(n))
-
-    def refused(_):
-        raise AssertionError("an eigensolve ran")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
-    c = np.linspace(0.5, 1.0, n + 1)
-    assert _rho(big, c, 2) == (1.0 - big.lambda_min) / 2.0
-    with pytest.raises(AssertionError, match="an eigensolve ran"):
-        _rho(small, c[:n], 2)
+def test_the_summary_reports_the_rho_the_run_was_checked_at(monkeypatch):
+    # the rule takes rho at the ratios L~_min / L~_i, the check at tau / max tau; they differ by
+    # rounding, and the summary's rho and gates are the check's
+    checked = []
+    gates = inclusion._agent_gates
+    monkeypatch.setattr(inclusion, "_agent_gates",
+                        lambda agents, mixing, reflect=True, rho=None:
+                        checked.append(rho) or gates(agents, mixing, reflect, rho))
+    setup = _Setup(parse_config(README), ("alg2",))
+    assert len(set(setup.agent_tau)) > 1
+    assert _execute("alg2", setup).info["rho"] == setup.rho
+    assert checked == [setup.rho]
+    tau = np.array(setup.agent_tau)
+    assert setup.rho == _rho(setup.block_mixing, tau / tau.max(), setup.z0.shape[1])
 
 
 def test_compare_of_alg2_and_pdtr_converges_on_the_readme_config(tmp_path):

@@ -315,7 +315,8 @@ def test_run_audit_of_alg2_at_auto_passes_on_the_readme_config(tmp_path):
     assert fields["sigma"] == repr(1.0 / max(tau))
     assert fields["step gate"] == repr(gates)
     assert fields["tau / gate"] == repr(max(np.divide(tau, gates).tolist()))
-    assert fields["tau / gate"] in ("0.99", "0.9900000000000001")  # as CI reads it
+    # 0.99 to one rounding, as CI reads it: the rule's rho and the checked one differ in the last bit
+    assert fields["tau / gate"] in ("0.9899999999999999", "0.99", "0.9900000000000001")
     assert fields["rho"] == repr(setup.rho)
     condition = 2.0 * max(np.multiply(tau, setup.lip).tolist()) + setup.rho
     assert fields["2 max tau_i L_i + rho"] == repr(condition) and condition < 1.0
